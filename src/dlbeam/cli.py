@@ -10,6 +10,7 @@ import argparse
 import json
 import signal
 import sys
+from dataclasses import replace
 
 from .cluster import (ClusterError, ClusterResult, MasterConfig, WorkerServer,
                       DEFAULT_TCP_PORT, DEFAULT_UDP_PORT, run_master)
@@ -22,6 +23,18 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_CLUSTER = 3
+
+
+class UsageError(Exception):
+    """A flag whose value is out of range."""
+
+
+def _build(cls, **kwargs):
+    """``cls(**kwargs)``, with a rejected value reported as a usage error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _read(path: str) -> str:
@@ -141,11 +154,9 @@ def _status_code(status: str) -> int:
 
 
 def cmd_learn(args) -> int:
-    st_sym, kb = _load_kb(args.kb)
-    examples = parse_examples(_read(args.examples), st_sym)
-    materialize(kb, st_sym)
     threads = max(1, args.threads)
-    cfg = SearchConfig(
+    cfg = _build(
+        SearchConfig,
         beam_width=args.beam if args.beam is not None else threads,
         limit=args.limit, noise=args.noise, max_millis=args.max_millis,
         max_length=args.max_length, target_accuracy=args.target_accuracy,
@@ -154,6 +165,9 @@ def cmd_learn(args) -> int:
         use_cardinality=not args.no_cardinality,
         use_disjunction=not args.no_disjunction,
         use_negation=not args.no_negation)
+    st_sym, kb = _load_kb(args.kb)
+    examples = parse_examples(_read(args.examples), st_sym)
+    materialize(kb, st_sym)
     result = run_search(kb, examples, cfg)
     _report(result, st_sym, examples, args.json)
     return _status_code(result.status)
@@ -196,21 +210,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_master(args) -> int:
-    st_sym, kb = _load_kb(args.kb)
-    examples = parse_examples(_read(args.examples), st_sym)
-    materialize(kb, st_sym)
     endpoints = []
     for spec_str in args.worker_endpoint:
         host, _, port = spec_str.rpartition(":")
         if not host or not port.isdigit():
             raise KbError(f"bad worker endpoint {spec_str!r} (want HOST:PORT)")
         endpoints.append((host, int(port)))
-    local = None
-    if args.with_local_worker:
-        local = WorkerServer(udp_port=0).start()
-        # endpoints are ping targets, so the worker's UDP port, not its TCP one
-        endpoints.append(("127.0.0.1", local.udp_port))
-    cfg = MasterConfig(
+    cfg = _build(
+        MasterConfig,
         limit=args.limit, noise=args.noise, max_millis=args.max_millis,
         max_length=args.max_length, target_accuracy=args.target_accuracy,
         use_inverse_roles=not args.no_inverse,
@@ -221,6 +228,15 @@ def cmd_master(args) -> int:
         worker_endpoints=tuple(endpoints),
         discovery_millis=args.discovery_millis,
         expect_workers=args.expect_workers)
+    st_sym, kb = _load_kb(args.kb)
+    examples = parse_examples(_read(args.examples), st_sym)
+    materialize(kb, st_sym)
+    local = None
+    if args.with_local_worker:
+        local = WorkerServer(udp_port=0).start()
+        # endpoints are ping targets, so the worker's UDP port, not its TCP one
+        cfg = replace(cfg, worker_endpoints=cfg.worker_endpoints
+                      + (("127.0.0.1", local.udp_port),))
     try:
         result = run_master(kb, st_sym, examples, cfg)
     finally:
@@ -235,9 +251,13 @@ def cmd_master(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    server = WorkerServer(host=args.host, tcp_port=args.port,
-                          udp_port=args.broadcast_port, cores=args.cores,
-                          threads=args.threads).start()
+    try:
+        server = _build(WorkerServer, host=args.host, tcp_port=args.port,
+                        udp_port=args.broadcast_port, cores=args.cores,
+                        threads=args.threads).start()
+    except OSError as exc:
+        raise UsageError(f"cannot listen on {args.host}: "
+                         f"{exc.strerror or exc}") from None
     print(f"worker listening on tcp {server.tcp_port}, udp {server.udp_port}",
           flush=True)
     stop = {"flag": False}
@@ -269,7 +289,7 @@ def main(argv=None) -> int:
             return cmd_master(args)
         if args.command == "worker":
             return cmd_worker(args)
-    except (KbError, ConceptParseError) as exc:
+    except (KbError, ConceptParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ClusterError as exc:

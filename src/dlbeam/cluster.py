@@ -38,7 +38,7 @@ from .evaluation import CoverageResult, EvalConfig, Score, evaluate, evaluate_ba
 from .kb import ExampleSet, KnowledgeBase, SymbolTable, compute_statistics, deserialize_kb, materialize, serialize_kb
 from .refine import RefinementConfig, build_mb
 from .search import (IterationStats, SearchNode, expand_single_node,
-                     extract_best_nodes, reduce_redundant)
+                     extract_best_nodes, insert_node, reduce_redundant)
 
 __all__ = [
     "MSG_HELLO", "MSG_HELLO_ACK", "MSG_KB_TRANSFER", "MSG_KB_ACK", "MSG_PROBE",
@@ -310,6 +310,11 @@ class WorkerInfo:
     connection_id: int = 0
 
 
+def _check_port(port: int) -> None:
+    if not 0 <= port <= 0xFFFF:
+        raise ValueError(f"port must be in [0, 65535], got {port}")
+
+
 class WorkerServer:
     """A worker node: answers discovery pings and serves one master at a time."""
 
@@ -319,24 +324,36 @@ class WorkerServer:
         self.host = host
         self.cores = cores if cores is not None else (os.cpu_count() or 1)
         self.threads = threads if threads is not None else self.cores
+        # cores travels to the master as u16 (HELLO_ACK, PROBE_RESULT).
+        if not 1 <= self.cores <= 0xFFFF:
+            raise ValueError(f"cores must be in [1, 65535], got {self.cores}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        _check_port(tcp_port)
+        _check_port(udp_port)
         self.io_timeout = io_timeout
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
 
         self._tcp = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._tcp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._tcp.bind((host, tcp_port))
-        self._tcp.listen(8)
-        self._tcp.settimeout(0.2)
-        self.tcp_port = self._tcp.getsockname()[1]
-
         self._udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._udp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if hasattr(socket, "SO_REUSEPORT"):
-            self._udp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        self._udp.bind(("", udp_port))
-        self._udp.settimeout(0.2)
-        self.udp_port = self._udp.getsockname()[1]
+        try:
+            self._tcp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._tcp.bind((host, tcp_port))
+            self._tcp.listen(8)
+            self._tcp.settimeout(0.2)
+            self.tcp_port = self._tcp.getsockname()[1]
+
+            self._udp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if hasattr(socket, "SO_REUSEPORT"):
+                self._udp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            self._udp.bind(("", udp_port))
+            self._udp.settimeout(0.2)
+            self.udp_port = self._udp.getsockname()[1]
+        except OSError:
+            self._tcp.close()
+            self._udp.close()
+            raise
 
     def start(self) -> "WorkerServer":
         for target in (self._udp_loop, self._accept_loop):
@@ -539,6 +556,20 @@ class MasterConfig:
     discovery_millis: int = 2000
     expect_workers: int | None = None
     io_timeout: float = 60.0
+
+    def __post_init__(self):
+        # limit and max_length travel to the workers as u16 (SearchParams).
+        for name in ("limit", "max_length"):
+            if not 1 <= getattr(self, name) <= 0xFFFF:
+                raise ValueError(f"{name} must be in [1, 65535], "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 <= self.noise < 1.0:
+            raise ValueError(f"noise must be in [0, 1), got {self.noise}")
+        if self.expect_workers is not None and self.expect_workers < 1:
+            raise ValueError(f"expect_workers must be >= 1, "
+                             f"got {self.expect_workers}")
+        for port in (self.udp_port, *(p for _h, p in self.worker_endpoints)):
+            _check_port(port)
 
 
 @dataclass
@@ -794,12 +825,11 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
                                   CoverageResult(bn.pos_covered, bn.neg_covered),
                                   Score(acc, bn.value),
                                   expandable=bn.he < cfg.max_length)
-                st.append(node)
+                insert_node(st, node)
                 st_insertions[h] = bn.value
                 inserted += 1
                 if acc > best_accuracy:
                     best_accuracy = acc
-            st.sort(key=lambda n: (-n.score.value, sort_key(n.concept)))
             iterations.append(IterationStats(
                 expanded=sum(len(b) for _, b in blocks), generated=generated,
                 redundant_dropped=generated - inserted - len(new_weak),

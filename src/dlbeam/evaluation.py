@@ -173,5 +173,5 @@ def score(cov: CoverageResult, parent_accuracy: float | None, he: int,
 def is_weak(cov: CoverageResult, examples: ExampleSet, noise: float) -> bool:
     """Too few covered positives to ever reach the noise-adjusted target."""
     if not 0.0 <= noise < 1.0:
-        raise ValueError("noise must be in [0, 1)")
+        raise ValueError(f"noise must be in [0, 1), got {noise}")
     return cov.pos_covered < math.ceil((1.0 - noise) * examples.pos_count)

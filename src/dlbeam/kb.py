@@ -467,40 +467,47 @@ def parse_examples(text: str, st: SymbolTable) -> ExampleSet:
 # ---------------------------------------------------------------------------
 # Materialization (hierarchy closure) and statistics
 
-def _transitive_ancestors(n: int, edges: list[tuple[int, int]],
-                          what: str, names=None) -> list[list[int]]:
-    """Per-node sorted list of all (transitive) ancestors; raises on cycles."""
+def _bottom_up(n: int, edges: list[tuple[int, int]], what: str,
+               names=None) -> tuple[list[int], list[list[int]]]:
+    """The nodes ordered so that each comes before all of its ancestors, and
+    each node's direct supers; raises on cycles.
+
+    A depth-first walk along the super edges with an explicit stack, so a
+    hierarchy of any depth is ordered without recursion. A node is finished
+    after all of its supers, so the reversed finishing order is bottom-up.
+    """
     direct: list[list[int]] = [[] for _ in range(n)]
     for sub, sup in edges:
         direct[sub].append(sup)
-    ancestors: list[set[int] | None] = [None] * n
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-
-    def visit(node: int, trail: list[int]) -> set[int]:
-        if state[node] == 1:
-            cycle = trail[trail.index(node):] + [node]
-            if names is not None:
-                cycle_str = " -> ".join(names.name_of(c) for c in cycle)
-            else:
-                cycle_str = " -> ".join(str(c) for c in cycle)
-            raise KbError(f"cycle in {what} hierarchy: {cycle_str}")
-        if state[node] == 2:
-            return ancestors[node]
-        state[node] = 1
-        trail.append(node)
-        acc: set[int] = set()
-        for sup in direct[node]:
-            acc.add(sup)
-            acc |= visit(sup, trail)
-        trail.pop()
-        state[node] = 2
-        ancestors[node] = acc
-        return acc
-
-    for node in range(n):
-        if state[node] == 0:
-            visit(node, [])
-    return [sorted(a) for a in ancestors]
+    state = [0] * n  # 0 unvisited, 1 on the path, 2 finished
+    finished: list[int] = []
+    for start in range(n):
+        if state[start]:
+            continue
+        state[start] = 1
+        path = [start]  # the nodes being walked, outermost first
+        pending = [iter(direct[start])]  # each path node's supers still to walk
+        while path:
+            for sup in pending[-1]:
+                if state[sup] == 1:
+                    cycle = path[path.index(sup):] + [sup]
+                    if names is not None:
+                        cycle_str = " -> ".join(names.name_of(c) for c in cycle)
+                    else:
+                        cycle_str = " -> ".join(str(c) for c in cycle)
+                    raise KbError(f"cycle in {what} hierarchy: {cycle_str}")
+                if state[sup] == 0:
+                    state[sup] = 1
+                    path.append(sup)
+                    pending.append(iter(direct[sup]))
+                    break
+            else:  # every super of the innermost node is finished
+                node = path.pop()
+                pending.pop()
+                state[node] = 2
+                finished.append(node)
+    finished.reverse()
+    return finished, direct
 
 
 def materialize(kb: KnowledgeBase, st: SymbolTable | None = None) -> KnowledgeBase:
@@ -508,28 +515,31 @@ def materialize(kb: KnowledgeBase, st: SymbolTable | None = None) -> KnowledgeBa
 
     Mutates and returns ``kb``. Idempotent: a second call is a no-op.
     Raises ``KbError`` if either hierarchy has a cycle.
+
+    Each class passes its members, its own and those its subclasses passed
+    up to it, to its direct superclasses, bottom-up; roles pass their pairs
+    the same way. The work follows the edges of the hierarchy, so a deep
+    chain costs no more than its closed memberships.
     """
     if kb.materialized:
         return kb
 
-    class_ancestors = _transitive_ancestors(
-        kb.num_classes, kb.subclass_edges, "subclass",
-        st.class_names if st else None)
-    for cid in range(kb.num_classes):
+    order, supers = _bottom_up(kb.num_classes, kb.subclass_edges, "subclass",
+                               st.class_names if st else None)
+    for cid in order:
         members = kb.class_members[cid]
         if not members:
             continue
-        for sup in class_ancestors[cid]:
+        for sup in supers[cid]:
             kb.class_members[sup] |= members
 
-    role_ancestors = _transitive_ancestors(
-        kb.num_roles, kb.subrole_edges, "subrole",
-        st.role_names if st else None)
-    for rid in range(kb.num_roles):
+    order, supers = _bottom_up(kb.num_roles, kb.subrole_edges, "subrole",
+                               st.role_names if st else None)
+    for rid in order:
         pairs = kb.role_assertions[rid]
         if not pairs:
             continue
-        for sup in role_ancestors[rid]:
+        for sup in supers[rid]:
             for pair in pairs:
                 kb.add_fact(sup, *pair)
 

@@ -4,7 +4,14 @@ One iteration: take the best BW expandable nodes from the open list, expand
 them in parallel (each node keeps a private closed list spanning its own
 re-expansions), fold the per-node refinement lists through a pairwise staged
 reduction against the global closed list (RHT), evaluate the survivors in a
-batch, drop weak ones, insert the rest, and re-sort.
+batch, drop weak ones, and insert the rest into the open list at their
+place in its order.
+
+The open list is kept sorted by each node's ``key``, (-score, canonical
+sort key), which is computed once when the node is built. Keys are unique,
+because the closed list admits a concept once and the canonical sort key is
+injective, so inserting each new node by bisection gives the same list as
+appending it and sorting.
 
 Nodes are not removed on expansion; they are revisited with a horizontal
 expansion budget (he) that grows by one per visit until it reaches the
@@ -16,8 +23,10 @@ run inserts is independent of the thread count.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .concept import (TOP, Concept, concept_length, hash_concept, sort_key)
 from .evaluation import (CoverageResult, EvalConfig, Score, evaluate,
@@ -31,6 +40,7 @@ __all__ = [
     "IterationStats",
     "SearchResult",
     "extract_best_nodes",
+    "insert_node",
     "expand_single_node",
     "reduce_redundant",
     "run_search",
@@ -46,8 +56,15 @@ class SearchNode:
     score: Score
     parent: "SearchNode | None" = None
     expandable: bool = True
-    # Hashes this node has emitted across all of its expansions.
-    local_closed: set[int] = field(default_factory=set)
+    # Hashes this node has emitted across all of its expansions; None before
+    # the first expansion and again once the node can no longer be expanded.
+    local_closed: set[int] | None = None
+    # Open-list order, best first: (-score, canonical sort key). Fixed at
+    # construction, since neither the score nor the concept changes.
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.key = (-self.score.value, sort_key(self.concept))
 
 
 @dataclass(frozen=True)
@@ -67,10 +84,11 @@ class SearchConfig:
     verify_collisions: bool = False
 
     def __post_init__(self):
-        if self.beam_width < 1 or self.limit < 1 or self.threads < 1:
-            raise ValueError("beam_width, limit and threads must be >= 1")
-        if self.max_length < 1:
-            raise ValueError("max_length must be >= 1")
+        for name in ("beam_width", "limit", "threads", "max_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.noise < 1.0:
+            raise ValueError(f"noise must be in [0, 1), got {self.noise}")
 
 
 @dataclass
@@ -95,6 +113,14 @@ class SearchResult:
     wall_millis: int
 
 
+_node_key = attrgetter("key")
+
+
+def insert_node(st: list[SearchNode], node: SearchNode) -> None:
+    """Insert ``node`` into the open list ``st`` at its place in key order."""
+    insort(st, node, key=_node_key)
+
+
 def extract_best_nodes(st: list[SearchNode], k: int,
                        expandable_only: bool = True) -> list[SearchNode]:
     """Best k nodes of the sorted open list, left in place for re-expansion."""
@@ -115,20 +141,25 @@ def expand_single_node(node: SearchNode, kb: KnowledgeBase, stats: KbStatistics,
     """Refine at bound he+1, emit only hashes new to this node, grow he."""
     if node.he >= max_length:
         node.expandable = False
+        node.local_closed = None
         return [], set()
     bound = node.he + 1
+    closed = node.local_closed
+    if closed is None:
+        closed = node.local_closed = set()
     emitted: list[Concept] = []
     emitted_hashes: set[int] = set()
     for r in refine(node.concept, bound, kb, stats, mb, rcfg):
         h = hash_concept(r)
-        if h in node.local_closed:
+        if h in closed:
             continue
-        node.local_closed.add(h)
+        closed.add(h)
         emitted_hashes.add(h)
         emitted.append(r)
     node.he += 1
     if node.he >= max_length:
         node.expandable = False
+        node.local_closed = None
     return emitted, emitted_hashes
 
 
@@ -249,11 +280,10 @@ def run_search(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchConfig,
                 sc = score(cov, parent.score.accuracy, he0, examples, cfg.eval_cfg)
                 node = SearchNode(c, h, he0, cov, sc, parent=parent,
                                   expandable=he0 < cfg.max_length)
-                st.append(node)
+                insert_node(st, node)
                 st_insertions[h] = sc.value
                 if sc.accuracy > best_accuracy:
                     best_accuracy = sc.accuracy
-            st.sort(key=lambda n: (-n.score.value, sort_key(n.concept)))
             iterations.append(IterationStats(
                 expanded=len(beam), generated=generated,
                 redundant_dropped=generated - len(survivors),

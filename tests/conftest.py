@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from dlbeam.concept import sort_key
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (ExampleSet, KbStatistics, KnowledgeBase, SymbolTable,
                        compute_statistics, materialize, parse_examples,
@@ -35,3 +36,34 @@ def trains() -> LoadedKb:
 @pytest.fixture(scope="session")
 def smoke() -> LoadedKb:
     return load_fixture("smoke")
+
+
+def open_list_order(n):
+    """The open-list order, recomputed from scratch: best score first, then
+    the canonical order of the concepts."""
+    return (-n.score.value, sort_key(n.concept))
+
+
+@pytest.fixture
+def check_open_list(monkeypatch):
+    """Wrap a module's ``extract_best_nodes`` so that every call first checks
+    that the open list is in order and that each node's stored key is the
+    order recomputed from scratch. Returns the list of open-list sizes seen,
+    one per call."""
+    calls: list[int] = []
+
+    def install(module):
+        original = module.extract_best_nodes
+
+        def checked(st, k, expandable_only=True):
+            keys = [open_list_order(n) for n in st]
+            assert [n.key for n in st] == keys
+            # A stable sort leaves st as it is exactly when its keys ascend.
+            assert keys == sorted(keys)
+            calls.append(len(st))
+            return original(st, k, expandable_only)
+
+        monkeypatch.setattr(module, "extract_best_nodes", checked)
+        return calls
+
+    return install

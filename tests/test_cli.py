@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from dlbeam.cli import main
 from dlbeam.fixtures import fixture_path
 
@@ -133,6 +135,60 @@ def test_master_rejects_malformed_endpoint(capsys):
                            "--worker-endpoint", "nonsense")
     assert code == 1
     assert "bad worker endpoint" in err
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["learn", "--beam", "0"], "beam_width must be >= 1, got 0"),
+    (["learn", "--max-length", "0"], "max_length must be >= 1, got 0"),
+    (["learn", "--noise", "1.5"], "noise must be in [0, 1), got 1.5"),
+    (["learn", "--noise", "-0.5"], "noise must be in [0, 1), got -0.5"),
+    (["learn", "--limit", "0"], "limit must be >= 1, got 0"),
+    (["master", "--max-length", "70000"],
+     "max_length must be in [1, 65535], got 70000"),
+    (["master", "--limit", "70000"], "limit must be in [1, 65535], got 70000"),
+    (["master", "--noise", "1.5"], "noise must be in [0, 1), got 1.5"),
+    (["master", "--expect-workers", "0"], "expect_workers must be >= 1, got 0"),
+    (["master", "--broadcast-port", "70000"],
+     "port must be in [0, 65535], got 70000"),
+    (["master", "--worker-endpoint", "127.0.0.1:70000"],
+     "port must be in [0, 65535], got 70000"),
+])
+def test_bad_search_flags_are_rejected_before_any_file_is_read(
+        capsys, tmp_path, argv, fragment):
+    command, *flags = argv
+    missing = str(tmp_path / "missing.kb")
+    code, out, err = run_cli(capsys, command, missing, TRAINS_EX, *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {fragment}\n"
+
+
+@pytest.mark.parametrize("flags,fragment", [
+    (["--cores", "0"], "cores must be in [1, 65535], got 0"),
+    (["--cores", "70000"], "cores must be in [1, 65535], got 70000"),
+    (["--threads", "0"], "threads must be >= 1, got 0"),
+    (["--port", "70000"], "port must be in [0, 65535], got 70000"),
+    (["--broadcast-port", "-1"], "port must be in [0, 65535], got -1"),
+])
+def test_bad_worker_flags_are_rejected(capsys, flags, fragment):
+    argv = ["worker", "--host", "127.0.0.1", "--port", "0",
+            "--broadcast-port", "0", *flags]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {fragment}\n"
+
+
+def test_worker_reports_a_port_in_use(capsys):
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = taken.getsockname()[1]
+        code, out, err = run_cli(capsys, "worker", "--host", "127.0.0.1",
+                                 "--port", str(port), "--broadcast-port", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot listen on 127.0.0.1: ")
 
 
 def _wait_for_udp_reply(port, deadline=10.0):

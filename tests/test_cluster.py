@@ -4,6 +4,7 @@ import socket
 
 import pytest
 
+import dlbeam.cluster as cluster_mod
 from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             MSG_BEST_HYPOTHESES, MSG_ERROR, MSG_EXPAND_RESULT,
                             MSG_EXPAND_TASK, MSG_HELLO, MSG_HELLO_ACK,
@@ -391,6 +392,22 @@ def test_master_equivalent_to_local_search(trains):
     best_c, best_l = res.hypotheses[0], local.hypotheses[0]
     assert best_c.concept == best_l.concept
     assert best_c.score == best_l.score
+
+
+def test_master_keeps_open_list_in_order_on_every_iteration(
+        trains, check_open_list):
+    calls = check_open_list(cluster_mod)
+    with worker(cores=4, threads=1) as w1, worker(cores=4, threads=1) as w2:
+        cfg = master_cfg(
+            w1, worker_endpoints=(("127.0.0.1", w1.udp_port),
+                                  ("127.0.0.1", w2.udp_port)),
+            expect_workers=2, max_length=6, target_accuracy=2.0)
+        res = run_master(trains.kb, trains.st, trains.examples, cfg)
+    assert res.status == "exhausted"
+    assert sum(w.wn for w in res.workers) == 8
+    # one call per iteration, one that finds no beam, one for the hypotheses
+    assert len(calls) == len(res.iterations) + 2
+    assert calls[-1] == len(res.st_nodes) > 1000
 
 
 def test_master_raises_without_workers():

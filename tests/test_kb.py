@@ -197,6 +197,38 @@ def test_materialize_rejects_cycles(text, fragment):
     assert fragment in str(exc.value)
 
 
+DEPTH = 5000
+
+
+def _chain_kb(cycle=False):
+    """A 5,000-deep class chain and role chain, each declared bottom-up,
+    with one fact at the bottom; ``cycle`` closes the class chain."""
+    lines = [f"class C{i}" for i in range(DEPTH)]
+    lines += [f"role r{i}" for i in range(DEPTH)]
+    lines += ["individual a", "individual b", "instance C0 a", "fact r0 a b"]
+    lines += [f"subclass C{i} C{i + 1}" for i in range(DEPTH - 1)]
+    lines += [f"subrole r{i} r{i + 1}" for i in range(DEPTH - 1)]
+    if cycle:
+        lines.append(f"subclass C{DEPTH - 1} C0")
+    return parse_kb("\n".join(lines) + "\n")
+
+
+def test_materialize_closes_a_5000_deep_chain():
+    st, kb = _chain_kb()
+    materialize(kb, st)
+    a, b = st.individual_names.id_of("a"), st.individual_names.id_of("b")
+    assert kb.class_members == [{a}] * DEPTH
+    assert kb.role_assertions == [[(a, b)]] * DEPTH
+
+
+def test_materialize_names_a_5000_deep_cycle():
+    st, kb = _chain_kb(cycle=True)
+    with pytest.raises(KbError) as exc:
+        materialize(kb, st)
+    names = " -> ".join(f"C{i}" for i in range(DEPTH))
+    assert str(exc.value) == f"cycle in subclass hierarchy: {names} -> C0"
+
+
 def test_materialize_builds_numpy_mirrors():
     st, kb = parse_kb(DIAMOND)
     materialize(kb, st)

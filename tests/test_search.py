@@ -86,6 +86,23 @@ def test_expand_exhausts_at_max_length(trains):
     assert node.he == 3  # the guarded call never bumps the budget
 
 
+def test_local_closed_lives_only_while_the_node_is_expandable(trains):
+    cfg = RefinementConfig.from_stats(trains.stats)
+    node = root_node(trains)
+    assert node.local_closed is None  # nothing emitted yet
+    _, closed = expand_single_node(node, trains.kb, trains.stats, trains.mb,
+                                   cfg, max_length=3)
+    assert node.expandable and node.local_closed == closed
+    expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
+                       max_length=3)
+    assert not node.expandable and node.local_closed is None
+    node = root_node(trains)
+    node.he = 3
+    assert expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
+                              max_length=3) == ([], set())
+    assert not node.expandable and node.local_closed is None
+
+
 # --- reduction --------------------------------------------------------------
 
 def fold_oracle(per_slot, rht):
@@ -214,6 +231,18 @@ def test_search_open_list_is_sorted(trains):
     assert keys == sorted(keys)
 
 
+def test_search_keeps_open_list_in_order_on_every_iteration(
+        trains, check_open_list):
+    calls = check_open_list(search_mod)
+    res = run_search(trains.kb, trains.examples,
+                     SearchConfig(beam_width=8, max_length=6,
+                                  target_accuracy=2.0))  # run to exhaustion
+    assert res.status == "exhausted"
+    # one call per iteration, one that finds no beam, one for the hypotheses
+    assert len(calls) == len(res.iterations) + 2
+    assert calls[-1] == len(res.st_nodes) > 1000
+
+
 def test_search_never_evaluates_a_hash_twice(trains):
     res = run_search(trains.kb, trains.examples,
                      SearchConfig(beam_width=4, max_length=5,
@@ -272,6 +301,9 @@ def test_search_config_validation():
         SearchConfig(threads=0)
     with pytest.raises(ValueError):
         SearchConfig(max_length=0)
+    for noise in (-0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="noise"):
+            SearchConfig(noise=noise)
 
 
 def test_search_max_length_one_cannot_expand(smoke):
