@@ -436,6 +436,7 @@ class WorkerServer:
             st, kb, examples, params = _unpack_kb_transfer(payload)
             materialize(kb, st)
             stats = compute_statistics(kb)
+            # rcfg carries refine's memo, which lives as long as this state.
             state.update(kb=kb, examples=examples, params=params, stats=stats,
                          mb=build_mb(kb, stats),
                          rcfg=RefinementConfig.from_stats(
@@ -472,6 +473,7 @@ class WorkerServer:
         cov = evaluate(TOP, kb, examples)
         sc = score(cov, None, 1, examples, state["params"].eval_cfg())
         node = SearchNode(TOP, hash_concept(TOP), 1, cov, sc)
+        # A config, and so a refine memo, of the probe's own.
         rcfg = RefinementConfig.from_stats(
             state["stats"], max_length=PROBE_HE,
             use_inverse_roles=state["params"].use_inverse_roles,

@@ -5,6 +5,19 @@ classes only). Conjunction/disjunction operands are kept flattened,
 deduplicated and sorted by a fixed total order, so syntactically different
 spellings of the same expression share one canonical tree, one binary
 encoding and one 64-bit hash.
+
+Each concept object stores three facts about itself the first time they are
+asked for: its hash (``hash_concept``), its length (``concept_length``) and
+its canonical sort key (``sort_key``). They live in slots of the ``_Facts``
+base class for as long as the object does, and take no part in equality,
+``hash()``, ``repr`` or pickling. Since a concept never changes, a stored
+fact always equals a fresh computation; an equal concept built separately
+computes its own. ``canonicalize`` returns an already canonical concept
+unchanged, so the facts of the objects the search passes around survive it.
+
+``decode`` and ``parse_concept`` refuse trees nested deeper than
+``MAX_NESTING`` levels with their own typed error, so untrusted bytes or
+text can never drive the recursive walks into ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -43,7 +56,28 @@ __all__ = [
     "render",
     "parse_concept",
     "ConceptParseError",
+    "MAX_NESTING",
 ]
+
+# Deepest constructor nesting (Thing or an atom is one level, each
+# restriction or connective around it one more) that ``decode`` and
+# ``parse_concept`` accept. Every recursive walk over a concept takes at most
+# three Python frames per level, so 128 levels stay well below the default
+# recursion limit of 1000, while a concept this deep is already longer than
+# 250 symbols.
+MAX_NESTING = 128
+
+
+class _Facts:
+    """Slots for the facts a concept computes once about itself."""
+
+    __slots__ = ("_hash", "_length", "_sort_key")
+
+
+# The slot setters bypass the frozen dataclasses' __setattr__.
+_store_hash = _Facts._hash.__set__
+_store_length = _Facts._length.__set__
+_store_sort_key = _Facts._sort_key.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,34 +89,34 @@ class RoleExpr:
 
 
 @dataclass(frozen=True, slots=True)
-class Top:
+class Top(_Facts):
     pass
 
 
 @dataclass(frozen=True, slots=True)
-class Atomic:
+class Atomic(_Facts):
     class_id: int
 
 
 @dataclass(frozen=True, slots=True)
-class NotAtomic:
+class NotAtomic(_Facts):
     class_id: int
 
 
 @dataclass(frozen=True, slots=True)
-class Exists:
+class Exists(_Facts):
     role: RoleExpr
     child: "Concept"
 
 
 @dataclass(frozen=True, slots=True)
-class Forall:
+class Forall(_Facts):
     role: RoleExpr
     child: "Concept"
 
 
 @dataclass(frozen=True, slots=True)
-class MinCard:
+class MinCard(_Facts):
     n: int
     role: RoleExpr
     child: "Concept"
@@ -93,7 +127,7 @@ class MinCard:
 
 
 @dataclass(frozen=True, slots=True)
-class MaxCard:
+class MaxCard(_Facts):
     n: int
     role: RoleExpr
     child: "Concept"
@@ -104,7 +138,7 @@ class MaxCard:
 
 
 @dataclass(frozen=True, slots=True)
-class BoolEq:
+class BoolEq(_Facts):
     role_id: int
     value: bool
 
@@ -115,7 +149,7 @@ def _check_finite(v: float) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class NumGeq:
+class NumGeq(_Facts):
     role_id: int
     value: float
 
@@ -124,7 +158,7 @@ class NumGeq:
 
 
 @dataclass(frozen=True, slots=True)
-class NumLeq:
+class NumLeq(_Facts):
     role_id: int
     value: float
 
@@ -133,13 +167,13 @@ class NumLeq:
 
 
 @dataclass(frozen=True, slots=True)
-class StrEq:
+class StrEq(_Facts):
     role_id: int
     value_index: int
 
 
 @dataclass(frozen=True, slots=True)
-class And:
+class And(_Facts):
     children: tuple["Concept", ...]
 
     def __post_init__(self):
@@ -148,7 +182,7 @@ class And:
 
 
 @dataclass(frozen=True, slots=True)
-class Or:
+class Or(_Facts):
     children: tuple["Concept", ...]
 
     def __post_init__(self):
@@ -183,6 +217,16 @@ def _float_bits(v: float) -> int:
 
 def sort_key(c: Concept):
     """Nested tuple realizing the canonical total order under tuple comparison."""
+    try:
+        return c._sort_key
+    except AttributeError:
+        pass
+    key = _compute_sort_key(c)
+    _store_sort_key(c, key)
+    return key
+
+
+def _compute_sort_key(c: Concept):
     t = type(c)
     if t is Top:
         return (0,)
@@ -223,7 +267,8 @@ def canonicalize(c: Concept) -> Concept:
     """Flatten, deduplicate and sort And/Or operands, recursively.
 
     Idempotent and semantics-preserving (uses only commutativity,
-    associativity and idempotence of conjunction/disjunction).
+    associativity and idempotence of conjunction/disjunction). A concept
+    that is already canonical is returned as the same object.
     """
     t = type(c)
     if t in (Exists, Forall):
@@ -234,12 +279,19 @@ def canonicalize(c: Concept) -> Concept:
         return c if child is c.child else t(c.n, c.role, child)
     if t in (And, Or):
         flat = []
+        unchanged = True
         for ch in c.children:
-            ch = canonicalize(ch)
-            if type(ch) is t:
-                flat.extend(ch.children)
+            canon = canonicalize(ch)
+            if type(canon) is t:
+                flat.extend(canon.children)
+                unchanged = False
             else:
-                flat.append(ch)
+                flat.append(canon)
+                unchanged = unchanged and canon is ch
+        if unchanged and len(flat) > 1:
+            keys = [sort_key(ch) for ch in flat]
+            if all(keys[i] < keys[i + 1] for i in range(len(keys) - 1)):
+                return c
         seen = set()
         unique = []
         for ch in flat:
@@ -257,18 +309,25 @@ def canonicalize(c: Concept) -> Concept:
 def concept_length(c: Concept) -> int:
     """Syntactic length: every constructor and symbol counts one, an inverse
     role marker counts one extra, cardinality restrictions count the number."""
+    try:
+        return c._length
+    except AttributeError:
+        pass
     t = type(c)
     if t in (Top, Atomic, BoolEq, NumGeq, NumLeq, StrEq):
-        return 1
-    if t is NotAtomic:
-        return 2
-    if t in (Exists, Forall):
-        return 2 + c.role.inverse + concept_length(c.child)
-    if t in (MinCard, MaxCard):
-        return 3 + c.role.inverse + concept_length(c.child)
-    if t in (And, Or):
-        return sum(concept_length(ch) for ch in c.children) + len(c.children) - 1
-    raise TypeError(f"not a concept: {c!r}")
+        n = 1
+    elif t is NotAtomic:
+        n = 2
+    elif t in (Exists, Forall):
+        n = 2 + c.role.inverse + concept_length(c.child)
+    elif t in (MinCard, MaxCard):
+        n = 3 + c.role.inverse + concept_length(c.child)
+    elif t in (And, Or):
+        n = sum(concept_length(ch) for ch in c.children) + len(c.children) - 1
+    else:
+        raise TypeError(f"not a concept: {c!r}")
+    _store_length(c, n)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +409,10 @@ def _need(data: bytes, pos: int, n: int) -> None:
         raise DecodeError(f"truncated concept encoding at byte {pos}")
 
 
-def _decode_at(data: bytes, pos: int) -> tuple[Concept, int]:
+def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Concept, int]:
+    if depth > MAX_NESTING:
+        raise DecodeError(f"concept nested deeper than {MAX_NESTING} levels "
+                          f"at byte {pos}")
     _need(data, pos, 1)
     tag = data[pos]
     pos += 1
@@ -367,7 +429,7 @@ def _decode_at(data: bytes, pos: int) -> tuple[Concept, int]:
         if inv not in (0, 1):
             raise DecodeError(f"bad inverse flag {inv} at byte {pos}")
         rid = int.from_bytes(data[pos + 1:pos + 5], "big")
-        child, pos = _decode_at(data, pos + 5)
+        child, pos = _decode_at(data, pos + 5, depth + 1)
         cls = Exists if tag == _TAG_EXISTS else Forall
         return cls(RoleExpr(rid, bool(inv)), child), pos
     if tag in (_TAG_MIN_CARD, _TAG_MAX_CARD):
@@ -377,7 +439,7 @@ def _decode_at(data: bytes, pos: int) -> tuple[Concept, int]:
         if inv not in (0, 1):
             raise DecodeError(f"bad inverse flag {inv} at byte {pos + 2}")
         rid = int.from_bytes(data[pos + 3:pos + 7], "big")
-        child, pos = _decode_at(data, pos + 7)
+        child, pos = _decode_at(data, pos + 7, depth + 1)
         if tag == _TAG_MIN_CARD and n < 1:
             raise DecodeError("MinCard with n=0")
         cls = MinCard if tag == _TAG_MIN_CARD else MaxCard
@@ -390,7 +452,7 @@ def _decode_at(data: bytes, pos: int) -> tuple[Concept, int]:
             raise DecodeError(f"And/Or with {k} operands")
         children = []
         for _ in range(k):
-            child, pos = _decode_at(data, pos)
+            child, pos = _decode_at(data, pos, depth + 1)
             if type(child) is (And if tag == _TAG_AND else Or):
                 raise DecodeError("nested operand of the same connective (not flattened)")
             children.append(child)
@@ -423,9 +485,10 @@ def _decode_at(data: bytes, pos: int) -> tuple[Concept, int]:
 
 
 def decode(data: bytes) -> Concept:
-    """Inverse of encode. Rejects truncation, unknown tags and any encoding
-    whose And/Or operands are not flattened, deduplicated and sorted."""
-    c, pos = _decode_at(data, 0)
+    """Inverse of encode. Rejects truncation, unknown tags, nesting deeper
+    than ``MAX_NESTING`` and any encoding whose And/Or operands are not
+    flattened, deduplicated and sorted."""
+    c, pos = _decode_at(data, 0, 1)
     if pos != len(data):
         raise DecodeError(f"{len(data) - pos} trailing bytes after concept")
     return c
@@ -450,6 +513,10 @@ def fnv1a_64(data: bytes) -> int:
 
 def hash_concept(c: Concept) -> int:
     """64-bit FNV-1a over the canonical encoding; stable across machines."""
+    try:
+        return c._hash
+    except AttributeError:
+        pass
     enc = encode(c)
     h = _hash_cache.get(enc)
     if h is None:
@@ -457,6 +524,7 @@ def hash_concept(c: Concept) -> int:
         if len(_hash_cache) > 1_000_000:
             _hash_cache.clear()
         _hash_cache[enc] = h
+    _store_hash(c, h)
     return h
 
 
@@ -607,7 +675,7 @@ class _Parser:
         self.text = text
 
     def parse(self) -> Concept:
-        c = self._concept()
+        c = self._concept(1)
         tok = self.tz.peek()
         if tok[0] != "eof":
             raise ConceptParseError(f"trailing input {tok[1]!r}", self.text, tok[2])
@@ -619,8 +687,12 @@ class _Parser:
             raise ConceptParseError(f"unknown {what} {name!r}", self.text, pos)
         return ident
 
-    def _concept(self) -> Concept:
+    def _concept(self, depth: int) -> Concept:
+        """A concept at nesting level ``depth`` (the outermost is 1)."""
         kind, value, pos = self.tz.peek()
+        if depth > MAX_NESTING:
+            raise ConceptParseError(
+                f"concept nested deeper than {MAX_NESTING} levels", self.text, pos)
         if kind == "name":
             self.tz.next()
             if value == "Thing":
@@ -634,7 +706,7 @@ class _Parser:
             return Atomic(ident)
         if kind == "(":
             self.tz.next()
-            inner = self._inner()
+            inner = self._inner(depth)
             self.tz.expect(")")
             return inner
         raise ConceptParseError(f"expected a concept, found {value!r}", self.text, pos)
@@ -650,7 +722,7 @@ class _Parser:
             raise ConceptParseError(f"expected a role, found {value!r}", self.text, pos)
         return RoleExpr(self._lookup(self.st.role_names, value, "role", pos), False)
 
-    def _inner(self) -> Concept:
+    def _inner(self, depth: int) -> Concept:
         kind, value, pos = self.tz.peek()
         if kind == "not":
             self.tz.next()
@@ -662,16 +734,17 @@ class _Parser:
             role = self._role_expr()
             op, opval, oppos = self.tz.next()
             if op == "some":
-                return Exists(role, self._concept())
+                return Exists(role, self._concept(depth + 1))
             if op == "only":
-                return Forall(role, self._concept())
+                return Forall(role, self._concept(depth + 1))
             if op in ("min", "max"):
                 _, num, numpos = self.tz.expect("number")
                 if num != int(num):
                     raise ConceptParseError("cardinality must be an integer", self.text, numpos)
                 cls = MinCard if op == "min" else MaxCard
+                child = self._concept(depth + 1)
                 try:
-                    return cls(int(num), role, self._concept())
+                    return cls(int(num), role, child)
                 except ValueError as exc:
                     raise ConceptParseError(str(exc), self.text, numpos) from None
             raise ConceptParseError(f"expected a restriction, found {opval!r}", self.text, oppos)
@@ -696,7 +769,7 @@ class _Parser:
             raise ConceptParseError(f"expected true, false or a string, found {vvalue!r}",
                                     self.text, vpos)
         # Conjunction / disjunction chain.
-        first = self._concept()
+        first = self._concept(depth + 1)
         op, _, oppos = self.tz.peek()
         if op not in ("and", "or"):
             raise ConceptParseError("expected 'and' or 'or'", self.text, oppos)
@@ -704,7 +777,7 @@ class _Parser:
         connective = op
         while self.tz.peek()[0] == connective:
             self.tz.next()
-            children.append(self._concept())
+            children.append(self._concept(depth + 1))
         tok = self.tz.peek()
         if tok[0] in ("and", "or"):
             raise ConceptParseError("cannot mix 'and' with 'or' without parentheses",
@@ -713,5 +786,7 @@ class _Parser:
 
 
 def parse_concept(text: str, st) -> Concept:
-    """Parse the render grammar back into a concept tree (not canonicalized)."""
+    """Parse the render grammar back into a concept tree (not canonicalized).
+
+    Nesting deeper than ``MAX_NESTING`` levels is a ``ConceptParseError``."""
     return _Parser(text, st).parse()

@@ -8,6 +8,24 @@ in canonical order, and never include the input concept itself.
 Disjunction enters the search only at the very top: ``refine_top_levels``
 pairs distinct refinements of Thing into binary unions, and rule application
 afterwards only rewrites the operands of an existing union.
+
+``refine`` is memoized. Each ``RefinementConfig`` object carries one memo,
+created with it, that maps (canonical sort key of ``c``, bound) to the
+refinement list, and the check sits inside ``refine`` itself, so the
+recursive calls on operands and fillers hit it as well as the search's own
+calls. The result is a pure function of ``c``, the bound and the
+(kb, stats, mb, cfg) it is computed against: the rules read only those, and
+none of them changes during a search. The memo therefore remembers which
+(kb, stats, mb) it was filled for and starts afresh when called with any
+other objects. It lives exactly as long as its config: one ``run_search``,
+one worker connection's KB state, or one worker probe. Each call still
+returns a new list; the memo keeps a tuple of the same concept objects, so
+their stored hashes, lengths and sort keys are reused too.
+
+Threads that expand in parallel share the memo without a lock. A race can
+only compute an equal entry twice, and a rebinding replaces the (owner,
+table) pair as a whole, so no call ever writes into a table filled for
+other objects.
 """
 
 from __future__ import annotations
@@ -38,6 +56,12 @@ class RefinementConfig:
         return cls(max_cardinality=tuple(stats.max_fillers),
                    max_cardinality_inverse=tuple(stats.max_fillers_inverse),
                    **kwargs)
+
+    def __post_init__(self):
+        # refine's memo (see the module docstring): (owner, table), where
+        # owner is the (kb, stats, mb) the table was filled for. Not a field,
+        # so it takes no part in equality, repr or construction.
+        object.__setattr__(self, "_memo", ((None, None, None), {}))
 
     def filler_cap(self, role) -> int:
         if role.inverse:
@@ -89,9 +113,24 @@ def _top_refinements(bound: int, kb: KnowledgeBase, stats: KbStatistics,
     return out
 
 
+def _memo_table(kb: KnowledgeBase, stats: KbStatistics, mb: list[Concept],
+                cfg: RefinementConfig) -> dict:
+    """The memo ``cfg`` keeps for this (kb, stats, mb); a new one for others."""
+    owner, table = cfg._memo
+    if owner[0] is not kb or owner[1] is not stats or owner[2] is not mb:
+        table = {}
+        object.__setattr__(cfg, "_memo", ((kb, stats, mb), table))
+    return table
+
+
 def refine(c: Concept, length_bound: int, kb: KnowledgeBase, stats: KbStatistics,
            mb: list[Concept], cfg: RefinementConfig) -> list[Concept]:
     """All one-step refinements of canonical ``c`` with length <= bound."""
+    table = _memo_table(kb, stats, mb, cfg)
+    memo_key = (sort_key(c), length_bound)
+    known = table.get(memo_key)
+    if known is not None:
+        return list(known)
     if length_bound < concept_length(c):
         raise ValueError("length bound below the concept's own length")
     raw = _apply_rules(c, length_bound, kb, stats, mb, cfg)
@@ -110,6 +149,7 @@ def refine(c: Concept, length_bound: int, kb: KnowledgeBase, stats: KbStatistics
         seen.add(h)
         out.append(r)
     out.sort(key=sort_key)
+    table[memo_key] = tuple(out)
     return out
 
 

@@ -216,6 +216,7 @@ def run_search(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchConfig,
         stats = compute_statistics(kb)
     if mb is None:
         mb = build_mb(kb, stats)
+    # rcfg carries refine's memo, so the memo lives for this search only.
     rcfg = RefinementConfig.from_stats(
         stats,
         use_inverse_roles=cfg.use_inverse_roles,

@@ -94,6 +94,15 @@ def test_eval_bad_concept(capsys):
     assert "error:" in err
 
 
+def test_eval_rejects_an_over_deep_concept(capsys):
+    text = "(hasCar some " * 5_000 + "Thing" + ")" * 5_000
+    code, out, err = run_cli(capsys, "eval", TRAINS_KB, TRAINS_EX, text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: concept nested deeper than")
+    assert "Traceback" not in err
+
+
 def test_stats_counts_match_fixture(capsys, trains):
     code, out, _ = run_cli(capsys, "stats", TRAINS_KB, TRAINS_EX)
     assert code == 0

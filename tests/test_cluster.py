@@ -1,6 +1,7 @@
 import contextlib
 import random
 import socket
+import struct
 
 import pytest
 
@@ -297,6 +298,20 @@ def test_worker_answers_corrupt_frame_with_error_and_hangs_up(smoke):
         sock.sendall(bytes(bad))
         mtype, _ = read_frame(sock)
         assert mtype == MSG_ERROR
+        assert sock.recv(1) == b""  # worker closed the connection
+
+
+def test_worker_answers_an_over_deep_concept_with_error(smoke):
+    # One block node whose concept is 5,000 nested (r0 some ...) around
+    # Thing: a well-formed frame that decode must refuse, not recurse into.
+    enc = bytes.fromhex("030000000000") * 5_000 + bytes.fromhex("00")
+    block = (struct.pack(">II", 1, len(enc)) + enc
+             + struct.pack(">HIId", 1, 0, 0, 0.5))
+    with master_connection(smoke) as (sock, _):
+        write_frame(sock, MSG_EXPAND_TASK, block)
+        mtype, payload = read_frame(sock)
+        assert mtype == MSG_ERROR
+        assert b"node 0: concept nested deeper than" in payload
         assert sock.recv(1) == b""  # worker closed the connection
 
 

@@ -7,7 +7,7 @@ from dlbeam.concept import (And, Atomic, BoolEq, ConceptParseError, DecodeError,
                             NumGeq, NumLeq, Or, RoleExpr, StrEq, TOP, Top,
                             canonicalize, compare_canonical, concept_length,
                             decode, encode, fnv1a_64, hash_concept,
-                            parse_concept, render, sort_key)
+                            MAX_NESTING, parse_concept, render, sort_key)
 from generators import (all_child_orderings, dims_of, random_concept,
                         random_permutable_concept)
 
@@ -192,6 +192,22 @@ def test_decode_rejects(hexbytes, label):
         decode(bytes.fromhex(hexbytes))
 
 
+def nested_exists_encoding(depth: int) -> bytes:
+    """``depth`` levels: Exists(r0, ...) around Thing, depth - 1 times."""
+    return bytes.fromhex("030000000000") * (depth - 1) + bytes.fromhex("00")
+
+
+def test_decode_rejects_nesting_deeper_than_the_limit():
+    c = decode(nested_exists_encoding(MAX_NESTING))
+    assert concept_length(c) == 2 * MAX_NESTING - 1
+    with pytest.raises(DecodeError, match="nested deeper than"):
+        decode(nested_exists_encoding(MAX_NESTING + 1))
+    data = nested_exists_encoding(5_001)  # 30 KB
+    assert len(data) == 30_001
+    with pytest.raises(DecodeError, match="nested deeper than"):
+        decode(data)
+
+
 def test_decode_rejects_single_byte_corruptions_of_valid_encodings():
     rng = random.Random(106)
     for _ in range(60):
@@ -240,6 +256,33 @@ def test_no_hash_collisions_in_sample():
         if h in seen:
             assert seen[h] == enc
         seen[h] = enc
+
+
+# --- stored facts -----------------------------------------------------------
+
+def test_stored_facts_equal_a_fresh_computation():
+    rng = random.Random(9002)  # the concepts of the permutation acceptance gate
+    for _ in range(10_000):
+        c = canonicalize(random_permutable_concept(rng))
+        twin = decode(encode(c))  # equal, built separately, no facts yet
+        assert twin is not c or c is TOP  # decode returns the one Thing
+        # The stored facts take no part in equality, hash() or repr.
+        assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+        first = (hash_concept(c), concept_length(c), sort_key(c))
+        second = (hash_concept(c), concept_length(c), sort_key(c))
+        assert sort_key(c) is first[2]  # read back, not rebuilt
+        fresh = (fnv1a_64(encode(c)), concept_length(twin), sort_key(twin))
+        assert first == second == fresh
+        assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+
+
+def test_canonicalize_returns_a_canonical_concept_itself():
+    rng = random.Random(109)
+    for _ in range(500):
+        raw = random_concept(rng, canonical=False)
+        c = canonicalize(raw)
+        assert canonicalize(c) is c
+        assert (c is raw) == (c == raw)  # a canonical input comes back as is
 
 
 # --- text form --------------------------------------------------------------
@@ -301,3 +344,23 @@ def test_parse_error_caret_position(trains):
     with pytest.raises(ConceptParseError) as exc:
         parse_concept("(Train and Caboose)", trains.st)
     assert exc.value.pos == len("(Train and ")
+    # An error inside a cardinality restriction keeps its own caret.
+    text = "(hasCar min 2 (Car and Caboose))"
+    with pytest.raises(ConceptParseError) as exc:
+        parse_concept(text, trains.st)
+    assert exc.value.pos == len("(hasCar min 2 (Car and ")
+    assert str(exc.value).count(text) == 1
+
+
+def nested_exists_text(depth: int) -> str:
+    """``depth`` levels: (hasCar some ...) around Thing, depth - 1 times."""
+    return "(hasCar some " * (depth - 1) + "Thing" + ")" * (depth - 1)
+
+
+def test_parse_rejects_nesting_deeper_than_the_limit(trains):
+    c = parse_concept(nested_exists_text(MAX_NESTING), trains.st)
+    assert concept_length(c) == 2 * MAX_NESTING - 1
+    assert parse_concept(render(c, trains.st), trains.st) == c
+    for depth in (MAX_NESTING + 1, 5_001):
+        with pytest.raises(ConceptParseError, match="nested deeper than"):
+            parse_concept(nested_exists_text(depth), trains.st)

@@ -1,8 +1,11 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import dlbeam.refine as refine_mod
 from dlbeam.concept import (And, Atomic, BoolEq, Exists, Forall, MaxCard,
                             MinCard, NotAtomic, NumGeq, NumLeq, Or, RoleExpr,
                             StrEq, TOP, canonicalize, concept_length, decode,
@@ -420,3 +423,108 @@ def test_closure_respects_disjunction_toggle(trains):
     everything = closure_from_thing(trains, 4, use_disjunction=False)
     assert everything
     assert all(not isinstance(c, Or) for c in everything)
+
+
+# --- memo -------------------------------------------------------------------
+
+def memo_free(monkeypatch):
+    """Make every refine call start from an empty memo, recursion included."""
+    monkeypatch.setattr(refine_mod, "_memo_table", lambda kb, stats, mb, cfg: {})
+
+
+def test_a_shared_memo_changes_no_refinement(monkeypatch):
+    rng = random.Random(402)
+    for _ in range(25):
+        _, kb = random_kb(rng)
+        stats = compute_statistics(kb)
+        mb = build_mb(kb, stats)
+        dims = dims_of(kb)
+        cfg = rcfg_for(stats)
+        # Thing, its refinements and theirs share sub-problems with each
+        # other, and random trees add every constructor.
+        concepts = [TOP] + refine(TOP, 4, kb, stats, mb, cfg)
+        concepts += [r for c in concepts[1:6] for r in refine(c, 5, kb, stats, mb, cfg)]
+        concepts += [random_concept(rng, dims, depth=3) for _ in range(10)]
+        pairs = [(c, concept_length(c) + rng.randint(0, 2)) for c in concepts]
+
+        with monkeypatch.context() as m:
+            memo_free(m)
+            want = [refine(c, b, kb, stats, mb, rcfg_for(stats)) for c, b in pairs]
+
+        shared = rcfg_for(stats)
+        order = list(range(len(pairs))) * 2
+        rng.shuffle(order)
+        for i in order:
+            c, b = pairs[i]
+            got = refine(c, b, kb, stats, mb, shared)
+            assert got == want[i]
+            got.append(TOP)  # a fresh list: the memo's copy is not touched
+        assert [refine(c, b, kb, stats, mb, shared) for c, b in pairs] == want
+
+
+LOW_KB = """\
+class A
+class B
+subclass B A
+individual x
+instance B x
+"""
+
+HIGH_KB = """\
+class A
+class B
+subclass A B
+individual x
+instance A x
+"""
+
+
+def test_no_memo_leaks_across_kbs():
+    # The same class ids, but the hierarchy is turned round.
+    st_low, low, low_stats, low_mb = setup_kb(LOW_KB)
+    st_high, high, high_stats, high_mb = setup_kb(HIGH_KB)
+    a = Atomic(st_low.class_names.id_of("A"))
+    b = Atomic(st_low.class_names.id_of("B"))
+    assert st_high.class_names.id_of("A") == a.class_id
+    for cfg_low, cfg_high in ((rcfg_for(low_stats), rcfg_for(high_stats)),
+                              (rcfg_for(low_stats),) * 2):  # one shared config
+        for _ in range(2):
+            assert b in refine(a, 3, low, low_stats, low_mb, cfg_low)
+            assert b not in refine(a, 3, high, high_stats, high_mb, cfg_high)
+            assert a in refine(b, 3, high, high_stats, high_mb, cfg_high)
+            assert a not in refine(b, 3, low, low_stats, low_mb, cfg_low)
+
+
+def test_threads_sharing_one_memo_get_memo_free_results(monkeypatch):
+    # Threads expand in parallel against one config. Half of them use the
+    # other KB, so the memo is also rebound while others fill it.
+    kbs = [setup_kb(LOW_KB), setup_kb(HIGH_KB)]
+    pairs = [(Atomic(i), b) for i in range(2) for b in range(1, 6)]
+    with monkeypatch.context() as m:
+        memo_free(m)
+        want = [[refine(c, b, kb, stats, mb, rcfg_for(stats)) for c, b in pairs]
+                for _, kb, stats, mb in kbs]
+    shared = rcfg_for(kbs[0][2])
+    failures = []
+
+    def work(k: int) -> None:
+        _, kb, stats, mb = kbs[k % 2]
+        rng = random.Random(k)
+        for _ in range(20_000):
+            i = rng.randrange(len(pairs))
+            c, b = pairs[i]
+            if refine(c, b, kb, stats, mb, shared) != want[k % 2][i]:
+                failures.append((k, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -312,3 +313,23 @@ def test_search_max_length_one_cannot_expand(smoke):
     assert res.st_nodes == res.hypotheses == [res.st_nodes[0]]
     assert res.st_nodes[0].concept == TOP
     assert not res.st_nodes[0].expandable
+
+
+def test_exhaustive_trains_search_is_pinned(trains):
+    """The bench's trains-narrow search, run to exhaustion: the order of the
+    evaluated hashes, the open-list insertions and the per-iteration counts
+    are pinned by a digest of the results before refinement was memoized."""
+    res = run_search(trains.kb, trains.examples,
+                     SearchConfig(beam_width=8, max_length=6,
+                                  target_accuracy=2.0))
+    assert res.status == "exhausted"
+    assert len(res.rht) == len(res.evaluated_hashes) == 4_701
+    assert len(res.iterations) == 265
+    digest = hashlib.sha256()
+    digest.update(repr(res.evaluated_hashes).encode())
+    digest.update(repr(list(res.st_insertions.items())).encode())
+    digest.update(repr([(i.expanded, i.generated, i.redundant_dropped,
+                         i.weak_dropped, i.st_size)
+                        for i in res.iterations]).encode())
+    assert digest.hexdigest() == (
+        "856aafedcea90dc1617522d660c5647b8aa17db3db44182a6b9240c5b39c6e3f")
