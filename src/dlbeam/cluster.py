@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from .concept import (TOP, Concept, DecodeError, concept_length, decode,
                       encode, hash_concept, sort_key)
 from .evaluation import CoverageResult, EvalConfig, Score, evaluate, evaluate_batch, is_weak, score
-from .kb import ExampleSet, KnowledgeBase, SymbolTable, compute_statistics, deserialize_kb, materialize, serialize_kb
+from .kb import (ExampleSet, KbError, KnowledgeBase, SymbolTable,
+                 compute_statistics, deserialize_kb, materialize, serialize_kb)
 from .refine import RefinementConfig, build_mb
 from .search import (IterationStats, SearchNode, expand_single_node,
                      extract_best_nodes, insert_node, reduce_redundant)
@@ -240,6 +241,8 @@ class SearchParams:
         if pos + 29 > len(data):
             raise ProtocolError("truncated search parameters")
         noise = _f64.unpack_from(data, pos)[0]
+        if not 0.0 <= noise < 1.0:
+            raise ProtocolError(f"noise must be in [0, 1), got {noise}")
         gain = _f64.unpack_from(data, pos + 8)[0]
         pen = _f64.unpack_from(data, pos + 16)[0]
         max_length = _u16.unpack_from(data, pos + 24)[0]
@@ -287,6 +290,8 @@ def _unpack_kb_transfer(payload: bytes
         if p + 4 * n > len(payload):
             raise ProtocolError("truncated example list")
         ids = [_u32.unpack_from(payload, p + 4 * i)[0] for i in range(n)]
+        if any(i >= st.num_individuals for i in ids):
+            raise ProtocolError("example id out of range")
         return ids, p + 4 * n
 
     pos_ids, pos = id_list(pos)
@@ -433,12 +438,16 @@ class WorkerServer:
             write_frame(conn, MSG_HELLO_ACK, _u16.pack(self.cores))
             return False
         if mtype == MSG_KB_TRANSFER:
-            st, kb, examples, params = _unpack_kb_transfer(payload)
-            materialize(kb, st)
+            try:
+                st, kb, examples, params = _unpack_kb_transfer(payload)
+                materialize(kb, st)
+            except KbError as exc:  # a corrupt blob, or a KB that cannot close
+                raise ProtocolError(f"bad KB transfer: {exc}") from None
             stats = compute_statistics(kb)
-            # rcfg carries refine's memo, which lives as long as this state.
+            # rcfg carries refine's memo and ext_memo evaluation's operand
+            # and filler extensions; both live as long as this state.
             state.update(kb=kb, examples=examples, params=params, stats=stats,
-                         mb=build_mb(kb, stats),
+                         mb=build_mb(kb, stats), ext_memo={},
                          rcfg=RefinementConfig.from_stats(
                              stats,
                              use_inverse_roles=params.use_inverse_roles,
@@ -473,7 +482,8 @@ class WorkerServer:
         cov = evaluate(TOP, kb, examples)
         sc = score(cov, None, 1, examples, state["params"].eval_cfg())
         node = SearchNode(TOP, hash_concept(TOP), 1, cov, sc)
-        # A config, and so a refine memo, of the probe's own.
+        # A config, and so a refine memo, of the probe's own, as is the
+        # extension memo passed to evaluate_batch below.
         rcfg = RefinementConfig.from_stats(
             state["stats"], max_length=PROBE_HE,
             use_inverse_roles=state["params"].use_inverse_roles,
@@ -485,7 +495,7 @@ class WorkerServer:
             refs, _ = expand_single_node(node, kb, state["stats"], state["mb"],
                                          rcfg, PROBE_HE)
             emitted.extend(refs)
-        evaluate_batch(emitted, kb, examples, threads=self.threads)
+        evaluate_batch(emitted, kb, examples, threads=self.threads, memo={})
         return int((time.monotonic() - t0) * 1000)
 
     def _expand(self, payload: bytes, state: dict) -> bytes:
@@ -508,7 +518,7 @@ class WorkerServer:
 
         survivors = reduce_redundant(per_slot, rht=set())
         covs = evaluate_batch([c for c, _, _ in survivors], kb, examples,
-                              threads=self.threads)
+                              threads=self.threads, memo=state["ext_memo"])
         good: list[BlockNode] = []
         weak_hashes: list[int] = []
         for (c, h, slot), cov in zip(survivors, covs):

@@ -8,6 +8,33 @@ at materialization: for a role with subject array ``subs`` and object array
 ``objs``, the individuals with at least one filler in ``C`` are
 ``subs[child_mask[objs]]``, and qualified cardinalities fall out of
 ``np.bincount`` over the same selection.
+
+A search evaluates many concepts that share operands and fillers: the
+operands of its unions and intersections, the fillers of its role
+restrictions. So ``covered_set`` takes an optional memo, a plain dict that
+maps the canonical sort key of a strict sub-concept to its extension, bit
+for bit the one computed without a memo. The check sits inside
+``covered_set`` at each operand and filler, so nested ones hit it too, and
+a miss recurses through the module-level ``covered_set``. The key is the
+sort key rather than the 64-bit hash, so a hash collision can never hand one
+concept another's extension.
+
+- What is stored: only the extensions of operands and fillers whose own
+  computation does more than read a stored mask. The concept passed in is
+  never stored, because each one is evaluated once per search and storing
+  them all would hold one extension per evaluated concept; ``Thing``,
+  atoms and negated atoms are never stored, because copying or inverting
+  their mask is cheaper than unpacking an entry.
+- Entries are ``np.packbits`` arrays, an eighth of a bool array's size. A hit
+  returns a freshly unpacked bool array, because callers combine operands
+  in place.
+- A memo lives exactly as long as one search: ``run_search`` creates one,
+  and a worker creates one with the state of each ``KB_TRANSFER`` (and one
+  for its probe). It holds extensions of one KB and must not be passed with
+  another. No cache outlives its search.
+
+Threads that evaluate a batch in parallel share the memo without a lock: a
+race can only store an equal entry twice.
 """
 
 from __future__ import annotations
@@ -19,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concept import (And, Atomic, BoolEq, Concept, Exists, Forall, MaxCard,
-                      MinCard, NotAtomic, NumGeq, NumLeq, Or, StrEq, Top)
+                      MinCard, NotAtomic, NumGeq, NumLeq, Or, StrEq, Top,
+                      sort_key)
 from .kb import ExampleSet, KbError, KnowledgeBase
 
 __all__ = [
@@ -69,8 +97,30 @@ def _role_arrays(kb: KnowledgeBase, role) -> tuple[np.ndarray, np.ndarray]:
     return subs, objs
 
 
-def covered_set(c: Concept, kb: KnowledgeBase) -> np.ndarray:
-    """Closed-world extension of ``c`` as a bool array over individual ids."""
+# Concepts whose extension is a stored mask, copied or inverted: never memoized.
+_MASK_READS = (Top, Atomic, NotAtomic)
+
+
+def _operand(c: Concept, kb: KnowledgeBase, memo: dict | None) -> np.ndarray:
+    """Extension of the operand or filler ``c``, through ``memo`` if given."""
+    if memo is None or type(c) in _MASK_READS:
+        return covered_set(c, kb, memo)
+    key = sort_key(c)
+    packed = memo.get(key)
+    if packed is not None:
+        return np.unpackbits(packed, count=kb.num_individuals).view(bool)
+    out = covered_set(c, kb, memo)
+    memo[key] = np.packbits(out)
+    return out
+
+
+def covered_set(c: Concept, kb: KnowledgeBase,
+                memo: dict | None = None) -> np.ndarray:
+    """Closed-world extension of ``c`` as a bool array over individual ids.
+
+    ``memo`` holds operand and filler extensions of one search on ``kb``
+    (see the module docstring); ``c``'s own extension is never stored in it.
+    """
     if not kb.materialized:
         raise KbError("evaluation requires a materialized knowledge base")
     n = kb.num_individuals
@@ -81,20 +131,20 @@ def covered_set(c: Concept, kb: KnowledgeBase) -> np.ndarray:
     if isinstance(c, NotAtomic):
         return ~kb.member_masks[c.class_id]
     if isinstance(c, Exists):
-        child = covered_set(c.child, kb)
+        child = _operand(c.child, kb, memo)
         subs, objs = _role_arrays(kb, c.role)
         out = np.zeros(n, dtype=bool)
         out[subs[child[objs]]] = True
         return out
     if isinstance(c, Forall):
         # Vacuous satisfaction: no fillers means the restriction holds.
-        child = covered_set(c.child, kb)
+        child = _operand(c.child, kb, memo)
         subs, objs = _role_arrays(kb, c.role)
         out = np.ones(n, dtype=bool)
         out[subs[~child[objs]]] = False
         return out
     if isinstance(c, (MinCard, MaxCard)):
-        child = covered_set(c.child, kb)
+        child = _operand(c.child, kb, memo)
         subs, objs = _role_arrays(kb, c.role)
         counts = np.bincount(subs[child[objs]], minlength=n)
         if isinstance(c, MinCard):
@@ -119,38 +169,40 @@ def covered_set(c: Concept, kb: KnowledgeBase) -> np.ndarray:
         out[subs[kb.str_vals[c.role_id] == c.value_index]] = True
         return out
     if isinstance(c, And):
-        out = covered_set(c.children[0], kb)
+        out = _operand(c.children[0], kb, memo)
         for ch in c.children[1:]:
-            out &= covered_set(ch, kb)
+            out &= _operand(ch, kb, memo)
         return out
     if isinstance(c, Or):
-        out = covered_set(c.children[0], kb)
+        out = _operand(c.children[0], kb, memo)
         for ch in c.children[1:]:
-            out |= covered_set(ch, kb)
+            out |= _operand(ch, kb, memo)
         return out
     raise TypeError(f"not a concept: {c!r}")
 
 
 def evaluate(c: Concept, kb: KnowledgeBase, examples: ExampleSet,
-             keep_set: bool = False) -> CoverageResult:
-    cov = covered_set(c, kb)
+             keep_set: bool = False, memo: dict | None = None) -> CoverageResult:
+    cov = covered_set(c, kb, memo)
     pos = int(np.count_nonzero(cov & examples.positives))
     neg = int(np.count_nonzero(cov & examples.negatives))
     return CoverageResult(pos, neg, cov if keep_set else None)
 
 
 def evaluate_batch(cs: list[Concept], kb: KnowledgeBase, examples: ExampleSet,
-                   threads: int = 1, keep_sets: bool = False) -> list[CoverageResult]:
-    """evaluate() each concept; result[i] is identical for every thread count."""
+                   threads: int = 1, keep_sets: bool = False,
+                   memo: dict | None = None) -> list[CoverageResult]:
+    """evaluate() each concept; result[i] is identical for every thread count
+    and with or without ``memo``, which the threads share."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if threads == 1 or len(cs) < 2:
-        return [evaluate(c, kb, examples, keep_sets) for c in cs]
+        return [evaluate(c, kb, examples, keep_sets, memo) for c in cs]
     results: list[CoverageResult | None] = [None] * len(cs)
 
     def run_chunk(lo: int, hi: int) -> None:
         for i in range(lo, hi):
-            results[i] = evaluate(cs[i], kb, examples, keep_sets)
+            results[i] = evaluate(cs[i], kb, examples, keep_sets, memo)
 
     step = math.ceil(len(cs) / threads)
     bounds = [(lo, min(lo + step, len(cs))) for lo in range(0, len(cs), step)]

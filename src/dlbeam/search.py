@@ -216,7 +216,9 @@ def run_search(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchConfig,
         stats = compute_statistics(kb)
     if mb is None:
         mb = build_mb(kb, stats)
-    # rcfg carries refine's memo, so the memo lives for this search only.
+    # rcfg carries refine's memo and ext_memo evaluation's operand and
+    # filler extensions, so both live for this search only.
+    ext_memo: dict = {}
     rcfg = RefinementConfig.from_stats(
         stats,
         use_inverse_roles=cfg.use_inverse_roles,
@@ -270,7 +272,7 @@ def run_search(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchConfig,
             rht.update(h for _, h, _ in survivors)
             evaluated_hashes.extend(h for _, h, _ in survivors)
             covs = evaluate_batch([c for c, _, _ in survivors], kb, examples,
-                                  threads=cfg.threads)
+                                  threads=cfg.threads, memo=ext_memo)
             weak_dropped = 0
             for (c, h, slot), cov in zip(survivors, covs):
                 if is_weak(cov, examples, cfg.noise):

@@ -205,3 +205,17 @@ def all_child_orderings(c):
                 yield t(tuple(perm))
     else:
         yield c
+
+
+def strict_subconcepts(c):
+    """Every operand and filler of ``c``, recursively, outermost first."""
+    t = type(c)
+    if t in (Exists, Forall, MinCard, MaxCard):
+        kids = (c.child,)
+    elif t in (And, Or):
+        kids = c.children
+    else:
+        return
+    for ch in kids:
+        yield ch
+        yield from strict_subconcepts(ch)

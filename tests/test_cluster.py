@@ -2,6 +2,7 @@ import contextlib
 import random
 import socket
 import struct
+import types
 
 import pytest
 
@@ -20,7 +21,8 @@ from dlbeam.concept import (Atomic, Exists, RoleExpr, TOP, concept_length,
                             hash_concept)
 from dlbeam.evaluation import (CoverageResult, Score, evaluate, evaluate_batch,
                                is_weak, score)
-from dlbeam.refine import RefinementConfig
+from dlbeam.kb import ExampleSet, compute_statistics, materialize, parse_kb
+from dlbeam.refine import RefinementConfig, build_mb
 from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
                            reduce_redundant, run_search)
 
@@ -313,6 +315,97 @@ def test_worker_answers_an_over_deep_concept_with_error(smoke):
         assert mtype == MSG_ERROR
         assert b"node 0: concept nested deeper than" in payload
         assert sock.recv(1) == b""  # worker closed the connection
+
+
+def send_kb_transfer_and_expect_error(payload, message):
+    with master_connection(None, send_kb=False) as (sock, _):
+        write_frame(sock, MSG_KB_TRANSFER, payload)
+        mtype, reply = read_frame(sock)
+        assert mtype == MSG_ERROR
+        assert message in reply
+        assert sock.recv(1) == b""  # worker closed the connection
+
+
+def test_worker_answers_a_corrupt_kb_blob_with_error(smoke):
+    payload = bytearray(_pack_kb_transfer(smoke.kb, smoke.st, smoke.examples,
+                                          PARAMS))
+    payload[4:8] = b"XXXX"  # the KB blob's magic, inside a well-formed frame
+    send_kb_transfer_and_expect_error(bytes(payload), b"bad KB transfer")
+
+
+def test_worker_answers_a_kb_that_cannot_materialize_with_error():
+    st, kb = parse_kb("class A\nclass B\nsubclass A B\nsubclass B A\n"
+                      "individual x\nindividual y\ninstance A x\n")
+    examples = ExampleSet.from_ids(2, [0], [1])
+    send_kb_transfer_and_expect_error(
+        _pack_kb_transfer(kb, st, examples, PARAMS),
+        b"cycle in subclass hierarchy")
+
+
+def test_kb_transfer_rejects_an_example_id_out_of_range(smoke):
+    n = smoke.kb.num_individuals
+    examples = ExampleSet.from_ids(n + 1, [0], [n])
+    payload = _pack_kb_transfer(smoke.kb, smoke.st, examples, PARAMS)
+    with pytest.raises(ProtocolError, match="example id out of range"):
+        _unpack_kb_transfer(payload)
+    send_kb_transfer_and_expect_error(payload, b"example id out of range")
+
+
+def test_worker_answers_a_kb_transfer_with_bad_noise_with_error(smoke):
+    for noise in (1.5, -0.1, float("nan")):
+        params = SearchParams(noise=noise, max_length=5)
+        payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, params)
+        with pytest.raises(ProtocolError, match="noise must be in"):
+            _unpack_kb_transfer(payload)
+        send_kb_transfer_and_expect_error(payload, b"noise must be in")
+
+
+# The smoke fixture's names with other memberships and facts, so the same
+# sort keys name concepts whose extensions differ from smoke's.
+MIRRORED_SMOKE = """\
+class Person
+class Happy
+role hasChild
+individual a
+individual b
+individual c
+individual d
+individual e
+individual f
+instance Happy a
+instance Happy c
+instance Happy e
+instance Person b
+instance Person f
+fact hasChild b a
+fact hasChild b c
+fact hasChild d c
+fact hasChild f e
+"""
+
+
+def test_a_new_kb_transfer_starts_a_new_extension_memo(smoke):
+    st, kb = parse_kb(MIRRORED_SMOKE)
+    materialize(kb, st)
+    stats = compute_statistics(kb)
+    mirrored = types.SimpleNamespace(st=st, kb=kb, stats=stats,
+                                     mb=build_mb(kb, stats),
+                                     examples=smoke.examples)
+    with master_connection(smoke) as (sock, _):
+        for fix in (smoke, mirrored, smoke):
+            write_frame(sock, MSG_KB_TRANSFER,
+                        _pack_kb_transfer(fix.kb, fix.st, fix.examples, PARAMS))
+            assert read_frame(sock) == (MSG_KB_ACK, b"")
+            # Thing at he 4: every refinement up to length 5, so operands and
+            # fillers recur across the batch and fill the memo.
+            root = root_block_node(fix)
+            tasks = [BlockNode(TOP, 4, root.pos_covered, root.neg_covered,
+                               root.value)]
+            write_frame(sock, MSG_EXPAND_TASK, serialize_block(tasks))
+            mtype, payload = read_frame(sock)
+            assert mtype == MSG_EXPAND_RESULT
+            assert _split_expand_result(payload) == local_expand_oracle(
+                fix, tasks, PARAMS)
 
 
 def test_worker_expands_empty_task(smoke):

@@ -1,16 +1,19 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from dlbeam.concept import (And, Atomic, BoolEq, Exists, Forall, MaxCard,
                             MinCard, NotAtomic, NumGeq, NumLeq, Or, RoleExpr,
-                            StrEq, TOP)
+                            StrEq, TOP, Top, canonicalize, sort_key)
 from dlbeam.evaluation import (CoverageResult, EvalConfig, covered_set,
                                evaluate, evaluate_batch, is_weak, score)
 from dlbeam.kb import ExampleSet, KbError, materialize, parse_kb
-from generators import dims_of, random_concept, random_kb
+from generators import (dims_of, random_concept, random_examples, random_kb,
+                        strict_subconcepts)
 from naive_oracle import naive_covered_set
 
 
@@ -170,6 +173,109 @@ def test_evaluate_batch_edge_cases(smoke):
     assert got[0] == got[1] == got[2]
     with pytest.raises(ValueError):
         evaluate_batch([c], smoke.kb, smoke.examples, threads=0)
+
+
+# --- operand and filler memo ----------------------------------------------
+
+def concepts_sharing_operands(rng, kb, n=40):
+    """Concepts built over a small pool, so that many share an operand or a
+    filler, followed by every strict sub-concept of each."""
+    dims = dims_of(kb)
+    pool = [random_concept(rng, dims, depth=2) for _ in range(6)]
+    out = []
+    for _ in range(n):
+        a, b = rng.choice(pool), rng.choice(pool)
+        role = RoleExpr(rng.randrange(dims.n_roles), rng.random() < 0.3)
+        out.append(canonicalize(rng.choice([
+            And((a, b)), Or((a, b)), Exists(role, a), Forall(role, b),
+            MinCard(2, role, a), MaxCard(1, role, Or((a, b)))])))
+    return out + [s for c in out for s in strict_subconcepts(c)]
+
+
+def test_a_shared_memo_changes_no_extension():
+    rng = random.Random(306)
+    for _ in range(40):
+        _, kb = random_kb(rng)
+        cs = concepts_sharing_operands(rng, kb)
+        want = [covered_set(c, kb) for c in cs]
+        memo = {}
+        order = list(range(len(cs))) * 2
+        rng.shuffle(order)
+        checked = set()
+        for i in order:
+            got = covered_set(cs[i], kb, memo)
+            assert got.dtype == bool
+            assert np.array_equal(got, want[i])
+            if i not in checked:
+                checked.add(i)
+                assert ids(got) == naive_covered_set(cs[i], kb)
+            got ^= True  # callers combine in place; the memo must not see it
+        assert memo
+
+
+def test_memo_holds_only_operand_and_filler_extensions():
+    rng = random.Random(307)
+    for _ in range(40):
+        _, kb = random_kb(rng)
+        cs = concepts_sharing_operands(rng, kb)[:40]
+        memo = {}
+        for c in cs:
+            covered_set(c, kb, memo)
+        operands = {sort_key(s): s for c in cs for s in strict_subconcepts(c)}
+        assert memo.keys() <= operands.keys()
+        for key, packed in memo.items():
+            operand = operands[key]
+            assert not isinstance(operand, (Top, Atomic, NotAtomic))
+            assert packed.dtype == np.uint8
+            assert packed.shape == ((kb.num_individuals + 7) // 8,)
+            assert np.array_equal(
+                np.unpackbits(packed, count=kb.num_individuals).astype(bool),
+                covered_set(operand, kb))
+
+
+def test_threads_sharing_one_memo_get_memo_free_results():
+    rng = random.Random(308)
+    _, kb = random_kb(rng, max_individuals=200)
+    examples = random_examples(rng, kb)
+    base = concepts_sharing_operands(rng, kb, n=60)
+    want_sets = [covered_set(c, kb) for c in base]
+    cs = base * 4  # each of four threads gets all of base as its chunk
+    want = evaluate_batch(cs, kb, examples, threads=1, keep_sets=True)
+    failures = []
+
+    def race(memo: dict, seed: int, start: threading.Barrier) -> None:
+        order = list(range(len(base)))
+        random.Random(seed).shuffle(order)
+        start.wait()
+        for i in order:
+            if not np.array_equal(covered_set(base[i], kb, memo), want_sets[i]):
+                failures.append((seed, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            memo = {}
+            assert evaluate_batch(cs, kb, examples, threads=4, keep_sets=True,
+                                  memo=memo) == want
+            assert memo
+            assert evaluate_batch(cs, kb, examples, threads=1, keep_sets=True,
+                                  memo=memo) == want
+        # evaluate_batch starts its threads one after another, so the first
+        # may fill the memo alone; these four start together on a fresh memo
+        # each round and fill it while the others read it.
+        for r in range(60):
+            memo, start = {}, threading.Barrier(4)
+            threads = [threading.Thread(target=race, args=(memo, 4 * r + k, start))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert failures == []
 
 
 # --- scoring ----------------------------------------------------------------

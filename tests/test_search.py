@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import dlbeam.evaluation as evaluation_mod
 import dlbeam.search as search_mod
 from dlbeam.concept import (Atomic, TOP, concept_length, hash_concept,
                             render, sort_key)
@@ -11,6 +12,7 @@ from dlbeam.kb import materialize, parse_examples, parse_kb
 from dlbeam.refine import RefinementConfig
 from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
                            extract_best_nodes, reduce_redundant, run_search)
+from generators import strict_subconcepts
 
 
 def make_node(value, cid=0, he=1, expandable=True):
@@ -333,3 +335,74 @@ def test_exhaustive_trains_search_is_pinned(trains):
                         for i in res.iterations]).encode())
     assert digest.hexdigest() == (
         "856aafedcea90dc1617522d660c5647b8aa17db3db44182a6b9240c5b39c6e3f")
+
+
+# --- the operand and filler memo --------------------------------------------
+
+EXHAUST = SearchConfig(beam_width=8, max_length=5, target_accuracy=2.0)
+
+
+def count_extensions(monkeypatch) -> list:
+    """Count every extension computed, as the benchmark does: by wrapping the
+    module-level covered_set, through which each memo miss recurses."""
+    calls = []
+    original = evaluation_mod.covered_set
+
+    def counting(c, kb, memo=None):
+        calls.append(c)
+        return original(c, kb, memo)
+
+    monkeypatch.setattr(evaluation_mod, "covered_set", counting)
+    return calls
+
+
+def search_outcome(res):
+    return (res.status, res.evaluated_hashes, list(res.st_insertions.items()),
+            [(i.expanded, i.generated, i.redundant_dropped, i.weak_dropped,
+              i.st_size) for i in res.iterations],
+            [(n.hash, n.coverage, n.score) for n in res.st_nodes])
+
+
+def test_a_second_search_computes_as_many_extensions_as_the_first(
+        trains, monkeypatch):
+    calls = count_extensions(monkeypatch)
+    counts, outcomes = [], []
+    for _ in range(2):
+        before = len(calls)
+        res = run_search(trains.kb, trains.examples, EXHAUST)
+        counts.append(len(calls) - before)
+        outcomes.append(search_outcome(res))
+    assert counts[0] == counts[1]
+    assert outcomes[0] == outcomes[1]
+
+    # Without the memo the same search computes more and finds the same.
+    original = search_mod.evaluate_batch
+    monkeypatch.setattr(
+        search_mod, "evaluate_batch",
+        lambda cs, kb, examples, threads=1, keep_sets=False, memo=None:
+            original(cs, kb, examples, threads, keep_sets))
+    before = len(calls)
+    res = run_search(trains.kb, trains.examples, EXHAUST)
+    assert len(calls) - before > counts[0]
+    assert search_outcome(res) == outcomes[0]
+
+
+def test_search_memo_holds_no_top_level_concept(trains, monkeypatch):
+    batches = []
+    original = search_mod.evaluate_batch
+
+    def recording(cs, kb, examples, threads=1, keep_sets=False, memo=None):
+        batches.append((list(cs), memo))
+        return original(cs, kb, examples, threads, keep_sets, memo)
+
+    monkeypatch.setattr(search_mod, "evaluate_batch", recording)
+    run_search(trains.kb, trains.examples, EXHAUST)
+    first = len(batches)
+    run_search(trains.kb, trains.examples, EXHAUST)
+    memo = batches[0][1]
+    assert memo
+    assert all(m is memo for _, m in batches[:first])
+    assert all(m is not memo for _, m in batches[first:])  # one per search
+    operands = {sort_key(s) for cs, _ in batches[:first] for c in cs
+                for s in strict_subconcepts(c)}
+    assert memo.keys() <= operands
