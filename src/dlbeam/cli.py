@@ -61,8 +61,6 @@ def _search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-inverse", action="store_true")
     p.add_argument("--no-negation", action="store_true")
     p.add_argument("--json", action="store_true", help="JSON-lines output")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; the search is deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,9 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="learn a class expression from examples")
     p.add_argument("kb")
     p.add_argument("examples")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--beam", type=int, default=None,
-                   help="beam width (default: thread count)")
+    p.add_argument("--beam", type=int, default=1, help="beam width")
     _search_flags(p)
 
     p = sub.add_parser("eval", help="evaluate one concept against examples")
@@ -104,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--broadcast-port", type=int, default=DEFAULT_UDP_PORT)
     p.add_argument("--host", default="0.0.0.0")
     p.add_argument("--cores", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     return ap
 
 
@@ -154,13 +151,11 @@ def _status_code(status: str) -> int:
 
 
 def cmd_learn(args) -> int:
-    threads = max(1, args.threads)
     cfg = _build(
         SearchConfig,
-        beam_width=args.beam if args.beam is not None else threads,
+        beam_width=args.beam,
         limit=args.limit, noise=args.noise, max_millis=args.max_millis,
         max_length=args.max_length, target_accuracy=args.target_accuracy,
-        threads=threads,
         use_inverse_roles=not args.no_inverse,
         use_cardinality=not args.no_cardinality,
         use_disjunction=not args.no_disjunction,
@@ -251,10 +246,11 @@ def cmd_master(args) -> int:
 
 
 def cmd_worker(args) -> int:
+    if args.threads < 1:
+        raise UsageError(f"threads must be >= 1, got {args.threads}")
     try:
         server = _build(WorkerServer, host=args.host, tcp_port=args.port,
-                        udp_port=args.broadcast_port, cores=args.cores,
-                        threads=args.threads).start()
+                        udp_port=args.broadcast_port, cores=args.cores).start()
     except OSError as exc:
         raise UsageError(f"cannot listen on {args.host}: "
                          f"{exc.strerror or exc}") from None

@@ -5,15 +5,19 @@ u32 payload length, payload, u32 CRC32 over type byte + payload.
 
 Message types: 0x01 HELLO, 0x02 HELLO_ACK, 0x03 KB_TRANSFER, 0x04 KB_ACK,
 0x05 PROBE, 0x06 PROBE_RESULT, 0x07 EXPAND_TASK, 0x08 EXPAND_RESULT,
-0x09 TERMINATE, 0x0A BEST_HYPOTHESES, 0x0F ERROR.
+0x09 TERMINATE, 0x0F ERROR. Each message but TERMINATE gets one reply;
+on TERMINATE the worker closes the connection without one. Type 0x0A is
+reserved.
 
-Discovery is a UDP ping ``SPDL?`` + u16 master TCP port; a worker answers
-``SPDL!`` + u16 its TCP listen port, and the master opens one TCP connection
-per responder, each driven by a dedicated handler thread.
+Discovery is a UDP ping ``SPDL?`` + u16 0; a worker answers ``SPDL!`` + u16
+its TCP listen port, and the master opens one TCP connection per responder,
+each driven by a dedicated handler thread. The master's learning phase is
+``dlbeam.search.search_loop`` over an expander that sends each worker a
+block of the beam per iteration.
 
 A hypothesis block is u32 count, then per node: u32 length of the encoded
 concept, the encoding, u16 he, u32 covered positives, u32 covered negatives,
-f64 score value. Blocks are byte-identical for any serializer thread count.
+f64 score value.
 
 An EXPAND_RESULT carries the evaluated non-weak refinements as a block,
 followed by the hashes of the weak ones (u32 count + u64 each) so the master
@@ -29,22 +33,28 @@ import struct
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .concept import (TOP, Concept, DecodeError, concept_length, decode,
-                      encode, hash_concept, sort_key)
-from .evaluation import CoverageResult, EvalConfig, Score, evaluate, evaluate_batch, is_weak, score
+from .concept import (And, Atomic, BoolEq, Concept, DecodeError, Exists,
+                      Forall, MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
+                      StrEq, concept_length, decode, encode, hash_concept)
+from .evaluation import (CoverageResult, EvalConfig, Score, evaluate_batch,
+                         is_weak, score)
 from .kb import (ExampleSet, KbError, KnowledgeBase, SymbolTable,
                  compute_statistics, deserialize_kb, materialize, serialize_kb)
-from .refine import RefinementConfig, build_mb
+from .refine import build_mb
 from .search import (IterationStats, SearchNode, expand_single_node,
-                     extract_best_nodes, insert_node, reduce_redundant)
+                     reduce_redundant, refinement_config, root_node,
+                     search_loop)
+# Not called here since the master runs search_loop; bench/tracing.py still
+# wraps the master's calls under these names, and reads them as 0.
+from .concept import sort_key  # noqa: F401
+from .search import extract_best_nodes  # noqa: F401
 
 __all__ = [
     "MSG_HELLO", "MSG_HELLO_ACK", "MSG_KB_TRANSFER", "MSG_KB_ACK", "MSG_PROBE",
     "MSG_PROBE_RESULT", "MSG_EXPAND_TASK", "MSG_EXPAND_RESULT", "MSG_TERMINATE",
-    "MSG_BEST_HYPOTHESES", "MSG_ERROR",
+    "MSG_ERROR",
     "ProtocolError", "ClusterError",
     "BlockNode", "SearchParams", "WorkerInfo",
     "write_frame", "read_frame", "frame_bytes", "parse_frame",
@@ -71,7 +81,6 @@ MSG_PROBE_RESULT = 0x06
 MSG_EXPAND_TASK = 0x07
 MSG_EXPAND_RESULT = 0x08
 MSG_TERMINATE = 0x09
-MSG_BEST_HYPOTHESES = 0x0A
 MSG_ERROR = 0x0F
 
 _u16 = struct.Struct(">H")
@@ -164,22 +173,17 @@ def _encode_node(n: BlockNode) -> bytes:
             + _f64.pack(n.value))
 
 
-def serialize_block(nodes: list[BlockNode], threads: int = 1) -> bytes:
-    """u32 count + per-node records; output bytes independent of threads."""
-    if threads > 1 and len(nodes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_encode_node, nodes))
-    else:
-        parts = [_encode_node(n) for n in nodes]
-    return _u32.pack(len(nodes)) + b"".join(parts)
+def serialize_block(nodes: list[BlockNode]) -> bytes:
+    """u32 count + per-node records."""
+    return _u32.pack(len(nodes)) + b"".join(_encode_node(n) for n in nodes)
 
 
-def deserialize_block(data: bytes, threads: int = 1) -> list[BlockNode]:
+def deserialize_block(data: bytes) -> list[BlockNode]:
     if len(data) < 4:
         raise ProtocolError("block shorter than its count field")
     (count,) = _u32.unpack_from(data, 0)
     pos = 4
-    raw: list[tuple[bytes, int, int, int, float]] = []
+    nodes: list[BlockNode] = []
     for i in range(count):
         if pos + 4 > len(data):
             raise ProtocolError(f"node {i}: truncated length prefix")
@@ -195,23 +199,14 @@ def deserialize_block(data: bytes, threads: int = 1) -> list[BlockNode]:
         (nc,) = _u32.unpack_from(data, pos + 6)
         (val,) = _f64.unpack_from(data, pos + 10)
         pos += 18
-        raw.append((enc, he, pc, nc, val))
-    if pos != len(data):
-        raise ProtocolError(f"{len(data) - pos} trailing bytes after block")
-
-    def build(item: tuple[int, tuple[bytes, int, int, int, float]]) -> BlockNode:
-        i, (enc, he, pc, nc, val) = item
         try:
             c = decode(enc)
         except DecodeError as exc:
             raise ProtocolError(f"node {i}: {exc}") from None
-        return BlockNode(c, he, pc, nc, val)
-
-    items = list(enumerate(raw))
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, items))
-    return [build(it) for it in items]
+        nodes.append(BlockNode(c, he, pc, nc, val))
+    if pos != len(data):
+        raise ProtocolError(f"{len(data) - pos} trailing bytes after block")
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +320,12 @@ class WorkerServer:
 
     def __init__(self, host: str = "127.0.0.1", tcp_port: int = 0,
                  udp_port: int = DEFAULT_UDP_PORT, cores: int | None = None,
-                 threads: int | None = None, io_timeout: float = 60.0):
+                 io_timeout: float = 60.0):
         self.host = host
         self.cores = cores if cores is not None else (os.cpu_count() or 1)
-        self.threads = threads if threads is not None else self.cores
         # cores travels to the master as u16 (HELLO_ACK, PROBE_RESULT).
         if not 1 <= self.cores <= 0xFFFF:
             raise ValueError(f"cores must be in [1, 65535], got {self.cores}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         _check_port(tcp_port)
         _check_port(udp_port)
         self.io_timeout = io_timeout
@@ -406,7 +398,7 @@ class WorkerServer:
 
     def _serve_master(self, conn: socket.socket) -> None:
         conn.settimeout(self.io_timeout)
-        state: dict = {"best": []}
+        state: dict = {}
         try:
             while not self._stop.is_set():
                 try:
@@ -448,13 +440,8 @@ class WorkerServer:
             # and filler extensions; both live as long as this state.
             state.update(kb=kb, examples=examples, params=params, stats=stats,
                          mb=build_mb(kb, stats), ext_memo={},
-                         rcfg=RefinementConfig.from_stats(
-                             stats,
-                             use_inverse_roles=params.use_inverse_roles,
-                             use_cardinality=params.use_cardinality,
-                             use_disjunction=params.use_disjunction,
-                             use_negation=params.use_negation,
-                             max_length=params.max_length))
+                         rcfg=refinement_config(stats, params,
+                                                params.max_length))
             write_frame(conn, MSG_KB_ACK)
             return False
         if mtype == MSG_PROBE:
@@ -470,55 +457,42 @@ class WorkerServer:
             write_frame(conn, MSG_EXPAND_RESULT, self._expand(payload, state))
             return False
         if mtype == MSG_TERMINATE:
-            block = serialize_block(state["best"], threads=self.threads)
-            write_frame(conn, MSG_BEST_HYPOTHESES, block)
             return True
         raise ProtocolError(f"unexpected message type 0x{mtype:02x}")
 
     def _probe(self, state: dict) -> int:
         """Expand Thing out to the probe depth and evaluate, for timing."""
-        kb, examples = state["kb"], state["examples"]
+        kb, examples, params = state["kb"], state["examples"], state["params"]
         t0 = time.monotonic()
-        cov = evaluate(TOP, kb, examples)
-        sc = score(cov, None, 1, examples, state["params"].eval_cfg())
-        node = SearchNode(TOP, hash_concept(TOP), 1, cov, sc)
+        node = root_node(kb, examples, params.eval_cfg(), PROBE_HE)
         # A config, and so a refine memo, of the probe's own, as is the
         # extension memo passed to evaluate_batch below.
-        rcfg = RefinementConfig.from_stats(
-            state["stats"], max_length=PROBE_HE,
-            use_inverse_roles=state["params"].use_inverse_roles,
-            use_cardinality=state["params"].use_cardinality,
-            use_disjunction=state["params"].use_disjunction,
-            use_negation=state["params"].use_negation)
+        rcfg = refinement_config(state["stats"], params, PROBE_HE)
         emitted: list[Concept] = []
         while node.expandable and node.he < PROBE_HE:
             refs, _ = expand_single_node(node, kb, state["stats"], state["mb"],
                                          rcfg, PROBE_HE)
             emitted.extend(refs)
-        evaluate_batch(emitted, kb, examples, threads=self.threads, memo={})
+        evaluate_batch(emitted, kb, examples, memo={})
         return int((time.monotonic() - t0) * 1000)
 
     def _expand(self, payload: bytes, state: dict) -> bytes:
         kb, examples, params = state["kb"], state["examples"], state["params"]
-        tasks = deserialize_block(payload, threads=self.threads)
-
-        def expand_one(bn: BlockNode) -> tuple[list[Concept], set[int]]:
-            acc = _accuracy(bn, examples)
+        tasks = deserialize_block(payload)
+        for i, bn in enumerate(tasks):
+            _check_ids(bn.concept, kb, i)
+        per_slot = []
+        for bn in tasks:
             node = SearchNode(bn.concept, hash_concept(bn.concept), bn.he,
                               CoverageResult(bn.pos_covered, bn.neg_covered),
-                              Score(acc, bn.value))
-            return expand_single_node(node, kb, state["stats"], state["mb"],
-                                      state["rcfg"], params.max_length)
-
-        if self.threads > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                per_slot = list(pool.map(expand_one, tasks))
-        else:
-            per_slot = [expand_one(bn) for bn in tasks]
+                              Score(_accuracy(bn, examples), bn.value))
+            per_slot.append(expand_single_node(
+                node, kb, state["stats"], state["mb"], state["rcfg"],
+                params.max_length))
 
         survivors = reduce_redundant(per_slot, rht=set())
         covs = evaluate_batch([c for c, _, _ in survivors], kb, examples,
-                              threads=self.threads, memo=state["ext_memo"])
+                              memo=state["ext_memo"])
         good: list[BlockNode] = []
         weak_hashes: list[int] = []
         for (c, h, slot), cov in zip(survivors, covs):
@@ -531,15 +505,35 @@ class WorkerServer:
             good.append(BlockNode(c, concept_length(c), cov.pos_covered,
                                   cov.neg_covered, sc.value))
 
-        merged = state["best"] + good
-        merged.sort(key=lambda bn: (-bn.value, sort_key(bn.concept)))
-        state["best"] = merged[:max(params.limit, 1)]
-
-        out = bytearray(serialize_block(good, threads=self.threads))
+        out = bytearray(serialize_block(good))
         out += _u32.pack(len(weak_hashes))
         for h in weak_hashes:
             out += _u64.pack(h)
         return bytes(out)
+
+
+def _check_ids(c: Concept, kb: KnowledgeBase, node: int) -> None:
+    """Raise ProtocolError if ``c``, the concept of task node ``node``, names
+    a class or role that ``kb`` does not have."""
+    if isinstance(c, (Atomic, NotAtomic)):
+        what, i, n = "class", c.class_id, kb.num_classes
+    elif isinstance(c, (Exists, Forall, MinCard, MaxCard)):
+        _check_ids(c.child, kb, node)
+        what, i, n = "role", c.role.role_id, kb.num_roles
+    elif isinstance(c, BoolEq):
+        what, i, n = "boolean role", c.role_id, len(kb.boolean_assertions)
+    elif isinstance(c, (NumGeq, NumLeq)):
+        what, i, n = "numeric role", c.role_id, len(kb.numeric_assertions)
+    elif isinstance(c, StrEq):
+        what, i, n = "string role", c.role_id, len(kb.string_assertions)
+    elif isinstance(c, (And, Or)):
+        for ch in c.children:
+            _check_ids(ch, kb, node)
+        return
+    else:  # Thing
+        return
+    if i >= n:
+        raise ProtocolError(f"node {node}: {what} id {i} is not in the KB")
 
 
 def _accuracy(bn: BlockNode, examples: ExampleSet) -> float:
@@ -597,13 +591,13 @@ class ClusterResult:
     phases: list[str]
 
 
-def discover(cfg: MasterConfig, reply_port: int = 0) -> list[tuple[str, int]]:
+def discover(cfg: MasterConfig) -> list[tuple[str, int]]:
     """Ping over UDP and collect (host, tcp_port) worker endpoints."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
     sock.bind(("", 0))
     sock.settimeout(0.1)
-    ping = DISCOVER_PING + _u16.pack(reply_port)
+    ping = DISCOVER_PING + _u16.pack(0)  # the u16 field is unused
     deadline = time.monotonic() + cfg.discovery_millis / 1000.0
     found: list[tuple[str, int]] = []
     seen: set[tuple[str, int]] = set()
@@ -639,13 +633,11 @@ def discover(cfg: MasterConfig, reply_port: int = 0) -> list[tuple[str, int]]:
 class _Handler(threading.Thread):
     """One request/response channel per worker connection."""
 
-    def __init__(self, sock: socket.socket, connection_id: int):
+    def __init__(self, sock: socket.socket):
         super().__init__(daemon=True)
         self.sock = sock
-        self.connection_id = connection_id
         self.inbox: queue.Queue = queue.Queue()
         self.outbox: queue.Queue = queue.Queue()
-        self.alive = True
 
     def run(self) -> None:
         while True:
@@ -684,24 +676,89 @@ def _scatter_gather(handlers: list["_Handler"], requests: list[tuple[int, bytes]
     return [h.collect(timeout) for h in handlers]
 
 
+def _hello(ep: tuple[str, int], timeout: float) -> tuple[socket.socket, int]:
+    """Connect to a worker and exchange HELLO; returns the socket and the
+    worker's cores. Any failure closes the socket and raises ClusterError."""
+    try:
+        sock = socket.create_connection(ep, timeout=timeout)
+    except OSError as exc:
+        raise ClusterError(f"worker {ep}: cannot connect: "
+                           f"{exc.strerror or exc}") from None
+    try:
+        write_frame(sock, MSG_HELLO)
+        mtype, payload = read_frame(sock)
+        if mtype != MSG_HELLO_ACK or len(payload) != 2:
+            raise ProtocolError("bad HELLO_ACK")
+    except (OSError, ProtocolError) as exc:
+        sock.close()
+        raise ClusterError(f"worker {ep}: {exc}") from None
+    return sock, _u16.unpack(payload)[0]
+
+
+class _RemoteExpander:
+    """Expands on the workers: each alive worker, fastest first, gets the
+    next ``wn`` nodes of the beam as one EXPAND_TASK. A node's he grows only
+    once its worker has answered; a worker whose round trip fails or whose
+    reply does not parse is dropped, and its nodes stay in the open list
+    for a later iteration."""
+
+    def __init__(self, handlers: list[_Handler], workers: list[WorkerInfo],
+                 alive: list[int], examples: ExampleSet, cfg: MasterConfig):
+        self.handlers, self.workers, self.alive = handlers, workers, alive
+        self.examples, self.cfg = examples, cfg
+
+    def width(self) -> int:
+        return sum(self.workers[i].wn for i in self.alive)
+
+    def expand(self, beam: list[SearchNode], rht: set[int]
+               ) -> tuple[int, list[tuple[int, SearchNode | None]]]:
+        blocks: list[tuple[int, list[SearchNode]]] = []
+        cursor = 0
+        for i in self.alive:
+            blocks.append((i, beam[cursor:cursor + self.workers[i].wn]))
+            cursor += self.workers[i].wn
+        replies = _scatter_gather(
+            [self.handlers[i] for i, _ in blocks],
+            [(MSG_EXPAND_TASK, serialize_block(
+                [BlockNode(n.concept, n.he, n.coverage.pos_covered,
+                           n.coverage.neg_covered, n.score.value)
+                 for n in block])) for _i, block in blocks],
+            self.cfg.io_timeout)
+        max_length = self.cfg.max_length
+        generated = 0
+        found: list[tuple[int, SearchNode | None]] = []
+        for (wi, block), (status, reply) in zip(blocks, replies):
+            try:
+                if status != "ok" or reply[0] != MSG_EXPAND_RESULT:
+                    raise ProtocolError("no EXPAND_RESULT")
+                nodes, weak = _split_expand_result(reply[1])
+            except ProtocolError:
+                self.alive.remove(wi)
+                continue
+            for n in block:
+                n.he += 1
+                if n.he >= max_length:
+                    n.expandable = False
+            generated += len(nodes) + len(weak)
+            for bn in nodes:
+                h = hash_concept(bn.concept)
+                if h in rht:
+                    continue
+                found.append((h, SearchNode(
+                    bn.concept, h, bn.he,
+                    CoverageResult(bn.pos_covered, bn.neg_covered),
+                    Score(_accuracy(bn, self.examples), bn.value),
+                    expandable=bn.he < max_length)))
+            found.extend((h, None) for h in weak)
+        return generated, found
+
+
 def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
                cfg: MasterConfig) -> ClusterResult:
     """Drive the four phases and return the merged search outcome."""
     t0 = time.monotonic()
-
-    def elapsed_ms() -> int:
-        return int((time.monotonic() - t0) * 1000)
-
     phases = ["discovery"]
-    # A TCP listener whose port rides in the ping, so workers could dial back.
-    reply_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    reply_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    reply_sock.bind(("", 0))
-    reply_sock.listen(4)
-    try:
-        endpoints = discover(cfg, reply_port=reply_sock.getsockname()[1])
-    finally:
-        reply_sock.close()
+    endpoints = discover(cfg)
     if not endpoints:
         raise ClusterError("no workers responded to discovery")
     if cfg.expect_workers is not None and len(endpoints) < cfg.expect_workers:
@@ -711,16 +768,11 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
     workers: list[WorkerInfo] = []
     try:
         for cid, ep in enumerate(endpoints):
-            sock = socket.create_connection(ep, timeout=cfg.io_timeout)
-            sock.settimeout(cfg.io_timeout)
-            write_frame(sock, MSG_HELLO)
-            mtype, payload = read_frame(sock)
-            if mtype != MSG_HELLO_ACK or len(payload) != 2:
-                raise ClusterError(f"worker {ep}: bad HELLO_ACK")
-            h = _Handler(sock, cid)
+            sock, cores = _hello(ep, cfg.io_timeout)
+            h = _Handler(sock)
             h.start()
             handlers.append(h)
-            workers.append(WorkerInfo(address=ep, cores=_u16.unpack(payload)[0],
+            workers.append(WorkerInfo(address=ep, cores=cores,
                                       connection_id=cid))
 
         phases.append("probing")
@@ -748,122 +800,27 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
             w.wn = w.cores
 
         # Fastest worker takes the best block; ties broken by connection id.
-        order = sorted(range(len(workers)),
+        alive = sorted(range(len(workers)),
                        key=lambda i: (workers[i].probe_millis, workers[i].connection_id))
-        alive = list(order)
 
         phases.append("learning")
-        root_cov = evaluate(TOP, kb, examples)
-        root_score = score(root_cov, None, 1, examples, cfg.eval_cfg)
-        root = SearchNode(TOP, hash_concept(TOP), 1, root_cov,
-                          root_score, expandable=cfg.max_length > 1)
-        st: list[SearchNode] = [root]
-        rht: set[int] = {root.hash}
-        st_insertions: dict[int, float] = {root.hash: root_score.value}
-        iterations: list[IterationStats] = []
-        best_accuracy = root_score.accuracy
-        status_flag: str | None = "solved" if best_accuracy >= cfg.target_accuracy else None
-
-        while status_flag is None:
-            if cfg.max_millis is not None and elapsed_ms() >= cfg.max_millis:
-                status_flag = "budget"
-                break
-            if not alive:
-                status_flag = "failed"
-                break
-            n_total = sum(workers[i].wn for i in alive)
-            beam = extract_best_nodes(st, n_total)
-            if not beam:
-                status_flag = "exhausted"
-                break
-
-            blocks: list[tuple[int, list[SearchNode]]] = []
-            cursor = 0
-            for i in alive:
-                take = beam[cursor:cursor + workers[i].wn]
-                cursor += len(take)
-                blocks.append((i, take))
-
-            reqs = []
-            for _i, block in blocks:
-                payload = serialize_block(
-                    [BlockNode(n.concept, n.he, n.coverage.pos_covered,
-                               n.coverage.neg_covered, n.score.value)
-                     for n in block])
-                reqs.append((MSG_EXPAND_TASK, payload))
-            replies = _scatter_gather([handlers[i] for i, _ in blocks], reqs,
-                                      cfg.io_timeout)
-
-            result_blocks: list[tuple[list[BlockNode], list[int]]] = []
-            parents_per_block: list[list[SearchNode]] = []
-            failed_workers: list[int] = []
-            for (wi, block), (stat, reply) in zip(blocks, replies):
-                if stat != "ok" or reply[0] == MSG_ERROR:
-                    failed_workers.append(wi)
-                    continue  # nodes keep their he; the block is requeued
-                if reply[0] != MSG_EXPAND_RESULT:
-                    failed_workers.append(wi)
-                    continue
-                payload = reply[1]
-                nodes, weak = _split_expand_result(payload)
-                for n in block:  # committed only on a successful round-trip
-                    n.he += 1
-                    if n.he >= cfg.max_length:
-                        n.expandable = False
-                result_blocks.append((nodes, weak))
-                parents_per_block.append(block)
-            for wi in failed_workers:
-                alive.remove(wi)
-
-            per_slot = [([bn.concept for bn in nodes], set())
-                        for nodes, _ in result_blocks]
-            node_by_hash: dict[int, BlockNode] = {}
-            weak_hashes: list[int] = []
-            for nodes, weak in result_blocks:
-                weak_hashes.extend(weak)
-                for bn in nodes:
-                    node_by_hash.setdefault(hash_concept(bn.concept), bn)
-            generated = sum(len(nodes) + len(weak) for nodes, weak in result_blocks)
-            survivors = reduce_redundant(per_slot, rht)
-            new_weak = [h for h in weak_hashes if h not in rht]
-            rht.update(h for _, h, _ in survivors)
-            rht.update(new_weak)
-
-            inserted = 0
-            for c, h, _slot in survivors:
-                bn = node_by_hash[h]
-                acc = _accuracy(bn, examples)
-                node = SearchNode(c, h, bn.he,
-                                  CoverageResult(bn.pos_covered, bn.neg_covered),
-                                  Score(acc, bn.value),
-                                  expandable=bn.he < cfg.max_length)
-                insert_node(st, node)
-                st_insertions[h] = bn.value
-                inserted += 1
-                if acc > best_accuracy:
-                    best_accuracy = acc
-            iterations.append(IterationStats(
-                expanded=sum(len(b) for _, b in blocks), generated=generated,
-                redundant_dropped=generated - inserted - len(new_weak),
-                weak_dropped=len(new_weak), st_size=len(st),
-                elapsed_millis=elapsed_ms()))
-            if best_accuracy >= cfg.target_accuracy:
-                status_flag = "solved"
+        res = search_loop(kb, examples, cfg,
+                          _RemoteExpander(handlers, workers, alive, examples,
+                                          cfg), t0)
 
         phases.append("terminating")
-        for stat, reply in _scatter_gather(
-                [handlers[i] for i in alive],
-                [(MSG_TERMINATE, b"")] * len(alive), cfg.io_timeout):
-            # Best-hypothesis blocks are informational; the master open list
-            # already contains every non-weak refinement the workers returned.
-            if stat == "ok" and reply[0] == MSG_BEST_HYPOTHESES:
-                deserialize_block(reply[1])
+        for i in alive:  # the workers close without a reply
+            try:
+                write_frame(handlers[i].sock, MSG_TERMINATE)
+            except OSError:
+                pass
         phases.append("done")
 
         return ClusterResult(
-            hypotheses=extract_best_nodes(st, cfg.limit, expandable_only=False),
-            status=status_flag, st_nodes=st, st_insertions=st_insertions,
-            rht=rht, iterations=iterations, wall_millis=elapsed_ms(),
+            hypotheses=res.hypotheses, status=res.status, st_nodes=res.st_nodes,
+            st_insertions=res.st_insertions, rht=res.rht,
+            iterations=res.iterations,
+            wall_millis=int((time.monotonic() - t0) * 1000),
             workers=workers, phases=phases)
     finally:
         for h in handlers:

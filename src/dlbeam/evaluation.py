@@ -1,6 +1,6 @@
 """Hypothesis evaluation: closed-world extension as boolean arrays, coverage
-counts against the example set, accuracy/gain scoring, and a threaded batch
-path.
+counts against the example set, accuracy/gain scoring, and a batch path that
+shares one memo across a search's concepts.
 
 All set algebra runs on numpy bool arrays indexed by individual id. Role
 restrictions are computed from the flat assertion arrays the kb module builds
@@ -32,15 +32,11 @@ concept another's extension.
   and a worker creates one with the state of each ``KB_TRANSFER`` (and one
   for its probe). It holds extensions of one KB and must not be passed with
   another. No cache outlives its search.
-
-Threads that evaluate a batch in parallel share the memo without a lock: a
-race can only store an equal entry twice.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,26 +186,11 @@ def evaluate(c: Concept, kb: KnowledgeBase, examples: ExampleSet,
 
 
 def evaluate_batch(cs: list[Concept], kb: KnowledgeBase, examples: ExampleSet,
-                   threads: int = 1, keep_sets: bool = False,
+                   keep_sets: bool = False,
                    memo: dict | None = None) -> list[CoverageResult]:
-    """evaluate() each concept; result[i] is identical for every thread count
-    and with or without ``memo``, which the threads share."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if threads == 1 or len(cs) < 2:
-        return [evaluate(c, kb, examples, keep_sets, memo) for c in cs]
-    results: list[CoverageResult | None] = [None] * len(cs)
-
-    def run_chunk(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            results[i] = evaluate(cs[i], kb, examples, keep_sets, memo)
-
-    step = math.ceil(len(cs) / threads)
-    bounds = [(lo, min(lo + step, len(cs))) for lo in range(0, len(cs), step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for f in [pool.submit(run_chunk, lo, hi) for lo, hi in bounds]:
-            f.result()
-    return results
+    """evaluate() each concept in order; result[i] is the same with or
+    without ``memo``."""
+    return [evaluate(c, kb, examples, keep_sets, memo) for c in cs]
 
 
 def score(cov: CoverageResult, parent_accuracy: float | None, he: int,

@@ -22,10 +22,9 @@ one worker connection's KB state, or one worker probe. Each call still
 returns a new list; the memo keeps a tuple of the same concept objects, so
 their stored hashes, lengths and sort keys are reused too.
 
-Threads that expand in parallel share the memo without a lock. A race can
-only compute an equal entry twice, and a rebinding replaces the (owner,
-table) pair as a whole, so no call ever writes into a table filled for
-other objects.
+The memo needs no lock: threads sharing a config can only compute an equal
+entry twice, and a rebinding replaces the (owner, table) pair as a whole, so
+no call ever writes into a table filled for other objects.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Beam search over the refinement lattice.
 
-One iteration: take the best BW expandable nodes from the open list, expand
-them in parallel (each node keeps a private closed list spanning its own
-re-expansions), fold the per-node refinement lists through a pairwise staged
-reduction against the global closed list (RHT), evaluate the survivors in a
-batch, drop weak ones, and insert the rest into the open list at their
-place in its order.
+One loop, ``search_loop``, serves ``run_search`` and the cluster master. An
+iteration takes the best expandable nodes from the open list and hands them
+to an expander, which refines them and evaluates the refinements; the loop
+adds each new hash to the global closed list (RHT) once, counts the weak
+ones, and inserts the rest into the open list at their place in its order.
+The in-process expander expands each node (each node keeps a private closed
+list spanning its own re-expansions), folds the per-node refinement lists
+through a pairwise staged reduction against the RHT, and evaluates the
+survivors in a batch; the cluster's sends blocks of the beam to workers.
 
 The open list is kept sorted by each node's ``key``, (-score, canonical
 sort key), which is computed once when the node is built. Keys are unique,
@@ -17,14 +20,14 @@ Nodes are not removed on expansion; they are revisited with a horizontal
 expansion budget (he) that grows by one per visit until it reaches the
 length cap. Scores are fixed at insertion time, with the expansion penalty
 charged against the node's initial he, so the set of (hash, score) pairs a
-run inserts is independent of the thread count.
+run inserts depends only on the beam width, not on how many workers share
+the beam.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -43,6 +46,9 @@ __all__ = [
     "insert_node",
     "expand_single_node",
     "reduce_redundant",
+    "refinement_config",
+    "root_node",
+    "search_loop",
     "run_search",
 ]
 
@@ -75,7 +81,6 @@ class SearchConfig:
     max_millis: int | None = None
     max_length: int = 10
     target_accuracy: float = 1.0
-    threads: int = 1
     use_inverse_roles: bool = True
     use_cardinality: bool = True
     use_disjunction: bool = True
@@ -84,7 +89,7 @@ class SearchConfig:
     verify_collisions: bool = False
 
     def __post_init__(self):
-        for name in ("beam_width", "limit", "threads", "max_length"):
+        for name in ("beam_width", "limit", "max_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.noise < 1.0:
@@ -93,6 +98,15 @@ class SearchConfig:
 
 @dataclass
 class IterationStats:
+    """What one iteration expanded, generated and dropped.
+
+    While no worker fails, a cluster run has the same ``expanded``,
+    ``weak_dropped`` and ``st_size`` as a local run of the same beam width,
+    iteration by iteration. Its ``generated`` and ``redundant_dropped``
+    differ: workers keep no per-node closed list across iterations, so they
+    return again refinements that the master then drops as known.
+    """
+
     expanded: int
     generated: int
     redundant_dropped: int
@@ -104,7 +118,7 @@ class IterationStats:
 @dataclass
 class SearchResult:
     hypotheses: list[SearchNode]
-    status: str  # solved | budget | exhausted
+    status: str  # solved | budget | exhausted | failed (cluster only)
     st_nodes: list[SearchNode]
     st_insertions: dict[int, float]
     rht: set[int]
@@ -164,8 +178,7 @@ def expand_single_node(node: SearchNode, kb: KnowledgeBase, stats: KbStatistics,
 
 
 def reduce_redundant(per_slot: list[tuple[list[Concept], set[int]]],
-                     rht: set[int], verify: bool = False,
-                     slot_ids: list[int] | None = None
+                     rht: set[int], verify: bool = False
                      ) -> list[tuple[Concept, int, int]]:
     """Pairwise staged merge of per-slot refinement lists.
 
@@ -174,10 +187,8 @@ def reduce_redundant(per_slot: list[tuple[list[Concept], set[int]]],
     survives; anything already in rht is dropped. With ``verify`` set, equal
     hashes from structurally different concepts raise.
     """
-    if slot_ids is None:
-        slot_ids = list(range(len(per_slot)))
     stages: list[list[tuple[Concept, int, int]]] = [
-        [(c, hash_concept(c), slot_ids[i]) for c in refs]
+        [(c, hash_concept(c), i) for c in refs]
         for i, (refs, _closed) in enumerate(per_slot)
     ]
     by_hash: dict[int, Concept] = {}
@@ -208,98 +219,145 @@ def reduce_redundant(per_slot: list[tuple[list[Concept], set[int]]],
     return out
 
 
-def run_search(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchConfig,
-               stats: KbStatistics | None = None,
-               mb: list[Concept] | None = None) -> SearchResult:
-    """Run the full loop until solved, exhausted, or out of budget."""
-    if stats is None:
-        stats = compute_statistics(kb)
-    if mb is None:
-        mb = build_mb(kb, stats)
-    # rcfg carries refine's memo and ext_memo evaluation's operand and
-    # filler extensions, so both live for this search only.
-    ext_memo: dict = {}
-    rcfg = RefinementConfig.from_stats(
-        stats,
-        use_inverse_roles=cfg.use_inverse_roles,
-        use_cardinality=cfg.use_cardinality,
-        use_disjunction=cfg.use_disjunction,
-        use_negation=cfg.use_negation,
-        max_length=cfg.max_length)
+def refinement_config(stats: KbStatistics, language, max_length: int
+                      ) -> RefinementConfig:
+    """A refinement config, and with it a refine memo, for one search.
 
-    t0 = time.monotonic()
+    ``language`` is a ``SearchConfig`` or the worker's ``SearchParams``: any
+    object with the four ``use_*`` switches of the hypothesis language.
+    """
+    return RefinementConfig.from_stats(
+        stats,
+        use_inverse_roles=language.use_inverse_roles,
+        use_cardinality=language.use_cardinality,
+        use_disjunction=language.use_disjunction,
+        use_negation=language.use_negation,
+        max_length=max_length)
+
+
+def root_node(kb: KnowledgeBase, examples: ExampleSet, eval_cfg: EvalConfig,
+              max_length: int) -> SearchNode:
+    """Thing, evaluated and scored as the root of a search."""
+    cov = evaluate(TOP, kb, examples)
+    return SearchNode(TOP, hash_concept(TOP), 1, cov,
+                      score(cov, None, 1, examples, eval_cfg),
+                      expandable=max_length > 1)
+
+
+class LocalExpander:
+    """Expands in this process: each node through ``expand_single_node``, the
+    slots through ``reduce_redundant``, the survivors in one
+    ``evaluate_batch``."""
+
+    def __init__(self, kb: KnowledgeBase, examples: ExampleSet,
+                 cfg: SearchConfig, stats: KbStatistics, mb: list[Concept]):
+        self.kb, self.examples, self.cfg = kb, examples, cfg
+        self.stats, self.mb = stats, mb
+        # rcfg carries refine's memo and ext_memo evaluation's operand and
+        # filler extensions, so both live for this search only.
+        self.rcfg = refinement_config(stats, cfg, cfg.max_length)
+        self.ext_memo: dict = {}
+
+    def width(self) -> int:
+        return self.cfg.beam_width
+
+    def expand(self, beam: list[SearchNode], rht: set[int]
+               ) -> tuple[int, list[tuple[int, SearchNode | None]]]:
+        kb, examples, cfg = self.kb, self.examples, self.cfg
+        per_slot = [expand_single_node(n, kb, self.stats, self.mb, self.rcfg,
+                                       cfg.max_length) for n in beam]
+        survivors = reduce_redundant(per_slot, rht,
+                                     verify=cfg.verify_collisions)
+        covs = evaluate_batch([c for c, _, _ in survivors], kb, examples,
+                              memo=self.ext_memo)
+        found: list[tuple[int, SearchNode | None]] = []
+        for (c, h, slot), cov in zip(survivors, covs):
+            if is_weak(cov, examples, cfg.noise):
+                found.append((h, None))
+                continue
+            parent = beam[slot]
+            he0 = concept_length(c)
+            sc = score(cov, parent.score.accuracy, he0, examples, cfg.eval_cfg)
+            found.append((h, SearchNode(c, h, he0, cov, sc, parent=parent,
+                                        expandable=he0 < cfg.max_length)))
+        return sum(len(refs) for refs, _ in per_slot), found
+
+
+def search_loop(kb: KnowledgeBase, examples: ExampleSet, cfg, expander,
+                t0: float) -> SearchResult:
+    """The beam search of ``run_search`` and of the cluster master.
+
+    ``cfg`` is a ``SearchConfig`` or a ``MasterConfig``; the loop reads the
+    fields they share. Times count from ``t0``, a ``time.monotonic()``
+    reading. ``expander.width()`` is how many nodes to take per iteration,
+    and the run fails once it is 0. ``expander.expand(beam, rht)`` returns
+    the number of refinements generated, and each evaluated refinement that
+    is new to ``rht`` as its hash with its node, or with None if it is weak;
+    a weak hash may repeat.
+    """
 
     def elapsed_ms() -> int:
         return int((time.monotonic() - t0) * 1000)
 
-    root_cov = evaluate(TOP, kb, examples)
-    root_score = score(root_cov, None, 1, examples, cfg.eval_cfg)
-    root = SearchNode(TOP, hash_concept(TOP), 1, root_cov, root_score,
-                      expandable=cfg.max_length > 1)
+    root = root_node(kb, examples, cfg.eval_cfg, cfg.max_length)
     st: list[SearchNode] = [root]
     rht: set[int] = {root.hash}
-    st_insertions: dict[int, float] = {root.hash: root_score.value}
+    st_insertions: dict[int, float] = {root.hash: root.score.value}
     evaluated_hashes: list[int] = [root.hash]
     iterations: list[IterationStats] = []
-    best_accuracy = root_score.accuracy
-    status = None
+    best_accuracy = root.score.accuracy
+    status = "solved" if best_accuracy >= cfg.target_accuracy else None
 
-    pool = (ThreadPoolExecutor(max_workers=cfg.threads)
-            if cfg.threads > 1 else None)
-    try:
+    while status is None:
+        if cfg.max_millis is not None and elapsed_ms() >= cfg.max_millis:
+            status = "budget"
+            break
+        width = expander.width()
+        if width == 0:
+            status = "failed"
+            break
+        beam = extract_best_nodes(st, width)
+        if not beam:
+            status = "exhausted"
+            break
+        generated, found = expander.expand(beam, rht)
+        evaluated = weak_dropped = 0
+        for h, node in found:
+            if h in rht:  # a weak hash that more than one worker returned
+                continue
+            rht.add(h)
+            evaluated_hashes.append(h)
+            evaluated += 1
+            if node is None:
+                weak_dropped += 1
+                continue
+            insert_node(st, node)
+            st_insertions[h] = node.score.value
+            if node.score.accuracy > best_accuracy:
+                best_accuracy = node.score.accuracy
+        iterations.append(IterationStats(
+            expanded=len(beam), generated=generated,
+            redundant_dropped=generated - evaluated,
+            weak_dropped=weak_dropped, st_size=len(st),
+            elapsed_millis=elapsed_ms()))
         if best_accuracy >= cfg.target_accuracy:
             status = "solved"
-        while status is None:
-            if cfg.max_millis is not None and elapsed_ms() >= cfg.max_millis:
-                status = "budget"
-                break
-            beam = extract_best_nodes(st, cfg.beam_width)
-            if not beam:
-                status = "exhausted"
-                break
-
-            def expand(n: SearchNode) -> tuple[list[Concept], set[int]]:
-                return expand_single_node(n, kb, stats, mb, rcfg, cfg.max_length)
-
-            if pool is None:
-                per_slot = [expand(n) for n in beam]
-            else:
-                per_slot = list(pool.map(expand, beam))
-
-            generated = sum(len(refs) for refs, _ in per_slot)
-            survivors = reduce_redundant(per_slot, rht,
-                                         verify=cfg.verify_collisions)
-            rht.update(h for _, h, _ in survivors)
-            evaluated_hashes.extend(h for _, h, _ in survivors)
-            covs = evaluate_batch([c for c, _, _ in survivors], kb, examples,
-                                  threads=cfg.threads, memo=ext_memo)
-            weak_dropped = 0
-            for (c, h, slot), cov in zip(survivors, covs):
-                if is_weak(cov, examples, cfg.noise):
-                    weak_dropped += 1
-                    continue
-                parent = beam[slot]
-                he0 = concept_length(c)
-                sc = score(cov, parent.score.accuracy, he0, examples, cfg.eval_cfg)
-                node = SearchNode(c, h, he0, cov, sc, parent=parent,
-                                  expandable=he0 < cfg.max_length)
-                insert_node(st, node)
-                st_insertions[h] = sc.value
-                if sc.accuracy > best_accuracy:
-                    best_accuracy = sc.accuracy
-            iterations.append(IterationStats(
-                expanded=len(beam), generated=generated,
-                redundant_dropped=generated - len(survivors),
-                weak_dropped=weak_dropped, st_size=len(st),
-                elapsed_millis=elapsed_ms()))
-            if best_accuracy >= cfg.target_accuracy:
-                status = "solved"
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
 
     return SearchResult(
         hypotheses=extract_best_nodes(st, cfg.limit, expandable_only=False),
         status=status, st_nodes=st, st_insertions=st_insertions, rht=rht,
         evaluated_hashes=evaluated_hashes, iterations=iterations,
         wall_millis=elapsed_ms())
+
+
+def run_search(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchConfig,
+               stats: KbStatistics | None = None,
+               mb: list[Concept] | None = None) -> SearchResult:
+    """Run the full loop in this process until solved, exhausted, or out of
+    budget."""
+    if stats is None:
+        stats = compute_statistics(kb)
+    if mb is None:
+        mb = build_mb(kb, stats)
+    expander = LocalExpander(kb, examples, cfg, stats, mb)
+    return search_loop(kb, examples, cfg, expander, time.monotonic())

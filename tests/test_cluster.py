@@ -2,13 +2,15 @@ import contextlib
 import random
 import socket
 import struct
+import threading
 import types
 
 import pytest
 
-import dlbeam.cluster as cluster_mod
+import dlbeam.search as search_mod
+from dlbeam.cli import main
 from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
-                            MSG_BEST_HYPOTHESES, MSG_ERROR, MSG_EXPAND_RESULT,
+                            MSG_ERROR, MSG_EXPAND_RESULT,
                             MSG_EXPAND_TASK, MSG_HELLO, MSG_HELLO_ACK,
                             MSG_KB_ACK, MSG_KB_TRANSFER, MSG_PROBE,
                             MSG_PROBE_RESULT, MSG_TERMINATE, ProtocolError,
@@ -21,6 +23,7 @@ from dlbeam.concept import (Atomic, Exists, RoleExpr, TOP, concept_length,
                             hash_concept)
 from dlbeam.evaluation import (CoverageResult, Score, evaluate, evaluate_batch,
                                is_weak, score)
+from dlbeam.fixtures import fixture_path
 from dlbeam.kb import ExampleSet, compute_statistics, materialize, parse_kb
 from dlbeam.refine import RefinementConfig, build_mb
 from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
@@ -92,22 +95,14 @@ SAMPLE_NODES = [
 
 
 def test_block_round_trip():
-    data = serialize_block(SAMPLE_NODES)
-    assert deserialize_block(data) == SAMPLE_NODES
+    rng = random.Random(601)
+    random_nodes = [BlockNode(Atomic(rng.randrange(50)), rng.randint(1, 9),
+                              rng.randint(0, 9), rng.randint(0, 9), rng.random())
+                    for _ in range(64)]
+    for nodes in (SAMPLE_NODES, random_nodes):
+        assert deserialize_block(serialize_block(nodes)) == nodes
     assert serialize_block([]) == b"\x00\x00\x00\x00"
     assert deserialize_block(b"\x00\x00\x00\x00") == []
-
-
-def test_block_bytes_are_thread_count_invariant():
-    rng = random.Random(601)
-    nodes = [BlockNode(Atomic(rng.randrange(50)), rng.randint(1, 9),
-                       rng.randint(0, 9), rng.randint(0, 9), rng.random())
-             for _ in range(64)]
-    blobs = {serialize_block(nodes, threads=t) for t in (1, 2, 4, 8)}
-    assert len(blobs) == 1
-    data = blobs.pop()
-    for t in (1, 2, 4, 8):
-        assert deserialize_block(data, threads=t) == nodes
 
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -317,6 +312,22 @@ def test_worker_answers_an_over_deep_concept_with_error(smoke):
         assert sock.recv(1) == b""  # worker closed the connection
 
 
+@pytest.mark.parametrize("concept,message", [
+    (Atomic(999), b"node 0: class id 999 is not in the KB"),
+    (Exists(RoleExpr(77), Atomic(0)), b"node 0: role id 77 is not in the KB"),
+])
+def test_worker_answers_a_task_concept_outside_the_kb_with_error(
+        smoke, concept, message):
+    root = root_block_node(smoke)
+    task = BlockNode(concept, 4, root.pos_covered, root.neg_covered, root.value)
+    with master_connection(smoke) as (sock, _):
+        write_frame(sock, MSG_EXPAND_TASK, serialize_block([task]))
+        mtype, payload = read_frame(sock)
+        assert mtype == MSG_ERROR
+        assert message in payload
+        assert sock.recv(1) == b""  # worker closed the connection
+
+
 def send_kb_transfer_and_expect_error(payload, message):
     with master_connection(None, send_kb=False) as (sock, _):
         write_frame(sock, MSG_KB_TRANSFER, payload)
@@ -418,7 +429,7 @@ def test_worker_expands_empty_task(smoke):
 
 def test_worker_expand_matches_local_oracle(smoke):
     tasks = [root_block_node(smoke)]
-    with master_connection(smoke, threads=2) as (sock, _):
+    with master_connection(smoke) as (sock, _):
         write_frame(sock, MSG_EXPAND_TASK, serialize_block(tasks))
         mtype, payload = read_frame(sock)
         assert mtype == MSG_EXPAND_RESULT
@@ -431,7 +442,7 @@ def test_worker_expand_matches_local_oracle(smoke):
 
 def test_worker_expand_second_level(trains):
     # drive two levels by feeding results back as the next task block
-    with master_connection(trains, threads=2) as (sock, _):
+    with master_connection(trains) as (sock, _):
         tasks = [root_block_node(trains)]
         write_frame(sock, MSG_EXPAND_TASK, serialize_block(tasks))
         nodes, _ = _split_expand_result(read_frame(sock)[1])
@@ -445,18 +456,13 @@ def test_worker_expand_second_level(trains):
     assert weak2 == want_weak
 
 
-def test_worker_terminate_returns_best_and_closes(smoke):
+def test_worker_terminate_closes_without_reply(smoke):
     tasks = [root_block_node(smoke)]
     with master_connection(smoke) as (sock, _):
         write_frame(sock, MSG_EXPAND_TASK, serialize_block(tasks))
         read_frame(sock)
         write_frame(sock, MSG_TERMINATE)
-        mtype, payload = read_frame(sock)
-        assert mtype == MSG_BEST_HYPOTHESES
-        best = deserialize_block(payload)
-        assert len(best) == PARAMS.limit
-        assert best[0].value == max(bn.value for bn in best)
-        assert sock.recv(1) == b""
+        assert sock.recv(1) == b""  # no reply, and the connection is closed
 
 
 # --- master end-to-end ------------------------------------------------------
@@ -470,7 +476,7 @@ def master_cfg(w, **kwargs):
 
 
 def test_master_solves_trains_with_one_worker(trains):
-    with worker(cores=2, threads=2) as w:
+    with worker(cores=2) as w:
         res = run_master(trains.kb, trains.st, trains.examples,
                          master_cfg(w, max_length=7))
     assert res.status == "solved"
@@ -485,14 +491,14 @@ def test_master_solves_trains_with_one_worker(trains):
 
 
 def test_master_equivalent_to_local_search(trains):
-    with worker(cores=2, threads=2) as w1, worker(cores=2, threads=1) as w2:
+    with worker(cores=2) as w1, worker(cores=2) as w2:
         cfg = master_cfg(
             w1, worker_endpoints=(("127.0.0.1", w1.udp_port),
                                   ("127.0.0.1", w2.udp_port)),
-            expect_workers=2, max_length=5, target_accuracy=2.0)
+            expect_workers=2, max_length=6, target_accuracy=2.0)
         res = run_master(trains.kb, trains.st, trains.examples, cfg)
     local = run_search(trains.kb, trains.examples,
-                       SearchConfig(beam_width=4, max_length=5,
+                       SearchConfig(beam_width=4, max_length=6,
                                     target_accuracy=2.0))
     assert res.status == local.status == "exhausted"
     assert res.rht == local.rht
@@ -500,12 +506,17 @@ def test_master_equivalent_to_local_search(trains):
     best_c, best_l = res.hypotheses[0], local.hypotheses[0]
     assert best_c.concept == best_l.concept
     assert best_c.score == best_l.score
+    # Workers keep no per-node closed list, so generated and
+    # redundant_dropped differ; the rest matches iteration by iteration.
+    assert ([(i.expanded, i.weak_dropped, i.st_size) for i in res.iterations]
+            == [(i.expanded, i.weak_dropped, i.st_size)
+                for i in local.iterations])
 
 
 def test_master_keeps_open_list_in_order_on_every_iteration(
         trains, check_open_list):
-    calls = check_open_list(cluster_mod)
-    with worker(cores=4, threads=1) as w1, worker(cores=4, threads=1) as w2:
+    calls = check_open_list(search_mod)  # the module of search_loop
+    with worker(cores=4) as w1, worker(cores=4) as w2:
         cfg = master_cfg(
             w1, worker_endpoints=(("127.0.0.1", w1.udp_port),
                                   ("127.0.0.1", w2.udp_port)),
@@ -530,3 +541,120 @@ def test_master_raises_when_short_of_expected_workers(smoke):
         cfg = master_cfg(w, expect_workers=2, discovery_millis=400)
         with pytest.raises(ClusterError, match="expected 2 workers"):
             run_master(smoke.kb, smoke.st, smoke.examples, cfg)
+
+
+@contextlib.contextmanager
+def answering_pings(tcp_port):
+    """A UDP endpoint that answers every discovery ping with ``tcp_port``,
+    whether or not anything listens there. Yields its UDP port."""
+    udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    udp.bind(("127.0.0.1", 0))
+    udp.settimeout(0.1)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                _, addr = udp.recvfrom(64)
+            except socket.timeout:
+                continue
+            udp.sendto(b"SPDL!" + struct.pack(">H", tcp_port), addr)
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    try:
+        yield udp.getsockname()[1]
+    finally:
+        stop.set()
+        t.join(timeout=5)
+        udp.close()
+
+
+def unparseable_expand_result(payload, state):
+    return serialize_block([])  # a block without its weak-hash section
+
+
+def test_master_exits_3_when_a_discovered_port_refuses(capsys):
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]  # nobody listens once it is closed
+    with answering_pings(port) as udp_port:
+        code = main(["master", str(fixture_path("smoke.kb")),
+                     str(fixture_path("smoke.ex")),
+                     "--worker-endpoint", f"127.0.0.1:{udp_port}",
+                     "--expect-workers", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("cluster error: worker ('127.0.0.1', "
+                          f"{port}): cannot connect")
+
+
+@pytest.mark.parametrize("reply", [
+    frame_bytes(MSG_HELLO_ACK, b"\x00"),  # one byte where cores needs two
+    b"not a frame at all",
+])
+def test_master_closes_the_socket_of_a_failed_handshake(smoke, reply):
+    listener = socket.create_server(("127.0.0.1", 0))
+    after_reply = []
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10)
+            read_frame(conn)  # HELLO
+            conn.sendall(reply)
+            try:
+                after_reply.append(conn.recv(1))
+            except ConnectionResetError:  # closed with part of reply unread
+                after_reply.append(b"")
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    try:
+        with answering_pings(listener.getsockname()[1]) as udp_port:
+            cfg = MasterConfig(broadcast_addrs=(),
+                               worker_endpoints=(("127.0.0.1", udp_port),),
+                               discovery_millis=3000, expect_workers=1)
+            # excinfo keeps run_master's frames alive, so only an explicit
+            # close ends the connection before the join below.
+            with pytest.raises(ClusterError) as excinfo:
+                run_master(smoke.kb, smoke.st, smoke.examples, cfg)
+            t.join(timeout=15)
+        assert not t.is_alive()
+        assert after_reply == [b""]  # the master hung up
+        assert "worker ('127.0.0.1'" in str(excinfo.value)
+    finally:
+        listener.close()
+
+
+def test_master_requeues_the_block_of_a_worker_whose_reply_does_not_parse(
+        trains):
+    with worker(cores=2) as good, worker(cores=2) as bad:
+        bad._expand = unparseable_expand_result
+        cfg = master_cfg(
+            good, worker_endpoints=(("127.0.0.1", good.udp_port),
+                                    ("127.0.0.1", bad.udp_port)),
+            expect_workers=2, max_length=5, target_accuracy=2.0)
+        res = run_master(trains.kb, trains.st, trains.examples, cfg)
+    # The bad worker is dropped in the first iteration; the root stays in the
+    # open list if it was in the bad worker's block, so the run is a local
+    # one of the good worker's width.
+    local = run_search(trains.kb, trains.examples,
+                       SearchConfig(beam_width=2, max_length=5,
+                                    target_accuracy=2.0))
+    assert res.status == local.status == "exhausted"
+    assert res.rht == local.rht
+    assert res.st_insertions == local.st_insertions
+
+
+def test_master_exits_3_once_no_worker_is_left(capsys):
+    with worker() as w:
+        w._expand = unparseable_expand_result
+        code = main(["master", str(fixture_path("smoke.kb")),
+                     str(fixture_path("smoke.ex")),
+                     "--worker-endpoint", f"127.0.0.1:{w.udp_port}",
+                     "--expect-workers", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out.startswith("status: failed\n")
+    assert err == ""

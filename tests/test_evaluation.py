@@ -161,18 +161,14 @@ def test_evaluate_batch_matches_sequential(smoke):
     rng = random.Random(305)
     cs = [random_concept(rng, dims_of(smoke.kb)) for _ in range(120)]
     want = [evaluate(c, smoke.kb, smoke.examples) for c in cs]
-    for threads in (1, 2, 4, 8):
-        got = evaluate_batch(cs, smoke.kb, smoke.examples, threads=threads)
-        assert got == want
+    assert evaluate_batch(cs, smoke.kb, smoke.examples) == want
 
 
 def test_evaluate_batch_edge_cases(smoke):
-    assert evaluate_batch([], smoke.kb, smoke.examples, threads=4) == []
+    assert evaluate_batch([], smoke.kb, smoke.examples) == []
     c = Atomic(0)
-    got = evaluate_batch([c, c, c], smoke.kb, smoke.examples, threads=2)
+    got = evaluate_batch([c, c, c], smoke.kb, smoke.examples)
     assert got[0] == got[1] == got[2]
-    with pytest.raises(ValueError):
-        evaluate_batch([c], smoke.kb, smoke.examples, threads=0)
 
 
 # --- operand and filler memo ----------------------------------------------
@@ -239,8 +235,12 @@ def test_threads_sharing_one_memo_get_memo_free_results():
     examples = random_examples(rng, kb)
     base = concepts_sharing_operands(rng, kb, n=60)
     want_sets = [covered_set(c, kb) for c in base]
-    cs = base * 4  # each of four threads gets all of base as its chunk
-    want = evaluate_batch(cs, kb, examples, threads=1, keep_sets=True)
+    cs = base * 4  # every concept four times, so later copies hit the memo
+    want = evaluate_batch(cs, kb, examples, keep_sets=True)
+    memo = {}
+    assert evaluate_batch(cs, kb, examples, keep_sets=True, memo=memo) == want
+    assert memo
+    assert evaluate_batch(cs, kb, examples, keep_sets=True, memo=memo) == want
     failures = []
 
     def race(memo: dict, seed: int, start: threading.Barrier) -> None:
@@ -254,16 +254,8 @@ def test_threads_sharing_one_memo_get_memo_free_results():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            memo = {}
-            assert evaluate_batch(cs, kb, examples, threads=4, keep_sets=True,
-                                  memo=memo) == want
-            assert memo
-            assert evaluate_batch(cs, kb, examples, threads=1, keep_sets=True,
-                                  memo=memo) == want
-        # evaluate_batch starts its threads one after another, so the first
-        # may fill the memo alone; these four start together on a fresh memo
-        # each round and fill it while the others read it.
+        # Four threads start together on a fresh memo each round and fill it
+        # while the others read it.
         for r in range(60):
             memo, start = {}, threading.Barrier(4)
             threads = [threading.Thread(target=race, args=(memo, 4 * r + k, start))

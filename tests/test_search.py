@@ -147,9 +147,8 @@ def test_reduce_redundant_matches_fold_for_many_slot_counts():
 
 def test_reduce_redundant_slot_labels():
     a, b = Atomic(0), Atomic(1)
-    got = reduce_redundant([([a], set()), ([b, a], set())], rht=set(),
-                           slot_ids=[7, 9])
-    assert got == [(a, hash_concept(a), 7), (b, hash_concept(b), 9)]
+    got = reduce_redundant([([a], set()), ([b, a], set())], rht=set())
+    assert got == [(a, hash_concept(a), 0), (b, hash_concept(b), 1)]
 
 
 def test_reduce_redundant_collision_verification(monkeypatch):
@@ -264,18 +263,6 @@ def test_search_scores_are_insertion_scores(trains):
     assert len(res.st_nodes) == len(res.st_insertions)
 
 
-def test_search_thread_count_does_not_change_results(smoke):
-    base = run_search(smoke.kb, smoke.examples,
-                      SearchConfig(max_length=5, target_accuracy=2.0))
-    for threads in (2, 3):
-        res = run_search(smoke.kb, smoke.examples,
-                         SearchConfig(max_length=5, target_accuracy=2.0,
-                                      threads=threads))
-        assert res.status == base.status
-        assert res.st_insertions == base.st_insertions
-        assert res.rht == base.rht
-
-
 def test_search_iteration_stats_are_consistent(trains):
     res = run_search(trains.kb, trains.examples,
                      SearchConfig(beam_width=3, max_length=6))
@@ -300,8 +287,6 @@ def test_search_config_validation():
         SearchConfig(beam_width=0)
     with pytest.raises(ValueError):
         SearchConfig(limit=0)
-    with pytest.raises(ValueError):
-        SearchConfig(threads=0)
     with pytest.raises(ValueError):
         SearchConfig(max_length=0)
     for noise in (-0.1, 1.0, 1.5, float("nan")):
@@ -379,8 +364,8 @@ def test_a_second_search_computes_as_many_extensions_as_the_first(
     original = search_mod.evaluate_batch
     monkeypatch.setattr(
         search_mod, "evaluate_batch",
-        lambda cs, kb, examples, threads=1, keep_sets=False, memo=None:
-            original(cs, kb, examples, threads, keep_sets))
+        lambda cs, kb, examples, keep_sets=False, memo=None:
+            original(cs, kb, examples, keep_sets))
     before = len(calls)
     res = run_search(trains.kb, trains.examples, EXHAUST)
     assert len(calls) - before > counts[0]
@@ -391,9 +376,9 @@ def test_search_memo_holds_no_top_level_concept(trains, monkeypatch):
     batches = []
     original = search_mod.evaluate_batch
 
-    def recording(cs, kb, examples, threads=1, keep_sets=False, memo=None):
+    def recording(cs, kb, examples, keep_sets=False, memo=None):
         batches.append((list(cs), memo))
-        return original(cs, kb, examples, threads, keep_sets, memo)
+        return original(cs, kb, examples, keep_sets, memo)
 
     monkeypatch.setattr(search_mod, "evaluate_batch", recording)
     run_search(trains.kb, trains.examples, EXHAUST)
