@@ -1,6 +1,6 @@
 """Master-worker distributed search over a framed TCP protocol.
 
-Frame layout (big-endian): magic ``SPDL``, u16 version (1), u8 message type,
+Frame layout (big-endian): magic ``SPDL``, u16 version (2), u8 message type,
 u32 payload length, payload, u32 CRC32 over type byte + payload.
 
 Message types: 0x01 HELLO, 0x02 HELLO_ACK, 0x03 KB_TRANSFER, 0x04 KB_ACK,
@@ -10,24 +10,26 @@ on TERMINATE the worker closes the connection without one. Type 0x0A is
 reserved.
 
 Discovery is a UDP ping ``SPDL?`` + u16 0; a worker answers ``SPDL!`` + u16
-its TCP listen port, and the master opens one TCP connection per responder,
-each driven by a dedicated handler thread. The master's learning phase is
+its TCP listen port, and the master opens one TCP connection per responder.
+The master drives every connection from its own thread: it writes each
+worker's request, then reads each reply on that worker's socket, whose
+timeout drops a worker that stops answering. The master's learning phase is
 ``dlbeam.search.search_loop`` over an expander that sends each worker a
-block of the beam per iteration.
+block of the beam per iteration; the worker expands its block with the same
+``dlbeam.search.LocalExpander`` that a local run uses.
 
 A hypothesis block is u32 count, then per node: u32 length of the encoded
 concept, the encoding, u16 he, u32 covered positives, u32 covered negatives,
 f64 score value.
 
-An EXPAND_RESULT carries the evaluated non-weak refinements as a block,
-followed by the hashes of the weak ones (u32 count + u64 each) so the master
-can keep its closed list identical to a single-machine run's.
+An EXPAND_RESULT carries the hashes of the weak refinements (u32 count + u64
+each), so the master can keep its closed list identical to a single-machine
+run's, followed by the evaluated non-weak refinements as a block.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import socket
 import struct
 import threading
@@ -37,19 +39,19 @@ from dataclasses import dataclass
 
 from .concept import (And, Atomic, BoolEq, Concept, DecodeError, Exists,
                       Forall, MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
-                      StrEq, concept_length, decode, encode, hash_concept)
-from .evaluation import (CoverageResult, EvalConfig, Score, evaluate_batch,
-                         is_weak, score)
+                      StrEq, decode, encode, hash_concept)
+from .evaluation import CoverageResult, EvalConfig, Score, evaluate_batch
 from .kb import (ExampleSet, KbError, KnowledgeBase, SymbolTable,
                  compute_statistics, deserialize_kb, materialize, serialize_kb)
 from .refine import build_mb
-from .search import (IterationStats, SearchNode, expand_single_node,
-                     reduce_redundant, refinement_config, root_node,
+from .search import (IterationStats, LocalExpander, SearchConfig, SearchNode,
+                     expand_single_node, refinement_config, root_node,
                      search_loop)
-# Not called here since the master runs search_loop; bench/tracing.py still
-# wraps the master's calls under these names, and reads them as 0.
+# Not called here since the master runs search_loop and the worker a
+# LocalExpander; bench/tracing.py still wraps the master's calls under these
+# names, and reads them as 0.
 from .concept import sort_key  # noqa: F401
-from .search import extract_best_nodes  # noqa: F401
+from .search import extract_best_nodes, reduce_redundant  # noqa: F401
 
 __all__ = [
     "MSG_HELLO", "MSG_HELLO_ACK", "MSG_KB_TRANSFER", "MSG_KB_ACK", "MSG_PROBE",
@@ -64,7 +66,7 @@ __all__ = [
 ]
 
 FRAME_MAGIC = b"SPDL"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DISCOVER_PING = b"SPDL?"
 DISCOVER_REPLY = b"SPDL!"
 DEFAULT_UDP_PORT = 47901
@@ -85,7 +87,6 @@ MSG_ERROR = 0x0F
 
 _u16 = struct.Struct(">H")
 _u32 = struct.Struct(">I")
-_u64 = struct.Struct(">Q")
 _f64 = struct.Struct(">d")
 _HEADER = struct.Struct(">4sHBI")
 
@@ -242,6 +243,9 @@ class SearchParams:
         pen = _f64.unpack_from(data, pos + 16)[0]
         max_length = _u16.unpack_from(data, pos + 24)[0]
         limit = _u16.unpack_from(data, pos + 26)[0]
+        if max_length == 0 or limit == 0:
+            raise ProtocolError(f"max_length and limit must be >= 1, "
+                                f"got {max_length} and {limit}")
         flags = data[pos + 28]
         return cls(noise, gain, pen, max_length, limit,
                    bool(flags & 1), bool(flags & 2), bool(flags & 4),
@@ -249,6 +253,14 @@ class SearchParams:
 
     def eval_cfg(self) -> EvalConfig:
         return EvalConfig(self.gain_bonus, self.expansion_penalty)
+
+    def search_config(self) -> SearchConfig:
+        return SearchConfig(
+            limit=self.limit, noise=self.noise, max_length=self.max_length,
+            use_inverse_roles=self.use_inverse_roles,
+            use_cardinality=self.use_cardinality,
+            use_disjunction=self.use_disjunction,
+            use_negation=self.use_negation, eval_cfg=self.eval_cfg())
 
 
 def _pack_kb_transfer(kb: KnowledgeBase, st: SymbolTable, examples: ExampleSet,
@@ -436,23 +448,22 @@ class WorkerServer:
             except KbError as exc:  # a corrupt blob, or a KB that cannot close
                 raise ProtocolError(f"bad KB transfer: {exc}") from None
             stats = compute_statistics(kb)
-            # rcfg carries refine's memo and ext_memo evaluation's operand
-            # and filler extensions; both live as long as this state.
-            state.update(kb=kb, examples=examples, params=params, stats=stats,
-                         mb=build_mb(kb, stats), ext_memo={},
-                         rcfg=refinement_config(stats, params,
-                                                params.max_length))
+            # The expander's refine and extension memos live as long as this
+            # state, so a new KB_TRANSFER starts new ones.
+            state["expander"] = LocalExpander(kb, examples,
+                                              params.search_config(), stats,
+                                              build_mb(kb, stats))
             write_frame(conn, MSG_KB_ACK)
             return False
         if mtype == MSG_PROBE:
-            if "kb" not in state:
+            if "expander" not in state:
                 raise ProtocolError("PROBE before KB_TRANSFER")
             millis = self._probe(state)
             write_frame(conn, MSG_PROBE_RESULT,
                         _u16.pack(self.cores) + _u32.pack(millis))
             return False
         if mtype == MSG_EXPAND_TASK:
-            if "kb" not in state:
+            if "expander" not in state:
                 raise ProtocolError("EXPAND_TASK before KB_TRANSFER")
             write_frame(conn, MSG_EXPAND_RESULT, self._expand(payload, state))
             return False
@@ -462,59 +473,38 @@ class WorkerServer:
 
     def _probe(self, state: dict) -> int:
         """Expand Thing out to the probe depth and evaluate, for timing."""
-        kb, examples, params = state["kb"], state["examples"], state["params"]
+        ex = state["expander"]
         t0 = time.monotonic()
-        node = root_node(kb, examples, params.eval_cfg(), PROBE_HE)
+        node = root_node(ex.kb, ex.examples, ex.cfg.eval_cfg, PROBE_HE)
         # A config, and so a refine memo, of the probe's own, as is the
         # extension memo passed to evaluate_batch below.
-        rcfg = refinement_config(state["stats"], params, PROBE_HE)
+        rcfg = refinement_config(ex.stats, ex.cfg, PROBE_HE)
         emitted: list[Concept] = []
         while node.expandable and node.he < PROBE_HE:
-            refs, _ = expand_single_node(node, kb, state["stats"], state["mb"],
-                                         rcfg, PROBE_HE)
+            refs, _ = expand_single_node(node, ex.kb, ex.stats, ex.mb, rcfg,
+                                         PROBE_HE)
             emitted.extend(refs)
-        evaluate_batch(emitted, kb, examples, memo={})
+        evaluate_batch(emitted, ex.kb, ex.examples, memo={})
         return int((time.monotonic() - t0) * 1000)
 
     def _expand(self, payload: bytes, state: dict) -> bytes:
-        kb, examples, params = state["kb"], state["examples"], state["params"]
+        ex = state["expander"]
         tasks = deserialize_block(payload)
         for i, bn in enumerate(tasks):
-            _check_ids(bn.concept, kb, i)
-        per_slot = []
-        for bn in tasks:
-            node = SearchNode(bn.concept, hash_concept(bn.concept), bn.he,
-                              CoverageResult(bn.pos_covered, bn.neg_covered),
-                              Score(_accuracy(bn, examples), bn.value))
-            per_slot.append(expand_single_node(
-                node, kb, state["stats"], state["mb"], state["rcfg"],
-                params.max_length))
-
-        survivors = reduce_redundant(per_slot, rht=set())
-        covs = evaluate_batch([c for c, _, _ in survivors], kb, examples,
-                              memo=state["ext_memo"])
-        good: list[BlockNode] = []
-        weak_hashes: list[int] = []
-        for (c, h, slot), cov in zip(survivors, covs):
-            if is_weak(cov, examples, params.noise):
-                weak_hashes.append(h)
-                continue
-            parent_acc = _accuracy(tasks[slot], examples)
-            sc = score(cov, parent_acc, concept_length(c), examples,
-                       params.eval_cfg())
-            good.append(BlockNode(c, concept_length(c), cov.pos_covered,
-                                  cov.neg_covered, sc.value))
-
-        out = bytearray(serialize_block(good))
-        out += _u32.pack(len(weak_hashes))
-        for h in weak_hashes:
-            out += _u64.pack(h)
-        return bytes(out)
+            _check_ids(bn.concept, ex.kb, i)
+        beam = [SearchNode(bn.concept, hash_concept(bn.concept), bn.he,
+                           CoverageResult(bn.pos_covered, bn.neg_covered),
+                           Score(_accuracy(bn, ex.examples), bn.value))
+                for bn in tasks]
+        _generated, found = ex.expand(beam, set())
+        return _pack_expand_result(
+            [_block_node(n) for _h, n in found if n is not None],
+            [h for h, n in found if n is None])
 
 
 def _check_ids(c: Concept, kb: KnowledgeBase, node: int) -> None:
-    """Raise ProtocolError if ``c``, the concept of task node ``node``, names
-    a class or role that ``kb`` does not have."""
+    """Raise ProtocolError if ``c``, the concept of block node ``node``,
+    names a class or role that ``kb`` does not have."""
     if isinstance(c, (Atomic, NotAtomic)):
         what, i, n = "class", c.class_id, kb.num_classes
     elif isinstance(c, (Exists, Forall, MinCard, MaxCard)):
@@ -539,6 +529,29 @@ def _check_ids(c: Concept, kb: KnowledgeBase, node: int) -> None:
 def _accuracy(bn: BlockNode, examples: ExampleSet) -> float:
     return ((bn.pos_covered + (examples.neg_count - bn.neg_covered))
             / (examples.pos_count + examples.neg_count))
+
+
+def _block_node(n: SearchNode) -> BlockNode:
+    return BlockNode(n.concept, n.he, n.coverage.pos_covered,
+                     n.coverage.neg_covered, n.score.value)
+
+
+def _pack_expand_result(nodes: list[BlockNode], weak: list[int]) -> bytes:
+    """EXPAND_RESULT = u32 weak count + u64 weak hashes + block."""
+    return (struct.pack(f">I{len(weak)}Q", len(weak), *weak)
+            + serialize_block(nodes))
+
+
+def _split_expand_result(payload: bytes) -> tuple[list[BlockNode], list[int]]:
+    """The nodes and weak hashes of an EXPAND_RESULT."""
+    if len(payload) < 4:
+        raise ProtocolError("truncated expand result")
+    (wcount,) = _u32.unpack_from(payload, 0)
+    end = 4 + 8 * wcount
+    if end > len(payload):
+        raise ProtocolError("truncated weak-hash section")
+    weak = list(struct.unpack_from(f">{wcount}Q", payload, 4))
+    return deserialize_block(payload[end:]), weak
 
 
 # ---------------------------------------------------------------------------
@@ -630,50 +643,31 @@ def discover(cfg: MasterConfig) -> list[tuple[str, int]]:
     return found
 
 
-class _Handler(threading.Thread):
-    """One request/response channel per worker connection."""
-
-    def __init__(self, sock: socket.socket):
-        super().__init__(daemon=True)
-        self.sock = sock
-        self.inbox: queue.Queue = queue.Queue()
-        self.outbox: queue.Queue = queue.Queue()
-
-    def run(self) -> None:
-        while True:
-            item = self.inbox.get()
-            if item is None:
-                return
-            mtype, payload = item
-            try:
-                write_frame(self.sock, mtype, payload)
-                reply = read_frame(self.sock)
-                self.outbox.put(("ok", reply))
-            except Exception as exc:  # noqa: BLE001 - any I/O failure drops the worker
-                self.outbox.put(("err", exc))
-
-    def request(self, mtype: int, payload: bytes = b"") -> None:
-        self.inbox.put((mtype, payload))
-
-    def collect(self, timeout: float) -> tuple[str, object]:
+def _round_trip(socks: list[socket.socket], mtype: int, payloads: list[bytes],
+                reply_type: int) -> list[bytes | None]:
+    """Write each worker its request, then read each reply on that worker's
+    socket. Returns each reply's payload, or None for a worker whose write or
+    read failed (the socket's io_timeout included) or whose reply is not of
+    ``reply_type``."""
+    sent = []
+    for sock, payload in zip(socks, payloads):
         try:
-            return self.outbox.get(timeout=timeout)
-        except queue.Empty:
-            return ("err", ProtocolError("worker reply timeout"))
-
-    def shutdown(self) -> None:
-        self.inbox.put(None)
-        try:
-            self.sock.close()
+            write_frame(sock, mtype, payload)
+            sent.append(True)
         except OSError:
-            pass
-
-
-def _scatter_gather(handlers: list["_Handler"], requests: list[tuple[int, bytes]],
-                    timeout: float) -> list[tuple[str, object]]:
-    for h, (mtype, payload) in zip(handlers, requests):
-        h.request(mtype, payload)
-    return [h.collect(timeout) for h in handlers]
+            sent.append(False)
+    replies: list[bytes | None] = []
+    for sock, ok in zip(socks, sent):
+        reply = None
+        if ok:
+            try:
+                rtype, payload = read_frame(sock)
+                if rtype == reply_type:
+                    reply = payload
+            except (OSError, ProtocolError):
+                pass
+        replies.append(reply)
+    return replies
 
 
 def _hello(ep: tuple[str, int], timeout: float) -> tuple[socket.socket, int]:
@@ -698,14 +692,15 @@ def _hello(ep: tuple[str, int], timeout: float) -> tuple[socket.socket, int]:
 class _RemoteExpander:
     """Expands on the workers: each alive worker, fastest first, gets the
     next ``wn`` nodes of the beam as one EXPAND_TASK. A node's he grows only
-    once its worker has answered; a worker whose round trip fails or whose
-    reply does not parse is dropped, and its nodes stay in the open list
-    for a later iteration."""
+    once its worker has answered; a worker whose round trip fails, whose
+    reply does not parse or names a class or role outside ``kb`` is dropped,
+    and its nodes stay in the open list for a later iteration."""
 
-    def __init__(self, handlers: list[_Handler], workers: list[WorkerInfo],
-                 alive: list[int], examples: ExampleSet, cfg: MasterConfig):
-        self.handlers, self.workers, self.alive = handlers, workers, alive
-        self.examples, self.cfg = examples, cfg
+    def __init__(self, socks: list[socket.socket], workers: list[WorkerInfo],
+                 alive: list[int], kb: KnowledgeBase, examples: ExampleSet,
+                 cfg: MasterConfig):
+        self.socks, self.workers, self.alive = socks, workers, alive
+        self.kb, self.examples, self.cfg = kb, examples, cfg
 
     def width(self) -> int:
         return sum(self.workers[i].wn for i in self.alive)
@@ -717,21 +712,21 @@ class _RemoteExpander:
         for i in self.alive:
             blocks.append((i, beam[cursor:cursor + self.workers[i].wn]))
             cursor += self.workers[i].wn
-        replies = _scatter_gather(
-            [self.handlers[i] for i, _ in blocks],
-            [(MSG_EXPAND_TASK, serialize_block(
-                [BlockNode(n.concept, n.he, n.coverage.pos_covered,
-                           n.coverage.neg_covered, n.score.value)
-                 for n in block])) for _i, block in blocks],
-            self.cfg.io_timeout)
+        replies = _round_trip(
+            [self.socks[i] for i, _ in blocks], MSG_EXPAND_TASK,
+            [serialize_block([_block_node(n) for n in block])
+             for _i, block in blocks],
+            MSG_EXPAND_RESULT)
         max_length = self.cfg.max_length
         generated = 0
         found: list[tuple[int, SearchNode | None]] = []
-        for (wi, block), (status, reply) in zip(blocks, replies):
+        for (wi, block), reply in zip(blocks, replies):
             try:
-                if status != "ok" or reply[0] != MSG_EXPAND_RESULT:
+                if reply is None:
                     raise ProtocolError("no EXPAND_RESULT")
-                nodes, weak = _split_expand_result(reply[1])
+                nodes, weak = _split_expand_result(reply)
+                for i, bn in enumerate(nodes):
+                    _check_ids(bn.concept, self.kb, i)
             except ProtocolError:
                 self.alive.remove(wi)
                 continue
@@ -764,14 +759,12 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
     if cfg.expect_workers is not None and len(endpoints) < cfg.expect_workers:
         raise ClusterError(f"expected {cfg.expect_workers} workers, found {len(endpoints)}")
 
-    handlers: list[_Handler] = []
+    socks: list[socket.socket] = []
     workers: list[WorkerInfo] = []
     try:
         for cid, ep in enumerate(endpoints):
             sock, cores = _hello(ep, cfg.io_timeout)
-            h = _Handler(sock)
-            h.start()
-            handlers.append(h)
+            socks.append(sock)
             workers.append(WorkerInfo(address=ep, cores=cores,
                                       connection_id=cid))
 
@@ -785,18 +778,17 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
             use_disjunction=cfg.use_disjunction,
             use_negation=cfg.use_negation)
         kb_payload = _pack_kb_transfer(kb, st_sym, examples, params)
-        for status, reply in _scatter_gather(
-                handlers, [(MSG_KB_TRANSFER, kb_payload)] * len(handlers),
-                cfg.io_timeout):
-            if status != "ok" or reply[0] != MSG_KB_ACK:
-                raise ClusterError(f"KB transfer failed: {reply}")
-        for (status, reply), w in zip(
-                _scatter_gather(handlers, [(MSG_PROBE, b"")] * len(handlers),
-                                cfg.io_timeout), workers):
-            if status != "ok" or reply[0] != MSG_PROBE_RESULT or len(reply[1]) != 6:
+        for reply, w in zip(_round_trip(socks, MSG_KB_TRANSFER,
+                                        [kb_payload] * len(socks), MSG_KB_ACK),
+                            workers):
+            if reply is None:
+                raise ClusterError(f"KB transfer failed on worker {w.address}")
+        for reply, w in zip(_round_trip(socks, MSG_PROBE, [b""] * len(socks),
+                                        MSG_PROBE_RESULT), workers):
+            if reply is None or len(reply) != 6:
                 raise ClusterError(f"probe failed on worker {w.address}")
-            w.cores = _u16.unpack_from(reply[1], 0)[0]
-            w.probe_millis = _u32.unpack_from(reply[1], 2)[0]
+            w.cores = _u16.unpack_from(reply, 0)[0]
+            w.probe_millis = _u32.unpack_from(reply, 2)[0]
             w.wn = w.cores
 
         # Fastest worker takes the best block; ties broken by connection id.
@@ -805,13 +797,13 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
 
         phases.append("learning")
         res = search_loop(kb, examples, cfg,
-                          _RemoteExpander(handlers, workers, alive, examples,
+                          _RemoteExpander(socks, workers, alive, kb, examples,
                                           cfg), t0)
 
         phases.append("terminating")
         for i in alive:  # the workers close without a reply
             try:
-                write_frame(handlers[i].sock, MSG_TERMINATE)
+                write_frame(socks[i], MSG_TERMINATE)
             except OSError:
                 pass
         phases.append("done")
@@ -823,28 +815,5 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
             wall_millis=int((time.monotonic() - t0) * 1000),
             workers=workers, phases=phases)
     finally:
-        for h in handlers:
-            h.shutdown()
-
-
-def _split_expand_result(payload: bytes) -> tuple[list[BlockNode], list[int]]:
-    """EXPAND_RESULT = block + u32 weak count + u64 weak hashes."""
-    if len(payload) < 4:
-        raise ProtocolError("truncated expand result")
-    (count,) = _u32.unpack_from(payload, 0)
-    pos = 4
-    for i in range(count):
-        if pos + 4 > len(payload):
-            raise ProtocolError(f"node {i}: truncated length prefix")
-        (clen,) = _u32.unpack_from(payload, pos)
-        pos += 4 + clen + 18
-    if pos + 4 > len(payload):
-        raise ProtocolError("missing weak-hash section")
-    block = deserialize_block(payload[:pos])
-    (wcount,) = _u32.unpack_from(payload, pos)
-    pos += 4
-    if pos + 8 * wcount != len(payload):
-        raise ProtocolError("weak-hash section length mismatch")
-    weak = [_u64.unpack_from(payload, pos + 8 * i)[0] for i in range(wcount)]
-    return block, weak
-
+        for sock in socks:
+            sock.close()

@@ -6,9 +6,10 @@ to an expander, which refines them and evaluates the refinements; the loop
 adds each new hash to the global closed list (RHT) once, counts the weak
 ones, and inserts the rest into the open list at their place in its order.
 The in-process expander expands each node (each node keeps a private closed
-list spanning its own re-expansions), folds the per-node refinement lists
-through a pairwise staged reduction against the RHT, and evaluates the
-survivors in a batch; the cluster's sends blocks of the beam to workers.
+list spanning its own re-expansions), keeps the first occurrence of each
+hash across the per-node refinement lists that the RHT does not hold, and
+evaluates the survivors in a batch; the cluster's sends blocks of the beam to
+workers, each of which runs the same in-process expander on its block.
 
 The open list is kept sorted by each node's ``key``, (-score, canonical
 sort key), which is computed once when the node is built. Keys are unique,
@@ -180,58 +181,39 @@ def expand_single_node(node: SearchNode, kb: KnowledgeBase, stats: KbStatistics,
 def reduce_redundant(per_slot: list[tuple[list[Concept], set[int]]],
                      rht: set[int], verify: bool = False
                      ) -> list[tuple[Concept, int, int]]:
-    """Pairwise staged merge of per-slot refinement lists.
+    """First occurrence of each hash across the per-slot refinement lists.
 
     Returns (concept, hash, slot) triples ordered by ascending slot then the
     slot's original order; on a cross-slot duplicate the lower slot's copy
     survives; anything already in rht is dropped. With ``verify`` set, equal
     hashes from structurally different concepts raise.
     """
-    stages: list[list[tuple[Concept, int, int]]] = [
-        [(c, hash_concept(c), i) for c in refs]
-        for i, (refs, _closed) in enumerate(per_slot)
-    ]
     by_hash: dict[int, Concept] = {}
-    if verify:
-        for items in stages:
-            for c, h, _ in items:
-                prior = by_hash.setdefault(h, c)
-                if prior != c:
-                    raise RuntimeError(f"hash collision 0x{h:016x} between "
-                                       f"structurally different concepts")
-    while len(stages) > 1:
-        merged: list[list[tuple[Concept, int, int]]] = []
-        for i in range(0, len(stages) - 1, 2):
-            a, b = stages[i], stages[i + 1]
-            seen = {h for _, h, _ in a}
-            merged.append(a + [t for t in b if t[1] not in seen])
-        if len(stages) % 2:
-            merged.append(stages[-1])
-        stages = merged
-    result = stages[0] if stages else []
     out: list[tuple[Concept, int, int]] = []
     taken: set[int] = set()
-    for c, h, slot in result:
-        if h in rht or h in taken:
-            continue
-        taken.add(h)
-        out.append((c, h, slot))
+    for slot, (refs, _closed) in enumerate(per_slot):
+        for c in refs:
+            h = hash_concept(c)
+            if verify and by_hash.setdefault(h, c) != c:
+                raise RuntimeError(f"hash collision 0x{h:016x} between "
+                                   f"structurally different concepts")
+            if h in rht or h in taken:
+                continue
+            taken.add(h)
+            out.append((c, h, slot))
     return out
 
 
-def refinement_config(stats: KbStatistics, language, max_length: int
+def refinement_config(stats: KbStatistics, cfg: SearchConfig, max_length: int
                       ) -> RefinementConfig:
-    """A refinement config, and with it a refine memo, for one search.
-
-    ``language`` is a ``SearchConfig`` or the worker's ``SearchParams``: any
-    object with the four ``use_*`` switches of the hypothesis language.
-    """
+    """A refinement config, and with it a refine memo, for one search in the
+    hypothesis language of ``cfg``."""
     return RefinementConfig.from_stats(
         stats,
-        use_inverse_roles=language.use_inverse_roles,
-        use_cardinality=language.use_cardinality,
-        use_disjunction=language.use_disjunction,
-        use_negation=language.use_negation,
+        use_inverse_roles=cfg.use_inverse_roles,
+        use_cardinality=cfg.use_cardinality,
+        use_disjunction=cfg.use_disjunction,
+        use_negation=cfg.use_negation,
         max_length=max_length)
 
 
@@ -247,7 +229,7 @@ def root_node(kb: KnowledgeBase, examples: ExampleSet, eval_cfg: EvalConfig,
 class LocalExpander:
     """Expands in this process: each node through ``expand_single_node``, the
     slots through ``reduce_redundant``, the survivors in one
-    ``evaluate_batch``."""
+    ``evaluate_batch``. ``run_search`` and each cluster worker use it."""
 
     def __init__(self, kb: KnowledgeBase, examples: ExampleSet,
                  cfg: SearchConfig, stats: KbStatistics, mb: list[Concept]):

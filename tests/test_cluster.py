@@ -1,21 +1,26 @@
 import contextlib
+import functools
 import random
 import socket
 import struct
 import threading
+import time
 import types
 
 import pytest
 
+import dlbeam.cli as cli
 import dlbeam.search as search_mod
 from dlbeam.cli import main
 from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             MSG_ERROR, MSG_EXPAND_RESULT,
                             MSG_EXPAND_TASK, MSG_HELLO, MSG_HELLO_ACK,
                             MSG_KB_ACK, MSG_KB_TRANSFER, MSG_PROBE,
-                            MSG_PROBE_RESULT, MSG_TERMINATE, ProtocolError,
+                            MSG_PROBE_RESULT, MSG_TERMINATE, PROTOCOL_VERSION,
+                            ProtocolError,
                             SearchParams, WorkerServer, _accuracy,
-                            _pack_kb_transfer, _split_expand_result,
+                            _pack_expand_result, _pack_kb_transfer,
+                            _split_expand_result,
                             _unpack_kb_transfer, discover, frame_bytes,
                             parse_frame, read_frame, run_master,
                             serialize_block, deserialize_block, write_frame)
@@ -77,7 +82,8 @@ def test_read_frame_rejects_oversized_payload_header():
     import struct
     a, b = socket.socketpair()
     try:
-        a.sendall(struct.pack(">4sHBI", b"SPDL", 1, MSG_HELLO, 1 << 29))
+        a.sendall(struct.pack(">4sHBI", b"SPDL", PROTOCOL_VERSION, MSG_HELLO,
+                              1 << 29))
         with pytest.raises(ProtocolError, match="exceeds limit"):
             read_frame(b)
     finally:
@@ -124,6 +130,18 @@ def test_block_reports_nodes_with_bad_encodings_by_index():
     data[first_len + 4] = 0xEE  # unknown concept tag
     with pytest.raises(ProtocolError, match="node 1: unknown concept tag"):
         deserialize_block(bytes(data))
+
+
+def test_expand_result_round_trip_and_truncations():
+    weak = [0, 1, (1 << 64) - 1]
+    data = _pack_expand_result(SAMPLE_NODES, weak)
+    assert _split_expand_result(data) == (SAMPLE_NODES, weak)
+    assert _split_expand_result(_pack_expand_result([], [])) == ([], [])
+    for cut in range(len(data)):
+        with pytest.raises(ProtocolError):
+            _split_expand_result(data[:cut])
+    with pytest.raises(ProtocolError, match="trailing bytes"):
+        _split_expand_result(data + b"\x00")
 
 
 # --- parameter and KB payloads ----------------------------------------------
@@ -371,6 +389,14 @@ def test_worker_answers_a_kb_transfer_with_bad_noise_with_error(smoke):
         send_kb_transfer_and_expect_error(payload, b"noise must be in")
 
 
+def test_worker_answers_a_kb_transfer_with_a_zero_bound_with_error(smoke):
+    for params in (SearchParams(max_length=0), SearchParams(limit=0)):
+        payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, params)
+        with pytest.raises(ProtocolError, match="must be >= 1"):
+            _unpack_kb_transfer(payload)
+        send_kb_transfer_and_expect_error(payload, b"must be >= 1")
+
+
 # The smoke fixture's names with other memberships and facts, so the same
 # sort keys name concepts whose extensions differ from smoke's.
 MIRRORED_SMOKE = """\
@@ -589,8 +615,15 @@ def test_master_exits_3_when_a_discovered_port_refuses(capsys):
                           f"{port}): cannot connect")
 
 
+# One byte where cores needs two.
+SHORT_HELLO_ACK = frame_bytes(MSG_HELLO_ACK, b"\x00")
+
+
 @pytest.mark.parametrize("reply", [
-    frame_bytes(MSG_HELLO_ACK, b"\x00"),  # one byte where cores needs two
+    # The same frame from a worker of protocol version 1; the checksum
+    # covers only type and payload, so it stays valid.
+    SHORT_HELLO_ACK[:4] + struct.pack(">H", 1) + SHORT_HELLO_ACK[6:],
+    SHORT_HELLO_ACK,
     b"not a frame at all",
 ])
 def test_master_closes_the_socket_of_a_failed_handshake(smoke, reply):
@@ -627,21 +660,38 @@ def test_master_closes_the_socket_of_a_failed_handshake(smoke, reply):
         listener.close()
 
 
-def test_master_requeues_the_block_of_a_worker_whose_reply_does_not_parse(
-        trains):
+def master_with_a_bad_worker(fix, bad_expand):
+    """run_master on trains with two 2-core workers, one expanding through
+    ``bad_expand``, and the local run it must equal once that one is
+    dropped in the first iteration."""
     with worker(cores=2) as good, worker(cores=2) as bad:
-        bad._expand = unparseable_expand_result
+        bad._expand = bad_expand
         cfg = master_cfg(
             good, worker_endpoints=(("127.0.0.1", good.udp_port),
                                     ("127.0.0.1", bad.udp_port)),
             expect_workers=2, max_length=5, target_accuracy=2.0)
-        res = run_master(trains.kb, trains.st, trains.examples, cfg)
-    # The bad worker is dropped in the first iteration; the root stays in the
-    # open list if it was in the bad worker's block, so the run is a local
-    # one of the good worker's width.
-    local = run_search(trains.kb, trains.examples,
+        res = run_master(fix.kb, fix.st, fix.examples, cfg)
+    # The root stays in the open list if it was in the bad worker's block,
+    # so the run is a local one of the good worker's width.
+    local = run_search(fix.kb, fix.examples,
                        SearchConfig(beam_width=2, max_length=5,
                                     target_accuracy=2.0))
+    return res, local
+
+
+def test_master_requeues_the_block_of_a_worker_whose_reply_does_not_parse(
+        trains):
+    res, local = master_with_a_bad_worker(trains, unparseable_expand_result)
+    assert res.status == local.status == "exhausted"
+    assert res.rht == local.rht
+    assert res.st_insertions == local.st_insertions
+
+
+def test_master_drops_a_worker_that_returns_a_concept_outside_the_kb(trains):
+    outside = BlockNode(Atomic(999), 1, 5, 0, 2.0)
+    res, local = master_with_a_bad_worker(
+        trains, lambda payload, state: _pack_expand_result([outside], []))
+    assert hash_concept(outside.concept) not in res.rht
     assert res.status == local.status == "exhausted"
     assert res.rht == local.rht
     assert res.st_insertions == local.st_insertions
@@ -658,3 +708,46 @@ def test_master_exits_3_once_no_worker_is_left(capsys):
     assert code == 3
     assert out.startswith("status: failed\n")
     assert err == ""
+
+
+def test_master_drops_a_worker_that_stops_answering(monkeypatch, capsys):
+    """A worker that answers the handshake, then never an EXPAND_TASK, is
+    dropped by the master's socket timeout."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10)
+            replies = {MSG_HELLO: (MSG_HELLO_ACK, struct.pack(">H", 2)),
+                       MSG_KB_TRANSFER: (MSG_KB_ACK, b""),
+                       MSG_PROBE: (MSG_PROBE_RESULT, struct.pack(">HI", 2, 1))}
+            try:
+                while True:
+                    mtype, _ = read_frame(conn)
+                    if mtype in replies:
+                        write_frame(conn, *replies[mtype])
+            except (OSError, ProtocolError):  # the master hung up
+                pass
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    monkeypatch.setattr(cli, "MasterConfig",
+                        functools.partial(MasterConfig, io_timeout=0.5))
+    try:
+        with answering_pings(listener.getsockname()[1]) as udp_port:
+            t0 = time.monotonic()
+            code = main(["master", str(fixture_path("smoke.kb")),
+                         str(fixture_path("smoke.ex")),
+                         "--worker-endpoint", f"127.0.0.1:{udp_port}",
+                         "--expect-workers", "1"])
+            elapsed = time.monotonic() - t0
+        t.join(timeout=15)
+    finally:
+        listener.close()
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out.startswith("status: failed\n")
+    assert err == ""
+    assert elapsed < 5.0
+    assert not t.is_alive()
