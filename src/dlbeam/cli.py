@@ -93,6 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-local-worker", action="store_true")
     p.add_argument("--worker-endpoint", action="append", default=[],
                    metavar="HOST:PORT", help="directly pinged worker (repeatable)")
+    p.add_argument("--io-timeout", type=float, default=60.0, metavar="SECONDS",
+                   help="drop a worker that sends nothing for this long")
     _search_flags(p)
 
     p = sub.add_parser("worker", help="run a worker until interrupted")
@@ -222,7 +224,8 @@ def cmd_master(args) -> int:
         udp_port=args.broadcast_port,
         worker_endpoints=tuple(endpoints),
         discovery_millis=args.discovery_millis,
-        expect_workers=args.expect_workers)
+        expect_workers=args.expect_workers,
+        io_timeout=args.io_timeout)
     st_sym, kb = _load_kb(args.kb)
     examples = parse_examples(_read(args.examples), st_sym)
     materialize(kb, st_sym)

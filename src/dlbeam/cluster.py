@@ -1,6 +1,6 @@
 """Master-worker distributed search over a framed TCP protocol.
 
-Frame layout (big-endian): magic ``SPDL``, u16 version (2), u8 message type,
+Frame layout (big-endian): magic ``SPDL``, u16 version (3), u8 message type,
 u32 payload length, payload, u32 CRC32 over type byte + payload.
 
 Message types: 0x01 HELLO, 0x02 HELLO_ACK, 0x03 KB_TRANSFER, 0x04 KB_ACK,
@@ -22,13 +22,28 @@ A hypothesis block is u32 count, then per node: u32 length of the encoded
 concept, the encoding, u16 he, u32 covered positives, u32 covered negatives,
 f64 score value.
 
+An EXPAND_TASK starts with a known-hash section, u32 count + u64 each: the
+hashes added to the master's closed list (RHT) since its previous
+EXPAND_TASK, all of it for the first. The beam nodes to expand follow as a
+block. Each worker keeps a mirror of the RHT, which every KB_TRANSFER
+starts empty and each EXPAND_TASK extends by its known hashes, so before a
+worker expands, its mirror equals the master's RHT at the start of that
+iteration; the worker's expander drops every refinement the mirror holds
+before evaluating it, as a local run's expander drops what its RHT holds.
+
 An EXPAND_RESULT carries the hashes of the weak refinements (u32 count + u64
 each), so the master can keep its closed list identical to a single-machine
 run's, followed by the evaluated non-weak refinements as a block.
+
+A KB_TRANSFER is u32 length + the ``serialize_kb`` blob, the positive and
+the negative example ids (u32 count + u32 each), then the search parameters:
+f64 noise, f64 gain bonus, f64 expansion penalty, u16 max_length and a u8 of
+flags (inverse roles, cardinality, disjunction, negation from bit 0 up).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import struct
@@ -66,7 +81,7 @@ __all__ = [
 ]
 
 FRAME_MAGIC = b"SPDL"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 DISCOVER_PING = b"SPDL?"
 DISCOVER_REPLY = b"SPDL!"
 DEFAULT_UDP_PORT = 47901
@@ -219,7 +234,6 @@ class SearchParams:
     gain_bonus: float = 0.5
     expansion_penalty: float = 0.02
     max_length: int = 10
-    limit: int = 1
     use_inverse_roles: bool = True
     use_cardinality: bool = True
     use_disjunction: bool = True
@@ -230,11 +244,11 @@ class SearchParams:
                  | self.use_disjunction << 2 | self.use_negation << 3)
         return (_f64.pack(self.noise) + _f64.pack(self.gain_bonus)
                 + _f64.pack(self.expansion_penalty) + _u16.pack(self.max_length)
-                + _u16.pack(self.limit) + bytes([flags]))
+                + bytes([flags]))
 
     @classmethod
     def unpack(cls, data: bytes, pos: int) -> tuple["SearchParams", int]:
-        if pos + 29 > len(data):
+        if pos + 27 > len(data):
             raise ProtocolError("truncated search parameters")
         noise = _f64.unpack_from(data, pos)[0]
         if not 0.0 <= noise < 1.0:
@@ -242,21 +256,19 @@ class SearchParams:
         gain = _f64.unpack_from(data, pos + 8)[0]
         pen = _f64.unpack_from(data, pos + 16)[0]
         max_length = _u16.unpack_from(data, pos + 24)[0]
-        limit = _u16.unpack_from(data, pos + 26)[0]
-        if max_length == 0 or limit == 0:
-            raise ProtocolError(f"max_length and limit must be >= 1, "
-                                f"got {max_length} and {limit}")
-        flags = data[pos + 28]
-        return cls(noise, gain, pen, max_length, limit,
+        if max_length == 0:
+            raise ProtocolError("max_length must be >= 1, got 0")
+        flags = data[pos + 26]
+        return cls(noise, gain, pen, max_length,
                    bool(flags & 1), bool(flags & 2), bool(flags & 4),
-                   bool(flags & 8)), pos + 29
+                   bool(flags & 8)), pos + 27
 
     def eval_cfg(self) -> EvalConfig:
         return EvalConfig(self.gain_bonus, self.expansion_penalty)
 
     def search_config(self) -> SearchConfig:
         return SearchConfig(
-            limit=self.limit, noise=self.noise, max_length=self.max_length,
+            noise=self.noise, max_length=self.max_length,
             use_inverse_roles=self.use_inverse_roles,
             use_cardinality=self.use_cardinality,
             use_disjunction=self.use_disjunction,
@@ -448,11 +460,12 @@ class WorkerServer:
             except KbError as exc:  # a corrupt blob, or a KB that cannot close
                 raise ProtocolError(f"bad KB transfer: {exc}") from None
             stats = compute_statistics(kb)
-            # The expander's refine and extension memos live as long as this
-            # state, so a new KB_TRANSFER starts new ones.
+            # The expander's refine and extension memos, and the RHT mirror,
+            # live as long as this state, so a new KB_TRANSFER starts new ones.
             state["expander"] = LocalExpander(kb, examples,
                                               params.search_config(), stats,
                                               build_mb(kb, stats))
+            state["rht"] = set()
             write_frame(conn, MSG_KB_ACK)
             return False
         if mtype == MSG_PROBE:
@@ -488,15 +501,16 @@ class WorkerServer:
         return int((time.monotonic() - t0) * 1000)
 
     def _expand(self, payload: bytes, state: dict) -> bytes:
-        ex = state["expander"]
-        tasks = deserialize_block(payload)
+        ex, rht = state["expander"], state["rht"]
+        known, tasks = _split_expand_task(payload)
         for i, bn in enumerate(tasks):
             _check_ids(bn.concept, ex.kb, i)
+        rht.update(known)
         beam = [SearchNode(bn.concept, hash_concept(bn.concept), bn.he,
                            CoverageResult(bn.pos_covered, bn.neg_covered),
                            Score(_accuracy(bn, ex.examples), bn.value))
                 for bn in tasks]
-        _generated, found = ex.expand(beam, set())
+        _generated, found = ex.expand(beam, rht)
         return _pack_expand_result(
             [_block_node(n) for _h, n in found if n is not None],
             [h for h, n in found if n is None])
@@ -536,22 +550,42 @@ def _block_node(n: SearchNode) -> BlockNode:
                      n.coverage.neg_covered, n.score.value)
 
 
+def _pack_hashes(hashes: list[int]) -> bytes:
+    """u32 count + u64 each."""
+    return struct.pack(f">I{len(hashes)}Q", len(hashes), *hashes)
+
+
+def _split_hashes(payload: bytes, what: str) -> tuple[list[int], bytes]:
+    """The hashes of a leading u32 count + u64 section, and what follows."""
+    if len(payload) < 4:
+        raise ProtocolError(f"truncated {what} count")
+    (count,) = _u32.unpack_from(payload, 0)
+    end = 4 + 8 * count
+    if end > len(payload):
+        raise ProtocolError(f"truncated {what} section")
+    return list(struct.unpack_from(f">{count}Q", payload, 4)), payload[end:]
+
+
+def _pack_expand_task(known: list[int], nodes: list[BlockNode]) -> bytes:
+    """EXPAND_TASK = u32 known count + u64 known hashes + block."""
+    return _pack_hashes(known) + serialize_block(nodes)
+
+
+def _split_expand_task(payload: bytes) -> tuple[list[int], list[BlockNode]]:
+    """The known hashes and the nodes of an EXPAND_TASK."""
+    known, rest = _split_hashes(payload, "known-hash")
+    return known, deserialize_block(rest)
+
+
 def _pack_expand_result(nodes: list[BlockNode], weak: list[int]) -> bytes:
     """EXPAND_RESULT = u32 weak count + u64 weak hashes + block."""
-    return (struct.pack(f">I{len(weak)}Q", len(weak), *weak)
-            + serialize_block(nodes))
+    return _pack_hashes(weak) + serialize_block(nodes)
 
 
 def _split_expand_result(payload: bytes) -> tuple[list[BlockNode], list[int]]:
     """The nodes and weak hashes of an EXPAND_RESULT."""
-    if len(payload) < 4:
-        raise ProtocolError("truncated expand result")
-    (wcount,) = _u32.unpack_from(payload, 0)
-    end = 4 + 8 * wcount
-    if end > len(payload):
-        raise ProtocolError("truncated weak-hash section")
-    weak = list(struct.unpack_from(f">{wcount}Q", payload, 4))
-    return deserialize_block(payload[end:]), weak
+    weak, rest = _split_hashes(payload, "weak-hash")
+    return deserialize_block(rest), weak
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +611,8 @@ class MasterConfig:
     io_timeout: float = 60.0
 
     def __post_init__(self):
-        # limit and max_length travel to the workers as u16 (SearchParams).
+        # max_length travels to the workers as u16 (SearchParams); limit
+        # stays on the master, within the same bounds.
         for name in ("limit", "max_length"):
             if not 1 <= getattr(self, name) <= 0xFFFF:
                 raise ValueError(f"{name} must be in [1, 65535], "
@@ -589,6 +624,9 @@ class MasterConfig:
                              f"got {self.expect_workers}")
         for port in (self.udp_port, *(p for _h, p in self.worker_endpoints)):
             _check_port(port)
+        if not (math.isfinite(self.io_timeout) and self.io_timeout > 0):
+            raise ValueError(f"io_timeout must be a positive number of "
+                             f"seconds, got {self.io_timeout}")
 
 
 @dataclass
@@ -691,16 +729,20 @@ def _hello(ep: tuple[str, int], timeout: float) -> tuple[socket.socket, int]:
 
 class _RemoteExpander:
     """Expands on the workers: each alive worker, fastest first, gets the
-    next ``wn`` nodes of the beam as one EXPAND_TASK. A node's he grows only
-    once its worker has answered; a worker whose round trip fails, whose
-    reply does not parse or names a class or role outside ``kb`` is dropped,
-    and its nodes stay in the open list for a later iteration."""
+    next ``wn`` nodes of the beam as one EXPAND_TASK, with the RHT hashes
+    its mirror lacks. A node's he grows only once its worker has answered; a
+    worker whose round trip fails, whose reply does not parse or names a
+    class or role outside ``kb`` is dropped, and its nodes stay in the open
+    list for a later iteration."""
 
     def __init__(self, socks: list[socket.socket], workers: list[WorkerInfo],
                  alive: list[int], kb: KnowledgeBase, examples: ExampleSet,
                  cfg: MasterConfig):
         self.socks, self.workers, self.alive = socks, workers, alive
         self.kb, self.examples, self.cfg = kb, examples, cfg
+        # The RHT hashes already sent. Every alive worker gets every
+        # EXPAND_TASK, so this is each alive worker's mirror.
+        self.sent: set[int] = set()
 
     def width(self) -> int:
         return sum(self.workers[i].wn for i in self.alive)
@@ -712,9 +754,11 @@ class _RemoteExpander:
         for i in self.alive:
             blocks.append((i, beam[cursor:cursor + self.workers[i].wn]))
             cursor += self.workers[i].wn
+        known = sorted(rht - self.sent)
+        self.sent.update(known)
         replies = _round_trip(
             [self.socks[i] for i, _ in blocks], MSG_EXPAND_TASK,
-            [serialize_block([_block_node(n) for n in block])
+            [_pack_expand_task(known, [_block_node(n) for n in block])
              for _i, block in blocks],
             MSG_EXPAND_RESULT)
         max_length = self.cfg.max_length
@@ -772,7 +816,7 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
         params = SearchParams(
             noise=cfg.noise, gain_bonus=cfg.eval_cfg.gain_bonus,
             expansion_penalty=cfg.eval_cfg.expansion_penalty,
-            max_length=cfg.max_length, limit=cfg.limit,
+            max_length=cfg.max_length,
             use_inverse_roles=cfg.use_inverse_roles,
             use_cardinality=cfg.use_cardinality,
             use_disjunction=cfg.use_disjunction,

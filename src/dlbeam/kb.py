@@ -20,6 +20,7 @@ import shlex
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -61,10 +62,8 @@ class Interner:
     __slots__ = ("_ids", "_names")
 
     def __init__(self, names=()):
-        self._names: list[str] = []
-        self._ids: dict[str, int] = {}
-        for name in names:
-            self.intern(name)
+        self._names: list[str] = list(dict.fromkeys(names))
+        self._ids: dict[str, int] = {n: i for i, n in enumerate(self._names)}
 
     def intern(self, name: str) -> int:
         ident = self._ids.get(name)
@@ -258,11 +257,23 @@ class KnowledgeBase:
 
 @dataclass
 class ExampleSet:
-    """Positive/negative example masks over the individual id space."""
+    """Positive/negative example masks over the individual id space.
+
+    The masks are made read-only at construction, so the counts computed
+    there stay true.
+    """
 
     num_individuals: int
     positives: np.ndarray
     negatives: np.ndarray
+    pos_count: int = field(init=False, repr=False)
+    neg_count: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.positives.flags.writeable = False
+        self.negatives.flags.writeable = False
+        self.pos_count = int(np.count_nonzero(self.positives))
+        self.neg_count = int(np.count_nonzero(self.negatives))
 
     @classmethod
     def from_ids(cls, num_individuals: int, pos_ids, neg_ids) -> "ExampleSet":
@@ -271,14 +282,6 @@ class ExampleSet:
         pos[list(pos_ids)] = True
         neg[list(neg_ids)] = True
         return cls(num_individuals, pos, neg)
-
-    @property
-    def pos_count(self) -> int:
-        return int(np.count_nonzero(self.positives))
-
-    @property
-    def neg_count(self) -> int:
-        return int(np.count_nonzero(self.negatives))
 
     def pos_ids(self) -> list[int]:
         return [int(i) for i in np.nonzero(self.positives)[0]]
@@ -623,29 +626,23 @@ KB_VERSION = 1
 
 _u16 = struct.Struct(">H")
 _u32 = struct.Struct(">I")
-_f64 = struct.Struct(">d")
+
+# The fixed-width records of the payload, big-endian and unpadded.
+_ID = np.dtype(">u4")
+_PAIR = np.dtype([("a", ">u4"), ("b", ">u4")])
+_NUM_ROW = np.dtype([("a", ">u4"), ("b", ">f8")])
+_BOOL_ROW = np.dtype([("a", ">u4"), ("b", "u1")])
 
 
-class _Writer:
-    def __init__(self):
-        self.buf = bytearray()
+def _names_bytes(names: list[str]) -> bytes:
+    raws = [name.encode("utf-8") for name in names]
+    return _u32.pack(len(raws)) + b"".join(
+        chain.from_iterable(zip(map(_u32.pack, map(len, raws)), raws)))
 
-    def u8(self, v: int):
-        self.buf.append(v)
 
-    def u16(self, v: int):
-        self.buf += _u16.pack(v)
-
-    def u32(self, v: int):
-        self.buf += _u32.pack(v)
-
-    def f64(self, v: float):
-        self.buf += _f64.pack(v)
-
-    def string(self, s: str):
-        raw = s.encode("utf-8")
-        self.u32(len(raw))
-        self.buf += raw
+def _rows_bytes(rows: list[tuple], dtype: np.dtype) -> bytes:
+    """u32 count, then the rows as records of ``dtype``."""
+    return _u32.pack(len(rows)) + np.array(rows, dtype=dtype).tobytes()
 
 
 class _Reader:
@@ -653,84 +650,124 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def _take(self, n: int) -> bytes:
+    def _need(self, n: int) -> None:
         if self.pos + n > len(self.data):
             raise KbCodecError(f"truncated stream at byte {self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
 
     def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return _u16.unpack(self._take(2))[0]
+        self._need(1)
+        self.pos += 1
+        return self.data[self.pos - 1]
 
     def u32(self) -> int:
-        return _u32.unpack(self._take(4))[0]
+        self._need(4)
+        self.pos += 4
+        return _u32.unpack_from(self.data, self.pos - 4)[0]
 
-    def f64(self) -> float:
-        return _f64.unpack(self._take(8))[0]
+    def names(self) -> list[str]:
+        """u32 count, then per name u32 byte length and UTF-8 bytes."""
+        count = self.u32()
+        data, pos, end = self.data, self.pos, len(self.data)
+        unpack = _u32.unpack_from
+        raws = []
+        for _ in range(count):
+            if pos + 4 > end:
+                break
+            n = unpack(data, pos)[0]
+            if pos + 4 + n > end:
+                break
+            raws.append(data[pos + 4:pos + 4 + n])
+            pos += 4 + n
+        self.pos = pos
+        if len(raws) < count:
+            raise KbCodecError(f"truncated stream at byte {pos}")
+        try:
+            return [str(raw, "utf-8") for raw in raws]
+        except UnicodeDecodeError:
+            raise KbCodecError("bad UTF-8 in a name") from None
 
-    def string(self) -> str:
-        n = self.u32()
-        return self._take(n).decode("utf-8")
+    def records(self, dtype: np.dtype) -> np.ndarray:
+        """u32 count, then that many records of ``dtype``, in one read."""
+        count = self.u32()
+        self._need(count * dtype.itemsize)
+        arr = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.pos)
+        self.pos += count * dtype.itemsize
+        return arr
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+
+def _check_range(a: np.ndarray, a_limit: int, a_what: str,
+                 b: np.ndarray | None = None, b_limit: int = 0,
+                 b_what: str = "") -> None:
+    """Raise on the first record, in stream order, whose ``a`` id, or else
+    whose ``b`` id, is out of range."""
+    bad = a >= a_limit
+    if b is not None:
+        bad |= b >= b_limit
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if a[i] >= a_limit:
+        raise KbCodecError(f"{a_what} id {a[i]} out of range (< {a_limit})")
+    raise KbCodecError(f"{b_what} id {b[i]} out of range (< {b_limit})")
+
+
+def _pairs(rows: np.ndarray, a_limit: int, a_what: str, b_limit: int,
+           b_what: str) -> list[tuple[int, int]]:
+    _check_range(rows["a"], a_limit, a_what, rows["b"], b_limit, b_what)
+    return rows.tolist()
+
+
+def _unique(rows: list[tuple]) -> tuple[list[tuple], set[tuple]]:
+    """The first occurrence of each row in order, and the set of rows: what
+    adding them one by one through the ``KnowledgeBase.add_*`` methods
+    builds."""
+    seen = set(rows)
+    return (rows if len(seen) == len(rows) else list(dict.fromkeys(rows))), seen
+
+
+def _interner(names: list[str]) -> Interner:
+    interner = Interner(names)
+    if len(interner) != len(names):
+        raise KbCodecError("duplicate name in a namespace")
+    return interner
 
 
 def serialize_kb(kb: KnowledgeBase, st: SymbolTable) -> bytes:
-    """Binary form: magic, version, table sections, trailing CRC32 of payload."""
-    w = _Writer()
-    w.u8(1 if kb.materialized else 0)
+    """Binary form: magic, version, table sections, trailing CRC32 of payload.
+
+    The payload is the materialized flag (u8); the names of each namespace
+    and then each string role's values (u32 count, per name u32 length and
+    UTF-8 bytes); each class's sorted members (u32 count, u32 ids); the
+    subclass edges, each role's pairs and the subrole edges (u32 count, u32
+    id pairs); each numeric role's (u32 id, f64 value), each boolean role's
+    (u32 id, u8 0|1) and each string role's (u32 id, u32 value id) rows, each
+    list prefixed with its u32 count. All big-endian.
+    """
+    out = [b"\x01" if kb.materialized else b"\x00"]
     for interner in (st.class_names, st.role_names, st.num_role_names,
-                     st.bool_role_names, st.str_role_names, st.individual_names):
-        w.u32(len(interner))
-        for name in interner.names:
-            w.string(name)
-    for values in st.string_values:
-        w.u32(len(values))
-        for v in values.names:
-            w.string(v)
+                     st.bool_role_names, st.str_role_names, st.individual_names,
+                     *st.string_values):
+        out.append(_names_bytes(interner.names))
     for members in kb.class_members:
-        w.u32(len(members))
-        for iid in sorted(members):
-            w.u32(iid)
-    w.u32(len(kb.subclass_edges))
-    for sub, sup in kb.subclass_edges:
-        w.u32(sub)
-        w.u32(sup)
-    for pairs in kb.role_assertions:
-        w.u32(len(pairs))
-        for sub, obj in pairs:
-            w.u32(sub)
-            w.u32(obj)
-    w.u32(len(kb.subrole_edges))
-    for sub, sup in kb.subrole_edges:
-        w.u32(sub)
-        w.u32(sup)
-    for rows in kb.numeric_assertions:
-        w.u32(len(rows))
-        for sub, val in rows:
-            w.u32(sub)
-            w.f64(val)
-    for rows in kb.boolean_assertions:
-        w.u32(len(rows))
-        for sub, val in rows:
-            w.u32(sub)
-            w.u8(1 if val else 0)
-    for rows in kb.string_assertions:
-        w.u32(len(rows))
-        for sub, vi in rows:
-            w.u32(sub)
-            w.u32(vi)
-    payload = bytes(w.buf)
+        out.append(_u32.pack(len(members))
+                   + np.array(sorted(members), dtype=_ID).tobytes())
+    out.append(_rows_bytes(kb.subclass_edges, _PAIR))
+    out.extend(_rows_bytes(pairs, _PAIR) for pairs in kb.role_assertions)
+    out.append(_rows_bytes(kb.subrole_edges, _PAIR))
+    out.extend(_rows_bytes(rows, _NUM_ROW) for rows in kb.numeric_assertions)
+    out.extend(_rows_bytes(rows, _BOOL_ROW) for rows in kb.boolean_assertions)
+    out.extend(_rows_bytes(rows, _PAIR) for rows in kb.string_assertions)
+    payload = b"".join(out)
     return KB_MAGIC + _u16.pack(KB_VERSION) + payload + _u32.pack(zlib.crc32(payload))
 
 
 def deserialize_kb(data: bytes) -> tuple[SymbolTable, KnowledgeBase]:
-    """Inverse of serialize_kb, validating magic, version and checksum."""
+    """Inverse of serialize_kb, validating magic, version and checksum, the
+    names, the ids and booleans of every record, and that nothing trails the
+    payload; each failure raises ``KbCodecError``. Repeated rows are kept
+    once, in first-occurrence order, as the ``KnowledgeBase.add_*`` methods
+    keep them.
+    """
     if len(data) < 10:
         raise KbCodecError("truncated stream: missing header")
     if data[:4] != KB_MAGIC:
@@ -749,56 +786,51 @@ def deserialize_kb(data: bytes) -> tuple[SymbolTable, KnowledgeBase]:
     if materialized not in (0, 1):
         raise KbCodecError(f"bad materialized flag {materialized}")
     adders = (
-        (st.class_names, kb.add_class), (st.role_names, kb.add_role),
-        (st.num_role_names, kb.add_num_role), (st.bool_role_names, kb.add_bool_role),
-        (st.str_role_names, kb.add_str_role), (st.individual_names, kb.add_individual),
+        ("class_names", kb.add_class), ("role_names", kb.add_role),
+        ("num_role_names", kb.add_num_role), ("bool_role_names", kb.add_bool_role),
+        ("str_role_names", kb.add_str_role),
     )
-    for interner, add in adders:
-        for _ in range(r.u32()):
-            interner.intern(r.string())
+    for attr, add in adders:
+        names = r.names()
+        setattr(st, attr, _interner(names))
+        for _ in names:
             add()
-    for _ in range(len(st.str_role_names)):
-        values = Interner()
-        for _ in range(r.u32()):
-            values.intern(r.string())
-        st.string_values.append(values)
-
-    def check_id(ident: int, limit: int, what: str) -> int:
-        if ident >= limit:
-            raise KbCodecError(f"{what} id {ident} out of range (< {limit})")
-        return ident
+    st.individual_names = _interner(r.names())
+    kb.num_individuals = len(st.individual_names)
+    st.string_values = [_interner(r.names()) for _ in st.str_role_names.names]
 
     n_ind = kb.num_individuals
-    for cid in range(kb.num_classes):
-        for _ in range(r.u32()):
-            kb.class_members[cid].add(check_id(r.u32(), n_ind, "individual"))
-    for _ in range(r.u32()):
-        kb.add_subclass(check_id(r.u32(), kb.num_classes, "class"),
-                        check_id(r.u32(), kb.num_classes, "class"))
+    for members in kb.class_members:
+        ids = r.records(_ID)
+        _check_range(ids, n_ind, "individual")
+        members.update(ids.tolist())
+    kb.subclass_edges, kb._edge_set = _unique(
+        _pairs(r.records(_PAIR), kb.num_classes, "class", kb.num_classes, "class"))
     for rid in range(kb.num_roles):
-        for _ in range(r.u32()):
-            kb.add_fact(rid, check_id(r.u32(), n_ind, "individual"),
-                        check_id(r.u32(), n_ind, "individual"))
-    for _ in range(r.u32()):
-        kb.add_subrole(check_id(r.u32(), kb.num_roles, "role"),
-                       check_id(r.u32(), kb.num_roles, "role"))
+        kb.role_assertions[rid], kb._role_pair_sets[rid] = _unique(
+            _pairs(r.records(_PAIR), n_ind, "individual", n_ind, "individual"))
+    kb.subrole_edges, kb._redge_set = _unique(
+        _pairs(r.records(_PAIR), kb.num_roles, "role", kb.num_roles, "role"))
     for rid in range(len(kb.numeric_assertions)):
-        for _ in range(r.u32()):
-            sub = check_id(r.u32(), n_ind, "individual")
-            kb.add_num_fact(rid, sub, r.f64())
+        rows = r.records(_NUM_ROW)
+        _check_range(rows["a"], n_ind, "individual")
+        kb.numeric_assertions[rid], kb._num_sets[rid] = _unique(rows.tolist())
     for rid in range(len(kb.boolean_assertions)):
-        for _ in range(r.u32()):
-            sub = check_id(r.u32(), n_ind, "individual")
-            flag = r.u8()
-            if flag not in (0, 1):
-                raise KbCodecError(f"bad boolean {flag}")
-            kb.add_bool_fact(rid, sub, bool(flag))
+        rows = r.records(_BOOL_ROW)
+        subs, flags = rows["a"], rows["b"]
+        bad = flags > 1
+        if bad.any():
+            first = int(np.argmax(bad))
+            _check_range(subs[:first + 1], n_ind, "individual")  # ids come first
+            raise KbCodecError(f"bad boolean {flags[first]}")
+        _check_range(subs, n_ind, "individual")
+        kb.boolean_assertions[rid], kb._bool_sets[rid] = _unique(
+            list(zip(subs.tolist(), (flags == 1).tolist())))
     for rid in range(len(kb.string_assertions)):
-        for _ in range(r.u32()):
-            sub = check_id(r.u32(), n_ind, "individual")
-            kb.add_str_fact(rid, sub, check_id(r.u32(), len(st.string_values[rid]),
-                                               "string value"))
-    if not r.done():
+        kb.string_assertions[rid], kb._str_sets[rid] = _unique(
+            _pairs(r.records(_PAIR), n_ind, "individual",
+                   len(st.string_values[rid]), "string value"))
+    if r.pos != len(payload):
         raise KbCodecError(f"{len(payload) - r.pos} trailing payload bytes")
 
     if materialized:

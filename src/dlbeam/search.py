@@ -104,8 +104,10 @@ class IterationStats:
     While no worker fails, a cluster run has the same ``expanded``,
     ``weak_dropped`` and ``st_size`` as a local run of the same beam width,
     iteration by iteration. Its ``generated`` and ``redundant_dropped``
-    differ: workers keep no per-node closed list across iterations, so they
-    return again refinements that the master then drops as known.
+    differ: a local run's ``generated`` counts every refinement, a
+    cluster's only those its workers' RHT mirrors did not hold, so its
+    ``redundant_dropped`` counts just the hashes that more than one worker
+    returned.
     """
 
     expanded: int

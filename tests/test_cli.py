@@ -161,6 +161,14 @@ def test_master_rejects_malformed_endpoint(capsys):
      "port must be in [0, 65535], got 70000"),
     (["master", "--worker-endpoint", "127.0.0.1:70000"],
      "port must be in [0, 65535], got 70000"),
+    (["master", "--io-timeout", "0"],
+     "io_timeout must be a positive number of seconds, got 0.0"),
+    (["master", "--io-timeout", "-1"],
+     "io_timeout must be a positive number of seconds, got -1.0"),
+    (["master", "--io-timeout", "nan"],
+     "io_timeout must be a positive number of seconds, got nan"),
+    (["master", "--io-timeout", "inf"],
+     "io_timeout must be a positive number of seconds, got inf"),
 ])
 def test_bad_search_flags_are_rejected_before_any_file_is_read(
         capsys, tmp_path, argv, fragment):

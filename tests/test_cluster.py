@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import random
 import socket
 import struct
@@ -9,7 +8,6 @@ import types
 
 import pytest
 
-import dlbeam.cli as cli
 import dlbeam.search as search_mod
 from dlbeam.cli import main
 from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
@@ -153,21 +151,20 @@ def test_search_params_round_trip():
                          gain_bonus=rng.random(),
                          expansion_penalty=rng.random() / 10,
                          max_length=rng.randint(1, 20),
-                         limit=rng.randint(1, 5),
                          use_inverse_roles=rng.random() < 0.5,
                          use_cardinality=rng.random() < 0.5,
                          use_disjunction=rng.random() < 0.5,
                          use_negation=rng.random() < 0.5)
         packed = p.pack()
-        assert len(packed) == 29
+        assert len(packed) == 27
         q, end = SearchParams.unpack(packed, 0)
-        assert q == p and end == 29
+        assert q == p and end == 27
     with pytest.raises(ProtocolError):
         SearchParams.unpack(SearchParams().pack()[:-1], 0)
 
 
 def test_kb_transfer_round_trip(smoke):
-    params = SearchParams(max_length=5, limit=2, use_disjunction=False)
+    params = SearchParams(max_length=5, use_disjunction=False)
     payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, params)
     st2, kb2, ex2, params2 = _unpack_kb_transfer(payload)
     assert st2 == smoke.st
@@ -221,6 +218,8 @@ def test_discover_times_out_with_nobody_listening():
 # --- worker protocol --------------------------------------------------------
 
 PARAMS = SearchParams(max_length=5)
+# The known-hash section of an EXPAND_TASK that names no known hash.
+NO_KNOWN = struct.pack(">I", 0)
 
 
 @contextlib.contextmanager
@@ -323,7 +322,7 @@ def test_worker_answers_an_over_deep_concept_with_error(smoke):
     block = (struct.pack(">II", 1, len(enc)) + enc
              + struct.pack(">HIId", 1, 0, 0, 0.5))
     with master_connection(smoke) as (sock, _):
-        write_frame(sock, MSG_EXPAND_TASK, block)
+        write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + block)
         mtype, payload = read_frame(sock)
         assert mtype == MSG_ERROR
         assert b"node 0: concept nested deeper than" in payload
@@ -339,7 +338,7 @@ def test_worker_answers_a_task_concept_outside_the_kb_with_error(
     root = root_block_node(smoke)
     task = BlockNode(concept, 4, root.pos_covered, root.neg_covered, root.value)
     with master_connection(smoke) as (sock, _):
-        write_frame(sock, MSG_EXPAND_TASK, serialize_block([task]))
+        write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block([task]))
         mtype, payload = read_frame(sock)
         assert mtype == MSG_ERROR
         assert message in payload
@@ -390,7 +389,7 @@ def test_worker_answers_a_kb_transfer_with_bad_noise_with_error(smoke):
 
 
 def test_worker_answers_a_kb_transfer_with_a_zero_bound_with_error(smoke):
-    for params in (SearchParams(max_length=0), SearchParams(limit=0)):
+    for params in (SearchParams(max_length=0),):
         payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, params)
         with pytest.raises(ProtocolError, match="must be >= 1"):
             _unpack_kb_transfer(payload)
@@ -438,7 +437,7 @@ def test_a_new_kb_transfer_starts_a_new_extension_memo(smoke):
             root = root_block_node(fix)
             tasks = [BlockNode(TOP, 4, root.pos_covered, root.neg_covered,
                                root.value)]
-            write_frame(sock, MSG_EXPAND_TASK, serialize_block(tasks))
+            write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block(tasks))
             mtype, payload = read_frame(sock)
             assert mtype == MSG_EXPAND_RESULT
             assert _split_expand_result(payload) == local_expand_oracle(
@@ -447,7 +446,7 @@ def test_a_new_kb_transfer_starts_a_new_extension_memo(smoke):
 
 def test_worker_expands_empty_task(smoke):
     with master_connection(smoke) as (sock, _):
-        write_frame(sock, MSG_EXPAND_TASK, serialize_block([]))
+        write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block([]))
         mtype, payload = read_frame(sock)
         assert mtype == MSG_EXPAND_RESULT
         assert _split_expand_result(payload) == ([], [])
@@ -456,7 +455,7 @@ def test_worker_expands_empty_task(smoke):
 def test_worker_expand_matches_local_oracle(smoke):
     tasks = [root_block_node(smoke)]
     with master_connection(smoke) as (sock, _):
-        write_frame(sock, MSG_EXPAND_TASK, serialize_block(tasks))
+        write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block(tasks))
         mtype, payload = read_frame(sock)
         assert mtype == MSG_EXPAND_RESULT
         nodes, weak = _split_expand_result(payload)
@@ -470,10 +469,10 @@ def test_worker_expand_second_level(trains):
     # drive two levels by feeding results back as the next task block
     with master_connection(trains) as (sock, _):
         tasks = [root_block_node(trains)]
-        write_frame(sock, MSG_EXPAND_TASK, serialize_block(tasks))
+        write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block(tasks))
         nodes, _ = _split_expand_result(read_frame(sock)[1])
         level2 = sorted(nodes, key=lambda bn: -bn.value)[:4]
-        write_frame(sock, MSG_EXPAND_TASK, serialize_block(level2))
+        write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block(level2))
         mtype, payload = read_frame(sock)
         assert mtype == MSG_EXPAND_RESULT
         nodes2, weak2 = _split_expand_result(payload)
@@ -485,7 +484,7 @@ def test_worker_expand_second_level(trains):
 def test_worker_terminate_closes_without_reply(smoke):
     tasks = [root_block_node(smoke)]
     with master_connection(smoke) as (sock, _):
-        write_frame(sock, MSG_EXPAND_TASK, serialize_block(tasks))
+        write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block(tasks))
         read_frame(sock)
         write_frame(sock, MSG_TERMINATE)
         assert sock.recv(1) == b""  # no reply, and the connection is closed
@@ -532,11 +531,23 @@ def test_master_equivalent_to_local_search(trains):
     best_c, best_l = res.hypotheses[0], local.hypotheses[0]
     assert best_c.concept == best_l.concept
     assert best_c.score == best_l.score
-    # Workers keep no per-node closed list, so generated and
+    # A cluster's generated counts only the refinements its workers' RHT
+    # mirrors lacked, a local run's every refinement, so generated and
     # redundant_dropped differ; the rest matches iteration by iteration.
     assert ([(i.expanded, i.weak_dropped, i.st_size) for i in res.iterations]
             == [(i.expanded, i.weak_dropped, i.st_size)
                 for i in local.iterations])
+
+
+def test_a_lone_worker_returns_only_refinements_new_to_the_rht(trains):
+    with worker(cores=4) as w:
+        res = run_master(trains.kb, trains.st, trains.examples,
+                         master_cfg(w, max_length=5, target_accuracy=2.0))
+    assert res.status == "exhausted"
+    # With no second worker to return the same hash, every refinement
+    # returned is evaluated once: the RHT is the root plus all of them.
+    assert sum(i.generated for i in res.iterations) == len(res.rht) - 1
+    assert all(i.redundant_dropped == 0 for i in res.iterations)
 
 
 def test_master_keeps_open_list_in_order_on_every_iteration(
@@ -620,9 +631,10 @@ SHORT_HELLO_ACK = frame_bytes(MSG_HELLO_ACK, b"\x00")
 
 
 @pytest.mark.parametrize("reply", [
-    # The same frame from a worker of protocol version 1; the checksum
+    # The same frame from a worker of protocol version 1 or 2; the checksum
     # covers only type and payload, so it stays valid.
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 1) + SHORT_HELLO_ACK[6:],
+    SHORT_HELLO_ACK[:4] + struct.pack(">H", 2) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK,
     b"not a frame at all",
 ])
@@ -710,7 +722,7 @@ def test_master_exits_3_once_no_worker_is_left(capsys):
     assert err == ""
 
 
-def test_master_drops_a_worker_that_stops_answering(monkeypatch, capsys):
+def test_master_drops_a_worker_that_stops_answering(capsys):
     """A worker that answers the handshake, then never an EXPAND_TASK, is
     dropped by the master's socket timeout."""
     listener = socket.create_server(("127.0.0.1", 0))
@@ -732,15 +744,13 @@ def test_master_drops_a_worker_that_stops_answering(monkeypatch, capsys):
 
     t = threading.Thread(target=serve, daemon=True)
     t.start()
-    monkeypatch.setattr(cli, "MasterConfig",
-                        functools.partial(MasterConfig, io_timeout=0.5))
     try:
         with answering_pings(listener.getsockname()[1]) as udp_port:
             t0 = time.monotonic()
             code = main(["master", str(fixture_path("smoke.kb")),
                          str(fixture_path("smoke.ex")),
                          "--worker-endpoint", f"127.0.0.1:{udp_port}",
-                         "--expect-workers", "1"])
+                         "--expect-workers", "1", "--io-timeout", "0.5"])
             elapsed = time.monotonic() - t0
         t.join(timeout=15)
     finally:

@@ -107,6 +107,23 @@ def test_example_set_from_ids():
     assert list(ex.negatives) == [False, True, False, False, False]
 
 
+def test_example_counts_are_fixed_at_construction_over_read_only_masks():
+    rng = random.Random(105)
+    for _ in range(20):
+        n = rng.randint(1, 40)
+        ids = rng.sample(range(n), rng.randint(0, n))
+        cut = rng.randint(0, len(ids))
+        ex = ExampleSet.from_ids(n, ids[:cut], ids[cut:])
+        assert ex.pos_count == np.count_nonzero(ex.positives) == cut
+        assert ex.neg_count == np.count_nonzero(ex.negatives) == len(ids) - cut
+        for mask in (ex.positives, ex.negatives):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = not mask[0]
+            with pytest.raises(ValueError, match="read-only"):
+                mask[:] = True
+        assert ex.pos_count == cut and ex.neg_count == len(ids) - cut
+
+
 # --- materialization --------------------------------------------------------
 
 DIAMOND = """\
