@@ -315,6 +315,13 @@ def _unpack_kb_transfer(payload: bytes
 
     pos_ids, pos = id_list(pos)
     neg_ids, pos = id_list(pos)
+    # The rules parse_examples applies to an example file.
+    if not pos_ids:
+        raise ProtocolError("no positive examples")
+    if not neg_ids:
+        raise ProtocolError("no negative examples")
+    if not set(pos_ids).isdisjoint(neg_ids):
+        raise ProtocolError("an example is both positive and negative")
     params, pos = SearchParams.unpack(payload, pos)
     if pos != len(payload):
         raise ProtocolError("trailing bytes after KB transfer")

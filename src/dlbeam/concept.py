@@ -1,10 +1,12 @@
 """Class-expression trees: canonical form, ordering, codec, hashing, rendering.
 
 Concepts are immutable trees in negation normal form (negation on atomic
-classes only). Conjunction/disjunction operands are kept flattened,
-deduplicated and sorted by a fixed total order, so syntactically different
-spellings of the same expression share one canonical tree, one binary
-encoding and one 64-bit hash.
+classes only). ``connective``, the one builder of an And or Or, keeps their
+operands flattened, deduplicated and sorted by a fixed total order, so
+syntactically different spellings of the same expression share one
+canonical tree, one binary encoding and one 64-bit hash. The program's own
+concepts are canonical by construction; ``canonicalize`` is for concepts
+that come from outside, such as parsed text.
 
 Each concept object stores three facts about itself the first time they are
 asked for: its hash (``hash_concept``), its length (``concept_length``) and
@@ -13,7 +15,7 @@ base class for as long as the object does, and take no part in equality,
 ``hash()``, ``repr`` or pickling. Since a concept never changes, a stored
 fact always equals a fresh computation; an equal concept built separately
 computes its own. ``canonicalize`` returns an already canonical concept
-unchanged, so the facts of the objects the search passes around survive it.
+unchanged, so its stored facts survive it.
 
 ``decode`` and ``parse_concept`` refuse trees nested deeper than
 ``MAX_NESTING`` levels with their own typed error, so untrusted bytes or
@@ -45,7 +47,7 @@ __all__ = [
     "Or",
     "TOP",
     "canonicalize",
-    "compare_canonical",
+    "connective",
     "sort_key",
     "encode",
     "decode",
@@ -57,6 +59,7 @@ __all__ = [
     "parse_concept",
     "ConceptParseError",
     "MAX_NESTING",
+    "MAX_CARDINALITY",
 ]
 
 # Deepest constructor nesting (Thing or an atom is one level, each
@@ -257,19 +260,31 @@ def _compute_sort_key(c: Concept):
     raise TypeError(f"not a concept: {c!r}")
 
 
-def compare_canonical(a: Concept, b: Concept) -> int:
-    """Total order over canonical concepts: -1, 0 or 1."""
-    ka, kb = sort_key(a), sort_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
+def connective(t: type, children) -> Concept:
+    """The canonical ``t`` (``And`` or ``Or``) of canonical ``children``:
+    operands of type ``t`` flattened in, duplicates (equal sort keys)
+    dropped, the rest sorted by ``sort_key``, a lone survivor returned as
+    itself. The new node's sort key is stored as it is built."""
+    by_key = {}
+    for ch in children:
+        if type(ch) is t:
+            for grandchild in ch.children:
+                by_key.setdefault(sort_key(grandchild), grandchild)
+        else:
+            by_key.setdefault(sort_key(ch), ch)
+    if len(by_key) == 1:
+        (only,) = by_key.values()
+        return only
+    keys = sorted(by_key)
+    c = t(tuple(by_key[k] for k in keys))
+    _store_sort_key(c, (_RANK[t], tuple(keys)))
+    return c
 
 
 def canonicalize(c: Concept) -> Concept:
-    """Flatten, deduplicate and sort And/Or operands, recursively.
-
-    Idempotent and semantics-preserving (uses only commutativity,
-    associativity and idempotence of conjunction/disjunction). A concept
-    that is already canonical is returned as the same object.
-    """
+    """The canonical form of a concept from outside the program: every
+    And/Or rebuilt through ``connective``. Idempotent and semantics-preserving;
+    a concept that is already canonical is returned as the same object."""
     t = type(c)
     if t in (Exists, Forall):
         child = canonicalize(c.child)
@@ -278,31 +293,9 @@ def canonicalize(c: Concept) -> Concept:
         child = canonicalize(c.child)
         return c if child is c.child else t(c.n, c.role, child)
     if t in (And, Or):
-        flat = []
-        unchanged = True
-        for ch in c.children:
-            canon = canonicalize(ch)
-            if type(canon) is t:
-                flat.extend(canon.children)
-                unchanged = False
-            else:
-                flat.append(canon)
-                unchanged = unchanged and canon is ch
-        if unchanged and len(flat) > 1:
-            keys = [sort_key(ch) for ch in flat]
-            if all(keys[i] < keys[i + 1] for i in range(len(keys) - 1)):
-                return c
-        seen = set()
-        unique = []
-        for ch in flat:
-            k = sort_key(ch)
-            if k not in seen:
-                seen.add(k)
-                unique.append((k, ch))
-        unique.sort(key=lambda pair: pair[0])
-        if len(unique) == 1:
-            return unique[0][1]
-        return t(tuple(ch for _, ch in unique))
+        built = connective(t, [canonicalize(ch) for ch in c.children])
+        # Sort keys, unlike ==, tell 0.0 from -0.0.
+        return c if sort_key(built) == sort_key(c) else built
     return c
 
 
@@ -349,6 +342,9 @@ _TAG_STR_EQ = 0x0C
 
 _pack_u32 = struct.Struct(">I").pack
 _pack_u16 = struct.Struct(">H").pack
+
+# The largest MinCard/MaxCard number the encoding holds (it travels as a u16).
+MAX_CARDINALITY = 0xFFFF
 
 
 class DecodeError(ValueError):
@@ -739,7 +735,7 @@ class _Parser:
                 return Forall(role, self._concept(depth + 1))
             if op in ("min", "max"):
                 _, num, numpos = self.tz.expect("number")
-                if num != int(num):
+                if not num.is_integer():  # also refuses inf, which int() cannot take
                     raise ConceptParseError("cardinality must be an integer", self.text, numpos)
                 cls = MinCard if op == "min" else MaxCard
                 child = self._concept(depth + 1)

@@ -2,8 +2,10 @@
 
 Each rule either descends a class/role hierarchy, tightens a numeric or
 cardinality bound, or adds a conjunct, so iterated refinement is monotone in
-concept length. Results are canonical, deduplicated, length-bounded, sorted
-in canonical order, and never include the input concept itself.
+concept length. Results are deduplicated, length-bounded, sorted in
+canonical order, and never include the input concept itself. They are
+canonical by construction: the input is, and every And/Or is built by
+``concept.connective``, so no pass over the results is needed.
 
 Disjunction enters the search only at the very top: ``refine_top_levels``
 pairs distinct refinements of Thing into binary unions, and rule application
@@ -31,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .concept import (TOP, And, Atomic, BoolEq, Concept, Exists, Forall,
-                      MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or, RoleExpr,
-                      StrEq, Top, canonicalize, concept_length, hash_concept,
-                      sort_key)
+from .concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq, Concept,
+                      Exists, Forall, MaxCard, MinCard, NotAtomic, NumGeq,
+                      NumLeq, Or, RoleExpr, StrEq, Top, concept_length,
+                      connective, hash_concept, sort_key)
 from .kb import KbStatistics, KnowledgeBase
 
 __all__ = ["RefinementConfig", "build_mb", "refine", "refine_top_levels"]
@@ -63,9 +65,9 @@ class RefinementConfig:
         object.__setattr__(self, "_memo", ((None, None, None), {}))
 
     def filler_cap(self, role) -> int:
-        if role.inverse:
-            return self.max_cardinality_inverse[role.role_id]
-        return self.max_cardinality[role.role_id]
+        """The KB's most fillers of ``role``, at most what the codec holds."""
+        caps = self.max_cardinality_inverse if role.inverse else self.max_cardinality
+        return min(caps[role.role_id], MAX_CARDINALITY)
 
 
 def build_mb(kb: KnowledgeBase, stats: KbStatistics) -> list[Concept]:
@@ -139,7 +141,6 @@ def refine(c: Concept, length_bound: int, kb: KnowledgeBase, stats: KbStatistics
     out: list[Concept] = []
     input_hash = hash_concept(c)
     for r in raw:
-        r = canonicalize(r)
         if concept_length(r) > length_bound:
             continue
         h = hash_concept(r)
@@ -162,7 +163,7 @@ def refine_top_levels(length_bound: int, kb: KnowledgeBase, stats: KbStatistics,
         for j in range(i + 1, len(atoms)):
             if li + concept_length(atoms[j]) + 1 > length_bound:
                 continue
-            u = canonicalize(Or((atoms[i], atoms[j])))
+            u = connective(Or, (atoms[i], atoms[j]))
             if isinstance(u, Or):  # drops weakly-equal pairs that collapse
                 out.append(u)
     return out
@@ -178,8 +179,7 @@ def _apply_rules(c: Concept, bound: int, kb: KnowledgeBase, stats: KbStatistics,
     elif isinstance(c, Atomic):
         out.extend(Atomic(s) for s in kb.direct_subclasses[c.class_id])
         for x in _top_refinements(bound - 2, kb, stats, mb, cfg):
-            if x != c:
-                out.append(And((c, x)))
+            out.append(connective(And, (c, x)))
 
     elif isinstance(c, NotAtomic):
         # The complement shrinks as the class grows.
@@ -245,10 +245,10 @@ def _apply_rules(c: Concept, bound: int, kb: KnowledgeBase, stats: KbStatistics,
                 continue
             for r in refine(child, child_bound, kb, stats, mb, cfg):
                 rebuilt = c.children[:i] + (r,) + c.children[i + 1:]
-                out.append(And(rebuilt) if isinstance(c, And) else Or(rebuilt))
+                out.append(connective(type(c), rebuilt))
         if isinstance(c, And):
             for x in _top_refinements(bound - total - 1, kb, stats, mb, cfg):
-                out.append(And(c.children + (x,)))
+                out.append(connective(And, c.children + (x,)))
 
     else:
         raise TypeError(f"not a concept: {c!r}")

@@ -379,6 +379,21 @@ def test_kb_transfer_rejects_an_example_id_out_of_range(smoke):
     send_kb_transfer_and_expect_error(payload, b"example id out of range")
 
 
+@pytest.mark.parametrize("pos_ids,neg_ids,message", [
+    ([], [1], b"no positive examples"),
+    ([0], [], b"no negative examples"),
+    ([], [], b"no positive examples"),
+    ([0, 1], [1, 2], b"both positive and negative"),
+])
+def test_worker_answers_a_kb_transfer_with_bad_examples_with_error(
+        smoke, pos_ids, neg_ids, message):
+    examples = ExampleSet.from_ids(smoke.kb.num_individuals, pos_ids, neg_ids)
+    payload = _pack_kb_transfer(smoke.kb, smoke.st, examples, PARAMS)
+    with pytest.raises(ProtocolError, match=message.decode()):
+        _unpack_kb_transfer(payload)
+    send_kb_transfer_and_expect_error(payload, message)
+
+
 def test_worker_answers_a_kb_transfer_with_bad_noise_with_error(smoke):
     for noise in (1.5, -0.1, float("nan")):
         params = SearchParams(noise=noise, max_length=5)

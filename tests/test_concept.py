@@ -5,7 +5,7 @@ import pytest
 from dlbeam.concept import (And, Atomic, BoolEq, ConceptParseError, DecodeError,
                             Exists, Forall, MaxCard, MinCard, NotAtomic,
                             NumGeq, NumLeq, Or, RoleExpr, StrEq, TOP, Top,
-                            canonicalize, compare_canonical, concept_length,
+                            canonicalize, concept_length,
                             decode, encode, fnv1a_64, hash_concept,
                             MAX_NESTING, parse_concept, render, sort_key)
 from generators import (all_child_orderings, dims_of, random_concept,
@@ -49,6 +49,16 @@ def test_canonicalize_orders_constructor_ranks():
         [Top, Atomic, NotAtomic, Forall, NumGeq, Or]
 
 
+def test_canonicalize_tells_zero_from_negative_zero():
+    # 0.0 == -0.0, but their bits, sort keys and encodings differ.
+    raw = And((NumGeq(0, -0.0), NumGeq(0, 0.0)))
+    c = canonicalize(raw)
+    assert c is not raw
+    assert [sort_key(ch) for ch in c.children] == \
+        sorted(sort_key(ch) for ch in raw.children)
+    assert encode(decode(encode(c))) == encode(c)
+
+
 def test_canonicalize_idempotent_on_random_trees():
     rng = random.Random(101)
     for _ in range(300):
@@ -73,12 +83,14 @@ def test_sort_key_is_a_total_order():
     pool = [random_concept(rng) for _ in range(120)]
     for _ in range(400):
         a, b = rng.choice(pool), rng.choice(pool)
-        assert compare_canonical(a, b) == -compare_canonical(b, a)
-        if compare_canonical(a, b) == 0:
+        ka, kb = sort_key(a), sort_key(b)
+        assert (ka < kb) + (ka == kb) + (ka > kb) == 1  # exactly one holds
+        assert (ka < kb) == (kb > ka) and (ka > kb) == (kb < ka)  # antisymmetric
+        if ka == kb:
             assert a == b  # on canonical concepts the order separates trees
     ordered = sorted(pool, key=sort_key)
     for x, y in zip(ordered, ordered[1:]):
-        assert compare_canonical(x, y) <= 0
+        assert sort_key(x) <= sort_key(y)
 
 
 def test_invalid_constructor_arguments():
@@ -328,6 +340,7 @@ def test_parse_without_canonicalizing(trains):
     ("(Train and", "expected a concept"),
     ("(inverse(nope) some Thing)", "unknown role 'nope'"),
     ("(hasCar min 1.5 Thing)", "cardinality must be an integer"),
+    ("(hasCar min 1e999 Thing)", "cardinality must be an integer"),
     ("(hasCar min 0 Thing)", "MinCard requires n >= 1"),
     ("(hasCar some Thing) Train", "trailing input"),
     ("(hasCar >= 3)", "unknown numeric role"),
@@ -350,6 +363,10 @@ def test_parse_error_caret_position(trains):
         parse_concept(text, trains.st)
     assert exc.value.pos == len("(hasCar min 2 (Car and ")
     assert str(exc.value).count(text) == 1
+    # An infinite cardinality puts the caret on the number.
+    with pytest.raises(ConceptParseError) as exc:
+        parse_concept("(hasCar min 1e999 Thing)", trains.st)
+    assert exc.value.pos == len("(hasCar min ")
 
 
 def nested_exists_text(depth: int) -> str:

@@ -1,9 +1,13 @@
-"""Property-based tests of the KB codec and of the EXPAND_TASK protocol.
+"""Property-based tests of the concept codec and parser, the KB codec and
+the EXPAND_TASK protocol.
 
-The KB codec is checked against ``loop_serialize_kb``, a copy of the
-field-at-a-time writer that defined the format, and its decoder against
-truncations and byte flips. The EXPAND_TASK tests drive one live
-``WorkerServer`` over fresh connections.
+``canonicalize`` is checked against ``reference_canonicalize``, a copy of
+the walk that defined the normal form before ``connective`` took it over.
+The concept codec is checked by round trips, truncations and byte flips, and
+``parse_concept`` by text over its grammar's alphabet. The KB codec is
+checked against ``loop_serialize_kb``, a copy of the field-at-a-time writer
+that defined the format, and its decoder against truncations and byte flips.
+The EXPAND_TASK tests drive one live ``WorkerServer`` over fresh connections.
 """
 
 import importlib.util
@@ -22,7 +26,11 @@ from dlbeam.cluster import (BlockNode, MSG_ERROR, MSG_EXPAND_RESULT,
                             WorkerServer, _pack_expand_task,
                             _pack_kb_transfer, _split_expand_result,
                             _split_expand_task, read_frame, write_frame)
-from dlbeam.concept import Atomic, hash_concept
+from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
+                            ConceptParseError, DecodeError, Exists, Forall,
+                            MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
+                            RoleExpr, StrEq, canonicalize, connective, decode,
+                            encode, hash_concept, parse_concept, sort_key)
 from dlbeam.kb import (Interner, KbCodecError, KnowledgeBase, SymbolTable,
                        deserialize_kb, materialize, parse_kb, serialize_kb)
 
@@ -33,6 +41,165 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
 seeds = st.integers(0, 2**32 - 1)
 u64s = st.integers(0, 2**64 - 1)
+
+
+# --- canonical form, the concept codec and parse_concept -------------------
+
+def reference_canonicalize(c):
+    """The recursive flatten, dedupe and sort that defined the normal form."""
+    t = type(c)
+    if t in (Exists, Forall):
+        child = reference_canonicalize(c.child)
+        return c if child is c.child else t(c.role, child)
+    if t in (MinCard, MaxCard):
+        child = reference_canonicalize(c.child)
+        return c if child is c.child else t(c.n, c.role, child)
+    if t in (And, Or):
+        flat = []
+        unchanged = True
+        for ch in c.children:
+            canon = reference_canonicalize(ch)
+            if type(canon) is t:
+                flat.extend(canon.children)
+                unchanged = False
+            else:
+                flat.append(canon)
+                unchanged = unchanged and canon is ch
+        if unchanged and len(flat) > 1:
+            keys = [sort_key(ch) for ch in flat]
+            if all(keys[i] < keys[i + 1] for i in range(len(keys) - 1)):
+                return c
+        seen = set()
+        unique = []
+        for ch in flat:
+            k = sort_key(ch)
+            if k not in seen:
+                seen.add(k)
+                unique.append((k, ch))
+        unique.sort(key=lambda pair: pair[0])
+        if len(unique) == 1:
+            return unique[0][1]
+        return t(tuple(ch for _, ch in unique))
+    return c
+
+
+roles = st.builds(RoleExpr, st.integers(0, 3), st.booleans())
+numbers = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
+leaves = st.one_of(
+    st.just(TOP), st.integers(0, 5).map(Atomic), st.integers(0, 5).map(NotAtomic),
+    st.builds(BoolEq, st.integers(0, 2), st.booleans()),
+    st.builds(NumGeq, st.integers(0, 2), numbers),
+    st.builds(NumLeq, st.integers(0, 2), numbers),
+    st.builds(StrEq, st.integers(0, 2), st.integers(0, 3)))
+
+
+def compound(children):
+    operands = st.lists(children, min_size=1, max_size=4).map(tuple)
+    return st.one_of(
+        st.builds(Exists, roles, children), st.builds(Forall, roles, children),
+        st.builds(MinCard, st.integers(1, MAX_CARDINALITY), roles, children),
+        st.builds(MaxCard, st.integers(0, MAX_CARDINALITY), roles, children),
+        operands.map(And), operands.map(Or))
+
+
+raw_concepts = st.recursive(leaves, compound, max_leaves=16)
+canonical_concepts = raw_concepts.map(reference_canonicalize)
+
+
+@SETTINGS
+@given(raw=raw_concepts)
+def test_canonicalize_equals_the_reference_walk(raw):
+    want = reference_canonicalize(raw)
+    got = canonicalize(raw)
+    # Encodings, unlike ==, tell 0.0 from -0.0.
+    assert encode(got) == encode(want)
+    assert (got is raw) == (want is raw)
+    assert canonicalize(got) is got
+    assert canonicalize(want) is want
+
+
+@SETTINGS
+@given(t=st.sampled_from([And, Or]),
+       children=st.lists(canonical_concepts, min_size=1, max_size=5))
+def test_connective_builds_the_reference_normal_form(t, children):
+    built = connective(t, children)
+    assert encode(built) == encode(reference_canonicalize(t(tuple(children))))
+    assert sort_key(built) == sort_key(decode(encode(built)))  # stored key
+
+
+@SETTINGS
+@given(c=canonical_concepts)
+def test_canonical_concepts_round_trip_through_the_codec(c):
+    data = encode(c)
+    back = decode(data)
+    assert back == c
+    assert encode(back) == data
+    assert hash_concept(back) == hash_concept(c)
+
+
+@SETTINGS
+@given(c=canonical_concepts, data=st.data())
+def test_every_truncation_or_byte_flip_of_a_concept_decodes_faithfully_or_not_at_all(
+        c, data):
+    encoded = encode(c)
+    cut = data.draw(st.integers(0, len(encoded) - 1), label="cut")
+    with pytest.raises(DecodeError):  # the encoding is prefix-free
+        decode(encoded[:cut])
+    at = data.draw(st.integers(0, len(encoded) - 1), label="at")
+    flipped = bytearray(encoded)
+    flipped[at] ^= data.draw(st.integers(1, 255), label="flip")
+    try:
+        back = decode(bytes(flipped))
+    except DecodeError:
+        return
+    assert encode(back) == flipped
+
+
+PARSE_SYMBOLS, _ = parse_kb(
+    "class A\nclass B\nrole r\nnumrole n\nboolrole b\nstrrole s\n"
+    "individual x\nstrfact s x red\n")
+classes = st.sampled_from(["Thing", "A", "B", "nope", "r"])
+roles = st.sampled_from(["r", "inverse(r)", "inverse(r", "A"])
+concrete_roles = st.sampled_from(["n", "b", "s", "r"])
+number_texts = (st.sampled_from(["1e999", "-1e999", "1e400", "-0", ".5", "2",
+                                 "1e5e5", "1-2"])
+                | st.integers(-2, 70_000).map(str)
+                | st.floats(allow_nan=False).map(repr))
+value_texts = st.sampled_from(["true", "false", '"red"', '"blue"', '"r\\"ed"'])
+
+
+def phrases(children):
+    return st.one_of(
+        st.tuples(roles, st.sampled_from(["some", "only"]), children),
+        st.tuples(roles, st.sampled_from(["min", "max"]), number_texts,
+                  children),
+        st.tuples(st.just("not"), classes),
+        st.tuples(concrete_roles, st.sampled_from([">=", "<="]), number_texts),
+        st.tuples(concrete_roles, st.just("="), value_texts),
+        st.tuples(st.lists(children, min_size=2, max_size=3),
+                  st.sampled_from([" and ", " or "])).map(
+                      lambda p: (p[1].join(p[0]),)),
+    ).map(lambda words: "(" + " ".join(words) + ")")
+
+
+# Text along the grammar, with any name, number or value in each slot, and
+# text over the grammar's alphabet.
+concept_texts = (st.recursive(classes, phrases, max_leaves=8)
+                 | st.text(alphabet='() andorsmeiflxTABh=<>0123456789.e+-"\\',
+                           max_size=40))
+
+
+@settings(SETTINGS, max_examples=300)  # cheap, and most texts fail early
+@given(text=concept_texts, data=st.data())
+def test_parse_concept_returns_a_concept_or_raises_its_typed_error(text, data):
+    start = data.draw(st.integers(0, len(text)), label="start")
+    stop = data.draw(st.integers(start, len(text)), label="stop")
+    for t in (text, text[:start] + text[stop:]):  # whole, and with a cut
+        try:
+            c = parse_concept(t, PARSE_SYMBOLS)
+        except ConceptParseError:
+            continue
+        assert canonicalize(c) == reference_canonicalize(c)
 
 
 # --- the KB codec -----------------------------------------------------------

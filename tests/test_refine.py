@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import dlbeam.refine as refine_mod
-from dlbeam.concept import (And, Atomic, BoolEq, Exists, Forall, MaxCard,
-                            MinCard, NotAtomic, NumGeq, NumLeq, Or, RoleExpr,
-                            StrEq, TOP, canonicalize, concept_length, decode,
-                            encode, hash_concept, render, sort_key)
+from dlbeam.concept import (MAX_CARDINALITY, And, Atomic, BoolEq, Exists,
+                            Forall, MaxCard, MinCard, NotAtomic, NumGeq, NumLeq,
+                            Or, RoleExpr, StrEq, TOP, canonicalize,
+                            concept_length, decode, encode, hash_concept,
+                            render, sort_key)
 from dlbeam.evaluation import covered_set
 from dlbeam.kb import compute_statistics, materialize, parse_kb
 from dlbeam.refine import (RefinementConfig, build_mb, refine,
@@ -219,6 +220,21 @@ def test_refine_min_card_steps_up_to_cap():
     got = refine(MinCard(2, r, TOP), 5, kb, stats, mb, cfg)
     assert all(not (isinstance(c, MinCard) and c.n == 3) for c in got)
     assert MinCard(2, r, Atomic(0)) in got  # child refinement still applies
+
+
+def test_refine_caps_cardinality_at_what_the_codec_holds(smoke):
+    # A KB whose role has more fillers than a u16 holds: the cap stops there.
+    cfg = RefinementConfig(max_cardinality=(70_000,),
+                           max_cardinality_inverse=(70_000,))
+    for r in (RoleExpr(0), RoleExpr(0, True)):
+        assert cfg.filler_cap(r) == MAX_CARDINALITY == 65_535
+        got = refine(MinCard(65_534, r, TOP), 6, smoke.kb, smoke.stats,
+                     smoke.mb, cfg)
+        assert MinCard(65_535, r, TOP) in got
+        got = refine(MinCard(65_535, r, TOP), 6, smoke.kb, smoke.stats,
+                     smoke.mb, cfg)
+        assert got and max(c.n for c in got) == 65_535
+        assert all(decode(encode(c)) == c for c in got)
 
 
 def test_refine_max_card_steps_down_to_zero():
