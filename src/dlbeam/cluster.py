@@ -55,7 +55,8 @@ from dataclasses import dataclass
 from .concept import (And, Atomic, BoolEq, Concept, DecodeError, Exists,
                       Forall, MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
                       StrEq, decode, encode, hash_concept)
-from .evaluation import CoverageResult, EvalConfig, Score, evaluate_batch
+from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
+                         evaluate_batch)
 from .kb import (ExampleSet, KbError, KnowledgeBase, SymbolTable,
                  compute_statistics, deserialize_kb, materialize, serialize_kb)
 from .refine import build_mb
@@ -504,7 +505,7 @@ class WorkerServer:
             refs, _ = expand_single_node(node, ex.kb, ex.stats, ex.mb, rcfg,
                                          PROBE_HE)
             emitted.extend(refs)
-        evaluate_batch(emitted, ex.kb, ex.examples, memo={})
+        evaluate_batch(emitted, ex.kb, ex.examples, memo=ExtensionMemo())
         return int((time.monotonic() - t0) * 1000)
 
     def _expand(self, payload: bytes, state: dict) -> bytes:

@@ -533,6 +533,10 @@ def _render_role(role: RoleExpr, st) -> str:
 
 
 def _float_repr(v: float) -> str:
+    # repr round-trips every finite float; an infinite one is written as a
+    # number that overflows to it, since the tokenizer reads no "inf".
+    if math.isinf(v):
+        return "1e999" if v > 0 else "-1e999"
     return repr(v)
 
 
@@ -737,6 +741,9 @@ class _Parser:
                 _, num, numpos = self.tz.expect("number")
                 if not num.is_integer():  # also refuses inf, which int() cannot take
                     raise ConceptParseError("cardinality must be an integer", self.text, numpos)
+                if num > MAX_CARDINALITY:
+                    raise ConceptParseError(
+                        f"cardinality above {MAX_CARDINALITY}", self.text, numpos)
                 cls = MinCard if op == "min" else MaxCard
                 child = self._concept(depth + 1)
                 try:

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .concept import (TOP, Concept, concept_length, hash_concept, sort_key)
-from .evaluation import (CoverageResult, EvalConfig, Score, evaluate,
-                         evaluate_batch, is_weak, score)
+from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
+                         evaluate, evaluate_batch, is_weak, score)
 from .kb import ExampleSet, KbStatistics, KnowledgeBase, compute_statistics
 from .refine import RefinementConfig, build_mb, refine
 
@@ -237,10 +237,11 @@ class LocalExpander:
                  cfg: SearchConfig, stats: KbStatistics, mb: list[Concept]):
         self.kb, self.examples, self.cfg = kb, examples, cfg
         self.stats, self.mb = stats, mb
-        # rcfg carries refine's memo and ext_memo evaluation's operand and
-        # filler extensions, so both live for this search only.
+        # rcfg carries refine's memo, and ext_memo evaluation's operand and
+        # filler extensions and the example row space the candidates are
+        # counted in, so both live for this search only.
         self.rcfg = refinement_config(stats, cfg, cfg.max_length)
-        self.ext_memo: dict = {}
+        self.ext_memo = ExtensionMemo()
 
     def width(self) -> int:
         return self.cfg.beam_width

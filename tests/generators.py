@@ -115,6 +115,35 @@ def random_examples(rng, kb: KnowledgeBase) -> ExampleSet:
                                ids[npos:npos + nneg])
 
 
+def example_subset_kb(rng, max_individuals=30):
+    """A random KB whose examples are a small subset of its individuals,
+    plus a role, a numeric role and a boolean role whose subjects are never
+    examples (the role's objects may be). Returns (st, kb, examples)."""
+    st, kb = random_kb(rng, max_individuals=max_individuals,
+                       do_materialize=False)
+    ids = list(range(kb.num_individuals))
+    rng.shuffle(ids)
+    size = rng.randint(2, max(2, len(ids) // 4))
+    npos = rng.randint(1, size - 1)
+    examples = ExampleSet.from_ids(kb.num_individuals, ids[:npos],
+                                   ids[npos:size])
+    others = ids[size:]
+    st.role_names.intern("away")
+    kb.add_role()
+    st.num_role_names.intern(f"num{len(kb.numeric_assertions)}")
+    kb.add_num_role()
+    st.bool_role_names.intern(f"flag{len(kb.boolean_assertions)}")
+    kb.add_bool_role()
+    for _ in range(rng.randint(1, 2 * len(others))):
+        kb.add_fact(kb.num_roles - 1, rng.choice(others), rng.choice(ids))
+        kb.add_num_fact(len(kb.numeric_assertions) - 1, rng.choice(others),
+                        rng.choice(NUM_POOL))
+        kb.add_bool_fact(len(kb.boolean_assertions) - 1, rng.choice(others),
+                         rng.random() < 0.5)
+    materialize(kb, st)
+    return st, kb, examples
+
+
 def _random_role(rng, dims: ConceptDims) -> RoleExpr:
     return RoleExpr(rng.randrange(dims.n_roles), rng.random() < 0.3)
 

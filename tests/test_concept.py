@@ -7,7 +7,8 @@ from dlbeam.concept import (And, Atomic, BoolEq, ConceptParseError, DecodeError,
                             NumGeq, NumLeq, Or, RoleExpr, StrEq, TOP, Top,
                             canonicalize, concept_length,
                             decode, encode, fnv1a_64, hash_concept,
-                            MAX_NESTING, parse_concept, render, sort_key)
+                            MAX_CARDINALITY, MAX_NESTING, parse_concept, render,
+                            sort_key)
 from generators import (all_child_orderings, dims_of, random_concept,
                         random_permutable_concept)
 
@@ -345,6 +346,7 @@ def test_parse_without_canonicalizing(trains):
     ("(hasCar some Thing) Train", "trailing input"),
     ("(hasCar >= 3)", "unknown numeric role"),
     ('(hasCar = "abc', "unterminated string"),
+    ("(hasCar min 70000 Thing)", "cardinality above 65535"),
 ])
 def test_parse_errors(trains, text, fragment):
     with pytest.raises(ConceptParseError) as exc:
@@ -367,6 +369,12 @@ def test_parse_error_caret_position(trains):
     with pytest.raises(ConceptParseError) as exc:
         parse_concept("(hasCar min 1e999 Thing)", trains.st)
     assert exc.value.pos == len("(hasCar min ")
+    # So does one the codec cannot hold; the largest it holds parses.
+    with pytest.raises(ConceptParseError) as exc:
+        parse_concept(f"(hasCar max {MAX_CARDINALITY + 1} Thing)", trains.st)
+    assert exc.value.pos == len("(hasCar max ")
+    c = parse_concept(f"(hasCar max {MAX_CARDINALITY} Thing)", trains.st)
+    assert decode(encode(c)) == c
 
 
 def nested_exists_text(depth: int) -> str:

@@ -5,15 +5,19 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dlbeam.evaluation as evaluation_mod
 from dlbeam.concept import (And, Atomic, BoolEq, Exists, Forall, MaxCard,
                             MinCard, NotAtomic, NumGeq, NumLeq, Or, RoleExpr,
                             StrEq, TOP, Top, canonicalize, sort_key)
-from dlbeam.evaluation import (CoverageResult, EvalConfig, covered_set,
-                               evaluate, evaluate_batch, is_weak, score)
+from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
+                               covered_set, evaluate, evaluate_batch, is_weak,
+                               score)
 from dlbeam.kb import ExampleSet, KbError, materialize, parse_kb
-from generators import (dims_of, random_concept, random_examples, random_kb,
-                        strict_subconcepts)
+from generators import (NUM_POOL, dims_of, example_subset_kb, random_concept,
+                        random_examples, random_kb, strict_subconcepts)
 from naive_oracle import naive_covered_set
 
 
@@ -268,6 +272,119 @@ def test_threads_sharing_one_memo_get_memo_free_results():
     finally:
         sys.setswitchinterval(old)
     assert failures == []
+
+
+# --- the example row space ---------------------------------------------------
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+def away_concepts(rng, kb):
+    """Restrictions whose subjects are never examples (see
+    ``example_subset_kb``): over the last role, forward and inverse, and the
+    last numeric and boolean roles, alone and inside nested And/Or."""
+    dims = dims_of(kb)
+    away = kb.num_roles - 1
+    out = [NumGeq(dims.n_num - 1, rng.choice(NUM_POOL)),
+           NumLeq(dims.n_num - 1, rng.choice(NUM_POOL)),
+           BoolEq(dims.n_bool - 1, rng.random() < 0.5)]
+    for inverse in (False, True):
+        role = RoleExpr(away, inverse)
+        filler = random_concept(rng, dims, depth=2)
+        out += [Exists(role, filler), Forall(role, filler),
+                MinCard(rng.randint(1, 2), role, filler),
+                MaxCard(0, role, filler), MaxCard(2, role, filler)]
+    for _ in range(6):
+        inner = And((rng.choice(out), random_concept(rng, dims, depth=2)))
+        out.append(Or((inner, rng.choice(out), random_concept(rng, dims, 1))))
+    return [canonicalize(c) for c in out]
+
+
+def full_counts(c, kb, examples):
+    cov = covered_set(c, kb)
+    return (int(np.count_nonzero(cov & examples.positives)),
+            int(np.count_nonzero(cov & examples.negatives)))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_example_space_counts_equal_covered_set_and_the_oracle(seed):
+    rng = random.Random(seed)
+    _, kb, examples = example_subset_kb(rng)
+    cs = ([random_concept(rng, dims_of(kb), depth=3) for _ in range(20)]
+          + away_concepts(rng, kb))
+    pos, neg = set(examples.pos_ids()), set(examples.neg_ids())
+    memo = ExtensionMemo()
+    for c in cs:
+        got = evaluate(c, kb, examples, memo=memo)
+        assert (got.pos_covered, got.neg_covered) == full_counts(c, kb, examples)
+        naive = naive_covered_set(c, kb)
+        assert (got.pos_covered, got.neg_covered) == (len(naive & pos),
+                                                      len(naive & neg))
+    # A second pass reads what the first stored, and keep_set still gives
+    # the extension over all individuals.
+    for c in cs:
+        assert (evaluate(c, kb, examples, memo=memo)
+                == evaluate(c, kb, examples))
+        assert (evaluate(c, kb, examples, keep_set=True, memo=memo)
+                == evaluate(c, kb, examples, keep_set=True))
+    space = memo.rows(kb, examples)
+    assert space.ids.tolist() == sorted(pos | neg)
+    operands = {sort_key(s): s for c in cs for s in strict_subconcepts(c)}
+    assert memo.keys() <= operands.keys()
+    assert space.table.keys() <= operands.keys()
+    for key, packed in space.table.items():
+        assert not isinstance(operands[key], (Top, Atomic, NotAtomic))
+        assert np.array_equal(
+            np.unpackbits(packed, count=len(space.ids)).astype(bool),
+            covered_set(operands[key], kb)[space.ids])
+
+
+def test_a_restriction_no_example_is_subject_of_never_computes_its_filler(
+        monkeypatch):
+    calls = []
+    original = evaluation_mod.covered_set
+
+    def counting(c, kb, memo=None):
+        calls.append(c)
+        return original(c, kb, memo)
+
+    monkeypatch.setattr(evaluation_mod, "covered_set", counting)
+    rng = random.Random(311)
+    for _ in range(20):
+        _, kb, examples = example_subset_kb(rng)
+        away = RoleExpr(kb.num_roles - 1)
+        filler = Exists(RoleExpr(0), NotAtomic(0))
+        memo = ExtensionMemo()
+        for c in (Exists(away, filler), Forall(away, filler),
+                  MinCard(1, away, filler), MaxCard(0, away, filler)):
+            got = evaluate(c, kb, examples, memo=memo)
+            assert (got.pos_covered, got.neg_covered) == full_counts(
+                c, kb, examples)
+            calls.clear()
+            evaluate(c, kb, examples, memo=memo)
+            assert calls == []
+
+
+def test_one_memo_with_a_second_example_set_rebuilds_the_row_space():
+    rng = random.Random(312)
+    for _ in range(30):
+        _, kb, first = example_subset_kb(rng)
+        second = random_examples(rng, kb)
+        cs = [random_concept(rng, dims_of(kb), depth=3) for _ in range(20)]
+        memo = ExtensionMemo()
+        for examples in (first, second, first):
+            assert ([evaluate(c, kb, examples, memo=memo) for c in cs]
+                    == [evaluate(c, kb, examples) for c in cs])
+            assert memo.rows(kb, examples).ids.tolist() == sorted(
+                examples.pos_ids() + examples.neg_ids())
+        # Equal masks in another object still start a new row space.
+        space = memo.rows(kb, first)
+        twin = ExampleSet(kb.num_individuals, first.positives.copy(),
+                          first.negatives.copy())
+        assert memo.rows(kb, twin) is not space
+        assert memo.rows(kb, twin) is memo.rows(kb, twin)
 
 
 # --- scoring ----------------------------------------------------------------

@@ -1,16 +1,20 @@
-"""Property-based tests of the concept codec and parser, the KB codec and
-the EXPAND_TASK protocol.
+"""Property-based tests of the concept codec, parser and renderer, the KB
+codec, frames, and the EXPAND_TASK and EXPAND_RESULT payloads.
 
 ``canonicalize`` is checked against ``reference_canonicalize``, a copy of
 the walk that defined the normal form before ``connective`` took it over.
 The concept codec is checked by round trips, truncations and byte flips, and
-``parse_concept`` by text over its grammar's alphabet. The KB codec is
+``parse_concept`` by text over its grammar's alphabet, and ``render`` by
+numeric bounds that must parse back bit for bit. The KB codec is
 checked against ``loop_serialize_kb``, a copy of the field-at-a-time writer
 that defined the format, and its decoder against truncations and byte flips.
-The EXPAND_TASK tests drive one live ``WorkerServer`` over fresh connections.
+Frames and EXPAND_RESULT payloads are checked by round trips, truncations
+and byte flips, which must end in ``ProtocolError`` and nothing else. The
+EXPAND_TASK tests drive one live ``WorkerServer`` over fresh connections.
 """
 
 import importlib.util
+import math
 import random
 import socket
 import struct
@@ -23,14 +27,16 @@ from hypothesis import strategies as st
 
 from dlbeam.cluster import (BlockNode, MSG_ERROR, MSG_EXPAND_RESULT,
                             MSG_EXPAND_TASK, MSG_KB_ACK, MSG_KB_TRANSFER,
-                            WorkerServer, _pack_expand_task,
-                            _pack_kb_transfer, _split_expand_result,
-                            _split_expand_task, read_frame, write_frame)
+                            ProtocolError, WorkerServer, _pack_expand_result,
+                            _pack_expand_task, _pack_kb_transfer,
+                            _split_expand_result, _split_expand_task,
+                            frame_bytes, parse_frame, read_frame, write_frame)
 from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
                             ConceptParseError, DecodeError, Exists, Forall,
                             MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
                             RoleExpr, StrEq, canonicalize, connective, decode,
-                            encode, hash_concept, parse_concept, sort_key)
+                            encode, hash_concept, parse_concept, render,
+                            sort_key)
 from dlbeam.kb import (Interner, KbCodecError, KnowledgeBase, SymbolTable,
                        deserialize_kb, materialize, parse_kb, serialize_kb)
 
@@ -199,7 +205,23 @@ def test_parse_concept_returns_a_concept_or_raises_its_typed_error(text, data):
             c = parse_concept(t, PARSE_SYMBOLS)
         except ConceptParseError:
             continue
-        assert canonicalize(c) == reference_canonicalize(c)
+        canon = canonicalize(c)
+        assert canon == reference_canonicalize(c)
+        assert decode(encode(canon)) == canon  # whatever parses, the codec holds
+
+
+bounds = (st.floats(allow_nan=False)
+          | st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                             2.2250738585072014e-308, 1e-310, 1e16]))
+
+
+@SETTINGS
+@given(t=st.sampled_from([NumGeq, NumLeq]), value=bounds)
+def test_numeric_bounds_render_and_parse_back_bit_for_bit(t, value):
+    c = t(0, value)
+    back = parse_concept(render(c, PARSE_SYMBOLS), PARSE_SYMBOLS)
+    assert back == c
+    assert struct.pack(">d", back.value) == struct.pack(">d", value)
 
 
 # --- the KB codec -----------------------------------------------------------
@@ -436,6 +458,63 @@ def test_kb_codec_rejects_a_boolean_other_than_0_or_1(flag):
     payload[-2] = 7  # an id out of range before the flag is reported first
     with pytest.raises(KbCodecError, match="individual id 7 out of range"):
         deserialize_kb(with_crc(bytes(payload)))
+
+
+# --- frames and EXPAND_RESULT ------------------------------------------------
+
+def read_frame_from(data: bytes):
+    """``read_frame`` on a socket that carries ``data`` and then hangs up."""
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(data)
+        a.shutdown(socket.SHUT_WR)
+        b.settimeout(10)
+        return read_frame(b)
+
+
+def truncation_and_flip(blob: bytes, data) -> tuple[bytes, bytes]:
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    flipped = bytearray(blob)
+    flipped[at] ^= data.draw(st.integers(1, 255), label="flip")
+    return blob[:cut], bytes(flipped)
+
+
+@SETTINGS
+@given(mtype=st.integers(0, 255), payload=st.binary(max_size=64),
+       data=st.data())
+def test_every_truncation_or_byte_flip_of_a_frame_raises_protocol_error(
+        mtype, payload, data):
+    frame = frame_bytes(mtype, payload)
+    assert parse_frame(frame) == (mtype, payload)
+    assert read_frame_from(frame) == (mtype, payload)
+    for bad in truncation_and_flip(frame, data):
+        with pytest.raises(ProtocolError):
+            parse_frame(bad)
+        with pytest.raises(ProtocolError):
+            read_frame_from(bad)
+
+
+result_nodes = st.builds(
+    BlockNode, canonical_concepts, st.integers(0, 0xFFFF),
+    st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+    st.floats(allow_nan=False))
+
+
+@SETTINGS
+@given(nodes=st.lists(result_nodes, max_size=4),
+       weak=st.lists(u64s, max_size=6), data=st.data())
+def test_every_truncation_or_byte_flip_of_an_expand_result_is_a_protocol_error(
+        nodes, weak, data):
+    payload = _pack_expand_result(nodes, weak)
+    assert _split_expand_result(payload) == (nodes, weak)
+    cut, flipped = truncation_and_flip(payload, data)
+    with pytest.raises(ProtocolError):
+        _split_expand_result(cut)
+    try:  # a flip may still leave a well-formed payload
+        _split_expand_result(flipped)
+    except ProtocolError:
+        pass
 
 
 # --- EXPAND_TASK ------------------------------------------------------------
