@@ -12,7 +12,7 @@ import signal
 import sys
 from dataclasses import replace
 
-from .cluster import (ClusterError, ClusterResult, MasterConfig, WorkerServer,
+from .cluster import (ClusterError, MasterConfig, WorkerServer,
                       DEFAULT_TCP_PORT, DEFAULT_UDP_PORT, run_master)
 from .concept import ConceptParseError, canonicalize, concept_length, parse_concept, render
 from .evaluation import evaluate
@@ -63,6 +63,17 @@ def _search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="JSON-lines output")
 
 
+def _search_settings(args) -> dict:
+    """The ``SearchSettings`` keyword arguments of the ``_search_flags``."""
+    return dict(limit=args.limit, noise=args.noise, max_millis=args.max_millis,
+                max_length=args.max_length,
+                target_accuracy=args.target_accuracy,
+                use_inverse_roles=not args.no_inverse,
+                use_cardinality=not args.no_cardinality,
+                use_disjunction=not args.no_disjunction,
+                use_negation=not args.no_negation)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dlbeam",
                                  description="beam-search learner for "
@@ -107,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _report(result: SearchResult | ClusterResult, st_sym, examples,
-            as_json: bool) -> None:
+def _report(result: SearchResult, st_sym, examples, as_json: bool) -> None:
     if as_json:
         for i, it in enumerate(result.iterations):
             print(json.dumps({"type": "iteration", "index": i,
@@ -153,15 +163,7 @@ def _status_code(status: str) -> int:
 
 
 def cmd_learn(args) -> int:
-    cfg = _build(
-        SearchConfig,
-        beam_width=args.beam,
-        limit=args.limit, noise=args.noise, max_millis=args.max_millis,
-        max_length=args.max_length, target_accuracy=args.target_accuracy,
-        use_inverse_roles=not args.no_inverse,
-        use_cardinality=not args.no_cardinality,
-        use_disjunction=not args.no_disjunction,
-        use_negation=not args.no_negation)
+    cfg = _build(SearchConfig, beam_width=args.beam, **_search_settings(args))
     st_sym, kb = _load_kb(args.kb)
     examples = parse_examples(_read(args.examples), st_sym)
     materialize(kb, st_sym)
@@ -214,13 +216,7 @@ def cmd_master(args) -> int:
             raise KbError(f"bad worker endpoint {spec_str!r} (want HOST:PORT)")
         endpoints.append((host, int(port)))
     cfg = _build(
-        MasterConfig,
-        limit=args.limit, noise=args.noise, max_millis=args.max_millis,
-        max_length=args.max_length, target_accuracy=args.target_accuracy,
-        use_inverse_roles=not args.no_inverse,
-        use_cardinality=not args.no_cardinality,
-        use_disjunction=not args.no_disjunction,
-        use_negation=not args.no_negation,
+        MasterConfig, **_search_settings(args),
         udp_port=args.broadcast_port,
         worker_endpoints=tuple(endpoints),
         discovery_millis=args.discovery_millis,

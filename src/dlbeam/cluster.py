@@ -36,9 +36,12 @@ each), so the master can keep its closed list identical to a single-machine
 run's, followed by the evaluated non-weak refinements as a block.
 
 A KB_TRANSFER is u32 length + the ``serialize_kb`` blob, the positive and
-the negative example ids (u32 count + u32 each), then the search parameters:
-f64 noise, f64 gain bonus, f64 expansion penalty, u16 max_length and a u8 of
-flags (inverse roles, cardinality, disjunction, negation from bit 0 up).
+the negative example ids (u32 count + u32 each), then the master's search
+settings that a worker's expansion reads: f64 noise, f64 gain bonus, f64
+expansion penalty, u16 max_length and a u8 of flags (inverse roles,
+cardinality, disjunction, negation from bit 0 up). The worker unpacks them
+into the ``SearchConfig`` of its expander, so they are validated by the same
+rules as a local run's.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
 from .kb import (ExampleSet, KbError, KnowledgeBase, SymbolTable,
                  compute_statistics, deserialize_kb, materialize, serialize_kb)
 from .refine import build_mb
-from .search import (IterationStats, LocalExpander, SearchConfig, SearchNode,
-                     expand_single_node, refinement_config, root_node,
-                     search_loop)
+from .search import (LocalExpander, SearchConfig, SearchNode, SearchResult,
+                     SearchSettings, expand_single_node, refinement_config,
+                     root_node, search_loop)
 # Not called here since the master runs search_loop and the worker a
 # LocalExpander; bench/tracing.py still wraps the master's calls under these
 # names, and reads them as 0.
@@ -74,7 +77,7 @@ __all__ = [
     "MSG_PROBE_RESULT", "MSG_EXPAND_TASK", "MSG_EXPAND_RESULT", "MSG_TERMINATE",
     "MSG_ERROR",
     "ProtocolError", "ClusterError",
-    "BlockNode", "SearchParams", "WorkerInfo",
+    "BlockNode", "WorkerInfo",
     "write_frame", "read_frame", "frame_bytes", "parse_frame",
     "serialize_block", "deserialize_block",
     "WorkerServer", "discover", "MasterConfig", "ClusterResult", "run_master",
@@ -104,6 +107,9 @@ MSG_ERROR = 0x0F
 _u16 = struct.Struct(">H")
 _u32 = struct.Struct(">I")
 _f64 = struct.Struct(">d")
+# KB_TRANSFER's search settings: noise, gain bonus, expansion penalty,
+# max_length, flags.
+_SETTINGS = struct.Struct(">dddHB")
 _HEADER = struct.Struct(">4sHBI")
 
 
@@ -123,22 +129,37 @@ def frame_bytes(mtype: int, payload: bytes) -> bytes:
     return _HEADER.pack(FRAME_MAGIC, PROTOCOL_VERSION, mtype, len(payload)) + payload + _u32.pack(crc)
 
 
-def parse_frame(data: bytes) -> tuple[int, bytes]:
-    """Parse one complete frame held in memory (the read_frame inverse)."""
-    if len(data) < _HEADER.size + 4:
-        raise ProtocolError("truncated frame")
+def _frame_header(data: bytes) -> tuple[int, int]:
+    """The message type and payload length of the header ``data`` starts
+    with, once its magic, version and length are checked."""
     magic, version, mtype, plen = _HEADER.unpack_from(data)
     if magic != FRAME_MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol version {version}")
-    if len(data) != _HEADER.size + plen + 4:
-        raise ProtocolError("frame length mismatch")
-    payload = data[_HEADER.size:_HEADER.size + plen]
-    crc = _u32.unpack_from(data, _HEADER.size + plen)[0]
+    if plen > MAX_PAYLOAD:
+        raise ProtocolError(f"payload length {plen} exceeds limit")
+    return mtype, plen
+
+
+def _frame_payload(mtype: int, body: bytes) -> bytes:
+    """The payload of a frame's ``body``, the bytes after its header, once
+    the CRC that ends it is checked."""
+    payload = body[:-4]
+    (crc,) = _u32.unpack_from(body, len(payload))
     if crc != zlib.crc32(bytes([mtype]) + payload):
         raise ProtocolError("frame checksum failure")
-    return mtype, payload
+    return payload
+
+
+def parse_frame(data: bytes) -> tuple[int, bytes]:
+    """Parse one complete frame held in memory (the read_frame inverse)."""
+    if len(data) < _HEADER.size + 4:
+        raise ProtocolError("truncated frame")
+    mtype, plen = _frame_header(data)
+    if len(data) != _HEADER.size + plen + 4:
+        raise ProtocolError("frame length mismatch")
+    return mtype, _frame_payload(mtype, data[_HEADER.size:])
 
 
 def write_frame(sock: socket.socket, mtype: int, payload: bytes = b"") -> None:
@@ -156,19 +177,9 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def read_frame(sock: socket.socket) -> tuple[int, bytes]:
-    head = _recv_exact(sock, _HEADER.size)
-    magic, version, mtype, plen = _HEADER.unpack(head)
-    if magic != FRAME_MAGIC:
-        raise ProtocolError(f"bad frame magic {magic!r}")
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(f"unsupported protocol version {version}")
-    if plen > MAX_PAYLOAD:
-        raise ProtocolError(f"payload length {plen} exceeds limit")
-    rest = _recv_exact(sock, plen + 4)
-    payload, crc = rest[:plen], _u32.unpack(rest[plen:])[0]
-    if crc != zlib.crc32(bytes([mtype]) + payload):
-        raise ProtocolError("frame checksum failure")
-    return mtype, payload
+    """Read one frame, checked as ``parse_frame`` checks it."""
+    mtype, plen = _frame_header(_recv_exact(sock, _HEADER.size))
+    return mtype, _frame_payload(mtype, _recv_exact(sock, plen + 4))
 
 
 # ---------------------------------------------------------------------------
@@ -227,57 +238,10 @@ def deserialize_block(data: bytes) -> list[BlockNode]:
 
 
 # ---------------------------------------------------------------------------
-# Search parameters carried by KB_TRANSFER
-
-@dataclass(frozen=True)
-class SearchParams:
-    noise: float = 0.0
-    gain_bonus: float = 0.5
-    expansion_penalty: float = 0.02
-    max_length: int = 10
-    use_inverse_roles: bool = True
-    use_cardinality: bool = True
-    use_disjunction: bool = True
-    use_negation: bool = True
-
-    def pack(self) -> bytes:
-        flags = (self.use_inverse_roles | self.use_cardinality << 1
-                 | self.use_disjunction << 2 | self.use_negation << 3)
-        return (_f64.pack(self.noise) + _f64.pack(self.gain_bonus)
-                + _f64.pack(self.expansion_penalty) + _u16.pack(self.max_length)
-                + bytes([flags]))
-
-    @classmethod
-    def unpack(cls, data: bytes, pos: int) -> tuple["SearchParams", int]:
-        if pos + 27 > len(data):
-            raise ProtocolError("truncated search parameters")
-        noise = _f64.unpack_from(data, pos)[0]
-        if not 0.0 <= noise < 1.0:
-            raise ProtocolError(f"noise must be in [0, 1), got {noise}")
-        gain = _f64.unpack_from(data, pos + 8)[0]
-        pen = _f64.unpack_from(data, pos + 16)[0]
-        max_length = _u16.unpack_from(data, pos + 24)[0]
-        if max_length == 0:
-            raise ProtocolError("max_length must be >= 1, got 0")
-        flags = data[pos + 26]
-        return cls(noise, gain, pen, max_length,
-                   bool(flags & 1), bool(flags & 2), bool(flags & 4),
-                   bool(flags & 8)), pos + 27
-
-    def eval_cfg(self) -> EvalConfig:
-        return EvalConfig(self.gain_bonus, self.expansion_penalty)
-
-    def search_config(self) -> SearchConfig:
-        return SearchConfig(
-            noise=self.noise, max_length=self.max_length,
-            use_inverse_roles=self.use_inverse_roles,
-            use_cardinality=self.use_cardinality,
-            use_disjunction=self.use_disjunction,
-            use_negation=self.use_negation, eval_cfg=self.eval_cfg())
-
+# KB_TRANSFER
 
 def _pack_kb_transfer(kb: KnowledgeBase, st: SymbolTable, examples: ExampleSet,
-                      params: SearchParams) -> bytes:
+                      cfg: SearchSettings) -> bytes:
     blob = serialize_kb(kb, st)
     out = bytearray(_u32.pack(len(blob)))
     out += blob
@@ -288,12 +252,15 @@ def _pack_kb_transfer(kb: KnowledgeBase, st: SymbolTable, examples: ExampleSet,
     out += _u32.pack(len(neg_ids))
     for i in neg_ids:
         out += _u32.pack(i)
-    out += params.pack()
+    flags = (cfg.use_inverse_roles | cfg.use_cardinality << 1
+             | cfg.use_disjunction << 2 | cfg.use_negation << 3)
+    out += _SETTINGS.pack(cfg.noise, cfg.eval_cfg.gain_bonus,
+                          cfg.eval_cfg.expansion_penalty, cfg.max_length, flags)
     return bytes(out)
 
 
 def _unpack_kb_transfer(payload: bytes
-                        ) -> tuple[SymbolTable, KnowledgeBase, ExampleSet, SearchParams]:
+                        ) -> tuple[SymbolTable, KnowledgeBase, ExampleSet, SearchConfig]:
     if len(payload) < 4:
         raise ProtocolError("truncated KB transfer")
     (blen,) = _u32.unpack_from(payload, 0)
@@ -323,11 +290,21 @@ def _unpack_kb_transfer(payload: bytes
         raise ProtocolError("no negative examples")
     if not set(pos_ids).isdisjoint(neg_ids):
         raise ProtocolError("an example is both positive and negative")
-    params, pos = SearchParams.unpack(payload, pos)
-    if pos != len(payload):
+    if pos + _SETTINGS.size > len(payload):
+        raise ProtocolError("truncated search settings")
+    if pos + _SETTINGS.size != len(payload):
         raise ProtocolError("trailing bytes after KB transfer")
+    noise, gain, pen, max_length, flags = _SETTINGS.unpack_from(payload, pos)
+    try:
+        cfg = SearchConfig(
+            noise=noise, max_length=max_length,
+            use_inverse_roles=bool(flags & 1), use_cardinality=bool(flags & 2),
+            use_disjunction=bool(flags & 4), use_negation=bool(flags & 8),
+            eval_cfg=EvalConfig(gain, pen))
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
     examples = ExampleSet.from_ids(st.num_individuals, pos_ids, neg_ids)
-    return st, kb, examples, params
+    return st, kb, examples, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +440,14 @@ class WorkerServer:
             return False
         if mtype == MSG_KB_TRANSFER:
             try:
-                st, kb, examples, params = _unpack_kb_transfer(payload)
+                st, kb, examples, cfg = _unpack_kb_transfer(payload)
                 materialize(kb, st)
             except KbError as exc:  # a corrupt blob, or a KB that cannot close
                 raise ProtocolError(f"bad KB transfer: {exc}") from None
             stats = compute_statistics(kb)
             # The expander's refine and extension memos, and the RHT mirror,
             # live as long as this state, so a new KB_TRANSFER starts new ones.
-            state["expander"] = LocalExpander(kb, examples,
-                                              params.search_config(), stats,
+            state["expander"] = LocalExpander(kb, examples, cfg, stats,
                                               build_mb(kb, stats))
             state["rht"] = set()
             write_frame(conn, MSG_KB_ACK)
@@ -499,7 +475,7 @@ class WorkerServer:
         node = root_node(ex.kb, ex.examples, ex.cfg.eval_cfg, PROBE_HE)
         # A config, and so a refine memo, of the probe's own, as is the
         # extension memo passed to evaluate_batch below.
-        rcfg = refinement_config(ex.stats, ex.cfg, PROBE_HE)
+        rcfg = refinement_config(ex.stats, ex.cfg)
         emitted: list[Concept] = []
         while node.expandable and node.he < PROBE_HE:
             refs, _ = expand_single_node(node, ex.kb, ex.stats, ex.mb, rcfg,
@@ -511,13 +487,9 @@ class WorkerServer:
     def _expand(self, payload: bytes, state: dict) -> bytes:
         ex, rht = state["expander"], state["rht"]
         known, tasks = _split_expand_task(payload)
-        for i, bn in enumerate(tasks):
-            _check_ids(bn.concept, ex.kb, i)
+        beam = [_search_node(bn, i, ex.kb, ex.examples, ex.cfg.max_length)
+                for i, bn in enumerate(tasks)]
         rht.update(known)
-        beam = [SearchNode(bn.concept, hash_concept(bn.concept), bn.he,
-                           CoverageResult(bn.pos_covered, bn.neg_covered),
-                           Score(_accuracy(bn, ex.examples), bn.value))
-                for bn in tasks]
         _generated, found = ex.expand(beam, rht)
         return _pack_expand_result(
             [_block_node(n) for _h, n in found if n is not None],
@@ -551,6 +523,24 @@ def _check_ids(c: Concept, kb: KnowledgeBase, node: int) -> None:
 def _accuracy(bn: BlockNode, examples: ExampleSet) -> float:
     return ((bn.pos_covered + (examples.neg_count - bn.neg_covered))
             / (examples.pos_count + examples.neg_count))
+
+
+def _search_node(bn: BlockNode, i: int, kb: KnowledgeBase,
+                 examples: ExampleSet, max_length: int) -> SearchNode:
+    """The search node of block node ``i``. Raise ProtocolError if its
+    concept names a class or role outside ``kb``, it covers more examples
+    than there are, or its score is not finite: no search makes such a node."""
+    _check_ids(bn.concept, kb, i)
+    if bn.pos_covered > examples.pos_count or bn.neg_covered > examples.neg_count:
+        raise ProtocolError(f"node {i}: covers {bn.pos_covered} positives "
+                            f"and {bn.neg_covered} negatives of "
+                            f"{examples.pos_count} and {examples.neg_count}")
+    if not math.isfinite(bn.value):
+        raise ProtocolError(f"node {i}: score {bn.value} is not finite")
+    return SearchNode(bn.concept, hash_concept(bn.concept), bn.he,
+                      CoverageResult(bn.pos_covered, bn.neg_covered),
+                      Score(_accuracy(bn, examples), bn.value),
+                      expandable=bn.he < max_length)
 
 
 def _block_node(n: SearchNode) -> BlockNode:
@@ -600,17 +590,7 @@ def _split_expand_result(payload: bytes) -> tuple[list[BlockNode], list[int]]:
 # Master
 
 @dataclass(frozen=True)
-class MasterConfig:
-    limit: int = 1
-    noise: float = 0.0
-    max_millis: int | None = None
-    max_length: int = 10
-    target_accuracy: float = 1.0
-    use_inverse_roles: bool = True
-    use_cardinality: bool = True
-    use_disjunction: bool = True
-    use_negation: bool = True
-    eval_cfg: EvalConfig = EvalConfig()
+class MasterConfig(SearchSettings):
     udp_port: int = DEFAULT_UDP_PORT
     broadcast_addrs: tuple[str, ...] = ("255.255.255.255", "127.255.255.255")
     worker_endpoints: tuple[tuple[str, int], ...] = ()
@@ -619,14 +599,13 @@ class MasterConfig:
     io_timeout: float = 60.0
 
     def __post_init__(self):
-        # max_length travels to the workers as u16 (SearchParams); limit
+        super().__post_init__()
+        # max_length travels to the workers as u16 (KB_TRANSFER); limit
         # stays on the master, within the same bounds.
         for name in ("limit", "max_length"):
-            if not 1 <= getattr(self, name) <= 0xFFFF:
+            if getattr(self, name) > 0xFFFF:
                 raise ValueError(f"{name} must be in [1, 65535], "
                                  f"got {getattr(self, name)}")
-        if not 0.0 <= self.noise < 1.0:
-            raise ValueError(f"noise must be in [0, 1), got {self.noise}")
         if self.expect_workers is not None and self.expect_workers < 1:
             raise ValueError(f"expect_workers must be >= 1, "
                              f"got {self.expect_workers}")
@@ -638,14 +617,7 @@ class MasterConfig:
 
 
 @dataclass
-class ClusterResult:
-    hypotheses: list[SearchNode]
-    status: str  # solved | budget | exhausted | failed
-    st_nodes: list[SearchNode]
-    st_insertions: dict[int, float]
-    rht: set[int]
-    iterations: list[IterationStats]
-    wall_millis: int
+class ClusterResult(SearchResult):
     workers: list[WorkerInfo]
     phases: list[str]
 
@@ -739,8 +711,8 @@ class _RemoteExpander:
     """Expands on the workers: each alive worker, fastest first, gets the
     next ``wn`` nodes of the beam as one EXPAND_TASK, with the RHT hashes
     its mirror lacks. A node's he grows only once its worker has answered; a
-    worker whose round trip fails, whose reply does not parse or names a
-    class or role outside ``kb`` is dropped, and its nodes stay in the open
+    worker whose round trip fails, or whose reply does not parse or holds a
+    node ``_search_node`` refuses, is dropped, and its nodes stay in the open
     list for a later iteration."""
 
     def __init__(self, socks: list[socket.socket], workers: list[WorkerInfo],
@@ -776,9 +748,9 @@ class _RemoteExpander:
             try:
                 if reply is None:
                     raise ProtocolError("no EXPAND_RESULT")
-                nodes, weak = _split_expand_result(reply)
-                for i, bn in enumerate(nodes):
-                    _check_ids(bn.concept, self.kb, i)
+                block_nodes, weak = _split_expand_result(reply)
+                nodes = [_search_node(bn, i, self.kb, self.examples, max_length)
+                         for i, bn in enumerate(block_nodes)]
             except ProtocolError:
                 self.alive.remove(wi)
                 continue
@@ -787,15 +759,7 @@ class _RemoteExpander:
                 if n.he >= max_length:
                     n.expandable = False
             generated += len(nodes) + len(weak)
-            for bn in nodes:
-                h = hash_concept(bn.concept)
-                if h in rht:
-                    continue
-                found.append((h, SearchNode(
-                    bn.concept, h, bn.he,
-                    CoverageResult(bn.pos_covered, bn.neg_covered),
-                    Score(_accuracy(bn, self.examples), bn.value),
-                    expandable=bn.he < max_length)))
+            found.extend((n.hash, n) for n in nodes if n.hash not in rht)
             found.extend((h, None) for h in weak)
         return generated, found
 
@@ -821,15 +785,7 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
                                       connection_id=cid))
 
         phases.append("probing")
-        params = SearchParams(
-            noise=cfg.noise, gain_bonus=cfg.eval_cfg.gain_bonus,
-            expansion_penalty=cfg.eval_cfg.expansion_penalty,
-            max_length=cfg.max_length,
-            use_inverse_roles=cfg.use_inverse_roles,
-            use_cardinality=cfg.use_cardinality,
-            use_disjunction=cfg.use_disjunction,
-            use_negation=cfg.use_negation)
-        kb_payload = _pack_kb_transfer(kb, st_sym, examples, params)
+        kb_payload = _pack_kb_transfer(kb, st_sym, examples, cfg)
         for reply, w in zip(_round_trip(socks, MSG_KB_TRANSFER,
                                         [kb_payload] * len(socks), MSG_KB_ACK),
                             workers):
@@ -860,11 +816,9 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
                 pass
         phases.append("done")
 
+        # vars, not dataclasses.asdict, which would deep-copy the open list.
         return ClusterResult(
-            hypotheses=res.hypotheses, status=res.status, st_nodes=res.st_nodes,
-            st_insertions=res.st_insertions, rht=res.rht,
-            iterations=res.iterations,
-            wall_millis=int((time.monotonic() - t0) * 1000),
+            **{**vars(res), "wall_millis": int((time.monotonic() - t0) * 1000)},
             workers=workers, phases=phases)
     finally:
         for sock in socks:

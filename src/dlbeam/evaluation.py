@@ -108,6 +108,14 @@ class EvalConfig:
     gain_bonus: float = 0.5
     expansion_penalty: float = 0.02
 
+    def __post_init__(self):
+        # A non-finite weight would make every score of a search NaN or
+        # infinite, so a finite score is an invariant the cluster relies on.
+        for name in ("gain_bonus", "expansion_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)}")
+
 
 @dataclass(eq=False, slots=True)
 class RowSpace:

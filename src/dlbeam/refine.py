@@ -50,7 +50,6 @@ class RefinementConfig:
     use_cardinality: bool = True
     use_disjunction: bool = True
     use_negation: bool = True
-    max_length: int = 10
 
     @classmethod
     def from_stats(cls, stats: KbStatistics, **kwargs) -> "RefinementConfig":

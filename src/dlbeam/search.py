@@ -40,6 +40,7 @@ from .refine import RefinementConfig, build_mb, refine
 
 __all__ = [
     "SearchNode",
+    "SearchSettings",
     "SearchConfig",
     "IterationStats",
     "SearchResult",
@@ -75,8 +76,14 @@ class SearchNode:
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    beam_width: int = 4
+class SearchSettings:
+    """The settings every search reads, local or distributed, validated here.
+
+    ``SearchConfig`` adds what only a local run reads, the beam width and the
+    collision check; the cluster's ``MasterConfig`` adds how the master finds
+    and talks to its workers, whose beam width is the workers' cores.
+    """
+
     limit: int = 1
     noise: float = 0.0
     max_millis: int | None = None
@@ -87,14 +94,24 @@ class SearchConfig:
     use_disjunction: bool = True
     use_negation: bool = True
     eval_cfg: EvalConfig = EvalConfig()
-    verify_collisions: bool = False
 
     def __post_init__(self):
-        for name in ("beam_width", "limit", "max_length"):
+        for name in ("limit", "max_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError(f"noise must be in [0, 1), got {self.noise}")
+
+
+@dataclass(frozen=True)
+class SearchConfig(SearchSettings):
+    beam_width: int = 4
+    verify_collisions: bool = False
+
+    def __post_init__(self):
+        if self.beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
+        super().__post_init__()
 
 
 @dataclass
@@ -206,7 +223,7 @@ def reduce_redundant(per_slot: list[tuple[list[Concept], set[int]]],
     return out
 
 
-def refinement_config(stats: KbStatistics, cfg: SearchConfig, max_length: int
+def refinement_config(stats: KbStatistics, cfg: SearchSettings
                       ) -> RefinementConfig:
     """A refinement config, and with it a refine memo, for one search in the
     hypothesis language of ``cfg``."""
@@ -215,8 +232,7 @@ def refinement_config(stats: KbStatistics, cfg: SearchConfig, max_length: int
         use_inverse_roles=cfg.use_inverse_roles,
         use_cardinality=cfg.use_cardinality,
         use_disjunction=cfg.use_disjunction,
-        use_negation=cfg.use_negation,
-        max_length=max_length)
+        use_negation=cfg.use_negation)
 
 
 def root_node(kb: KnowledgeBase, examples: ExampleSet, eval_cfg: EvalConfig,
@@ -240,7 +256,7 @@ class LocalExpander:
         # rcfg carries refine's memo, and ext_memo evaluation's operand and
         # filler extensions and the example row space the candidates are
         # counted in, so both live for this search only.
-        self.rcfg = refinement_config(stats, cfg, cfg.max_length)
+        self.rcfg = refinement_config(stats, cfg)
         self.ext_memo = ExtensionMemo()
 
     def width(self) -> int:
@@ -268,13 +284,11 @@ class LocalExpander:
         return sum(len(refs) for refs, _ in per_slot), found
 
 
-def search_loop(kb: KnowledgeBase, examples: ExampleSet, cfg, expander,
-                t0: float) -> SearchResult:
+def search_loop(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchSettings,
+                expander, t0: float) -> SearchResult:
     """The beam search of ``run_search`` and of the cluster master.
 
-    ``cfg`` is a ``SearchConfig`` or a ``MasterConfig``; the loop reads the
-    fields they share. Times count from ``t0``, a ``time.monotonic()``
-    reading. ``expander.width()`` is how many nodes to take per iteration,
+    Times count from ``t0``, a ``time.monotonic()`` reading. ``expander.width()`` is how many nodes to take per iteration,
     and the run fails once it is 0. ``expander.expand(beam, rht)`` returns
     the number of refinements generated, and each evaluated refinement that
     is new to ``rht`` as its hash with its node, or with None if it is weak;

@@ -15,17 +15,16 @@ from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             MSG_EXPAND_TASK, MSG_HELLO, MSG_HELLO_ACK,
                             MSG_KB_ACK, MSG_KB_TRANSFER, MSG_PROBE,
                             MSG_PROBE_RESULT, MSG_TERMINATE, PROTOCOL_VERSION,
-                            ProtocolError,
-                            SearchParams, WorkerServer, _accuracy,
+                            ProtocolError, WorkerServer, _accuracy,
                             _pack_expand_result, _pack_kb_transfer,
                             _split_expand_result,
                             _unpack_kb_transfer, discover, frame_bytes,
                             parse_frame, read_frame, run_master,
                             serialize_block, deserialize_block, write_frame)
-from dlbeam.concept import (Atomic, Exists, RoleExpr, TOP, concept_length,
-                            hash_concept)
-from dlbeam.evaluation import (CoverageResult, Score, evaluate, evaluate_batch,
-                               is_weak, score)
+from dlbeam.concept import (And, Atomic, Exists, MinCard, RoleExpr, TOP,
+                            concept_length, connective, hash_concept)
+from dlbeam.evaluation import (CoverageResult, EvalConfig, Score, evaluate,
+                               evaluate_batch, is_weak, score)
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import ExampleSet, compute_statistics, materialize, parse_kb
 from dlbeam.refine import RefinementConfig, build_mb
@@ -144,27 +143,42 @@ def test_expand_result_round_trip_and_truncations():
 
 # --- parameter and KB payloads ----------------------------------------------
 
-def test_search_params_round_trip():
+def test_search_params_round_trip(smoke):
     rng = random.Random(602)
+    bare = len(_pack_kb_transfer(smoke.kb, smoke.st, smoke.examples,
+                                 SearchConfig()))
     for _ in range(40):
-        p = SearchParams(noise=rng.choice([0.0, 0.1, 0.25]),
-                         gain_bonus=rng.random(),
-                         expansion_penalty=rng.random() / 10,
+        p = SearchConfig(noise=rng.choice([0.0, 0.1, 0.25]),
+                         eval_cfg=EvalConfig(rng.random(), rng.random() / 10),
                          max_length=rng.randint(1, 20),
                          use_inverse_roles=rng.random() < 0.5,
                          use_cardinality=rng.random() < 0.5,
                          use_disjunction=rng.random() < 0.5,
                          use_negation=rng.random() < 0.5)
-        packed = p.pack()
-        assert len(packed) == 27
-        q, end = SearchParams.unpack(packed, 0)
-        assert q == p and end == 27
-    with pytest.raises(ProtocolError):
-        SearchParams.unpack(SearchParams().pack()[:-1], 0)
+        packed = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, p)
+        assert len(packed) == bare
+        assert _unpack_kb_transfer(packed)[3] == p
+    with pytest.raises(ProtocolError, match="truncated search settings"):
+        _unpack_kb_transfer(packed[:-1])
+
+
+def test_kb_transfer_carries_the_master_settings_in_the_v3_layout(smoke):
+    cfg = MasterConfig(limit=3, noise=0.25, max_millis=500, max_length=300,
+                       target_accuracy=0.9, use_cardinality=False,
+                       use_negation=False, eval_cfg=EvalConfig(0.75, 0.125),
+                       broadcast_addrs=(), expect_workers=2)
+    payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, cfg)
+    # inverse roles (bit 0) and disjunction (bit 2) on
+    assert payload[-27:] == struct.pack(">dddHB", 0.25, 0.75, 0.125, 300,
+                                        0b0101)
+    assert PROTOCOL_VERSION == 3
+    assert _unpack_kb_transfer(payload)[3] == SearchConfig(
+        noise=0.25, max_length=300, use_cardinality=False, use_negation=False,
+        eval_cfg=EvalConfig(0.75, 0.125))
 
 
 def test_kb_transfer_round_trip(smoke):
-    params = SearchParams(max_length=5, use_disjunction=False)
+    params = SearchConfig(max_length=5, use_disjunction=False)
     payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, params)
     st2, kb2, ex2, params2 = _unpack_kb_transfer(payload)
     assert st2 == smoke.st
@@ -217,7 +231,7 @@ def test_discover_times_out_with_nobody_listening():
 
 # --- worker protocol --------------------------------------------------------
 
-PARAMS = SearchParams(max_length=5)
+PARAMS = SearchConfig(max_length=5)
 # The known-hash section of an EXPAND_TASK that names no known hash.
 NO_KNOWN = struct.pack(">I", 0)
 
@@ -246,7 +260,7 @@ def root_block_node(fix):
 def local_expand_oracle(fix, tasks, params):
     """What a correct worker must return for EXPAND_TASK, computed in-process."""
     rcfg = RefinementConfig.from_stats(
-        fix.stats, max_length=params.max_length,
+        fix.stats,
         use_inverse_roles=params.use_inverse_roles,
         use_cardinality=params.use_cardinality,
         use_disjunction=params.use_disjunction,
@@ -266,7 +280,7 @@ def local_expand_oracle(fix, tasks, params):
             weak.append(h)
             continue
         sc = score(cov, _accuracy(tasks[slot], fix.examples),
-                   concept_length(c), fix.examples, params.eval_cfg())
+                   concept_length(c), fix.examples, params.eval_cfg)
         good.append(BlockNode(c, concept_length(c), cov.pos_covered,
                               cov.neg_covered, sc.value))
     return good, weak
@@ -345,6 +359,25 @@ def test_worker_answers_a_task_concept_outside_the_kb_with_error(
         assert sock.recv(1) == b""  # worker closed the connection
 
 
+@pytest.mark.parametrize("counts,value,message", [
+    # smoke has 2 positives and 2 negatives
+    ((3, 0), None, b"node 0: covers 3 positives and 0 negatives of 2 and 2"),
+    ((2, 3), None, b"node 0: covers 2 positives and 3 negatives of 2 and 2"),
+    ((2, 0), float("nan"), b"node 0: score nan is not finite"),
+])
+def test_worker_answers_a_task_node_with_impossible_counts_or_score_with_error(
+        smoke, counts, value, message):
+    root = root_block_node(smoke)
+    task = BlockNode(TOP, 1, *counts,
+                     root.value if value is None else value)
+    with master_connection(smoke) as (sock, _):
+        write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block([task]))
+        mtype, payload = read_frame(sock)
+        assert mtype == MSG_ERROR
+        assert message in payload
+        assert sock.recv(1) == b""  # worker closed the connection
+
+
 def send_kb_transfer_and_expect_error(payload, message):
     with master_connection(None, send_kb=False) as (sock, _):
         write_frame(sock, MSG_KB_TRANSFER, payload)
@@ -394,18 +427,36 @@ def test_worker_answers_a_kb_transfer_with_bad_examples_with_error(
     send_kb_transfer_and_expect_error(payload, message)
 
 
+def kb_transfer_with(fix, fmt, offset, value):
+    """A KB_TRANSFER of ``fix`` whose 27-byte search settings hold ``value``,
+    packed as ``fmt``, at ``offset``: 0 noise, 8 gain bonus, 16 expansion
+    penalty, 24 max_length."""
+    payload = bytearray(_pack_kb_transfer(fix.kb, fix.st, fix.examples, PARAMS))
+    struct.pack_into(fmt, payload, len(payload) - 27 + offset, value)
+    return bytes(payload)
+
+
 def test_worker_answers_a_kb_transfer_with_bad_noise_with_error(smoke):
     for noise in (1.5, -0.1, float("nan")):
-        params = SearchParams(noise=noise, max_length=5)
-        payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, params)
+        payload = kb_transfer_with(smoke, ">d", 0, noise)
         with pytest.raises(ProtocolError, match="noise must be in"):
             _unpack_kb_transfer(payload)
         send_kb_transfer_and_expect_error(payload, b"noise must be in")
 
 
+def test_worker_answers_a_kb_transfer_with_a_non_finite_weight_with_error(
+        smoke):
+    for offset, name in ((8, "gain_bonus"), (16, "expansion_penalty")):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            payload = kb_transfer_with(smoke, ">d", offset, value)
+            message = f"{name} must be finite, got {value}"
+            with pytest.raises(ProtocolError, match=message):
+                _unpack_kb_transfer(payload)
+            send_kb_transfer_and_expect_error(payload, message.encode())
+
+
 def test_worker_answers_a_kb_transfer_with_a_zero_bound_with_error(smoke):
-    for params in (SearchParams(max_length=0),):
-        payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, params)
+    for payload in (kb_transfer_with(smoke, ">H", 24, 0),):
         with pytest.raises(ProtocolError, match="must be >= 1"):
             _unpack_kb_transfer(payload)
         send_kb_transfer_and_expect_error(payload, b"must be >= 1")
@@ -719,6 +770,23 @@ def test_master_drops_a_worker_that_returns_a_concept_outside_the_kb(trains):
     res, local = master_with_a_bad_worker(
         trains, lambda payload, state: _pack_expand_result([outside], []))
     assert hash_concept(outside.concept) not in res.rht
+    assert res.status == local.status == "exhausted"
+    assert res.rht == local.rht
+    assert res.st_insertions == local.st_insertions
+
+
+@pytest.mark.parametrize("pos_covered,value", [
+    (999, 2.0),  # trains has 5 positives
+    (5, float("inf")),
+    (5, float("nan")),
+])
+def test_master_drops_a_worker_that_returns_impossible_counts_or_score(
+        trains, pos_covered, value):
+    bad = BlockNode(MinCard(7, RoleExpr(0),
+                            connective(And, (Atomic(0), Atomic(1)))),
+                    5, pos_covered, 0, value)
+    res, local = master_with_a_bad_worker(
+        trains, lambda payload, state: _pack_expand_result([bad], []))
     assert res.status == local.status == "exhausted"
     assert res.rht == local.rht
     assert res.st_insertions == local.st_insertions

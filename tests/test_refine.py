@@ -385,7 +385,7 @@ def test_specializing_rules_shrink_coverage():
 # --- completeness at a small bound ------------------------------------------
 
 def closure_from_thing(fix, bound, **toggles):
-    cfg = rcfg_for(fix.stats, max_length=bound, **toggles)
+    cfg = rcfg_for(fix.stats, **toggles)
     seen = {hash_concept(TOP)}
     frontier = [TOP]
     everything = []
