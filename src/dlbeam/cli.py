@@ -237,10 +237,18 @@ def cmd_master(args) -> int:
         if local is not None:
             local.stop()
     _report(result, st_sym, examples, args.json)
-    if not args.json:
+    if args.json:
+        for d in result.dropped:
+            print(json.dumps({"type": "worker_dropped",
+                              "address": f"{d.address[0]}:{d.address[1]}",
+                              "iteration": d.iteration, "cause": d.cause}))
+    else:
         for w in result.workers:
             print(f"worker {w.address[0]}:{w.address[1]} cores={w.cores}"
                   f" wn={w.wn} probe_millis={w.probe_millis}")
+        for d in result.dropped:
+            print(f"worker {d.address[0]}:{d.address[1]} dropped in iteration"
+                  f" {d.iteration}: {d.cause}")
     return _status_code(result.status)
 
 

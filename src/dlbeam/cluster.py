@@ -42,6 +42,21 @@ expansion penalty, u16 max_length and a u8 of flags (inverse roles,
 cardinality, disjunction, negation from bit 0 up). The worker unpacks them
 into the ``SearchConfig`` of its expander, so they are validated by the same
 rules as a local run's.
+
+Each side of a search keeps a decode table (``concept.decode``): the
+master's ``_RemoteExpander`` one for its search, a worker one per
+KB_TRANSFER, which a later KB_TRANSFER replaces. ``deserialize_block`` looks
+each node's encoding up whole before decoding it, so a concept that comes
+back, such as a beam node sent again with a larger he, is not decoded twice.
+A worker also adds every node it returns to its table, so its own nodes come
+back in the next EXPAND_TASK without being decoded. Beside the table, each
+side keeps the encodings of the subtrees whose class and role ids it has
+checked against the KB, and checks each distinct subtree once. The set holds
+only subtrees that passed; the table can also hold subtrees of a refused
+node.
+
+The master records each worker it drops, with the worker's address, the
+index of the iteration and the cause, in ``ClusterResult.dropped``.
 """
 
 from __future__ import annotations
@@ -77,7 +92,7 @@ __all__ = [
     "MSG_PROBE_RESULT", "MSG_EXPAND_TASK", "MSG_EXPAND_RESULT", "MSG_TERMINATE",
     "MSG_ERROR",
     "ProtocolError", "ClusterError",
-    "BlockNode", "WorkerInfo",
+    "BlockNode", "WorkerInfo", "WorkerDrop",
     "write_frame", "read_frame", "frame_bytes", "parse_frame",
     "serialize_block", "deserialize_block",
     "WorkerServer", "discover", "MasterConfig", "ClusterResult", "run_master",
@@ -106,7 +121,6 @@ MSG_ERROR = 0x0F
 
 _u16 = struct.Struct(">H")
 _u32 = struct.Struct(">I")
-_f64 = struct.Struct(">d")
 # KB_TRANSFER's search settings: noise, gain bonus, expansion penalty,
 # max_length, flags.
 _SETTINGS = struct.Struct(">dddHB")
@@ -194,11 +208,15 @@ class BlockNode:
     value: float
 
 
+# What follows a node's concept encoding: he, covered positives, covered
+# negatives, score value.
+_NODE_TAIL = struct.Struct(">HIId")
+
+
 def _encode_node(n: BlockNode) -> bytes:
     enc = encode(n.concept)
-    return (_u32.pack(len(enc)) + enc + _u16.pack(n.he)
-            + _u32.pack(n.pos_covered) + _u32.pack(n.neg_covered)
-            + _f64.pack(n.value))
+    return (_u32.pack(len(enc)) + enc
+            + _NODE_TAIL.pack(n.he, n.pos_covered, n.neg_covered, n.value))
 
 
 def serialize_block(nodes: list[BlockNode]) -> bytes:
@@ -206,7 +224,11 @@ def serialize_block(nodes: list[BlockNode]) -> bytes:
     return _u32.pack(len(nodes)) + b"".join(_encode_node(n) for n in nodes)
 
 
-def deserialize_block(data: bytes) -> list[BlockNode]:
+def deserialize_block(data: bytes, table: dict[bytes, Concept] | None = None
+                      ) -> list[BlockNode]:
+    """The nodes of a block. With a decode ``table``, a node whose whole
+    encoding is in it takes the concept found there, and the others are
+    decoded through it (see ``concept.decode``)."""
     if len(data) < 4:
         raise ProtocolError("block shorter than its count field")
     (count,) = _u32.unpack_from(data, 0)
@@ -217,20 +239,18 @@ def deserialize_block(data: bytes) -> list[BlockNode]:
             raise ProtocolError(f"node {i}: truncated length prefix")
         (clen,) = _u32.unpack_from(data, pos)
         pos += 4
-        end = pos + clen + 2 + 4 + 4 + 8
+        end = pos + clen + _NODE_TAIL.size
         if end > len(data):
             raise ProtocolError(f"node {i}: truncated record")
         enc = data[pos:pos + clen]
-        pos += clen
-        (he,) = _u16.unpack_from(data, pos)
-        (pc,) = _u32.unpack_from(data, pos + 2)
-        (nc,) = _u32.unpack_from(data, pos + 6)
-        (val,) = _f64.unpack_from(data, pos + 10)
-        pos += 18
-        try:
-            c = decode(enc)
-        except DecodeError as exc:
-            raise ProtocolError(f"node {i}: {exc}") from None
+        he, pc, nc, val = _NODE_TAIL.unpack_from(data, pos + clen)
+        pos = end
+        c = table.get(enc) if table is not None else None
+        if c is None:
+            try:
+                c = decode(enc, table)
+            except DecodeError as exc:
+                raise ProtocolError(f"node {i}: {exc}") from None
         nodes.append(BlockNode(c, he, pc, nc, val))
     if pos != len(data):
         raise ProtocolError(f"{len(data) - pos} trailing bytes after block")
@@ -445,11 +465,14 @@ class WorkerServer:
             except KbError as exc:  # a corrupt blob, or a KB that cannot close
                 raise ProtocolError(f"bad KB transfer: {exc}") from None
             stats = compute_statistics(kb)
-            # The expander's refine and extension memos, and the RHT mirror,
-            # live as long as this state, so a new KB_TRANSFER starts new ones.
+            # The expander's refine and extension memos, the RHT mirror, the
+            # decode table and the checked subtrees live as long as this
+            # state, so a new KB_TRANSFER starts new ones.
             state["expander"] = LocalExpander(kb, examples, cfg, stats,
                                               build_mb(kb, stats))
             state["rht"] = set()
+            state["table"] = {}
+            state["checked"] = set()
             write_frame(conn, MSG_KB_ACK)
             return False
         if mtype == MSG_PROBE:
@@ -485,24 +508,32 @@ class WorkerServer:
         return int((time.monotonic() - t0) * 1000)
 
     def _expand(self, payload: bytes, state: dict) -> bytes:
-        ex, rht = state["expander"], state["rht"]
-        known, tasks = _split_expand_task(payload)
-        beam = [_search_node(bn, i, ex.kb, ex.examples, ex.cfg.max_length)
+        ex, rht, table = state["expander"], state["rht"], state["table"]
+        known, tasks = _split_expand_task(payload, table)
+        beam = [_search_node(bn, i, ex.kb, ex.examples, ex.cfg.max_length,
+                             state["checked"])
                 for i, bn in enumerate(tasks)]
         rht.update(known)
         _generated, found = ex.expand(beam, rht)
-        return _pack_expand_result(
-            [_block_node(n) for _h, n in found if n is not None],
-            [h for h, n in found if n is None])
+        nodes = [_block_node(n) for _h, n in found if n is not None]
+        reply = _pack_expand_result(nodes, [h for h, n in found if n is None])
+        for bn in nodes:  # encoded by now, so encode reads the stored bytes
+            table[encode(bn.concept)] = bn.concept
+        return reply
 
 
-def _check_ids(c: Concept, kb: KnowledgeBase, node: int) -> None:
+def _check_ids(c: Concept, kb: KnowledgeBase, node: int,
+               checked: set[bytes]) -> None:
     """Raise ProtocolError if ``c``, the concept of block node ``node``,
-    names a class or role that ``kb`` does not have."""
+    names a class or role that ``kb`` does not have. ``checked`` holds the
+    encodings of the subtrees that passed, which are not walked again."""
+    enc = encode(c)
+    if enc in checked:
+        return
     if isinstance(c, (Atomic, NotAtomic)):
         what, i, n = "class", c.class_id, kb.num_classes
     elif isinstance(c, (Exists, Forall, MinCard, MaxCard)):
-        _check_ids(c.child, kb, node)
+        _check_ids(c.child, kb, node, checked)
         what, i, n = "role", c.role.role_id, kb.num_roles
     elif isinstance(c, BoolEq):
         what, i, n = "boolean role", c.role_id, len(kb.boolean_assertions)
@@ -512,12 +543,14 @@ def _check_ids(c: Concept, kb: KnowledgeBase, node: int) -> None:
         what, i, n = "string role", c.role_id, len(kb.string_assertions)
     elif isinstance(c, (And, Or)):
         for ch in c.children:
-            _check_ids(ch, kb, node)
+            _check_ids(ch, kb, node, checked)
+        checked.add(enc)
         return
     else:  # Thing
         return
     if i >= n:
         raise ProtocolError(f"node {node}: {what} id {i} is not in the KB")
+    checked.add(enc)
 
 
 def _accuracy(bn: BlockNode, examples: ExampleSet) -> float:
@@ -526,11 +559,13 @@ def _accuracy(bn: BlockNode, examples: ExampleSet) -> float:
 
 
 def _search_node(bn: BlockNode, i: int, kb: KnowledgeBase,
-                 examples: ExampleSet, max_length: int) -> SearchNode:
+                 examples: ExampleSet, max_length: int,
+                 checked: set[bytes]) -> SearchNode:
     """The search node of block node ``i``. Raise ProtocolError if its
     concept names a class or role outside ``kb``, it covers more examples
-    than there are, or its score is not finite: no search makes such a node."""
-    _check_ids(bn.concept, kb, i)
+    than there are, or its score is not finite: no search makes such a node.
+    ``checked`` is the search's set of subtrees whose ids passed."""
+    _check_ids(bn.concept, kb, i, checked)
     if bn.pos_covered > examples.pos_count or bn.neg_covered > examples.neg_count:
         raise ProtocolError(f"node {i}: covers {bn.pos_covered} positives "
                             f"and {bn.neg_covered} negatives of "
@@ -569,10 +604,12 @@ def _pack_expand_task(known: list[int], nodes: list[BlockNode]) -> bytes:
     return _pack_hashes(known) + serialize_block(nodes)
 
 
-def _split_expand_task(payload: bytes) -> tuple[list[int], list[BlockNode]]:
-    """The known hashes and the nodes of an EXPAND_TASK."""
+def _split_expand_task(payload: bytes, table: dict[bytes, Concept] | None = None
+                       ) -> tuple[list[int], list[BlockNode]]:
+    """The known hashes and the nodes of an EXPAND_TASK, its concepts
+    decoded through ``table``."""
     known, rest = _split_hashes(payload, "known-hash")
-    return known, deserialize_block(rest)
+    return known, deserialize_block(rest, table)
 
 
 def _pack_expand_result(nodes: list[BlockNode], weak: list[int]) -> bytes:
@@ -580,10 +617,12 @@ def _pack_expand_result(nodes: list[BlockNode], weak: list[int]) -> bytes:
     return _pack_hashes(weak) + serialize_block(nodes)
 
 
-def _split_expand_result(payload: bytes) -> tuple[list[BlockNode], list[int]]:
-    """The nodes and weak hashes of an EXPAND_RESULT."""
+def _split_expand_result(payload: bytes, table: dict[bytes, Concept] | None = None
+                         ) -> tuple[list[BlockNode], list[int]]:
+    """The nodes and weak hashes of an EXPAND_RESULT, its concepts decoded
+    through ``table``."""
     weak, rest = _split_hashes(payload, "weak-hash")
-    return deserialize_block(rest), weak
+    return deserialize_block(rest, table), weak
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +655,21 @@ class MasterConfig(SearchSettings):
                              f"seconds, got {self.io_timeout}")
 
 
+@dataclass(frozen=True)
+class WorkerDrop:
+    """A worker the master stopped using: its address, the index of the
+    iteration whose round trip it failed, and why."""
+
+    address: tuple[str, int]
+    iteration: int
+    cause: str
+
+
 @dataclass
 class ClusterResult(SearchResult):
     workers: list[WorkerInfo]
     phases: list[str]
+    dropped: list[WorkerDrop]
 
 
 def discover(cfg: MasterConfig) -> list[tuple[str, int]]:
@@ -661,30 +711,45 @@ def discover(cfg: MasterConfig) -> list[tuple[str, int]]:
     return found
 
 
+def _read_reply(sock: socket.socket, reply_type: int) -> bytes:
+    """The payload of the next frame on ``sock``. Raise ProtocolError, saying
+    why, if it cannot be read (the socket's io_timeout included) or is not
+    of ``reply_type``."""
+    try:
+        rtype, payload = read_frame(sock)
+    except OSError as exc:
+        raise ProtocolError(f"no reply: {exc.strerror or exc}") from None
+    if rtype == MSG_ERROR:
+        raise ProtocolError(
+            f"worker error: {payload.decode('utf-8', 'replace')}")
+    if rtype != reply_type:
+        raise ProtocolError(f"reply of type 0x{rtype:02x}, "
+                            f"not 0x{reply_type:02x}")
+    return payload
+
+
 def _round_trip(socks: list[socket.socket], mtype: int, payloads: list[bytes],
-                reply_type: int) -> list[bytes | None]:
+                reply_type: int) -> list[bytes | ProtocolError]:
     """Write each worker its request, then read each reply on that worker's
-    socket. Returns each reply's payload, or None for a worker whose write or
-    read failed (the socket's io_timeout included) or whose reply is not of
-    ``reply_type``."""
-    sent = []
+    socket. Returns each reply's payload, or for a worker whose write or
+    read failed or whose reply is not of ``reply_type`` the ProtocolError
+    that says why."""
+    errors: list[ProtocolError | None] = []
     for sock, payload in zip(socks, payloads):
         try:
             write_frame(sock, mtype, payload)
-            sent.append(True)
-        except OSError:
-            sent.append(False)
-    replies: list[bytes | None] = []
-    for sock, ok in zip(socks, sent):
-        reply = None
-        if ok:
+            errors.append(None)
+        except OSError as exc:
+            errors.append(ProtocolError(f"cannot send: {exc.strerror or exc}"))
+    replies: list[bytes | ProtocolError] = []
+    for sock, error in zip(socks, errors):
+        if error is None:
             try:
-                rtype, payload = read_frame(sock)
-                if rtype == reply_type:
-                    reply = payload
-            except (OSError, ProtocolError):
-                pass
-        replies.append(reply)
+                replies.append(_read_reply(sock, reply_type))
+                continue
+            except ProtocolError as exc:
+                error = exc
+        replies.append(error)
     return replies
 
 
@@ -713,7 +778,7 @@ class _RemoteExpander:
     its mirror lacks. A node's he grows only once its worker has answered; a
     worker whose round trip fails, or whose reply does not parse or holds a
     node ``_search_node`` refuses, is dropped, and its nodes stay in the open
-    list for a later iteration."""
+    list for a later iteration. Each drop is recorded in ``dropped``."""
 
     def __init__(self, socks: list[socket.socket], workers: list[WorkerInfo],
                  alive: list[int], kb: KnowledgeBase, examples: ExampleSet,
@@ -723,6 +788,11 @@ class _RemoteExpander:
         # The RHT hashes already sent. Every alive worker gets every
         # EXPAND_TASK, so this is each alive worker's mirror.
         self.sent: set[int] = set()
+        # This search's decode table and checked subtrees.
+        self.table: dict[bytes, Concept] = {}
+        self.checked: set[bytes] = set()
+        self.dropped: list[WorkerDrop] = []
+        self.iteration = 0  # the index of the next expand's iteration
 
     def width(self) -> int:
         return sum(self.workers[i].wn for i in self.alive)
@@ -746,13 +816,16 @@ class _RemoteExpander:
         found: list[tuple[int, SearchNode | None]] = []
         for (wi, block), reply in zip(blocks, replies):
             try:
-                if reply is None:
-                    raise ProtocolError("no EXPAND_RESULT")
-                block_nodes, weak = _split_expand_result(reply)
-                nodes = [_search_node(bn, i, self.kb, self.examples, max_length)
+                if isinstance(reply, ProtocolError):
+                    raise reply
+                block_nodes, weak = _split_expand_result(reply, self.table)
+                nodes = [_search_node(bn, i, self.kb, self.examples, max_length,
+                                      self.checked)
                          for i, bn in enumerate(block_nodes)]
-            except ProtocolError:
+            except ProtocolError as exc:
                 self.alive.remove(wi)
+                self.dropped.append(WorkerDrop(self.workers[wi].address,
+                                               self.iteration, str(exc)))
                 continue
             for n in block:
                 n.he += 1
@@ -761,6 +834,7 @@ class _RemoteExpander:
             generated += len(nodes) + len(weak)
             found.extend((n.hash, n) for n in nodes if n.hash not in rht)
             found.extend((h, None) for h in weak)
+        self.iteration += 1
         return generated, found
 
 
@@ -789,11 +863,12 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
         for reply, w in zip(_round_trip(socks, MSG_KB_TRANSFER,
                                         [kb_payload] * len(socks), MSG_KB_ACK),
                             workers):
-            if reply is None:
-                raise ClusterError(f"KB transfer failed on worker {w.address}")
+            if isinstance(reply, ProtocolError):
+                raise ClusterError(f"KB transfer failed on worker {w.address}: "
+                                   f"{reply}")
         for reply, w in zip(_round_trip(socks, MSG_PROBE, [b""] * len(socks),
                                         MSG_PROBE_RESULT), workers):
-            if reply is None or len(reply) != 6:
+            if isinstance(reply, ProtocolError) or len(reply) != 6:
                 raise ClusterError(f"probe failed on worker {w.address}")
             w.cores = _u16.unpack_from(reply, 0)[0]
             w.probe_millis = _u32.unpack_from(reply, 2)[0]
@@ -804,9 +879,8 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
                        key=lambda i: (workers[i].probe_millis, workers[i].connection_id))
 
         phases.append("learning")
-        res = search_loop(kb, examples, cfg,
-                          _RemoteExpander(socks, workers, alive, kb, examples,
-                                          cfg), t0)
+        expander = _RemoteExpander(socks, workers, alive, kb, examples, cfg)
+        res = search_loop(kb, examples, cfg, expander, t0)
 
         phases.append("terminating")
         for i in alive:  # the workers close without a reply
@@ -819,7 +893,7 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
         # vars, not dataclasses.asdict, which would deep-copy the open list.
         return ClusterResult(
             **{**vars(res), "wall_millis": int((time.monotonic() - t0) * 1000)},
-            workers=workers, phases=phases)
+            workers=workers, phases=phases, dropped=expander.dropped)
     finally:
         for sock in socks:
             sock.close()

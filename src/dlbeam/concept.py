@@ -8,14 +8,24 @@ canonical tree, one binary encoding and one 64-bit hash. The program's own
 concepts are canonical by construction; ``canonicalize`` is for concepts
 that come from outside, such as parsed text.
 
-Each concept object stores three facts about itself the first time they are
-asked for: its hash (``hash_concept``), its length (``concept_length``) and
-its canonical sort key (``sort_key``). They live in slots of the ``_Facts``
-base class for as long as the object does, and take no part in equality,
-``hash()``, ``repr`` or pickling. Since a concept never changes, a stored
-fact always equals a fresh computation; an equal concept built separately
-computes its own. ``canonicalize`` returns an already canonical concept
-unchanged, so its stored facts survive it.
+Each concept object stores four facts about itself the first time they are
+asked for: its hash (``hash_concept``), its length (``concept_length``), its
+canonical sort key (``sort_key``) and its canonical encoding (``encode``).
+They live in slots of the ``_Facts`` base class for as long as the object
+does, and take no part in equality, ``hash()``, ``repr`` or pickling. Since a
+concept never changes, a stored fact always equals a fresh computation; an
+equal concept built separately computes its own. ``canonicalize`` returns an
+already canonical concept unchanged, so its stored facts survive it. An
+encoding is built by joining the node's own header to its children's stored
+encodings, so it is the same pre-order byte string that one walk over the
+whole tree writes (``_encode_into``), and no subtree is encoded twice.
+
+``decode`` may be given a decode table, a dict from encoding bytes to the one
+concept decoded from them, owned by the caller for one search. A subtree is
+looked up in it only once its own checks have passed; a hit returns the
+concept decoded earlier, with its stored facts, and a miss stores the new
+concept, with the bytes it came from as its encoding. So a subtree that
+recurs across the replies of one search is built once.
 
 ``decode`` and ``parse_concept`` refuse trees nested deeper than
 ``MAX_NESTING`` levels with their own typed error, so untrusted bytes or
@@ -74,13 +84,14 @@ MAX_NESTING = 128
 class _Facts:
     """Slots for the facts a concept computes once about itself."""
 
-    __slots__ = ("_hash", "_length", "_sort_key")
+    __slots__ = ("_hash", "_length", "_sort_key", "_enc")
 
 
 # The slot setters bypass the frozen dataclasses' __setattr__.
 _store_hash = _Facts._hash.__set__
 _store_length = _Facts._length.__set__
 _store_sort_key = _Facts._sort_key.__set__
+_store_enc = _Facts._enc.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -352,6 +363,8 @@ class DecodeError(ValueError):
 
 
 def _encode_into(c: Concept, out: bytearray) -> None:
+    """One pre-order walk of the whole tree into ``out``, reading no stored
+    encoding: the byte layout that ``encode`` must reproduce."""
     t = type(c)
     if t is Top:
         out.append(_TAG_TOP)
@@ -393,11 +406,55 @@ def _encode_into(c: Concept, out: bytearray) -> None:
         raise TypeError(f"not a concept: {c!r}")
 
 
+# The fixed-size header of each node, before its children's encodings.
+_pack_tag_u32 = struct.Struct(">BI").pack  # Atomic, NotAtomic: class id
+_pack_tag_u16 = struct.Struct(">BH").pack  # And, Or: operand count
+_pack_role_head = struct.Struct(">BBI").pack  # Exists, Forall: inverse, role id
+_pack_card_head = struct.Struct(">BHBI").pack  # MinCard, MaxCard: n, inverse, role id
+_pack_bool_eq = struct.Struct(">BIB").pack
+_pack_num = struct.Struct(">BId").pack
+_pack_str_eq = struct.Struct(">BII").pack
+
+
 def encode(c: Concept) -> bytes:
-    """Canonical binary encoding; caller must pass a canonical concept."""
-    out = bytearray()
-    _encode_into(c, out)
-    return bytes(out)
+    """Canonical binary encoding; caller must pass a canonical concept. It
+    is stored on ``c`` and built from the children's stored encodings."""
+    # getattr with a default rather than try/except: most first reads miss,
+    # and a caught AttributeError costs more than getattr's own miss.
+    enc = getattr(c, "_enc", None)
+    if enc is None:
+        enc = _encoding(c)
+        _store_enc(c, enc)
+    return enc
+
+
+def _encoding(c: Concept) -> bytes:
+    t = type(c)
+    if t is Atomic:
+        return _pack_tag_u32(_TAG_ATOMIC, c.class_id)
+    if t is And or t is Or:
+        return (_pack_tag_u16(_TAG_AND if t is And else _TAG_OR, len(c.children))
+                + b"".join([encode(ch) for ch in c.children]))
+    if t is Exists or t is Forall:
+        return (_pack_role_head(_TAG_EXISTS if t is Exists else _TAG_FORALL,
+                                1 if c.role.inverse else 0, c.role.role_id)
+                + encode(c.child))
+    if t is MinCard or t is MaxCard:
+        return (_pack_card_head(_TAG_MIN_CARD if t is MinCard else _TAG_MAX_CARD,
+                                c.n, 1 if c.role.inverse else 0, c.role.role_id)
+                + encode(c.child))
+    if t is NotAtomic:
+        return _pack_tag_u32(_TAG_NOT_ATOMIC, c.class_id)
+    if t is Top:
+        return bytes((_TAG_TOP,))
+    if t is BoolEq:
+        return _pack_bool_eq(_TAG_BOOL_EQ, c.role_id, 1 if c.value else 0)
+    if t is NumGeq or t is NumLeq:
+        return _pack_num(_TAG_NUM_GEQ if t is NumGeq else _TAG_NUM_LEQ,
+                         c.role_id, c.value)
+    if t is StrEq:
+        return _pack_str_eq(_TAG_STR_EQ, c.role_id, c.value_index)
+    raise TypeError(f"not a concept: {c!r}")
 
 
 def _need(data: bytes, pos: int, n: int) -> None:
@@ -405,86 +462,123 @@ def _need(data: bytes, pos: int, n: int) -> None:
         raise DecodeError(f"truncated concept encoding at byte {pos}")
 
 
-def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Concept, int]:
+def _role_restriction(cls, rid: int, inv: bool, child: Concept) -> Concept:
+    return cls(RoleExpr(rid, inv), child)
+
+
+def _card_restriction(cls, n: int, rid: int, inv: bool,
+                      child: Concept) -> Concept:
+    return cls(n, RoleExpr(rid, inv), child)
+
+
+def _connective_node(cls, children: tuple, keys: list) -> Concept:
+    c = cls(children)
+    _store_sort_key(c, (_RANK[cls], tuple(keys)))
+    return c
+
+
+def _decode_at(data: bytes, pos: int, depth: int,
+               table: dict | None) -> tuple[Concept, int]:
     if depth > MAX_NESTING:
         raise DecodeError(f"concept nested deeper than {MAX_NESTING} levels "
                           f"at byte {pos}")
     _need(data, pos, 1)
+    start = pos
     tag = data[pos]
     pos += 1
+    # Each branch checks its node and leaves the constructor and its
+    # arguments in build and args, which run only if the table misses.
     if tag == _TAG_TOP:
         return TOP, pos
     if tag in (_TAG_ATOMIC, _TAG_NOT_ATOMIC):
         _need(data, pos, 4)
-        cid = int.from_bytes(data[pos:pos + 4], "big")
-        cls = Atomic if tag == _TAG_ATOMIC else NotAtomic
-        return cls(cid), pos + 4
-    if tag in (_TAG_EXISTS, _TAG_FORALL):
+        build = Atomic if tag == _TAG_ATOMIC else NotAtomic
+        args = (int.from_bytes(data[pos:pos + 4], "big"),)
+        pos += 4
+    elif tag in (_TAG_EXISTS, _TAG_FORALL):
         _need(data, pos, 5)
         inv = data[pos]
         if inv not in (0, 1):
             raise DecodeError(f"bad inverse flag {inv} at byte {pos}")
         rid = int.from_bytes(data[pos + 1:pos + 5], "big")
-        child, pos = _decode_at(data, pos + 5, depth + 1)
-        cls = Exists if tag == _TAG_EXISTS else Forall
-        return cls(RoleExpr(rid, bool(inv)), child), pos
-    if tag in (_TAG_MIN_CARD, _TAG_MAX_CARD):
+        child, pos = _decode_at(data, pos + 5, depth + 1, table)
+        build = _role_restriction
+        args = (Exists if tag == _TAG_EXISTS else Forall, rid, bool(inv), child)
+    elif tag in (_TAG_MIN_CARD, _TAG_MAX_CARD):
         _need(data, pos, 7)
         n = int.from_bytes(data[pos:pos + 2], "big")
         inv = data[pos + 2]
         if inv not in (0, 1):
             raise DecodeError(f"bad inverse flag {inv} at byte {pos + 2}")
         rid = int.from_bytes(data[pos + 3:pos + 7], "big")
-        child, pos = _decode_at(data, pos + 7, depth + 1)
+        child, pos = _decode_at(data, pos + 7, depth + 1, table)
         if tag == _TAG_MIN_CARD and n < 1:
             raise DecodeError("MinCard with n=0")
-        cls = MinCard if tag == _TAG_MIN_CARD else MaxCard
-        return cls(n, RoleExpr(rid, bool(inv)), child), pos
-    if tag in (_TAG_AND, _TAG_OR):
+        build = _card_restriction
+        args = (MinCard if tag == _TAG_MIN_CARD else MaxCard, n, rid, bool(inv),
+                child)
+    elif tag in (_TAG_AND, _TAG_OR):
         _need(data, pos, 2)
         k = int.from_bytes(data[pos:pos + 2], "big")
         pos += 2
         if k < 2:
             raise DecodeError(f"And/Or with {k} operands")
+        cls = And if tag == _TAG_AND else Or
         children = []
         for _ in range(k):
-            child, pos = _decode_at(data, pos, depth + 1)
-            if type(child) is (And if tag == _TAG_AND else Or):
+            child, pos = _decode_at(data, pos, depth + 1, table)
+            if type(child) is cls:
                 raise DecodeError("nested operand of the same connective (not flattened)")
             children.append(child)
         keys = [sort_key(ch) for ch in children]
         if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
             raise DecodeError("And/Or operands not in canonical order")
-        cls = And if tag == _TAG_AND else Or
-        return cls(tuple(children)), pos
-    if tag == _TAG_BOOL_EQ:
+        build, args = _connective_node, (cls, tuple(children), keys)
+    elif tag == _TAG_BOOL_EQ:
         _need(data, pos, 5)
         rid = int.from_bytes(data[pos:pos + 4], "big")
         v = data[pos + 4]
         if v not in (0, 1):
             raise DecodeError(f"bad boolean value {v} at byte {pos + 4}")
-        return BoolEq(rid, bool(v)), pos + 5
-    if tag in (_TAG_NUM_GEQ, _TAG_NUM_LEQ):
+        build, args = BoolEq, (rid, bool(v))
+        pos += 5
+    elif tag in (_TAG_NUM_GEQ, _TAG_NUM_LEQ):
         _need(data, pos, 12)
         rid = int.from_bytes(data[pos:pos + 4], "big")
         (v,) = _unpack_f64(data, pos + 4)
         if math.isnan(v):
             raise DecodeError("NaN numeric restriction")
-        cls = NumGeq if tag == _TAG_NUM_GEQ else NumLeq
-        return cls(rid, v), pos + 12
-    if tag == _TAG_STR_EQ:
+        build = NumGeq if tag == _TAG_NUM_GEQ else NumLeq
+        args = (rid, v)
+        pos += 12
+    elif tag == _TAG_STR_EQ:
         _need(data, pos, 8)
         rid = int.from_bytes(data[pos:pos + 4], "big")
         vi = int.from_bytes(data[pos + 4:pos + 8], "big")
-        return StrEq(rid, vi), pos + 8
-    raise DecodeError(f"unknown concept tag 0x{tag:02X} at byte {pos - 1}")
+        build, args = StrEq, (rid, vi)
+        pos += 8
+    else:
+        raise DecodeError(f"unknown concept tag 0x{tag:02X} at byte {pos - 1}")
+    if table is None:
+        return build(*args), pos
+    enc = data[start:pos]
+    c = table.get(enc)
+    if c is None:
+        c = table[enc] = build(*args)
+        _store_enc(c, enc)
+    return c, pos
 
 
-def decode(data: bytes) -> Concept:
+def decode(data: bytes, table: dict[bytes, Concept] | None = None) -> Concept:
     """Inverse of encode. Rejects truncation, unknown tags, nesting deeper
     than ``MAX_NESTING`` and any encoding whose And/Or operands are not
-    flattened, deduplicated and sorted."""
-    c, pos = _decode_at(data, 0, 1)
+    flattened, deduplicated and sorted.
+
+    With a decode ``table`` (encoding bytes -> concept, owned by one
+    search), each subtree that passes its checks is looked up by its bytes:
+    a hit returns the concept decoded before, a miss is built, given its
+    bytes as its stored encoding, and added. ``data`` must then be bytes."""
+    c, pos = _decode_at(data, 0, 1, table)
     if pos != len(data):
         raise DecodeError(f"{len(data) - pos} trailing bytes after concept")
     return c

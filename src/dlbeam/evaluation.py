@@ -78,6 +78,7 @@ __all__ = [
     "evaluate_batch",
     "score",
     "is_weak",
+    "weak_threshold",
 ]
 
 
@@ -343,8 +344,14 @@ def score(cov: CoverageResult, parent_accuracy: float | None, he: int,
     return Score(accuracy, value)
 
 
-def is_weak(cov: CoverageResult, examples: ExampleSet, noise: float) -> bool:
-    """Too few covered positives to ever reach the noise-adjusted target."""
+def weak_threshold(examples: ExampleSet, noise: float) -> int:
+    """The fewest covered positives that can still reach the noise-adjusted
+    target; a concept that covers fewer is weak."""
     if not 0.0 <= noise < 1.0:
         raise ValueError(f"noise must be in [0, 1), got {noise}")
-    return cov.pos_covered < math.ceil((1.0 - noise) * examples.pos_count)
+    return math.ceil((1.0 - noise) * examples.pos_count)
+
+
+def is_weak(cov: CoverageResult, examples: ExampleSet, noise: float) -> bool:
+    """Too few covered positives to ever reach the noise-adjusted target."""
+    return cov.pos_covered < weak_threshold(examples, noise)

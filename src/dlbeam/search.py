@@ -34,7 +34,7 @@ from operator import attrgetter
 
 from .concept import (TOP, Concept, concept_length, hash_concept, sort_key)
 from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
-                         evaluate, evaluate_batch, is_weak, score)
+                         evaluate, evaluate_batch, score, weak_threshold)
 from .kb import ExampleSet, KbStatistics, KnowledgeBase, compute_statistics
 from .refine import RefinementConfig, build_mb, refine
 
@@ -258,6 +258,8 @@ class LocalExpander:
         # counted in, so both live for this search only.
         self.rcfg = refinement_config(stats, cfg)
         self.ext_memo = ExtensionMemo()
+        # A refinement covering fewer positives than this is weak.
+        self.min_pos = weak_threshold(examples, cfg.noise)
 
     def width(self) -> int:
         return self.cfg.beam_width
@@ -273,7 +275,7 @@ class LocalExpander:
                               memo=self.ext_memo)
         found: list[tuple[int, SearchNode | None]] = []
         for (c, h, slot), cov in zip(survivors, covs):
-            if is_weak(cov, examples, cfg.noise):
+            if cov.pos_covered < self.min_pos:
                 found.append((h, None))
                 continue
             parent = beam[slot]

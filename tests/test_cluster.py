@@ -1,5 +1,7 @@
 import contextlib
+import json
 import random
+import re
 import socket
 import struct
 import threading
@@ -17,12 +19,12 @@ from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             MSG_PROBE_RESULT, MSG_TERMINATE, PROTOCOL_VERSION,
                             ProtocolError, WorkerServer, _accuracy,
                             _pack_expand_result, _pack_kb_transfer,
-                            _split_expand_result,
-                            _unpack_kb_transfer, discover, frame_bytes,
+                            _search_node, _split_expand_result,
+                            _split_expand_task, _unpack_kb_transfer, discover, frame_bytes,
                             parse_frame, read_frame, run_master,
                             serialize_block, deserialize_block, write_frame)
 from dlbeam.concept import (And, Atomic, Exists, MinCard, RoleExpr, TOP,
-                            concept_length, connective, hash_concept)
+                            concept_length, connective, encode, hash_concept)
 from dlbeam.evaluation import (CoverageResult, EvalConfig, Score, evaluate,
                                evaluate_batch, is_weak, score)
 from dlbeam.fixtures import fixture_path
@@ -547,6 +549,37 @@ def test_worker_expand_second_level(trains):
     assert weak2 == want_weak
 
 
+def test_a_worker_adds_the_nodes_it_returns_to_its_decode_table(trains):
+    """So that they come back in the next EXPAND_TASK without a decode."""
+    state = {}
+    with worker() as w:
+        a, b = socket.socketpair()
+        with a, b:
+            w._dispatch(a, MSG_KB_TRANSFER,
+                        _pack_kb_transfer(trains.kb, trains.st,
+                                          trains.examples, PARAMS), state)
+        reply = w._expand(NO_KNOWN + serialize_block([root_block_node(trains)]),
+                          state)
+    nodes, _ = _split_expand_result(reply)
+    table = state["table"]
+    assert nodes
+    assert [table[encode(bn.concept)] for bn in nodes] == [bn.concept for bn in nodes]
+    _, again = _split_expand_task(NO_KNOWN + serialize_block(nodes), table)
+    assert all(got.concept is table[encode(bn.concept)]
+               for got, bn in zip(again, nodes, strict=True))
+
+
+def test_search_node_refuses_a_node_again_and_keeps_only_subtrees_that_passed(
+        trains):
+    bad = BlockNode(connective(And, (Atomic(0), Exists(RoleExpr(0), Atomic(999)))),
+                    3, 1, 1, 0.5)
+    checked = set()
+    for _ in range(2):
+        with pytest.raises(ProtocolError, match="node 4: class id 999"):
+            _search_node(bad, 4, trains.kb, trains.examples, 5, checked)
+    assert checked == {encode(Atomic(0))}
+
+
 def test_worker_terminate_closes_without_reply(smoke):
     tasks = [root_block_node(smoke)]
     with master_connection(smoke) as (sock, _):
@@ -738,10 +771,11 @@ def test_master_closes_the_socket_of_a_failed_handshake(smoke, reply):
         listener.close()
 
 
-def master_with_a_bad_worker(fix, bad_expand):
+def master_with_a_bad_worker(fix, bad_expand, cause):
     """run_master on trains with two 2-core workers, one expanding through
     ``bad_expand``, and the local run it must equal once that one is
-    dropped in the first iteration."""
+    dropped in the first iteration, which the run records with a cause
+    that ``cause`` (a regular expression) matches."""
     with worker(cores=2) as good, worker(cores=2) as bad:
         bad._expand = bad_expand
         cfg = master_cfg(
@@ -749,6 +783,10 @@ def master_with_a_bad_worker(fix, bad_expand):
                                     ("127.0.0.1", bad.udp_port)),
             expect_workers=2, max_length=5, target_accuracy=2.0)
         res = run_master(fix.kb, fix.st, fix.examples, cfg)
+    (drop,) = res.dropped
+    assert drop.address == ("127.0.0.1", bad.tcp_port)
+    assert drop.iteration == 0
+    assert re.match(cause, drop.cause), drop.cause
     # The root stays in the open list if it was in the bad worker's block,
     # so the run is a local one of the good worker's width.
     local = run_search(fix.kb, fix.examples,
@@ -759,7 +797,8 @@ def master_with_a_bad_worker(fix, bad_expand):
 
 def test_master_requeues_the_block_of_a_worker_whose_reply_does_not_parse(
         trains):
-    res, local = master_with_a_bad_worker(trains, unparseable_expand_result)
+    res, local = master_with_a_bad_worker(
+        trains, unparseable_expand_result, "block shorter than its count field")
     assert res.status == local.status == "exhausted"
     assert res.rht == local.rht
     assert res.st_insertions == local.st_insertions
@@ -768,7 +807,8 @@ def test_master_requeues_the_block_of_a_worker_whose_reply_does_not_parse(
 def test_master_drops_a_worker_that_returns_a_concept_outside_the_kb(trains):
     outside = BlockNode(Atomic(999), 1, 5, 0, 2.0)
     res, local = master_with_a_bad_worker(
-        trains, lambda payload, state: _pack_expand_result([outside], []))
+        trains, lambda payload, state: _pack_expand_result([outside], []),
+        "node 0: class id 999 is not in the KB")
     assert hash_concept(outside.concept) not in res.rht
     assert res.status == local.status == "exhausted"
     assert res.rht == local.rht
@@ -786,7 +826,8 @@ def test_master_drops_a_worker_that_returns_impossible_counts_or_score(
                             connective(And, (Atomic(0), Atomic(1)))),
                     5, pos_covered, 0, value)
     res, local = master_with_a_bad_worker(
-        trains, lambda payload, state: _pack_expand_result([bad], []))
+        trains, lambda payload, state: _pack_expand_result([bad], []),
+        r"node 0: (covers 999 positives|score (inf|nan) is not finite)")
     assert res.status == local.status == "exhausted"
     assert res.rht == local.rht
     assert res.st_insertions == local.st_insertions
@@ -805,10 +846,27 @@ def test_master_exits_3_once_no_worker_is_left(capsys):
     assert err == ""
 
 
+def test_master_json_reports_each_dropped_worker(capsys):
+    with worker() as w:
+        w._expand = unparseable_expand_result
+        code = main(["master", str(fixture_path("smoke.kb")),
+                     str(fixture_path("smoke.ex")), "--json",
+                     "--worker-endpoint", f"127.0.0.1:{w.udp_port}",
+                     "--expect-workers", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r for r in records if r["type"] == "worker_dropped"] == [
+        {"type": "worker_dropped", "address": f"127.0.0.1:{w.tcp_port}",
+         "iteration": 0, "cause": "block shorter than its count field"}]
+    assert [r["status"] for r in records if r["type"] == "result"] == ["failed"]
+
+
 def test_master_drops_a_worker_that_stops_answering(capsys):
     """A worker that answers the handshake, then never an EXPAND_TASK, is
     dropped by the master's socket timeout."""
     listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
 
     def serve():
         conn, _ = listener.accept()
@@ -828,7 +886,7 @@ def test_master_drops_a_worker_that_stops_answering(capsys):
     t = threading.Thread(target=serve, daemon=True)
     t.start()
     try:
-        with answering_pings(listener.getsockname()[1]) as udp_port:
+        with answering_pings(port) as udp_port:
             t0 = time.monotonic()
             code = main(["master", str(fixture_path("smoke.kb")),
                          str(fixture_path("smoke.ex")),
@@ -841,6 +899,8 @@ def test_master_drops_a_worker_that_stops_answering(capsys):
     out, err = capsys.readouterr()
     assert code == 3
     assert out.startswith("status: failed\n")
+    assert (f"worker 127.0.0.1:{port} dropped in "
+            f"iteration 0: no reply: timed out\n") in out
     assert err == ""
     assert elapsed < 5.0
     assert not t.is_alive()

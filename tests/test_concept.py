@@ -8,7 +8,7 @@ from dlbeam.concept import (And, Atomic, BoolEq, ConceptParseError, DecodeError,
                             canonicalize, concept_length,
                             decode, encode, fnv1a_64, hash_concept,
                             MAX_CARDINALITY, MAX_NESTING, parse_concept, render,
-                            sort_key)
+                            sort_key, _encode_into)
 from generators import (all_child_orderings, dims_of, random_concept,
                         random_permutable_concept)
 
@@ -281,10 +281,13 @@ def test_stored_facts_equal_a_fresh_computation():
         assert twin is not c or c is TOP  # decode returns the one Thing
         # The stored facts take no part in equality, hash() or repr.
         assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
-        first = (hash_concept(c), concept_length(c), sort_key(c))
-        second = (hash_concept(c), concept_length(c), sort_key(c))
-        assert sort_key(c) is first[2]  # read back, not rebuilt
-        fresh = (fnv1a_64(encode(c)), concept_length(twin), sort_key(twin))
+        walk = bytearray()
+        _encode_into(twin, walk)  # one walk of the tree, no stored bytes
+        first = (hash_concept(c), concept_length(c), sort_key(c), encode(c))
+        second = (hash_concept(c), concept_length(c), sort_key(c), encode(c))
+        # read back, not rebuilt
+        assert sort_key(c) is first[2] and encode(c) is first[3]
+        fresh = (fnv1a_64(walk), concept_length(twin), sort_key(twin), walk)
         assert first == second == fresh
         assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
 

@@ -14,7 +14,7 @@ from dlbeam.concept import (And, Atomic, BoolEq, Exists, Forall, MaxCard,
                             StrEq, TOP, Top, canonicalize, sort_key)
 from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
                                covered_set, evaluate, evaluate_batch, is_weak,
-                               score)
+                               score, weak_threshold)
 from dlbeam.kb import ExampleSet, KbError, materialize, parse_kb
 from generators import (NUM_POOL, dims_of, example_subset_kb, random_concept,
                         random_examples, random_kb, strict_subconcepts)
@@ -437,3 +437,11 @@ def test_is_weak_validates_noise():
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
             is_weak(CoverageResult(1, 0), ex, bad)
+
+
+def test_weak_threshold_validates_noise():
+    ex = ExampleSet.from_ids(2, [0], [1])
+    for bad in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            weak_threshold(ex, bad)
+

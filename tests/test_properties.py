@@ -3,7 +3,8 @@ codec, frames, and the EXPAND_TASK and EXPAND_RESULT payloads.
 
 ``canonicalize`` is checked against ``reference_canonicalize``, a copy of
 the walk that defined the normal form before ``connective`` took it over.
-The concept codec is checked by round trips, truncations and byte flips, and
+The concept codec is checked by round trips, truncations and byte flips,
+also through a decode table, which must give what a plain decode gives, and
 ``parse_concept`` by text over its grammar's alphabet, and ``render`` by
 numeric bounds that must parse back bit for bit. The KB codec is
 checked against ``loop_serialize_kb``, a copy of the field-at-a-time writer
@@ -30,13 +31,14 @@ from dlbeam.cluster import (BlockNode, MSG_ERROR, MSG_EXPAND_RESULT,
                             ProtocolError, WorkerServer, _pack_expand_result,
                             _pack_expand_task, _pack_kb_transfer,
                             _split_expand_result, _split_expand_task,
-                            frame_bytes, parse_frame, read_frame, write_frame)
+                            deserialize_block, frame_bytes, parse_frame,
+                            read_frame, serialize_block, write_frame)
 from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
                             ConceptParseError, DecodeError, Exists, Forall,
                             MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
-                            RoleExpr, StrEq, canonicalize, connective, decode,
-                            encode, hash_concept, parse_concept, render,
-                            sort_key)
+                            RoleExpr, StrEq, canonicalize, concept_length,
+                            connective, decode, encode, hash_concept,
+                            parse_concept, render, sort_key)
 from dlbeam.kb import (Interner, KbCodecError, KnowledgeBase, SymbolTable,
                        deserialize_kb, materialize, parse_kb, serialize_kb)
 
@@ -159,6 +161,65 @@ def test_every_truncation_or_byte_flip_of_a_concept_decodes_faithfully_or_not_at
     except DecodeError:
         return
     assert encode(back) == flipped
+
+
+def assert_table_is_faithful(table):
+    """Every entry of a decode table is the plain decode of its key, and has
+    its key as its encoding."""
+    for enc, c in table.items():
+        plain = decode(enc)
+        assert plain == c and sort_key(plain) == sort_key(c)
+        assert encode(c) == enc == encode(plain)
+
+
+@SETTINGS
+@given(c=canonical_concepts)
+def test_decoding_through_a_table_equals_a_plain_decode(c):
+    data = encode(c)
+    table = {}
+    plain = decode(data)
+    got = decode(data, table)
+    assert got == plain
+    assert (sort_key(got), hash_concept(got), concept_length(got), encode(got)) \
+        == (sort_key(plain), hash_concept(plain), concept_length(plain), data)
+    assert decode(data, table) is got  # the same bytes, the same object
+    assert deserialize_block(serialize_block([BlockNode(c, 1, 0, 0, 0.0)]),
+                             table)[0].concept is got
+    assert_table_is_faithful(table)
+
+
+def block_of(enc: bytes) -> bytes:
+    """A one-node block whose concept bytes are ``enc``, whatever they are."""
+    return (struct.pack(">II", 1, len(enc)) + enc
+            + struct.pack(">HIId", 1, 0, 0, 0.0))
+
+
+@SETTINGS
+@given(cs=st.lists(canonical_concepts, min_size=1, max_size=4), data=st.data())
+def test_truncations_and_byte_flips_through_a_shared_table_are_refused_or_faithful(
+        cs, data):
+    table = {}
+    for c in cs:  # the table holds every subtree of every concept
+        decode(encode(c), table)
+    encoded = encode(data.draw(st.sampled_from(cs), label="concept"))
+    cut = data.draw(st.integers(0, len(encoded) - 1), label="cut")
+    with pytest.raises(DecodeError):
+        decode(encoded[:cut], table)
+    with pytest.raises(ProtocolError):
+        deserialize_block(block_of(encoded[:cut]), table)
+    at = data.draw(st.integers(0, len(encoded) - 1), label="at")
+    flipped = bytearray(encoded)
+    flipped[at] ^= data.draw(st.integers(1, 255), label="flip")
+    flipped = bytes(flipped)
+    try:
+        back = decode(flipped, table)
+    except DecodeError:
+        with pytest.raises(ProtocolError):
+            deserialize_block(block_of(flipped), table)
+    else:
+        assert back == decode(flipped) and encode(back) == flipped
+        assert deserialize_block(block_of(flipped), table)[0].concept is back
+    assert_table_is_faithful(table)
 
 
 PARSE_SYMBOLS, _ = parse_kb(
