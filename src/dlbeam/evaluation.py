@@ -29,8 +29,9 @@ restrictions. So each space has a memo that maps the canonical sort key of
 a strict sub-concept to its extension over the space's rows, bit for bit
 the one computed without a memo. The check sits inside ``_extension`` at
 each operand and filler, so nested ones hit it too. A miss in the full
-space recurses through the module-level ``covered_set``, one in the example
-space through ``_extension``. The key is the sort key rather than the
+space recurses through the module-level ``covered_set``, which is handed the
+space it was computing in rather than building another, and one in the
+example space through ``_extension``. The key is the sort key rather than the
 64-bit hash, so a hash collision can never hand one concept another's
 extension.
 
@@ -228,7 +229,7 @@ def _computed(c: Concept, kb: KnowledgeBase, space: RowSpace,
               memo: dict | None) -> np.ndarray:
     # A full-column extension goes through the module-level covered_set.
     if space.ids is None:
-        return covered_set(c, kb, memo)
+        return covered_set(c, kb, memo, space)
     return _extension(c, kb, space, memo)
 
 
@@ -297,16 +298,20 @@ def _extension(c: Concept, kb: KnowledgeBase, space: RowSpace,
     return out
 
 
-def covered_set(c: Concept, kb: KnowledgeBase,
-                memo: dict | None = None) -> np.ndarray:
+def covered_set(c: Concept, kb: KnowledgeBase, memo: dict | None = None,
+                full: RowSpace | None = None) -> np.ndarray:
     """Closed-world extension of ``c`` as a bool array over individual ids.
 
     ``memo`` holds operand and filler extensions of one search on ``kb``
     (see the module docstring); ``c``'s own extension is never stored in it.
+    ``full`` is ``kb``'s full space, which a caller that has one passes down
+    so that a filler miss does not build another.
     """
-    if not kb.materialized:
-        raise KbError("evaluation requires a materialized knowledge base")
-    return _extension(c, kb, _full_space(kb), memo)
+    if full is None:
+        if not kb.materialized:
+            raise KbError("evaluation requires a materialized knowledge base")
+        full = _full_space(kb)
+    return _extension(c, kb, full, memo)
 
 
 def evaluate(c: Concept, kb: KnowledgeBase, examples: ExampleSet,

@@ -1,6 +1,6 @@
 """Knowledge base: parsing, interning, hierarchy closure, statistics, codec.
 
-The plain-text format is line oriented (``#`` starts a comment):
+The plain-text format is line oriented:
 
     class <Name> | subclass <Sub> <Super> | role <Name> | subrole <Sub> <Super>
     numrole <Name> | boolrole <Name> | strrole <Name> | individual <Name>
@@ -8,14 +8,27 @@ The plain-text format is line oriented (``#`` starts a comment):
     numfact <NumRole> <Indiv> <float> | boolfact <BoolRole> <Indiv> true|false
     strfact <StrRole> <Indiv> "<value>"
 
+A line is split into tokens as ``shlex.split(line, comments=True)`` splits
+it: at spaces and tabs, a ``#`` outside quotes starts a comment that runs to
+the end of the line, and single or double quotes, or a backslash, keep a
+name or value with spaces in one token (``strfact colour car1 "dark red"``).
+A line of printable ASCII, spaces and tabs with no quote, backslash or
+``#`` splits the same way with ``str.split``, so only the lines that need
+``shlex`` pay for it. Lines are numbered as ``str.splitlines`` numbers them,
+and each error names its line.
+
 Names must be declared before use; ids are dense and assigned in declaration
-order, so a file always interns to the same ids. After ``materialize`` the
-class membership and role assertion tables are closed under the subclass and
-subrole hierarchies and mirrored into numpy arrays for the evaluation engine.
+order, so a file always interns to the same ids. Each assertion row is one
+tuple, shared by its table's list and the set that keeps the rows unique.
+After ``materialize`` the class membership and role assertion tables are
+closed under the subclass and subrole hierarchies and mirrored into numpy
+arrays for the evaluation engine.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import shlex
 import struct
 import zlib
@@ -145,7 +158,8 @@ class KnowledgeBase:
         self.boolean_assertions: list[list[tuple[int, bool]]] = []
         self.string_assertions: list[list[tuple[int, int]]] = []
         self.materialized = False
-        # Dedupe sets, maintained alongside the lists.
+        # Dedupe sets, maintained alongside the lists; a row is one tuple,
+        # shared by its list and its set.
         self._role_pair_sets: list[set[tuple[int, int]]] = []
         self._edge_set: set[tuple[int, int]] = set()
         self._redge_set: set[tuple[int, int]] = set()
@@ -194,34 +208,40 @@ class KnowledgeBase:
         self.class_members[class_id].add(indiv)
 
     def add_subclass(self, sub: int, sup: int) -> None:
-        if (sub, sup) not in self._edge_set:
-            self._edge_set.add((sub, sup))
-            self.subclass_edges.append((sub, sup))
+        edge = (sub, sup)
+        if edge not in self._edge_set:
+            self._edge_set.add(edge)
+            self.subclass_edges.append(edge)
 
     def add_subrole(self, sub: int, sup: int) -> None:
-        if (sub, sup) not in self._redge_set:
-            self._redge_set.add((sub, sup))
-            self.subrole_edges.append((sub, sup))
+        edge = (sub, sup)
+        if edge not in self._redge_set:
+            self._redge_set.add(edge)
+            self.subrole_edges.append(edge)
 
     def add_fact(self, role: int, sub: int, obj: int) -> None:
-        if (sub, obj) not in self._role_pair_sets[role]:
-            self._role_pair_sets[role].add((sub, obj))
-            self.role_assertions[role].append((sub, obj))
+        row, seen = (sub, obj), self._role_pair_sets[role]
+        if row not in seen:
+            seen.add(row)
+            self.role_assertions[role].append(row)
 
     def add_num_fact(self, role: int, sub: int, val: float) -> None:
-        if (sub, val) not in self._num_sets[role]:
-            self._num_sets[role].add((sub, val))
-            self.numeric_assertions[role].append((sub, val))
+        row, seen = (sub, val), self._num_sets[role]
+        if row not in seen:
+            seen.add(row)
+            self.numeric_assertions[role].append(row)
 
     def add_bool_fact(self, role: int, sub: int, val: bool) -> None:
-        if (sub, val) not in self._bool_sets[role]:
-            self._bool_sets[role].add((sub, val))
-            self.boolean_assertions[role].append((sub, val))
+        row, seen = (sub, val), self._bool_sets[role]
+        if row not in seen:
+            seen.add(row)
+            self.boolean_assertions[role].append(row)
 
     def add_str_fact(self, role: int, sub: int, val_index: int) -> None:
-        if (sub, val_index) not in self._str_sets[role]:
-            self._str_sets[role].add((sub, val_index))
-            self.string_assertions[role].append((sub, val_index))
+        row, seen = (sub, val_index), self._str_sets[role]
+        if row not in seen:
+            seen.add(row)
+            self.string_assertions[role].append(row)
 
     # -- derived counts ------------------------------------------------------
 
@@ -311,134 +331,199 @@ class KbStatistics:
 # ---------------------------------------------------------------------------
 # Text parsing
 
-_DECL_KINDS = {
-    "class": "class", "role": "role", "numrole": "numeric role",
-    "boolrole": "boolean role", "strrole": "string role", "individual": "individual",
-}
+# A line of printable ASCII, spaces and tabs with no quote, backslash or
+# ``#``: shlex splits such a line at its spaces and tabs only, as str.split
+# does.
+_PLAIN_LINE = re.compile(r"[ \t!$-&(-\[\]-~]*")
+# The line boundaries str.splitlines honours besides "\n".
+_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                 "\u2028", "\u2029")
+
+
+def _lines(text: str):
+    """The lines of ``text.splitlines()``, one at a time, without the list."""
+    if any(brk in text for brk in _OTHER_BREAKS):
+        yield from text.splitlines()
+        return
+    find, start, end = text.find, 0, len(text)
+    while start < end:
+        stop = find("\n", start)
+        if stop < 0:
+            stop = end
+        yield text[start:stop]
+        start = stop + 1
 
 
 def _split_line(line: str, lineno: int) -> list[str]:
+    if _PLAIN_LINE.fullmatch(line):
+        return line.split()
     try:
         return shlex.split(line, comments=True)
     except ValueError as exc:
         raise KbParseError(f"syntax error: {exc}", lineno) from None
 
 
-def parse_kb(text: str) -> tuple[SymbolTable, KnowledgeBase]:
-    """Parse the plain-text format into an unmaterialized knowledge base."""
-    st = SymbolTable()
-    kb = KnowledgeBase()
-    declared: dict[str, str] = {}
+def _declare(declared: dict[str, str], individuals: Interner, name: str,
+             kind: str, lineno: int) -> None:
+    """Check that ``name`` is not declared as another kind, and record it.
 
-    def declare(name: str, kind: str, lineno: int) -> None:
-        prior = declared.get(name)
-        if prior is not None and prior != kind:
-            raise KbParseError(f"{name!r} already declared as {prior}, redeclared as {kind}",
-                               lineno)
+    ``declared`` maps every name declared as something other than an
+    individual to its kind; the individuals' own interner records them.
+    """
+    prior = "individual" if name in individuals else declared.get(name)
+    if prior is not None and prior != kind:
+        raise KbParseError(f"{name!r} already declared as {prior}, redeclared as {kind}",
+                           lineno)
+    if kind != "individual":
         declared[name] = kind
 
-    def lookup(table: Interner, name: str, kind: str, lineno: int) -> int:
-        ident = table.id_of(name)
-        if ident is None:
-            raise KbParseError(f"undeclared {kind} {name!r}", lineno)
-        return ident
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _lookup(table: Interner, name: str, kind: str, lineno: int) -> int:
+    ident = table.id_of(name)
+    if ident is None:
+        raise KbParseError(f"undeclared {kind} {name!r}", lineno)
+    return ident
+
+
+# Each declaration's kind, as errors name it, its SymbolTable namespace and
+# the KnowledgeBase method that adds its table.
+_DECLARATIONS = {
+    "class": ("class", "class_names", KnowledgeBase.add_class),
+    "role": ("role", "role_names", KnowledgeBase.add_role),
+    "numrole": ("numeric role", "num_role_names", KnowledgeBase.add_num_role),
+    "boolrole": ("boolean role", "bool_role_names", KnowledgeBase.add_bool_role),
+    "strrole": ("string role", "str_role_names", KnowledgeBase.add_str_role),
+    "individual": ("individual", "individual_names", KnowledgeBase.add_individual),
+}
+# The number of arguments each statement takes.
+_ARITY = {**dict.fromkeys(_DECLARATIONS, 1),
+          **dict.fromkeys(("subclass", "subrole", "instance"), 2),
+          **dict.fromkeys(("fact", "numfact", "boolfact", "strfact"), 3)}
+
+
+def _statement(tokens: list[str], lineno: int, st: SymbolTable,
+               kb: KnowledgeBase, declared: dict[str, str]) -> None:
+    """Apply one statement, checking everything; raise on a bad one."""
+    stmt = tokens[0]
+    arity = _ARITY.get(stmt)
+    if arity is not None and len(tokens) != arity + 1:
+        raise KbParseError(f"{stmt!r} expects {arity} argument(s), got {len(tokens) - 1}",
+                           lineno)
+    if stmt in _DECLARATIONS:
+        kind, namespace, add = _DECLARATIONS[stmt]
+        name = tokens[1]
+        _declare(declared, st.individual_names, name, kind, lineno)
+        table = getattr(st, namespace)
+        if name not in table:
+            table.intern(name)
+            add(kb)
+            if stmt == "strrole":
+                st.string_values.append(Interner())
+    elif stmt == "subclass":
+        sub = _lookup(st.class_names, tokens[1], "class", lineno)
+        sup = _lookup(st.class_names, tokens[2], "class", lineno)
+        kb.add_subclass(sub, sup)
+    elif stmt == "subrole":
+        sub = _lookup(st.role_names, tokens[1], "role", lineno)
+        sup = _lookup(st.role_names, tokens[2], "role", lineno)
+        kb.add_subrole(sub, sup)
+    elif stmt == "instance":
+        cid = _lookup(st.class_names, tokens[1], "class", lineno)
+        iid = _lookup(st.individual_names, tokens[2], "individual", lineno)
+        kb.add_instance(cid, iid)
+    elif stmt == "fact":
+        rid = _lookup(st.role_names, tokens[1], "role", lineno)
+        sub = _lookup(st.individual_names, tokens[2], "individual", lineno)
+        obj = _lookup(st.individual_names, tokens[3], "individual", lineno)
+        kb.add_fact(rid, sub, obj)
+    elif stmt == "numfact":
+        rid = _lookup(st.num_role_names, tokens[1], "numeric role", lineno)
+        sub = _lookup(st.individual_names, tokens[2], "individual", lineno)
+        try:
+            val = float(tokens[3])
+        except ValueError:
+            raise KbParseError(f"bad number {tokens[3]!r}", lineno) from None
+        if val != val:
+            raise KbParseError("NaN is not a valid numeric value", lineno)
+        kb.add_num_fact(rid, sub, val)
+    elif stmt == "boolfact":
+        rid = _lookup(st.bool_role_names, tokens[1], "boolean role", lineno)
+        sub = _lookup(st.individual_names, tokens[2], "individual", lineno)
+        if tokens[3] not in ("true", "false"):
+            raise KbParseError(f"expected true or false, got {tokens[3]!r}", lineno)
+        kb.add_bool_fact(rid, sub, tokens[3] == "true")
+    elif stmt == "strfact":
+        rid = _lookup(st.str_role_names, tokens[1], "string role", lineno)
+        sub = _lookup(st.individual_names, tokens[2], "individual", lineno)
+        vi = st.string_values[rid].intern(tokens[3])
+        kb.add_str_fact(rid, sub, vi)
+    else:
+        raise KbParseError(f"unknown statement {stmt!r}", lineno)
+
+
+def parse_kb(text: str) -> tuple[SymbolTable, KnowledgeBase]:
+    """Parse the plain-text format into an unmaterialized knowledge base.
+
+    The statements a large KB is made of take a direct path through the
+    interners' dicts; any other line, and any line that path cannot apply
+    (a bad one included), goes through ``_statement`` and its checks.
+    """
+    st = SymbolTable()
+    kb = KnowledgeBase()
+    declared: dict[str, str] = {}  # every name but the individuals (_declare)
+    classes = st.class_names._ids
+    roles = st.role_names._ids
+    num_roles = st.num_role_names._ids
+    bool_roles = st.bool_role_names._ids
+    individuals = st.individual_names._ids
+    numbers: dict[str, float] = {}  # one float object per distinct text
+    for lineno, raw in enumerate(_lines(text), start=1):
         tokens = _split_line(raw, lineno)
-        if not tokens:
+        n = len(tokens)
+        if not n:
             continue
         stmt = tokens[0]
-
-        def arity(n: int) -> None:
-            if len(tokens) != n + 1:
-                raise KbParseError(
-                    f"{stmt!r} expects {n} argument(s), got {len(tokens) - 1}", lineno)
-
-        if stmt == "class":
-            arity(1)
-            declare(tokens[1], "class", lineno)
-            if tokens[1] not in st.class_names:
-                st.class_names.intern(tokens[1])
-                kb.add_class()
-        elif stmt == "role":
-            arity(1)
-            declare(tokens[1], "role", lineno)
-            if tokens[1] not in st.role_names:
-                st.role_names.intern(tokens[1])
-                kb.add_role()
-        elif stmt == "numrole":
-            arity(1)
-            declare(tokens[1], "numeric role", lineno)
-            if tokens[1] not in st.num_role_names:
-                st.num_role_names.intern(tokens[1])
-                kb.add_num_role()
-        elif stmt == "boolrole":
-            arity(1)
-            declare(tokens[1], "boolean role", lineno)
-            if tokens[1] not in st.bool_role_names:
-                st.bool_role_names.intern(tokens[1])
-                kb.add_bool_role()
-        elif stmt == "strrole":
-            arity(1)
-            declare(tokens[1], "string role", lineno)
-            if tokens[1] not in st.str_role_names:
-                st.str_role_names.intern(tokens[1])
-                st.string_values.append(Interner())
-                kb.add_str_role()
-        elif stmt == "individual":
-            arity(1)
-            declare(tokens[1], "individual", lineno)
-            if tokens[1] not in st.individual_names:
-                st.individual_names.intern(tokens[1])
-                kb.add_individual()
-        elif stmt == "subclass":
-            arity(2)
-            sub = lookup(st.class_names, tokens[1], "class", lineno)
-            sup = lookup(st.class_names, tokens[2], "class", lineno)
-            kb.add_subclass(sub, sup)
-        elif stmt == "subrole":
-            arity(2)
-            sub = lookup(st.role_names, tokens[1], "role", lineno)
-            sup = lookup(st.role_names, tokens[2], "role", lineno)
-            kb.add_subrole(sub, sup)
-        elif stmt == "instance":
-            arity(2)
-            cid = lookup(st.class_names, tokens[1], "class", lineno)
-            iid = lookup(st.individual_names, tokens[2], "individual", lineno)
-            kb.add_instance(cid, iid)
-        elif stmt == "fact":
-            arity(3)
-            rid = lookup(st.role_names, tokens[1], "role", lineno)
-            sub = lookup(st.individual_names, tokens[2], "individual", lineno)
-            obj = lookup(st.individual_names, tokens[3], "individual", lineno)
-            kb.add_fact(rid, sub, obj)
-        elif stmt == "numfact":
-            arity(3)
-            rid = lookup(st.num_role_names, tokens[1], "numeric role", lineno)
-            sub = lookup(st.individual_names, tokens[2], "individual", lineno)
-            try:
-                val = float(tokens[3])
-            except ValueError:
-                raise KbParseError(f"bad number {tokens[3]!r}", lineno) from None
-            if val != val:
-                raise KbParseError("NaN is not a valid numeric value", lineno)
-            kb.add_num_fact(rid, sub, val)
-        elif stmt == "boolfact":
-            arity(3)
-            rid = lookup(st.bool_role_names, tokens[1], "boolean role", lineno)
-            sub = lookup(st.individual_names, tokens[2], "individual", lineno)
-            if tokens[3] not in ("true", "false"):
-                raise KbParseError(f"expected true or false, got {tokens[3]!r}", lineno)
-            kb.add_bool_fact(rid, sub, tokens[3] == "true")
-        elif stmt == "strfact":
-            arity(3)
-            rid = lookup(st.str_role_names, tokens[1], "string role", lineno)
-            sub = lookup(st.individual_names, tokens[2], "individual", lineno)
-            vi = st.string_values[rid].intern(tokens[3])
-            kb.add_str_fact(rid, sub, vi)
-        else:
-            raise KbParseError(f"unknown statement {stmt!r}", lineno)
-
+        if stmt == "instance" and n == 3:
+            cid = classes.get(tokens[1])
+            iid = individuals.get(tokens[2])
+            if cid is not None and iid is not None:
+                kb.add_instance(cid, iid)
+                continue
+        elif stmt == "fact" and n == 4:
+            rid = roles.get(tokens[1])
+            sub = individuals.get(tokens[2])
+            obj = individuals.get(tokens[3])
+            if rid is not None and sub is not None and obj is not None:
+                kb.add_fact(rid, sub, obj)
+                continue
+        elif stmt == "individual" and n == 2:
+            name = tokens[1]
+            if name not in declared:
+                if name not in individuals:
+                    st.individual_names.intern(name)
+                    kb.add_individual()
+                continue
+        elif stmt == "numfact" and n == 4:
+            rid = num_roles.get(tokens[1])
+            sub = individuals.get(tokens[2])
+            if rid is not None and sub is not None:
+                val = numbers.get(tokens[3])
+                if val is None:
+                    try:
+                        val = float(tokens[3])
+                    except ValueError:
+                        val = math.nan  # _statement raises the error
+                    numbers[tokens[3]] = val
+                if val == val:
+                    kb.add_num_fact(rid, sub, val)
+                    continue
+        elif stmt == "boolfact" and n == 4:
+            rid = bool_roles.get(tokens[1])
+            sub = individuals.get(tokens[2])
+            if rid is not None and sub is not None and tokens[3] in ("true", "false"):
+                kb.add_bool_fact(rid, sub, tokens[3] == "true")
+                continue
+        _statement(tokens, lineno, st, kb, declared)
     return st, kb
 
 
@@ -446,7 +531,7 @@ def parse_examples(text: str, st: SymbolTable) -> ExampleSet:
     """Parse ``+ name`` / ``- name`` lines into example masks."""
     pos: set[int] = set()
     neg: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         tokens = _split_line(raw, lineno)
         if not tokens:
             continue
@@ -599,14 +684,10 @@ def compute_statistics(kb: KnowledgeBase) -> KbStatistics:
     if not kb.materialized:
         raise KbError("statistics require a materialized knowledge base")
     stats = KbStatistics()
-    for pairs in kb.role_assertions:
-        out_deg: dict[int, int] = {}
-        in_deg: dict[int, int] = {}
-        for sub, obj in pairs:
-            out_deg[sub] = out_deg.get(sub, 0) + 1
-            in_deg[obj] = in_deg.get(obj, 0) + 1
-        stats.max_fillers.append(max(out_deg.values(), default=0))
-        stats.max_fillers_inverse.append(max(in_deg.values(), default=0))
+    # The most pairs one subject has, and the most one object has.
+    for subs, objs in zip(kb.role_subs, kb.role_objs):
+        stats.max_fillers.append(int(np.bincount(subs).max(initial=0)))
+        stats.max_fillers_inverse.append(int(np.bincount(objs).max(initial=0)))
     for rows in kb.numeric_assertions:
         stats.numeric_boundaries.append(sorted({v for _, v in rows}))
     for rows in kb.string_assertions:

@@ -1,6 +1,7 @@
 import copy
 import random
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_parse_duplicate_declarations_are_idempotent():
     assert kb.num_roles == 1
 
 
-@pytest.mark.parametrize("text,line,fragment", [
+PARSE_ERRORS = [
     ("subclass A B", 1, "undeclared class 'A'"),
     ("class A\nsubclass A B", 2, "undeclared class 'B'"),
     ("class A\nrole A", 2, "already declared as class"),
@@ -69,12 +70,63 @@ def test_parse_duplicate_declarations_are_idempotent():
     ("individual x\nboolrole b\nboolfact b x yes", 3, "expected true or false"),
     ('class "A', 1, "syntax error"),
     ("individual x\nrole r\nfact r x y", 3, "undeclared individual 'y'"),
-])
+]
+
+
+@pytest.mark.parametrize("text,line,fragment", PARSE_ERRORS)
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(KbParseError) as exc:
         parse_kb(text)
     assert exc.value.line == line
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("class A\nindividual A", "'A' already declared as class, redeclared as individual"),
+    ("individual A\nclass A", "'A' already declared as individual, redeclared as class"),
+    ("individual A\nindividual A\nrole A",
+     "'A' already declared as individual, redeclared as role"),
+])
+def test_a_name_declared_as_two_kinds_fails_on_its_last_declaration(text, message):
+    with pytest.raises(KbParseError) as exc:
+        parse_kb(text)
+    assert str(exc.value) == f"line {text.count(chr(10)) + 1}: {message}"
+
+
+# Lines with a quote or a ``#`` are split by shlex, plain ones by str.split;
+# a bad line must fail alike on both paths.
+
+def commented(text: str) -> str:
+    """Each line with a trailing comment."""
+    return "\n".join(line + "  # note" for line in text.split("\n"))
+
+
+def quoted(text: str) -> str:
+    """Each line with every argument in double quotes."""
+    return "\n".join(" ".join([head, *(f'"{arg}"' for arg in args)])
+                     for head, *args in (line.split(" ") for line in text.split("\n")))
+
+
+def assert_fails_alike(parse, text: str, variant: str) -> None:
+    """``parse`` fails on ``variant`` with the error it raises on ``text``,
+    on the same line; a message that quotes its line quotes the variant's."""
+    with pytest.raises(KbError) as want:
+        parse(text)
+    with pytest.raises(type(want.value)) as got:
+        parse(variant)
+    line = getattr(want.value, "line", None)
+    assert getattr(got.value, "line", None) == line
+    message = str(want.value)
+    if line is not None:
+        message = message.replace(repr(text.split("\n")[line - 1].strip()),
+                                  repr(variant.split("\n")[line - 1].strip()))
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("variant", [commented, quoted])
+@pytest.mark.parametrize("text,line,fragment", PARSE_ERRORS)
+def test_parse_errors_are_the_same_on_the_shlex_path(text, line, fragment, variant):
+    assert_fails_alike(parse_kb, text, variant(text))
 
 
 # --- examples ---------------------------------------------------------------
@@ -87,18 +139,29 @@ def test_parse_examples_golden():
     assert (ex.pos_count, ex.neg_count) == (2, 1)
 
 
-@pytest.mark.parametrize("text,err,fragment", [
+EXAMPLE_ERRORS = [
     ("+ a\n- nobody", KbParseError, "unknown individual"),
     ("+ a\n- a", KbParseError, "conflicting example"),
     ("- a", KbError, "no positive examples"),
     ("+ a", KbError, "no negative examples"),
     ("a b c", KbParseError, "expected '+ <name>'"),
-])
+]
+
+
+@pytest.mark.parametrize("text,err,fragment", EXAMPLE_ERRORS)
 def test_parse_examples_errors(text, err, fragment):
     st, _ = parse_kb("individual a\nindividual b\n")
     with pytest.raises(err) as exc:
         parse_examples(text, st)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("variant", [commented, quoted])
+@pytest.mark.parametrize("text,err,fragment", EXAMPLE_ERRORS)
+def test_parse_examples_errors_are_the_same_on_the_shlex_path(text, err, fragment,
+                                                              variant):
+    st, _ = parse_kb("individual a\nindividual b\n")
+    assert_fails_alike(lambda t: parse_examples(t, st), text, variant(text))
 
 
 def test_example_set_from_ids():
@@ -296,6 +359,19 @@ strfact s x blue
     assert stats.string_domains == [[0, 1]]
     assert stats.top_level_classes == [0]
     assert stats.leaf_classes == [1]
+
+
+def test_max_fillers_count_the_pairs_of_the_busiest_subject_and_object():
+    rng = random.Random(108)
+    for _ in range(40):
+        _, kb = random_kb(rng)
+        stats = compute_statistics(kb)
+        for rid, pairs in enumerate(kb.role_assertions):
+            subs = Counter(sub for sub, _ in pairs)
+            objs = Counter(obj for _, obj in pairs)
+            assert stats.max_fillers[rid] == max(subs.values(), default=0)
+            assert stats.max_fillers_inverse[rid] == max(objs.values(), default=0)
+            assert type(stats.max_fillers[rid]) is int
 
 
 def test_statistics_on_trains_fixture(trains):

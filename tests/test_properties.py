@@ -1,5 +1,5 @@
 """Property-based tests of the concept codec, parser and renderer, the KB
-codec, frames, and the EXPAND_TASK and EXPAND_RESULT payloads.
+codec and text parser, frames, and the EXPAND_TASK and EXPAND_RESULT payloads.
 
 ``canonicalize`` is checked against ``reference_canonicalize``, a copy of
 the walk that defined the normal form before ``connective`` took it over.
@@ -9,6 +9,9 @@ also through a decode table, which must give what a plain decode gives, and
 numeric bounds that must parse back bit for bit. The KB codec is
 checked against ``loop_serialize_kb``, a copy of the field-at-a-time writer
 that defined the format, and its decoder against truncations and byte flips.
+The KB text parser is checked against shlex, which every line with a comment
+goes through, and against ``_statement``'s checks, and on arbitrary text,
+which must parse or raise a ``KbParseError`` naming its line.
 Frames and EXPAND_RESULT payloads are checked by round trips, truncations
 and byte flips, which must end in ``ProtocolError`` and nothing else. The
 EXPAND_TASK tests drive one live ``WorkerServer`` over fresh connections.
@@ -17,6 +20,7 @@ EXPAND_TASK tests drive one live ``WorkerServer`` over fresh connections.
 import importlib.util
 import math
 import random
+import shlex
 import socket
 import struct
 import zlib
@@ -39,8 +43,11 @@ from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
                             RoleExpr, StrEq, canonicalize, concept_length,
                             connective, decode, encode, hash_concept,
                             parse_concept, render, sort_key)
-from dlbeam.kb import (Interner, KbCodecError, KnowledgeBase, SymbolTable,
-                       deserialize_kb, materialize, parse_kb, serialize_kb)
+from dlbeam.fixtures import fixture_path
+from dlbeam.kb import (_PLAIN_LINE, Interner, KbCodecError, KbError,
+                       KbParseError, KnowledgeBase, SymbolTable, _lines,
+                       _split_line, _statement, deserialize_kb, materialize,
+                       parse_examples, parse_kb, serialize_kb)
 
 from generators import random_kb, tiny_kb
 from test_cluster import PARAMS, local_expand_oracle, root_block_node
@@ -391,12 +398,17 @@ def test_kb_codec_writes_the_bytes_of_the_loop_writer_for_the_fixtures(
     assert_same_blob_and_round_trip(fix.st, fix.kb)
 
 
-def test_kb_codec_writes_the_bytes_of_the_loop_writer_for_the_synth_kb():
+def synth_text(seed: int) -> str:
+    """The synth-wide KB text of ``seed``, from the benchmark's generator."""
     path = Path(__file__).resolve().parents[1] / "bench" / "synth.py"
     spec = importlib.util.spec_from_file_location("synth_kb_generator", path)
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    kb_text, _ = synth.generate(1)
+    return synth.generate(seed)[0]
+
+
+def test_kb_codec_writes_the_bytes_of_the_loop_writer_for_the_synth_kb():
+    kb_text = synth_text(1)
     sym, kb = parse_kb(kb_text)
     materialize(kb, sym)
     assert_same_blob_and_round_trip(sym, kb)
@@ -519,6 +531,190 @@ def test_kb_codec_rejects_a_boolean_other_than_0_or_1(flag):
     payload[-2] = 7  # an id out of range before the flag is reported first
     with pytest.raises(KbCodecError, match="individual id 7 out of range"):
         deserialize_kb(with_crc(bytes(payload)))
+
+
+# --- the KB text parser -----------------------------------------------------
+
+# Characters that decide how a line splits: quotes, comments, escapes, the
+# whitespace shlex splits on, whitespace only str.split splits on, and line
+# boundaries.
+SPLIT_CHARS = " \t\"'#\\\xa0\x1f\u3000\u2000\u200b\x0b\x0c\x1c\x85\u2028\r\nab1.+-"
+split_lines = st.text(alphabet=st.one_of(st.sampled_from(SPLIT_CHARS),
+                                         st.characters()), max_size=24)
+line_texts = st.text(alphabet=st.one_of(st.sampled_from(SPLIT_CHARS),
+                                        st.characters()), max_size=60)
+
+
+@settings(SETTINGS, max_examples=500)
+@given(line=split_lines)
+def test_a_line_splits_as_shlex_splits_it(line):
+    try:
+        want = shlex.split(line, comments=True)
+    except ValueError as exc:
+        with pytest.raises(KbParseError) as got:
+            _split_line(line, 7)
+        assert (got.value.line, str(got.value)) == (7, f"line 7: syntax error: {exc}")
+    else:
+        assert _split_line(line, 7) == want
+    if _PLAIN_LINE.fullmatch(line):
+        assert line.split() == want
+
+
+@settings(SETTINGS, max_examples=500)
+@given(text=line_texts)
+def test_streamed_lines_are_the_splitlines_lines(text):
+    assert list(_lines(text)) == text.splitlines()
+
+
+# Names that need quoting, or read as something else when they are not.
+KB_NAMES = ("A", "b", "x y", "#c", "it's", "q\\z", "\xe9", "1.5", "-inf",
+            "true", "nan", "t\tu", "\u3000")
+DECLARATIONS = ("class", "role", "numrole", "boolrole", "strrole", "individual")
+# What each other statement takes: a name declared as that kind, or a value.
+USES = {"subclass": ("class", "class"), "subrole": ("role", "role"),
+        "instance": ("class", "individual"),
+        "fact": ("role", "individual", "individual"),
+        "numfact": ("numrole", "individual", "number"),
+        "boolfact": ("boolrole", "individual", "boolean"),
+        "strfact": ("strrole", "individual", "string"), "chair": ("class",)}
+VALUES = {"number": ("1.5", "-inf", "2", "1e3"), "boolean": ("true", "false"),
+          "string": KB_NAMES}
+BAD_VALUES = ("nan", "abc", "yes")
+# A line ending in a backslash escapes the " #" that forces_shlex appends.
+noise_lines = split_lines.filter(lambda line: not line.endswith("\\"))
+
+
+@st.composite
+def kb_texts(draw):
+    """Declarations of a few names, then statements over them, with tabs and
+    comments. A clean text quotes every name that needs it and gives each
+    statement the arguments it takes; a flawed one now and then does not,
+    and holds bad lines."""
+    flawed = draw(st.booleans())
+
+    def chance(one_in):
+        return flawed and draw(st.integers(1, one_in)) == 1
+
+    def token(words):
+        word = draw(st.sampled_from(words))
+        return word if chance(10) else shlex.quote(word)
+
+    def line(stmt, args):
+        sep = draw(st.sampled_from((" ", "\t", "  ")))
+        end = draw(st.sampled_from(("", "", " # note", "#x", " ")))
+        return sep.join([stmt, *args]) + end
+
+    kinds = draw(st.dictionaries(st.sampled_from(KB_NAMES),
+                                 st.sampled_from(DECLARATIONS + ("individual",) * 4),
+                                 min_size=1, max_size=len(KB_NAMES)))
+    lines = [line(kind, [token([name])]) for name, kind in kinds.items()]
+    for _ in range(draw(st.integers(0, 24))):
+        if chance(20):
+            lines.append(draw(noise_lines))
+            continue
+        stmt = draw(st.sampled_from(tuple(USES) + DECLARATIONS))
+        if stmt in DECLARATIONS:
+            declared = [name for name, kind in kinds.items() if kind == stmt]
+            if declared or flawed:
+                lines.append(line(stmt, [token(KB_NAMES if flawed else declared)]))
+            continue
+        args = []
+        for need in USES[stmt]:
+            if need in VALUES:
+                args.append(token(VALUES[need] + (BAD_VALUES if flawed else ())))
+                continue
+            of_kind = [name for name, kind in kinds.items() if kind == need]
+            if not of_kind and not flawed:
+                break
+            args.append(token(of_kind or KB_NAMES))
+        else:
+            if stmt != "chair" or flawed:
+                if chance(20):
+                    args.pop()
+                lines.append(line(stmt, args))
+    return "\n".join(lines)
+
+
+def forces_shlex(text: str) -> str:
+    """``text`` with " #" after every line: the same statements, each of
+    them split by shlex."""
+    return "\n".join(line + " #" for line in text.splitlines())
+
+
+def checked_parse(text: str):
+    """``parse_kb`` with every statement through ``_statement``'s checks,
+    none through the direct path of the frequent ones."""
+    sym, kb, declared = SymbolTable(), KnowledgeBase(), {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = _split_line(line, lineno)
+        if tokens:
+            _statement(tokens, lineno, sym, kb, declared)
+    return sym, kb
+
+
+def parse_outcome(text: str, parse=parse_kb):
+    try:
+        return parse(text)
+    except KbParseError as exc:
+        return exc.line, str(exc)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(text=kb_texts())
+def test_a_generated_kb_text_parses_as_on_the_shlex_path(text):
+    want = parse_outcome(text)
+    assert parse_outcome(forces_shlex(text)) == want
+    assert parse_outcome(text, checked_parse) == want
+
+
+@pytest.mark.parametrize("name", ["trains", "smoke"])
+def test_the_fixtures_parse_as_on_the_shlex_path(name):
+    text = Path(fixture_path(f"{name}.kb")).read_text()
+    sym, kb = parse_kb(text)
+    assert (sym, kb) == parse_kb(forces_shlex(text))
+    assert kb.num_individuals and sym.individual_names.names
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_synth_kb_parses_as_on_the_shlex_path(seed):
+    text = synth_text(seed)
+    sym, kb = parse_kb(text)
+    assert (sym, kb) == parse_kb(forces_shlex(text))
+    assert kb.num_individuals > 20_000
+
+
+def assert_line_in(exc: KbParseError, text: str) -> None:
+    assert isinstance(exc.line, int)
+    assert 1 <= exc.line <= len(text.splitlines())
+    assert str(exc).startswith(f"line {exc.line}: ")
+
+
+@settings(SETTINGS, max_examples=300)
+@given(text=st.one_of(kb_texts(), line_texts))
+def test_any_text_parses_to_a_kb_or_a_kb_parse_error_with_its_line(text):
+    try:
+        parse_kb(text)
+    except KbParseError as exc:
+        assert_line_in(exc, text)
+
+
+EXAMPLE_LINES = ("+ a", "- b", "+ 'a'", '- "b"', "+ c", "+ a b", "a", "+",
+                 "- a # x", "+\tb", "+ \\a")
+
+
+@settings(SETTINGS, max_examples=300)
+@given(text=st.one_of(st.lists(st.one_of(st.sampled_from(EXAMPLE_LINES),
+                                         split_lines),
+                               max_size=8).map("\n".join),
+                      line_texts))
+def test_any_text_parses_to_examples_or_a_kb_error(text):
+    sym, _ = parse_kb("individual a\nindividual b\n")
+    try:
+        parse_examples(text, sym)
+    except KbParseError as exc:
+        assert_line_in(exc, text)
+    except KbError as exc:
+        assert str(exc) in ("no positive examples", "no negative examples")
 
 
 # --- frames and EXPAND_RESULT ------------------------------------------------

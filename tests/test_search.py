@@ -333,9 +333,9 @@ def count_extensions(monkeypatch) -> list:
     calls = []
     original = evaluation_mod.covered_set
 
-    def counting(c, kb, memo=None):
+    def counting(c, *args):
         calls.append(c)
-        return original(c, kb, memo)
+        return original(c, *args)
 
     monkeypatch.setattr(evaluation_mod, "covered_set", counting)
     return calls
