@@ -231,12 +231,10 @@ def _float_bits(v: float) -> int:
 
 def sort_key(c: Concept):
     """Nested tuple realizing the canonical total order under tuple comparison."""
-    try:
-        return c._sort_key
-    except AttributeError:
-        pass
-    key = _compute_sort_key(c)
-    _store_sort_key(c, key)
+    key = getattr(c, "_sort_key", None)
+    if key is None:
+        key = _compute_sort_key(c)
+        _store_sort_key(c, key)
     return key
 
 
@@ -313,10 +311,9 @@ def canonicalize(c: Concept) -> Concept:
 def concept_length(c: Concept) -> int:
     """Syntactic length: every constructor and symbol counts one, an inverse
     role marker counts one extra, cardinality restrictions count the number."""
-    try:
-        return c._length
-    except AttributeError:
-        pass
+    n = getattr(c, "_length", None)
+    if n is not None:
+        return n
     t = type(c)
     if t in (Top, Atomic, BoolEq, NumGeq, NumLeq, StrEq):
         n = 1
@@ -603,10 +600,9 @@ def fnv1a_64(data: bytes) -> int:
 
 def hash_concept(c: Concept) -> int:
     """64-bit FNV-1a over the canonical encoding; stable across machines."""
-    try:
-        return c._hash
-    except AttributeError:
-        pass
+    h = getattr(c, "_hash", None)
+    if h is not None:
+        return h
     enc = encode(c)
     h = _hash_cache.get(enc)
     if h is None:

@@ -1,59 +1,72 @@
-"""Hypothesis evaluation: closed-world extension as boolean arrays, coverage
-counts against the example set, accuracy/gain scoring, and a batch path that
-shares one memo across a search's concepts.
+"""Hypothesis evaluation: closed-world extensions, coverage counts against
+the example set, accuracy/gain scoring, and a batch path that shares one
+memo across a search's concepts.
 
-All set algebra runs on numpy bool arrays, one entry per row of a row space
-(``RowSpace``), through one extension function, ``_extension``. Role
-restrictions are computed from flat pair arrays: for a role with subject
-rows ``subs`` and object ids ``objs``, the rows with at least one filler in
-``C`` are ``subs[child_mask[objs]]``, and qualified cardinalities fall out
-of ``np.bincount`` over the same selection.
+An extension is computed over the rows of one of two row spaces
+(``RowSpace``), and each space has its own representation:
 
-There are two row spaces:
-
-- The full space: one row per individual, reading the masks and pair
-  arrays the kb module builds at materialization as they are. Fillers are
-  always computed here, and so is ``covered_set``, an evaluation with
-  ``keep_set``, and one given no ``ExtensionMemo``.
-- The example space of one (kb, examples) pair: one row per example, the
-  class masks restricted to those rows, and only the pairs whose subject is
-  an example, with the subject given as its row. A search only ever counts
-  the examples, so a candidate is computed here, and each of its top-level
-  operands too. A top-level role restriction with no such pair has the same
-  answer on every example, all true for ``only``/``max`` and all false for
-  ``some``/``min``, and its filler is never computed.
+- The full space: one row per individual, reading the class masks and pair
+  arrays the kb module builds at materialization as they are. An extension
+  is a numpy bool array. Role restrictions are computed from flat pair
+  arrays: for a role with subject rows ``subs`` and object ids ``objs``, the
+  rows with at least one filler in ``C`` are ``subs[child_mask[objs]]``, and
+  qualified cardinalities fall out of ``np.bincount`` over the same
+  selection. Fillers are always computed here, and so are ``covered_set``,
+  an evaluation with ``keep_set`` and one given no ``ExtensionMemo``. Every
+  extension here goes through the module-level ``covered_set``.
+- The example space of one (kb, examples) pair: one row per example. An
+  extension is a Python int whose bit *i* is example row *i*. ``Thing`` is
+  the all-ones int, an atom reads its mask restricted to the examples, a
+  negated atom is ``all ^ mask``, intersections and unions are ``&`` and
+  ``|``, and a count is ``(ext & positives).bit_count()``. A search only
+  ever counts the examples, so a candidate is computed here, and each of
+  its top-level operands too. A role restriction here reads only the pairs
+  whose subject is an example, through the count of each row's successors
+  in the filler: ``some`` is ``count > 0``, ``min n`` is ``count >= n``,
+  ``max n`` is ``count <= n`` and ``only`` is ``count == degree``, the
+  row's number of successors. Over a role with no such pair every count is
+  0, so the answer is the same on every row, and the filler is never
+  computed. A restriction or concrete-role result is a bool array over the
+  rows, made an int once with ``np.packbits``.
 
 A search evaluates many concepts that share operands and fillers: the
 operands of its unions and intersections, the fillers of its role
-restrictions. So each space has a memo that maps the canonical sort key of
-a strict sub-concept to its extension over the space's rows, bit for bit
-the one computed without a memo. The check sits inside ``_extension`` at
-each operand and filler, so nested ones hit it too. A miss in the full
-space recurses through the module-level ``covered_set``, which is handed the
-space it was computing in rather than building another, and one in the
-example space through ``_extension``. The key is the sort key rather than the
+restrictions. Each memo below maps a canonical sort key rather than the
 64-bit hash, so a hash collision can never hand one concept another's
-extension.
+result, and each entry is bit for bit what is computed without it. The
+check sits at each operand and filler, so nested ones hit it too.
 
-- The full space's memo is the dict passed as ``memo``; an
-  ``ExtensionMemo`` is such a dict that also holds the example space, whose
-  own memo (``RowSpace.table``) stores the top-level operands. Neither
-  holds anything but concept keys.
-- What is stored: only the extensions of operands and fillers whose own
-  computation does more than read a stored mask. The concept evaluated is
-  never stored, because each one is evaluated once per search and storing
-  them all would hold one extension per evaluated concept; ``Thing``,
-  atoms and negated atoms are never stored, because copying or inverting
-  their mask is cheaper than unpacking an entry.
-- Entries are ``np.packbits`` arrays, an eighth of a bool array's size. A hit
-  returns a freshly unpacked bool array, because callers combine operands
-  in place.
+- The full-space memo is the dict passed as ``memo``; an ``ExtensionMemo``
+  is such a dict that also holds the example space. The sort key of an
+  operand or filler computed in the full space maps to its extension over
+  all individuals as an ``np.packbits`` array, an eighth of a bool array's
+  size. A hit returns a freshly unpacked bool array, because callers
+  combine operands in place. A miss recurses through ``covered_set``, which
+  is handed the full space rather than building another. On ``synth-wide``
+  (28k individuals) it ends a search with 442 entries, 1.6 MB.
+- ``RowSpace.table`` of the example space: the sort key of a top-level
+  operand maps to its int over the example rows. Ints are immutable, so a
+  hit is returned as it is. On ``synth-wide`` (4,000 examples) it ends a
+  search with 457 entries, 93 kB.
+- ``RowSpace.counts`` of the example space: ``(inverse, role_id, sort key
+  of the filler)`` maps to the count of each row's successors in the
+  filler, a numpy array in the dtype of the role's degrees
+  (``RowSpace.degrees``), the smallest unsigned one that holds the role's
+  largest degree. Every ``some``/``only``/``min``/``max`` over that role and
+  filler reads the one entry. On ``synth-wide`` it ends a search with 882
+  entries, 3.5 MB as ``uint8``.
+- What is stored: the full-space memo and the table hold only operands and
+  fillers whose own computation does more than read a stored mask. The
+  concept evaluated is never stored, because each one is evaluated once per
+  search; ``Thing``, atoms and negated atoms are never stored, because
+  reading their mask is as cheap as reading an entry.
 - A memo lives exactly as long as one search: ``LocalExpander`` creates an
   ``ExtensionMemo`` for a local run and for a worker's state of each
   ``KB_TRANSFER``, and the worker probe creates one of its own. It holds
   extensions of one KB and must not be passed with another. Its example
   space belongs to one (kb, examples) pair, and a call with other objects
-  builds a new one, with an empty table. No cache outlives its search.
+  builds a new one, with an empty table and counts. No cache outlives its
+  search.
 """
 
 from __future__ import annotations
@@ -121,32 +134,40 @@ class EvalConfig:
 
 @dataclass(eq=False, slots=True)
 class RowSpace:
-    """The rows an extension is computed over, and the arrays it reads there.
+    """The rows an extension is computed over, and what it reads there.
 
-    ``ids`` is None in the full space, whose rows are the individual ids and
-    whose arrays are the KB's own. In the example space ``ids`` holds the
-    individual id of each row, and every array is restricted to the rows:
-    the class masks, and the role and concrete-role pairs whose subject is a
-    row, with that subject given as its row. A role pair's object stays an
-    individual id, because a filler is always computed over all individuals.
+    ``ids`` is None in the full space, whose rows are the individual ids,
+    whose arrays are the KB's own and whose ``masks`` are its bool class
+    masks. In the example space ``ids`` holds the individual id of each row,
+    ``masks`` holds each class mask restricted to the rows as an int (bit
+    *i* is row *i*), and the role and concrete-role pairs are those whose
+    subject is a row, with that subject given as its row. A role pair's
+    object stays an individual id, because a filler is always computed over
+    all individuals.
 
     ``roles[inverse]`` is a (subjects, objects) pair of per-role lists, so a
     role expression's pairs are at its ``role_id`` in both; ``nums``,
     ``bools`` and ``strs`` are (subjects, values) pairs of per-role lists.
-    Only the example space has ``positives``, ``negatives``, its operand
-    memo ``table`` and ``full``, the full space its fillers are computed in.
+    Only the example space has the rest: ``top``, the all-ones int;
+    ``positives`` and ``negatives`` as ints; ``degrees[inverse][role_id]``,
+    each row's number of pairs, in the smallest unsigned dtype that holds
+    the largest; the memos ``table`` and ``counts`` (see the module
+    docstring); and ``full``, the full space its fillers are computed in.
     """
 
     ids: np.ndarray | None
     size: int
-    masks: list[np.ndarray]
+    masks: list
     roles: tuple[tuple[list, list], tuple[list, list]]
     nums: tuple[list, list]
     bools: tuple[list, list]
     strs: tuple[list, list]
-    positives: np.ndarray | None = None
-    negatives: np.ndarray | None = None
+    top: int = 0
+    positives: int = 0
+    negatives: int = 0
+    degrees: tuple[list, list] | None = None
     table: dict | None = None
+    counts: dict | None = None
     full: "RowSpace | None" = None
 
 
@@ -157,12 +178,25 @@ def _full_space(kb: KnowledgeBase) -> RowSpace:
                     (kb.str_subs, kb.str_vals))
 
 
+def _bits(a: np.ndarray) -> int:
+    """A bool array as an int whose bit i is ``a[i]``."""
+    return int.from_bytes(np.packbits(a, bitorder="little").tobytes(), "little")
+
+
+def _degrees(subs: np.ndarray, n: int) -> np.ndarray:
+    """Each of ``n`` rows' number of pairs, in the smallest unsigned dtype
+    that holds the largest."""
+    degree = np.bincount(subs, minlength=n)
+    return degree.astype(np.min_scalar_type(degree.max(initial=0)))
+
+
 def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
     if not kb.materialized:
         raise KbError("evaluation requires a materialized knowledge base")
     ids = np.flatnonzero(examples.positives | examples.negatives)
+    n = len(ids)
     row_of = np.full(kb.num_individuals, -1, dtype=np.intp)
-    row_of[ids] = np.arange(len(ids))
+    row_of[ids] = np.arange(n)
 
     def restrict(subs_list, others_list):
         """Per role, the pairs whose subject is a row, subject as its row."""
@@ -174,21 +208,25 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
             others_out.append(np.compress(keep, others))
         return subs_out, others_out
 
-    return RowSpace(ids, len(ids), [m[ids] for m in kb.member_masks],
-                    (restrict(kb.role_subs, kb.role_objs),
-                     restrict(kb.role_objs, kb.role_subs)),
+    roles = (restrict(kb.role_subs, kb.role_objs),
+             restrict(kb.role_objs, kb.role_subs))
+    return RowSpace(ids, n, [_bits(m[ids]) for m in kb.member_masks], roles,
                     restrict(kb.num_subs, kb.num_vals),
                     restrict(kb.bool_subs, kb.bool_vals),
                     restrict(kb.str_subs, kb.str_vals),
-                    positives=examples.positives[ids],
-                    negatives=examples.negatives[ids], table={},
-                    full=_full_space(kb))
+                    top=(1 << n) - 1,
+                    positives=_bits(examples.positives[ids]),
+                    negatives=_bits(examples.negatives[ids]),
+                    degrees=tuple([_degrees(subs, n) for subs in subs_list]
+                                  for subs_list, _ in roles),
+                    table={}, counts={}, full=_full_space(kb))
 
 
 class ExtensionMemo(dict):
-    """One search's memo: the sort key of a strict sub-concept maps to its
+    """One search's memos: the sort key of a strict sub-concept maps to its
     packed extension over all individuals, and ``rows`` hands out the
-    example space of the (kb, examples) pair it was last called with."""
+    example space of the (kb, examples) pair it was last called with, which
+    holds the example space's own memos ``table`` and ``counts``."""
 
     __slots__ = ("_rows",)
 
@@ -205,55 +243,43 @@ class ExtensionMemo(dict):
         return space
 
 
-# Concepts whose extension is a stored mask, copied or inverted: never memoized.
+# Concepts whose extension is a stored mask, read or inverted: never memoized.
 _MASK_READS = (Top, Atomic, NotAtomic)
 
 
-def _operand(c: Concept, kb: KnowledgeBase, space: RowSpace,
+def _operand(c: Concept, kb: KnowledgeBase, full: RowSpace,
              memo: dict | None) -> np.ndarray:
-    """Extension of the operand or filler ``c`` over ``space``, through
-    ``memo`` in the full space and through the space's table otherwise."""
-    table = memo if space.ids is None else space.table
-    if table is None or type(c) in _MASK_READS:
-        return _computed(c, kb, space, memo)
+    """Extension of the operand or filler ``c`` over all individuals,
+    through the full-space ``memo``."""
+    if memo is None or type(c) in _MASK_READS:
+        return covered_set(c, kb, memo, full)
     key = sort_key(c)
-    packed = table.get(key)
+    packed = memo.get(key)
     if packed is not None:
-        return np.unpackbits(packed, count=space.size).view(bool)
-    out = _computed(c, kb, space, memo)
-    table[key] = np.packbits(out)
+        return np.unpackbits(packed, count=full.size).view(bool)
+    out = covered_set(c, kb, memo, full)
+    memo[key] = np.packbits(out)
     return out
 
 
-def _computed(c: Concept, kb: KnowledgeBase, space: RowSpace,
-              memo: dict | None) -> np.ndarray:
-    # A full-column extension goes through the module-level covered_set.
-    if space.ids is None:
-        return covered_set(c, kb, memo, space)
-    return _extension(c, kb, space, memo)
-
-
-def _extension(c: Concept, kb: KnowledgeBase, space: RowSpace,
+def _extension(c: Concept, kb: KnowledgeBase, full: RowSpace,
                memo: dict | None) -> np.ndarray:
-    """Closed-world extension of ``c`` as a bool array over ``space``'s rows.
-
-    Operands are computed in ``space``, fillers in the full space.
-    """
-    n = space.size
+    """Closed-world extension of ``c`` as a bool array over all individuals."""
+    n = full.size
     if isinstance(c, Top):
         return np.ones(n, dtype=bool)
     if isinstance(c, Atomic):
-        return space.masks[c.class_id].copy()
+        return full.masks[c.class_id].copy()
     if isinstance(c, NotAtomic):
-        return ~space.masks[c.class_id]
+        return ~full.masks[c.class_id]
     if isinstance(c, (Exists, Forall, MinCard, MaxCard)):
-        subs_list, objs_list = space.roles[c.role.inverse]
+        subs_list, objs_list = full.roles[c.role.inverse]
         subs = subs_list[c.role.role_id]
         # With no pair the answer is the same on every row, and the filler
         # is never computed.
         if len(subs):
             objs = objs_list[c.role.role_id]
-            child = _operand(c.child, kb, space.full or space, memo)[objs]
+            child = _operand(c.child, kb, full, memo)[objs]
             # Vacuous satisfaction: no fillers means Forall holds.
             subs = np.compress(~child if isinstance(c, Forall) else child, subs)
         if isinstance(c, Exists):
@@ -269,15 +295,21 @@ def _extension(c: Concept, kb: KnowledgeBase, space: RowSpace,
             return counts >= c.n
         return counts <= c.n
     if isinstance(c, And):
-        out = _operand(c.children[0], kb, space, memo)
+        out = _operand(c.children[0], kb, full, memo)
         for ch in c.children[1:]:
-            out &= _operand(ch, kb, space, memo)
+            out &= _operand(ch, kb, full, memo)
         return out
     if isinstance(c, Or):
-        out = _operand(c.children[0], kb, space, memo)
+        out = _operand(c.children[0], kb, full, memo)
         for ch in c.children[1:]:
-            out |= _operand(ch, kb, space, memo)
+            out |= _operand(ch, kb, full, memo)
         return out
+    return _concrete(c, full)
+
+
+def _concrete(c: Concept, space: RowSpace) -> np.ndarray:
+    """Extension of a concrete-role restriction as a bool array over
+    ``space``'s rows."""
     if isinstance(c, BoolEq):
         subs, vals = space.bools
         sel = vals[c.role_id] == c.value
@@ -293,9 +325,77 @@ def _extension(c: Concept, kb: KnowledgeBase, space: RowSpace,
     else:
         raise TypeError(f"not a concept: {c!r}")
     # ANY-assertion reading: one matching value suffices.
-    out = np.zeros(n, dtype=bool)
+    out = np.zeros(space.size, dtype=bool)
     out[np.compress(sel, subs[c.role_id])] = True
     return out
+
+
+def _row_operand(c: Concept, kb: KnowledgeBase, space: RowSpace,
+                 memo: dict) -> int:
+    """Extension of the top-level operand ``c`` over the example rows,
+    through the space's table."""
+    if type(c) in _MASK_READS:
+        return _row_extension(c, kb, space, memo)
+    key = sort_key(c)
+    bits = space.table.get(key)
+    if bits is None:
+        bits = space.table[key] = _row_extension(c, kb, space, memo)
+    return bits
+
+
+def _successors(c: Exists | Forall | MinCard | MaxCard, kb: KnowledgeBase,
+                space: RowSpace, memo: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Each example row's count of ``c.role`` successors in ``c.child``, and
+    its count of all of them, through the space's counts memo."""
+    inverse, rid = c.role.inverse, c.role.role_id
+    degree = space.degrees[inverse][rid]
+    subs_list, objs_list = space.roles[inverse]
+    subs = subs_list[rid]
+    # With no pair every count is 0, and the filler is never computed.
+    if not len(subs):
+        return degree, degree
+    key = (inverse, rid, sort_key(c.child))
+    count = space.counts.get(key)
+    if count is None:
+        child = _operand(c.child, kb, space.full, memo)[objs_list[rid]]
+        count = np.bincount(np.compress(child, subs),
+                            minlength=space.size).astype(degree.dtype)
+        space.counts[key] = count
+    return count, degree
+
+
+def _row_extension(c: Concept, kb: KnowledgeBase, space: RowSpace,
+                   memo: dict) -> int:
+    """Closed-world extension of ``c`` over the example rows, as an int
+    whose bit i is row i. Operands are computed here, fillers in the full
+    space."""
+    t = type(c)
+    if t is Atomic:
+        return space.masks[c.class_id]
+    if t is NotAtomic:
+        return space.top ^ space.masks[c.class_id]
+    if t is Top:
+        return space.top
+    if t is And:
+        out = space.top
+        for ch in c.children:
+            out &= _row_operand(ch, kb, space, memo)
+        return out
+    if t is Or:
+        out = 0
+        for ch in c.children:
+            out |= _row_operand(ch, kb, space, memo)
+        return out
+    if t is Exists:
+        return _bits(_successors(c, kb, space, memo)[0] > 0)
+    if t is MinCard:
+        return _bits(_successors(c, kb, space, memo)[0] >= c.n)
+    if t is MaxCard:
+        return _bits(_successors(c, kb, space, memo)[0] <= c.n)
+    if t is Forall:
+        count, degree = _successors(c, kb, space, memo)
+        return _bits(count == degree)
+    return _bits(_concrete(c, space))
 
 
 def covered_set(c: Concept, kb: KnowledgeBase, memo: dict | None = None,
@@ -321,14 +421,13 @@ def evaluate(c: Concept, kb: KnowledgeBase, examples: ExampleSet,
     its example space; any other memo, and ``keep_set``, in the full one."""
     if keep_set or not isinstance(memo, ExtensionMemo):
         cov = covered_set(c, kb, memo)
-        pos, neg = examples.positives, examples.negatives
-    else:
-        space = memo.rows(kb, examples)
-        cov = _extension(c, kb, space, memo)
-        pos, neg = space.positives, space.negatives
-    return CoverageResult(int(np.count_nonzero(cov & pos)),
-                          int(np.count_nonzero(cov & neg)),
-                          cov if keep_set else None)
+        return CoverageResult(int(np.count_nonzero(cov & examples.positives)),
+                              int(np.count_nonzero(cov & examples.negatives)),
+                              cov if keep_set else None)
+    space = memo.rows(kb, examples)
+    bits = _row_extension(c, kb, space, memo)
+    return CoverageResult((bits & space.positives).bit_count(),
+                          (bits & space.negatives).bit_count())
 
 
 def evaluate_batch(cs: list[Concept], kb: KnowledgeBase, examples: ExampleSet,

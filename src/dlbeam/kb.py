@@ -140,6 +140,9 @@ class SymbolTable:
                 and self.string_values == other.string_values)
 
 
+_SEALED = "a materialized knowledge base takes no more rows"
+
+
 class KnowledgeBase:
     """Assertion tables plus, after materialization, their numpy mirrors.
 
@@ -159,7 +162,8 @@ class KnowledgeBase:
         self.string_assertions: list[list[tuple[int, int]]] = []
         self.materialized = False
         # Dedupe sets, maintained alongside the lists; a row is one tuple,
-        # shared by its list and its set.
+        # shared by its list and its set. A materialized KB takes no more
+        # rows, so materialization releases them (``_seal``).
         self._role_pair_sets: list[set[tuple[int, int]]] = []
         self._edge_set: set[tuple[int, int]] = set()
         self._redge_set: set[tuple[int, int]] = set()
@@ -183,61 +187,87 @@ class KnowledgeBase:
     # -- construction -------------------------------------------------------
 
     def add_class(self) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         self.class_members.append(set())
 
     def add_role(self) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         self.role_assertions.append([])
         self._role_pair_sets.append(set())
 
     def add_num_role(self) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         self.numeric_assertions.append([])
         self._num_sets.append(set())
 
     def add_bool_role(self) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         self.boolean_assertions.append([])
         self._bool_sets.append(set())
 
     def add_str_role(self) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         self.string_assertions.append([])
         self._str_sets.append(set())
 
     def add_individual(self) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         self.num_individuals += 1
 
     def add_instance(self, class_id: int, indiv: int) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         self.class_members[class_id].add(indiv)
 
     def add_subclass(self, sub: int, sup: int) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         edge = (sub, sup)
         if edge not in self._edge_set:
             self._edge_set.add(edge)
             self.subclass_edges.append(edge)
 
     def add_subrole(self, sub: int, sup: int) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         edge = (sub, sup)
         if edge not in self._redge_set:
             self._redge_set.add(edge)
             self.subrole_edges.append(edge)
 
     def add_fact(self, role: int, sub: int, obj: int) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         row, seen = (sub, obj), self._role_pair_sets[role]
         if row not in seen:
             seen.add(row)
             self.role_assertions[role].append(row)
 
     def add_num_fact(self, role: int, sub: int, val: float) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         row, seen = (sub, val), self._num_sets[role]
         if row not in seen:
             seen.add(row)
             self.numeric_assertions[role].append(row)
 
     def add_bool_fact(self, role: int, sub: int, val: bool) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         row, seen = (sub, val), self._bool_sets[role]
         if row not in seen:
             seen.add(row)
             self.boolean_assertions[role].append(row)
 
     def add_str_fact(self, role: int, sub: int, val_index: int) -> None:
+        if self.materialized:
+            raise KbError(_SEALED)
         row, seen = (sub, val_index), self._str_sets[role]
         if row not in seen:
             seen.add(row)
@@ -631,9 +661,17 @@ def materialize(kb: KnowledgeBase, st: SymbolTable | None = None) -> KnowledgeBa
             for pair in pairs:
                 kb.add_fact(sup, *pair)
 
-    kb.materialized = True
-    _build_caches(kb)
+    _seal(kb)
     return kb
+
+
+def _seal(kb: KnowledgeBase) -> None:
+    """Mark ``kb`` materialized, release its dedupe sets, which no later row
+    needs, and build the numpy mirrors."""
+    kb.materialized = True
+    kb._role_pair_sets = kb._num_sets = kb._bool_sets = kb._str_sets = None
+    kb._edge_set = kb._redge_set = None
+    _build_caches(kb)
 
 
 def _build_caches(kb: KnowledgeBase) -> None:
@@ -915,6 +953,5 @@ def deserialize_kb(data: bytes) -> tuple[SymbolTable, KnowledgeBase]:
         raise KbCodecError(f"{len(payload) - r.pos} trailing payload bytes")
 
     if materialized:
-        kb.materialized = True
-        _build_caches(kb)
+        _seal(kb)
     return st, kb

@@ -18,7 +18,7 @@ from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
 from dlbeam.kb import ExampleSet, KbError, materialize, parse_kb
 from generators import (NUM_POOL, dims_of, example_subset_kb, random_concept,
                         random_examples, random_kb, strict_subconcepts)
-from naive_oracle import naive_covered_set
+from naive_oracle import naive_covered_set, satisfies
 
 
 def ids(mask) -> set:
@@ -301,6 +301,11 @@ def away_concepts(rng, kb):
     return [canonicalize(c) for c in out]
 
 
+def row_bits(mask) -> int:
+    """The int whose bit i is ``mask[i]``."""
+    return sum(1 << i for i in np.flatnonzero(mask).tolist())
+
+
 def full_counts(c, kb, examples):
     cov = covered_set(c, kb)
     return (int(np.count_nonzero(cov & examples.positives)),
@@ -334,11 +339,9 @@ def test_example_space_counts_equal_covered_set_and_the_oracle(seed):
     operands = {sort_key(s): s for c in cs for s in strict_subconcepts(c)}
     assert memo.keys() <= operands.keys()
     assert space.table.keys() <= operands.keys()
-    for key, packed in space.table.items():
+    for key, bits in space.table.items():
         assert not isinstance(operands[key], (Top, Atomic, NotAtomic))
-        assert np.array_equal(
-            np.unpackbits(packed, count=len(space.ids)).astype(bool),
-            covered_set(operands[key], kb)[space.ids])
+        assert bits == row_bits(covered_set(operands[key], kb)[space.ids])
 
 
 def test_a_restriction_no_example_is_subject_of_never_computes_its_filler(
@@ -385,6 +388,96 @@ def test_one_memo_with_a_second_example_set_rebuilds_the_row_space():
                           first.negatives.copy())
         assert memo.rows(kb, twin) is not space
         assert memo.rows(kb, twin) is memo.rows(kb, twin)
+
+
+WIDE = 300  # individuals, so that one row can have more than 255 successors
+
+
+def wide_kb(rng):
+    """A random KB of WIDE individuals, with two example sets over 30 of
+    them, a role ``wide`` over which two examples of both sets have 256 or
+    more successors, and a role ``away`` no example is the subject of.
+    Returns (kb, examples of the first set, of the second)."""
+    st, kb = random_kb(rng, do_materialize=False)
+    for x in range(kb.num_individuals, WIDE):
+        st.individual_names.intern(f"i{x}")
+        kb.add_individual()
+        for c in range(kb.num_classes):
+            if rng.random() < 0.3:
+                kb.add_instance(c, x)
+    ids = list(range(WIDE))
+    rng.shuffle(ids)
+    hubs, rows, others = ids[:2], ids[2:30], ids[30:]
+    sets = []
+    for _ in range(2):
+        chosen = hubs + rng.sample(rows, rng.randint(1, len(rows)))
+        rng.shuffle(chosen)
+        npos = rng.randint(1, len(chosen) - 1)
+        sets.append(ExampleSet.from_ids(WIDE, chosen[:npos], chosen[npos:]))
+    for name in ("wide", "away"):
+        st.role_names.intern(name)
+        kb.add_role()
+    wide, away = kb.num_roles - 2, kb.num_roles - 1
+    for hub in hubs:
+        for y in rng.sample(ids, rng.randint(256, 280)):
+            kb.add_fact(wide, hub, y)
+    for _ in range(rng.randint(1, 60)):
+        kb.add_fact(wide, rng.choice(ids), rng.choice(ids))
+        kb.add_fact(away, rng.choice(others), rng.choice(ids))
+    materialize(kb, st)
+    return kb, *sets
+
+
+def oracle_counts(c, kb, examples):
+    """Covered positives and negatives by the naive interpreter, asked only
+    about the examples."""
+    return (sum(satisfies(c, kb, x) for x in examples.pos_ids()),
+            sum(satisfies(c, kb, x) for x in examples.neg_ids()))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_form_over_one_role_and_filler_reads_one_successor_count(seed):
+    rng = random.Random(seed)
+    kb, first, second = wide_kb(rng)
+    dims = dims_of(kb)
+    wide, away = kb.num_roles - 2, kb.num_roles - 1
+    cs, fillers = [], {}
+    for rid in range(kb.num_roles):
+        for inverse in (False, True):
+            role = RoleExpr(rid, inverse)
+            filler = random_concept(rng, dims, depth=2)
+            fillers[inverse, rid, sort_key(filler)] = filler
+            n = rng.choice((1, 2, 255, 256, 270)) if rid == wide else rng.randint(1, 3)
+            forms = [Exists(role, filler), Forall(role, filler),
+                     MinCard(n, role, filler), MaxCard(n - 1, role, filler)]
+            cs += forms + [canonicalize(Or((And((forms[0], forms[3])),
+                                            forms[1])))]
+    memo = ExtensionMemo()
+    for examples in (first, second, first):
+        for c in cs:
+            got = evaluate(c, kb, examples, memo=memo)
+            counts = (got.pos_covered, got.neg_covered)
+            assert counts == full_counts(c, kb, examples)
+            assert counts == oracle_counts(c, kb, examples)
+        space = memo.rows(kb, examples)
+        assert space.degrees[False][wide].dtype == np.uint16
+        # One entry per role and filler, and none for a role no example is
+        # the subject of; each is the count of the row's successors in the
+        # filler, and the degree is the count of all of them.
+        assert space.counts.keys() == {
+            key for key in fillers if len(space.roles[key[0]][0][key[1]])}
+        assert not any(rid == away for inverse, rid, _ in space.counts
+                       if not inverse)
+        for key, count in space.counts.items():
+            inverse, rid, _ = key
+            pairs = [(o, s) if inverse else (s, o)
+                     for s, o in kb.role_assertions[rid]]
+            in_filler = naive_covered_set(fillers[key], kb)
+            for row, x in enumerate(space.ids.tolist()):
+                successors = [o for s, o in pairs if s == x]
+                assert count[row] == len(in_filler.intersection(successors))
+                assert space.degrees[inverse][rid][row] == len(successors)
 
 
 # --- scoring ----------------------------------------------------------------

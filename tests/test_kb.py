@@ -266,6 +266,28 @@ def test_materialize_is_idempotent():
     assert (kb.class_members, kb.role_assertions) == snapshot
 
 
+def test_a_materialized_kb_drops_its_dedupe_sets_and_takes_no_more_rows():
+    rng = random.Random(204)
+    st, kb = random_kb(rng, do_materialize=False)
+    materialize(kb)
+    _, decoded = deserialize_kb(serialize_kb(kb, st))
+    adds = [("add_class", ()), ("add_role", ()), ("add_num_role", ()),
+            ("add_bool_role", ()), ("add_str_role", ()),
+            ("add_individual", ()), ("add_instance", (0, 0)),
+            ("add_subclass", (1, 0)), ("add_subrole", (0, 0)),
+            ("add_fact", (0, 0, 1)), ("add_num_fact", (0, 0, 1.0)),
+            ("add_bool_fact", (0, 0, True)), ("add_str_fact", (0, 0, 0))]
+    for materialized in (kb, decoded):
+        for name in ("_role_pair_sets", "_num_sets", "_bool_sets",
+                     "_str_sets", "_edge_set", "_redge_set"):
+            assert getattr(materialized, name) is None
+        before = copy.deepcopy(materialized)
+        for name, args in adds:
+            with pytest.raises(KbError, match="materialized"):
+                getattr(materialized, name)(*args)
+        assert materialized == before
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("class A\nclass B\nsubclass A B\nsubclass B A\n", "cycle in subclass hierarchy: A -> B -> A"),
     ("role r\nsubrole r r\n", "cycle in subrole hierarchy: r -> r"),
