@@ -15,8 +15,9 @@ from dataclasses import replace
 from .cluster import (ClusterError, MasterConfig, WorkerServer,
                       DEFAULT_TCP_PORT, DEFAULT_UDP_PORT, run_master)
 from .concept import ConceptParseError, canonicalize, concept_length, parse_concept, render
-from .evaluation import evaluate
+from .evaluation import ExtensionMemo, evaluate
 from .kb import KbError, materialize, parse_examples, parse_kb
+from .refine import top_context
 from .search import SearchConfig, SearchNode, SearchResult, run_search
 
 EXIT_OK = 0
@@ -205,6 +206,15 @@ def cmd_stats(args) -> int:
         examples = parse_examples(_read(args.examples), st_sym)
         print(f"positive examples: {examples.pos_count}")
         print(f"negative examples: {examples.neg_count}")
+        # What a search's top level may name: the roles of its context.
+        materialize(kb, st_sym)
+        context = top_context(ExtensionMemo().rows(kb, examples))
+        roles = sum(not r.inverse for r in context.roles)
+        print(f"roles with an example subject: {roles}")
+        print(f"inverse roles with an example subject: "
+              f"{len(context.roles) - roles}")
+        print(f"concrete roles with an example subject: "
+              f"{len(context.bools) + len(context.nums) + len(context.strs)}")
     return EXIT_OK
 
 

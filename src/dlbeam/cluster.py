@@ -41,7 +41,10 @@ settings that a worker's expansion reads: f64 noise, f64 gain bonus, f64
 expansion penalty, u16 max_length and a u8 of flags (inverse roles,
 cardinality, disjunction, negation from bit 0 up). The worker unpacks them
 into the ``SearchConfig`` of its expander, so they are validated by the same
-rules as a local run's.
+rules as a local run's. The expander takes its refinement context from the
+examples the KB_TRANSFER carries, as a local run's does from its own, so no
+field carries the context and the worker refines, and probes, as a local run
+refines.
 
 Each side of a search keeps a decode table (``concept.decode``): the
 master's ``_RemoteExpander`` one for its search, a worker one per
@@ -492,7 +495,8 @@ class WorkerServer:
         raise ProtocolError(f"unexpected message type 0x{mtype:02x}")
 
     def _probe(self, state: dict) -> int:
-        """Expand Thing out to the probe depth and evaluate, for timing."""
+        """Expand Thing out to the probe depth in the expander's context,
+        as the search does, and evaluate, for timing."""
         ex = state["expander"]
         t0 = time.monotonic()
         node = root_node(ex.kb, ex.examples, ex.cfg.eval_cfg, PROBE_HE)
@@ -502,7 +506,7 @@ class WorkerServer:
         emitted: list[Concept] = []
         while node.expandable and node.he < PROBE_HE:
             refs, _ = expand_single_node(node, ex.kb, ex.stats, ex.mb, rcfg,
-                                         PROBE_HE)
+                                         PROBE_HE, ex.context)
             emitted.extend(refs)
         evaluate_batch(emitted, ex.kb, ex.examples, memo=ExtensionMemo())
         return int((time.monotonic() - t0) * 1000)

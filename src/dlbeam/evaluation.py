@@ -27,7 +27,12 @@ An extension is computed over the rows of one of two row spaces
   row's number of successors. Over a role with no such pair every count is
   0, so the answer is the same on every row, and the filler is never
   computed. A restriction or concrete-role result is a bool array over the
-  rows, made an int once with ``np.packbits``.
+  rows, made an int once with ``np.packbits``. The counts are column sums
+  of the filler read through the role's successor grid
+  (``RowSpace.grids``), where each row's successors fill its column; a role
+  whose grid would hold more than twice as many ids as it has pairs, such
+  as one with a few hubs, counts with ``np.bincount`` over its pairs
+  instead.
 
 A search evaluates many concepts that share operands and fillers: the
 operands of its unions and intersections, the fillers of its role
@@ -152,7 +157,9 @@ class RowSpace:
     ``positives`` and ``negatives`` as ints; ``degrees[inverse][role_id]``,
     each row's number of pairs, in the smallest unsigned dtype that holds
     the largest; the memos ``table`` and ``counts`` (see the module
-    docstring); and ``full``, the full space its fillers are computed in.
+    docstring); ``full``, the full space its fillers are computed in; and
+    ``grids[inverse][role_id]``, the role's successor grid from
+    ``_successor_grid``, or None.
     """
 
     ids: np.ndarray | None
@@ -169,6 +176,7 @@ class RowSpace:
     table: dict | None = None
     counts: dict | None = None
     full: "RowSpace | None" = None
+    grids: tuple[list, list] | None = None
 
 
 def _full_space(kb: KnowledgeBase) -> RowSpace:
@@ -188,6 +196,23 @@ def _degrees(subs: np.ndarray, n: int) -> np.ndarray:
     that holds the largest."""
     degree = np.bincount(subs, minlength=n)
     return degree.astype(np.min_scalar_type(degree.max(initial=0)))
+
+
+def _successor_grid(subs: np.ndarray, objs: np.ndarray, degree: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The pairs (row ``subs``, individual ``objs``) of one role as a
+    (largest degree, rows) array whose column *i* holds row *i*'s successors
+    and then 0s, with each row's number of those 0s; None when the array
+    would hold more than twice as many ids as there are pairs."""
+    width = int(degree.max(initial=0))
+    if not width or width * len(degree) > 2 * len(subs):
+        return None
+    order = np.argsort(subs, kind="stable")
+    rows = subs[order]
+    first = np.cumsum(degree, dtype=np.intp) - degree
+    grid = np.zeros((width, len(degree)), dtype=np.intp)
+    grid[np.arange(len(rows)) - first[rows], rows] = objs[order]
+    return grid, width - degree
 
 
 def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
@@ -210,6 +235,8 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
 
     roles = (restrict(kb.role_subs, kb.role_objs),
              restrict(kb.role_objs, kb.role_subs))
+    degrees = tuple([_degrees(subs, n) for subs in subs_list]
+                    for subs_list, _ in roles)
     return RowSpace(ids, n, [_bits(m[ids]) for m in kb.member_masks], roles,
                     restrict(kb.num_subs, kb.num_vals),
                     restrict(kb.bool_subs, kb.bool_vals),
@@ -217,9 +244,9 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
                     top=(1 << n) - 1,
                     positives=_bits(examples.positives[ids]),
                     negatives=_bits(examples.negatives[ids]),
-                    degrees=tuple([_degrees(subs, n) for subs in subs_list]
-                                  for subs_list, _ in roles),
-                    table={}, counts={}, full=_full_space(kb))
+                    degrees=degrees, table={}, counts={}, full=_full_space(kb),
+                    grids=tuple(list(map(_successor_grid, *pairs, degree))
+                                for pairs, degree in zip(roles, degrees)))
 
 
 class ExtensionMemo(dict):
@@ -357,9 +384,17 @@ def _successors(c: Exists | Forall | MinCard | MaxCard, kb: KnowledgeBase,
     key = (inverse, rid, sort_key(c.child))
     count = space.counts.get(key)
     if count is None:
-        child = _operand(c.child, kb, space.full, memo)[objs_list[rid]]
-        count = np.bincount(np.compress(child, subs),
-                            minlength=space.size).astype(degree.dtype)
+        filler = _operand(c.child, kb, space.full, memo)
+        grid = space.grids[inverse][rid]
+        if grid is None:
+            count = np.bincount(np.compress(filler[objs_list[rid]], subs),
+                                minlength=space.size).astype(degree.dtype)
+        else:
+            ids, pads = grid
+            count = np.add.reduce(filler.view(np.uint8).take(ids), axis=0,
+                                  dtype=degree.dtype)
+            if filler[0]:  # each pad read individual 0
+                count -= pads
         space.counts[key] = count
     return count, degree
 

@@ -11,6 +11,16 @@ hash across the per-node refinement lists that the RHT does not hold, and
 evaluates the survivors in a batch; the cluster's sends blocks of the beam to
 workers, each of which runs the same in-process expander on its block.
 
+The in-process expander refines in the context of its examples
+(``refine.top_context``), computed once per search from the example space
+its evaluation counts in: the top level of a refinement names no role,
+inverse role or concrete role that no example is the subject of, since such
+a restriction is constant on the examples (see ``dlbeam.refine``). A worker
+computes the same context from the examples its KB_TRANSFER carries, so a
+cluster run still equals a local one. The expander's refinement config
+holds refine's memo, keyed by concept, bound and context, and the intern
+table beside it, so each refinement one search builds twice is one object.
+
 The open list is kept sorted by each node's ``key``, (-score, canonical
 sort key), which is computed once when the node is built. Keys are unique,
 because the closed list admits a concept once and the canonical sort key is
@@ -36,7 +46,8 @@ from .concept import (TOP, Concept, concept_length, hash_concept, sort_key)
 from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
                          evaluate, evaluate_batch, score, weak_threshold)
 from .kb import ExampleSet, KbStatistics, KnowledgeBase, compute_statistics
-from .refine import RefinementConfig, build_mb, refine
+from .refine import (RefinementConfig, TopContext, build_mb, refine,
+                     top_context)
 
 __all__ = [
     "SearchNode",
@@ -171,8 +182,10 @@ def extract_best_nodes(st: list[SearchNode], k: int,
 
 def expand_single_node(node: SearchNode, kb: KnowledgeBase, stats: KbStatistics,
                        mb: list[Concept], rcfg: RefinementConfig,
-                       max_length: int) -> tuple[list[Concept], set[int]]:
-    """Refine at bound he+1, emit only hashes new to this node, grow he."""
+                       max_length: int, context: TopContext | None = None
+                       ) -> tuple[list[Concept], set[int]]:
+    """Refine at bound he+1 in ``context``, emit only hashes new to this
+    node, grow he."""
     if node.he >= max_length:
         node.expandable = False
         node.local_closed = None
@@ -183,7 +196,7 @@ def expand_single_node(node: SearchNode, kb: KnowledgeBase, stats: KbStatistics,
         closed = node.local_closed = set()
     emitted: list[Concept] = []
     emitted_hashes: set[int] = set()
-    for r in refine(node.concept, bound, kb, stats, mb, rcfg):
+    for r in refine(node.concept, bound, kb, stats, mb, rcfg, context):
         h = hash_concept(r)
         if h in closed:
             continue
@@ -253,11 +266,13 @@ class LocalExpander:
                  cfg: SearchConfig, stats: KbStatistics, mb: list[Concept]):
         self.kb, self.examples, self.cfg = kb, examples, cfg
         self.stats, self.mb = stats, mb
-        # rcfg carries refine's memo, and ext_memo evaluation's operand and
-        # filler extensions and the example row space the candidates are
-        # counted in, so both live for this search only.
+        # rcfg carries refine's memo and intern table, and ext_memo
+        # evaluation's operand and filler extensions and the example row
+        # space the candidates are counted in, so both live for this search
+        # only. The search refines in the context of that row space.
         self.rcfg = refinement_config(stats, cfg)
         self.ext_memo = ExtensionMemo()
+        self.context = top_context(self.ext_memo.rows(kb, examples))
         # A refinement covering fewer positives than this is weak.
         self.min_pos = weak_threshold(examples, cfg.noise)
 
@@ -268,7 +283,8 @@ class LocalExpander:
                ) -> tuple[int, list[tuple[int, SearchNode | None]]]:
         kb, examples, cfg = self.kb, self.examples, self.cfg
         per_slot = [expand_single_node(n, kb, self.stats, self.mb, self.rcfg,
-                                       cfg.max_length) for n in beam]
+                                       cfg.max_length, self.context)
+                    for n in beam]
         survivors = reduce_redundant(per_slot, rht,
                                      verify=cfg.verify_collisions)
         covs = evaluate_batch([c for c, _, _ in survivors], kb, examples,

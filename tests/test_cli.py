@@ -116,6 +116,36 @@ def test_stats_counts_match_fixture(capsys, trains):
     assert int(got["negative examples"]) == 5
 
 
+CONTEXT_KB = """\
+class Person
+role knows
+role owns
+numrole age
+boolrole rich
+individual a
+individual b
+individual c
+fact knows a b
+fact owns c a
+numfact age a 30
+boolfact rich c true
+"""
+
+
+def test_stats_counts_the_roles_with_an_example_subject(capsys, tmp_path):
+    (tmp_path / "k.kb").write_text(CONTEXT_KB)
+    (tmp_path / "k.ex").write_text("+ a\n- b\n")
+    code, out, _ = run_cli(capsys, "stats", str(tmp_path / "k.kb"),
+                           str(tmp_path / "k.ex"))
+    assert code == 0
+    got = dict(line.split(": ") for line in out.splitlines())
+    # a knows b: knows from a, and its inverse from b; c owns a: owns^- from
+    # a; a's age, but not c's rich.
+    assert got["roles with an example subject"] == "1"
+    assert got["inverse roles with an example subject"] == "2"
+    assert got["concrete roles with an example subject"] == "1"
+
+
 def test_stats_without_examples(capsys):
     code, out, _ = run_cli(capsys, "stats", SMOKE_KB)
     assert code == 0

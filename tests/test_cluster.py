@@ -10,6 +10,7 @@ import types
 
 import pytest
 
+import dlbeam.cluster as cluster_mod
 import dlbeam.search as search_mod
 from dlbeam.cli import main
 from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
@@ -25,11 +26,11 @@ from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             serialize_block, deserialize_block, write_frame)
 from dlbeam.concept import (And, Atomic, Exists, MinCard, RoleExpr, TOP,
                             concept_length, connective, encode, hash_concept)
-from dlbeam.evaluation import (CoverageResult, EvalConfig, Score, evaluate,
-                               evaluate_batch, is_weak, score)
+from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
+                               Score, evaluate, evaluate_batch, is_weak, score)
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import ExampleSet, compute_statistics, materialize, parse_kb
-from dlbeam.refine import RefinementConfig, build_mb
+from dlbeam.refine import RefinementConfig, build_mb, top_context
 from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
                            reduce_redundant, run_search)
 
@@ -303,6 +304,24 @@ def test_worker_probe_returns_cores_and_timing(smoke):
         assert mtype == MSG_PROBE_RESULT
         assert len(payload) == 6
         assert int.from_bytes(payload[:2], "big") == 2
+
+
+def test_worker_probe_refines_in_its_expanders_context(trains, monkeypatch):
+    contexts = []
+    original = cluster_mod.expand_single_node
+
+    def recording(*args):
+        contexts.append(args[6])
+        return original(*args)
+
+    monkeypatch.setattr(cluster_mod, "expand_single_node", recording)
+    with master_connection(trains) as (sock, _):
+        write_frame(sock, MSG_PROBE)
+        assert read_frame(sock)[0] == MSG_PROBE_RESULT
+    want = top_context(ExtensionMemo().rows(trains.kb, trains.examples))
+    assert want.roles == {RoleExpr(0), RoleExpr(1)}  # hasCar, firstCar
+    assert contexts
+    assert all(c.roles == want.roles for c in contexts)
 
 
 def test_worker_rejects_probe_before_kb(smoke):

@@ -13,6 +13,7 @@ from dlbeam.refine import RefinementConfig
 from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
                            extract_best_nodes, reduce_redundant, run_search)
 from generators import strict_subconcepts
+from test_context import full_context
 
 
 def make_node(value, cid=0, he=1, expandable=True):
@@ -302,24 +303,42 @@ def test_search_max_length_one_cannot_expand(smoke):
     assert not res.st_nodes[0].expandable
 
 
-def test_exhaustive_trains_search_is_pinned(trains):
-    """The bench's trains-narrow search, run to exhaustion: the order of the
-    evaluated hashes, the open-list insertions and the per-iteration counts
-    are pinned by a digest of the results before refinement was memoized."""
+def pinned_trains_search(trains):
+    """The bench's trains-narrow search, run to exhaustion, and a digest of
+    the order of its evaluated hashes, its open-list insertions and its
+    per-iteration counts."""
     res = run_search(trains.kb, trains.examples,
                      SearchConfig(beam_width=8, max_length=6,
                                   target_accuracy=2.0))
     assert res.status == "exhausted"
-    assert len(res.rht) == len(res.evaluated_hashes) == 4_701
-    assert len(res.iterations) == 265
     digest = hashlib.sha256()
     digest.update(repr(res.evaluated_hashes).encode())
     digest.update(repr(list(res.st_insertions.items())).encode())
     digest.update(repr([(i.expanded, i.generated, i.redundant_dropped,
                          i.weak_dropped, i.st_size)
                         for i in res.iterations]).encode())
-    assert digest.hexdigest() == (
+    return res, digest.hexdigest()
+
+
+def test_exhaustive_trains_search_is_pinned(trains, monkeypatch):
+    """The context-free operator, which a context holding every role gives,
+    is pinned by a digest of the results before refinement was memoized."""
+    every_role = full_context(trains.kb)
+    monkeypatch.setattr(search_mod, "top_context", lambda space: every_role)
+    res, digest = pinned_trains_search(trains)
+    assert len(res.rht) == len(res.evaluated_hashes) == 4_701
+    assert len(res.iterations) == 265
+    assert digest == (
         "856aafedcea90dc1617522d660c5647b8aa17db3db44182a6b9240c5b39c6e3f")
+
+
+def test_exhaustive_trains_search_in_context_is_pinned(trains):
+    """The same search in the context of its examples, as it runs."""
+    res, digest = pinned_trains_search(trains)
+    assert len(res.rht) == len(res.evaluated_hashes) == 2_392
+    assert len(res.iterations) == 106
+    assert digest == (
+        "928d6f2568d8e85d445227f3fdb957c68c5c0174105dbe50f26c1af274e4cc2c")
 
 
 # --- the operand and filler memo --------------------------------------------
@@ -391,3 +410,32 @@ def test_search_memo_holds_no_top_level_concept(trains, monkeypatch):
     operands = {sort_key(s) for cs, _ in batches[:first] for c in cs
                 for s in strict_subconcepts(c)}
     assert memo.keys() <= operands
+
+
+# --- interning ----------------------------------------------------------------
+
+def test_equal_refinements_of_one_search_are_one_object(trains, monkeypatch):
+    """Refine interns what it builds, so an equal concept that one search
+    builds again, from another parent or at a larger bound, is the object
+    built first; a new search builds its own."""
+    searches = []
+    original = search_mod.refine
+
+    def recording(*args):
+        out = original(*args)
+        searches[-1].extend(out)
+        return out
+
+    monkeypatch.setattr(search_mod, "refine", recording)
+    for _ in range(2):
+        searches.append([])
+        res = run_search(trains.kb, trains.examples, EXHAUST)
+    first, second = searches
+    interned = {}
+    for c in first:
+        assert interned.setdefault(sort_key(c), c) is c
+    assert len(first) > len(interned)  # some were built more than once
+    assert not any(interned[sort_key(c)] is c for c in second)
+    ids = {id(c) for c in second}
+    assert all(id(n.concept) in ids for n in res.st_nodes
+               if n.parent is not None)
