@@ -28,11 +28,10 @@ An extension is computed over the rows of one of two row spaces
   0, so the answer is the same on every row, and the filler is never
   computed. A restriction or concrete-role result is a bool array over the
   rows, made an int once with ``np.packbits``. The counts are column sums
-  of the filler read through the role's successor grid
-  (``RowSpace.grids``), where each row's successors fill its column; a role
-  whose grid would hold more than twice as many ids as it has pairs, such
-  as one with a few hubs, counts with ``np.bincount`` over its pairs
-  instead.
+  of the filler read through the role's successor blocks
+  (``RowSpace.blocks``): the rows of one degree *d* form one (d, rows)
+  block whose columns hold their successors, so a sum over a block's first
+  axis counts its rows, with no padding and one block per distinct degree.
 
 A search evaluates many concepts that share operands and fillers: the
 operands of its unions and intersections, the fillers of its role
@@ -158,8 +157,8 @@ class RowSpace:
     each row's number of pairs, in the smallest unsigned dtype that holds
     the largest; the memos ``table`` and ``counts`` (see the module
     docstring); ``full``, the full space its fillers are computed in; and
-    ``grids[inverse][role_id]``, the role's successor grid from
-    ``_successor_grid``, or None.
+    ``blocks[inverse][role_id]``, the role's pairs laid out by
+    ``_successor_blocks``.
     """
 
     ids: np.ndarray | None
@@ -176,7 +175,7 @@ class RowSpace:
     table: dict | None = None
     counts: dict | None = None
     full: "RowSpace | None" = None
-    grids: tuple[list, list] | None = None
+    blocks: tuple[list, list] | None = None
 
 
 def _full_space(kb: KnowledgeBase) -> RowSpace:
@@ -198,21 +197,47 @@ def _degrees(subs: np.ndarray, n: int) -> np.ndarray:
     return degree.astype(np.min_scalar_type(degree.max(initial=0)))
 
 
-def _successor_grid(subs: np.ndarray, objs: np.ndarray, degree: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The pairs (row ``subs``, individual ``objs``) of one role as a
-    (largest degree, rows) array whose column *i* holds row *i*'s successors
-    and then 0s, with each row's number of those 0s; None when the array
-    would hold more than twice as many ids as there are pairs."""
-    width = int(degree.max(initial=0))
-    if not width or width * len(degree) > 2 * len(subs):
+def _successor_blocks(subs: np.ndarray, objs: np.ndarray, degree: np.ndarray
+                      ) -> tuple[np.ndarray, list[tuple[int, int]],
+                                 np.ndarray] | None:
+    """One role's pairs (row ``subs``, individual ``objs``) laid out for
+    counting, or None when it has none. The rows are put in order of falling
+    degree, and the rows of each degree *d* > 0 form a (d, rows) block whose
+    column *j* holds the successors of its *j*-th row. Returns the ids of
+    every block, flat and in order, each block's shape, and each row's place
+    in that order."""
+    if not len(subs):
         return None
-    order = np.argsort(subs, kind="stable")
-    rows = subs[order]
+    by_row = objs[np.argsort(subs, kind="stable")]
     first = np.cumsum(degree, dtype=np.intp) - degree
-    grid = np.zeros((width, len(degree)), dtype=np.intp)
-    grid[np.arange(len(rows)) - first[rows], rows] = objs[order]
-    return grid, width - degree
+    rows = np.argsort(degree, kind="stable")[::-1]
+    sizes = degree[rows]
+    ids, shapes = [], []
+    for group in np.split(rows, np.flatnonzero(sizes[1:] != sizes[:-1]) + 1):
+        d = int(degree[group[0]])
+        if d:
+            ids.append(by_row[first[group] + np.arange(d)[:, None]].ravel())
+            shapes.append((d, len(group)))
+    place = np.empty_like(rows)
+    place[rows] = np.arange(len(rows))
+    return np.concatenate(ids), shapes, place
+
+
+def _block_sums(blocks: tuple[np.ndarray, list[tuple[int, int]], np.ndarray],
+                filler: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Each row's count of successors in ``filler``, a bool array over all
+    individuals, summed over one role's ``_successor_blocks`` in the dtype
+    of its ``degree``."""
+    ids, shapes, place = blocks
+    found = filler.view(np.uint8).take(ids)
+    sums = np.zeros(len(place), degree.dtype)
+    at = row = 0
+    for d, rows in shapes:
+        np.add.reduce(found[at:at + d * rows].reshape(d, rows), axis=0,
+                      out=sums[row:row + rows])
+        at += d * rows
+        row += rows
+    return sums.take(place)
 
 
 def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
@@ -245,8 +270,8 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
                     positives=_bits(examples.positives[ids]),
                     negatives=_bits(examples.negatives[ids]),
                     degrees=degrees, table={}, counts={}, full=_full_space(kb),
-                    grids=tuple(list(map(_successor_grid, *pairs, degree))
-                                for pairs, degree in zip(roles, degrees)))
+                    blocks=tuple(list(map(_successor_blocks, *pairs, degree))
+                                 for pairs, degree in zip(roles, degrees)))
 
 
 class ExtensionMemo(dict):
@@ -376,26 +401,15 @@ def _successors(c: Exists | Forall | MinCard | MaxCard, kb: KnowledgeBase,
     its count of all of them, through the space's counts memo."""
     inverse, rid = c.role.inverse, c.role.role_id
     degree = space.degrees[inverse][rid]
-    subs_list, objs_list = space.roles[inverse]
-    subs = subs_list[rid]
+    blocks = space.blocks[inverse][rid]
     # With no pair every count is 0, and the filler is never computed.
-    if not len(subs):
+    if blocks is None:
         return degree, degree
     key = (inverse, rid, sort_key(c.child))
     count = space.counts.get(key)
     if count is None:
         filler = _operand(c.child, kb, space.full, memo)
-        grid = space.grids[inverse][rid]
-        if grid is None:
-            count = np.bincount(np.compress(filler[objs_list[rid]], subs),
-                                minlength=space.size).astype(degree.dtype)
-        else:
-            ids, pads = grid
-            count = np.add.reduce(filler.view(np.uint8).take(ids), axis=0,
-                                  dtype=degree.dtype)
-            if filler[0]:  # each pad read individual 0
-                count -= pads
-        space.counts[key] = count
+        count = space.counts[key] = _block_sums(blocks, filler, degree)
     return count, degree
 
 

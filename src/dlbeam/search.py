@@ -182,10 +182,10 @@ def extract_best_nodes(st: list[SearchNode], k: int,
 
 def expand_single_node(node: SearchNode, kb: KnowledgeBase, stats: KbStatistics,
                        mb: list[Concept], rcfg: RefinementConfig,
-                       max_length: int, context: TopContext | None = None
+                       max_length: int, context: TopContext | None
                        ) -> tuple[list[Concept], set[int]]:
-    """Refine at bound he+1 in ``context``, emit only hashes new to this
-    node, grow he."""
+    """Refine at bound he+1 in ``context`` (context-free when it is None),
+    emit only hashes new to this node, grow he."""
     if node.he >= max_length:
         node.expandable = False
         node.local_closed = None

@@ -268,13 +268,15 @@ def local_expand_oracle(fix, tasks, params):
         use_cardinality=params.use_cardinality,
         use_disjunction=params.use_disjunction,
         use_negation=params.use_negation)
+    # A worker refines in the context of the examples it was sent.
+    context = top_context(ExtensionMemo().rows(fix.kb, fix.examples))
     per_slot = []
     for bn in tasks:
         node = SearchNode(bn.concept, hash_concept(bn.concept), bn.he,
                           CoverageResult(bn.pos_covered, bn.neg_covered),
                           Score(_accuracy(bn, fix.examples), bn.value))
         per_slot.append(expand_single_node(node, fix.kb, fix.stats, fix.mb,
-                                           rcfg, params.max_length))
+                                           rcfg, params.max_length, context))
     survivors = reduce_redundant(per_slot, rht=set())
     covs = evaluate_batch([c for c, _, _ in survivors], fix.kb, fix.examples)
     good, weak = [], []

@@ -480,55 +480,46 @@ def test_every_form_over_one_role_and_filler_reads_one_successor_count(seed):
                 assert space.degrees[inverse][rid][row] == len(successors)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_successor_grids_count_what_the_pairs_count(seed):
-    rng = random.Random(seed)
-    kb, first, second = wide_kb(rng)
-    dims = dims_of(kb)
-    # Thing holds individual 0, which every pad reads, so its counts take
-    # the pads off again.
-    cs = []
-    for rid in range(kb.num_roles):
-        for inverse in (False, True):
-            role = RoleExpr(rid, inverse)
-            for filler in (TOP, random_concept(rng, dims, depth=2)):
-                cs += [Exists(role, filler), Forall(role, filler),
-                       MinCard(2, role, filler)]
-    spaces = []
-    for grids in (True, False):
-        with pytest.MonkeyPatch.context() as m:
-            if not grids:
-                m.setattr(evaluation_mod, "_successor_grid", lambda *a: None)
-            memo = ExtensionMemo()
-            for examples in (first, second):
-                got = [evaluate(c, kb, examples, memo=memo) for c in cs]
-                assert got == [evaluate(c, kb, examples) for c in cs]
-            spaces.append(memo.rows(kb, second))
-    with_grids, with_pairs = spaces
-    assert all(g is None for grids in with_pairs.grids for g in grids)
-    for inverse, grids in enumerate(with_grids.grids):
-        for rid, grid in enumerate(grids):
-            if grid is not None:  # never more than twice the pairs
-                assert grid[0].size <= 2 * len(with_grids.roles[inverse][0][rid])
-    assert with_grids.counts.keys() == with_pairs.counts.keys()
-    for key, count in with_grids.counts.items():
-        assert count.dtype == with_pairs.counts[key].dtype
-        assert np.array_equal(count, with_pairs.counts[key])
+def test_successor_blocks_count_what_bincount_counts(seed):
+    """Over rows of many distinct degrees, a hub among them, the counts
+    summed over the blocks equal a bincount of the pairs in the filler."""
+    rng = np.random.default_rng(seed)
+    rows, individuals = int(rng.integers(1, 60)), int(rng.integers(1, 400))
+    degrees = rng.integers(0, 12, rows)
+    degrees[rng.integers(rows)] = rng.integers(0, 300)
+    subs = rng.permutation(np.repeat(np.arange(rows), degrees))
+    objs = rng.integers(0, individuals, len(subs))
+    degree = evaluation_mod._degrees(subs, rows)
+    blocks = evaluation_mod._successor_blocks(subs, objs, degree)
+    if not len(subs):
+        assert blocks is None
+        return
+    ids, shapes, place = blocks
+    assert sorted(ids.tolist()) == sorted(objs.tolist())
+    widths = [d for d, _ in shapes]
+    assert widths == sorted(set(degree.tolist()) - {0}, reverse=True)
+    assert sorted(place.tolist()) == list(range(rows))
+    for p in (0.0, 0.3, 1.0):
+        filler = rng.random(individuals) < p
+        got = evaluation_mod._block_sums(blocks, filler, degree)
+        assert got.dtype == degree.dtype
+        assert np.array_equal(
+            got, np.bincount(subs[filler[objs]], minlength=rows))
 
 
-def test_a_successor_grid_holds_each_rows_successors():
-    subs = np.array([2, 0, 2, 2, 0])
-    objs = np.array([7, 5, 8, 9, 6])
-    grid, pads = evaluation_mod._successor_grid(
-        subs, objs, np.array([2, 0, 3], dtype=np.uint8))
-    assert grid.tolist() == [[5, 0, 7], [6, 0, 8], [0, 0, 9]]
-    assert pads.tolist() == [1, 3, 0] and pads.dtype == np.uint8
-    # Sixteen ids for five pairs would be mostly padding: no grid.
-    assert evaluation_mod._successor_grid(
-        np.array([0, 0, 0, 0, 1]), objs,
-        np.array([4, 1, 0, 0], dtype=np.uint8)) is None
-    assert evaluation_mod._successor_grid(
+def test_successor_blocks_hold_each_rows_successors():
+    subs = np.array([2, 0, 2, 2, 0, 3, 3])
+    objs = np.array([7, 5, 8, 9, 6, 4, 1])
+    ids, shapes, place = evaluation_mod._successor_blocks(
+        subs, objs, np.array([2, 0, 3, 2], dtype=np.uint8))
+    # Row 2 (degree 3) first, then rows 3 and 0 (degree 2) as one (2, 2)
+    # block whose columns are their successors; row 1 has none.
+    assert shapes == [(3, 1), (2, 2)]
+    assert ids.tolist() == [7, 8, 9] + [4, 5, 1, 6]
+    assert place.tolist() == [2, 3, 0, 1]
+    assert evaluation_mod._successor_blocks(
         subs[:0], objs[:0], np.zeros(3, dtype=np.uint8)) is None
 
 

@@ -7,9 +7,9 @@ import dlbeam.evaluation as evaluation_mod
 import dlbeam.search as search_mod
 from dlbeam.concept import (Atomic, TOP, concept_length, hash_concept,
                             render, sort_key)
-from dlbeam.evaluation import CoverageResult, Score
+from dlbeam.evaluation import CoverageResult, ExtensionMemo, Score
 from dlbeam.kb import materialize, parse_examples, parse_kb
-from dlbeam.refine import RefinementConfig
+from dlbeam.refine import RefinementConfig, top_context
 from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
                            extract_best_nodes, reduce_redundant, run_search)
 from generators import strict_subconcepts
@@ -49,11 +49,15 @@ def root_node(fix):
                       score(cov, None, 1, fix.examples))
 
 
+def context_of(fix):
+    return top_context(ExtensionMemo().rows(fix.kb, fix.examples))
+
+
 def test_expand_root_emits_short_refinements(trains):
-    cfg = RefinementConfig.from_stats(trains.stats)
+    cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
     node = root_node(trains)
     refs, closed = expand_single_node(node, trains.kb, trains.stats,
-                                      trains.mb, cfg, max_length=7)
+                                      trains.mb, cfg, 7, context)
     assert refs
     assert all(concept_length(c) <= 2 for c in refs)
     assert closed == {hash_concept(c) for c in refs}
@@ -62,12 +66,12 @@ def test_expand_root_emits_short_refinements(trains):
 
 
 def test_expand_again_only_emits_new_hashes(trains):
-    cfg = RefinementConfig.from_stats(trains.stats)
+    cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
     node = root_node(trains)
     first, _ = expand_single_node(node, trains.kb, trains.stats, trains.mb,
-                                  cfg, max_length=7)
+                                  cfg, 7, context)
     second, closed2 = expand_single_node(node, trains.kb, trains.stats,
-                                         trains.mb, cfg, max_length=7)
+                                         trains.mb, cfg, 7, context)
     assert node.he == 3
     first_hashes = {hash_concept(c) for c in first}
     assert first_hashes.isdisjoint(closed2)
@@ -75,35 +79,35 @@ def test_expand_again_only_emits_new_hashes(trains):
 
 
 def test_expand_exhausts_at_max_length(trains):
-    cfg = RefinementConfig.from_stats(trains.stats)
+    cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
     node = root_node(trains)
     for _ in range(10):
-        expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
-                           max_length=3)
+        expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg, 3,
+                           context)
         if not node.expandable:
             break
     assert node.he == 3
     assert not node.expandable
     refs, closed = expand_single_node(node, trains.kb, trains.stats,
-                                      trains.mb, cfg, max_length=3)
+                                      trains.mb, cfg, 3, context)
     assert refs == [] and closed == set()
     assert node.he == 3  # the guarded call never bumps the budget
 
 
 def test_local_closed_lives_only_while_the_node_is_expandable(trains):
-    cfg = RefinementConfig.from_stats(trains.stats)
+    cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
     node = root_node(trains)
     assert node.local_closed is None  # nothing emitted yet
     _, closed = expand_single_node(node, trains.kb, trains.stats, trains.mb,
-                                   cfg, max_length=3)
+                                   cfg, 3, context)
     assert node.expandable and node.local_closed == closed
-    expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
-                       max_length=3)
+    expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg, 3,
+                       context)
     assert not node.expandable and node.local_closed is None
     node = root_node(trains)
     node.he = 3
     assert expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
-                              max_length=3) == ([], set())
+                              3, context) == ([], set())
     assert not node.expandable and node.local_closed is None
 
 
