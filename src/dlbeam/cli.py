@@ -191,8 +191,8 @@ def cmd_eval(args) -> int:
 def cmd_stats(args) -> int:
     st_sym, kb = _load_kb(args.kb)
     n_class, n_role, n_concrete = kb.assertion_counts()
-    n_concrete_roles = (len(kb.numeric_assertions) + len(kb.boolean_assertions)
-                        + len(kb.string_assertions))
+    n_concrete_roles = (kb.num_numeric_roles + kb.num_boolean_roles
+                        + kb.num_string_roles)
     print(f"classes: {kb.num_classes}")
     print(f"roles: {kb.num_roles}")
     print(f"concrete roles: {n_concrete_roles}")
@@ -248,14 +248,24 @@ def cmd_master(args) -> int:
             local.stop()
     _report(result, st_sym, examples, args.json)
     if args.json:
+        print(json.dumps({"type": "handshake",
+                          "handshake_millis": result.handshake_millis}))
+        for w in result.workers:
+            print(json.dumps({"type": "worker",
+                              "address": f"{w.address[0]}:{w.address[1]}",
+                              "cores": w.cores, "wn": w.wn,
+                              "probe_millis": w.probe_millis,
+                              "kb_ack_millis": w.kb_ack_millis}))
         for d in result.dropped:
             print(json.dumps({"type": "worker_dropped",
                               "address": f"{d.address[0]}:{d.address[1]}",
                               "iteration": d.iteration, "cause": d.cause}))
     else:
+        print(f"handshake millis: {result.handshake_millis}")
         for w in result.workers:
             print(f"worker {w.address[0]}:{w.address[1]} cores={w.cores}"
-                  f" wn={w.wn} probe_millis={w.probe_millis}")
+                  f" wn={w.wn} probe_millis={w.probe_millis}"
+                  f" kb_ack_millis={w.kb_ack_millis}")
         for d in result.dropped:
             print(f"worker {d.address[0]}:{d.address[1]} dropped in iteration"
                   f" {d.iteration}: {d.cause}")

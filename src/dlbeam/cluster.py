@@ -1,6 +1,6 @@
 """Master-worker distributed search over a framed TCP protocol.
 
-Frame layout (big-endian): magic ``SPDL``, u16 version (3), u8 message type,
+Frame layout (big-endian): magic ``SPDL``, u16 version (4), u8 message type,
 u32 payload length, payload, u32 CRC32 over type byte + payload.
 
 Message types: 0x01 HELLO, 0x02 HELLO_ACK, 0x03 KB_TRANSFER, 0x04 KB_ACK,
@@ -35,16 +35,24 @@ An EXPAND_RESULT carries the hashes of the weak refinements (u32 count + u64
 each), so the master can keep its closed list identical to a single-machine
 run's, followed by the evaluated non-weak refinements as a block.
 
-A KB_TRANSFER is u32 length + the ``serialize_kb`` blob, the positive and
-the negative example ids (u32 count + u32 each), then the master's search
-settings that a worker's expansion reads: f64 noise, f64 gain bonus, f64
-expansion penalty, u16 max_length and a u8 of flags (inverse roles,
-cardinality, disjunction, negation from bit 0 up). The worker unpacks them
-into the ``SearchConfig`` of its expander, so they are validated by the same
-rules as a local run's. The expander takes its refinement context from the
-examples the KB_TRANSFER carries, as a local run's does from its own, so no
-field carries the context and the worker refines, and probes, as a local run
-refines.
+A KB_TRANSFER carries what a worker's search reads and nothing else. It
+is the sealed form of the master's materialized KB (``kb.serialize_sealed``):
+u32 counts of classes, roles, numeric, boolean and string roles and
+individuals, each string role's u32 count of values, then the table sections
+of a ``serialize_kb`` blob, written from the KB's numpy mirrors. No names
+travel. The positive and the negative example ids follow (u32 count + u32
+each), then the master's search settings that a worker's expansion reads:
+f64 noise, f64 gain bonus, f64 expansion penalty, u16 max_length and a u8 of
+flags (inverse roles, cardinality, disjunction, negation from bit 0 up).
+
+A worker's KB is columns only: ``kb.deserialize_sealed`` turns the tables
+into the numpy arrays a search reads, keeps no Python rows, and refuses a KB
+that is not closed as ``materialize`` leaves it, naming classes and roles by
+id. The worker unpacks the settings into the ``SearchConfig`` of its
+expander, so they are validated by the same rules as a local run's. The
+expander takes its refinement context from the examples the KB_TRANSFER
+carries, as a local run's does from its own, so no field carries the context
+and the worker refines, and probes, as a local run refines.
 
 Each side of a search keeps a decode table (``concept.decode``): the
 master's ``_RemoteExpander`` one for its search, a worker one per
@@ -59,7 +67,11 @@ only subtrees that passed; the table can also hold subtrees of a refused
 node.
 
 The master records each worker it drops, with the worker's address, the
-index of the iteration and the cause, in ``ClusterResult.dropped``.
+index of the iteration and the cause, in ``ClusterResult.dropped``, and the
+cost of the handshake: ``ClusterResult.handshake_millis`` from the start of
+``run_master`` to the last PROBE_RESULT, and each worker's
+``WorkerInfo.kb_ack_millis`` from the start of the KB_TRANSFER round to its
+KB_ACK.
 """
 
 from __future__ import annotations
@@ -73,13 +85,15 @@ import time
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from .concept import (And, Atomic, BoolEq, Concept, DecodeError, Exists,
                       Forall, MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
                       StrEq, decode, encode, hash_concept)
 from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
                          evaluate_batch)
 from .kb import (ExampleSet, KbError, KnowledgeBase, SymbolTable,
-                 compute_statistics, deserialize_kb, materialize, serialize_kb)
+                 compute_statistics, deserialize_sealed, serialize_sealed)
 from .refine import build_mb
 from .search import (LocalExpander, SearchConfig, SearchNode, SearchResult,
                      SearchSettings, expand_single_node, refinement_config,
@@ -103,7 +117,7 @@ __all__ = [
 ]
 
 FRAME_MAGIC = b"SPDL"
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 DISCOVER_PING = b"SPDL?"
 DISCOVER_REPLY = b"SPDL!"
 DEFAULT_UDP_PORT = 47901
@@ -128,6 +142,7 @@ _u32 = struct.Struct(">I")
 # max_length, flags.
 _SETTINGS = struct.Struct(">dddHB")
 _HEADER = struct.Struct(">4sHBI")
+_IDS = np.dtype(">u4")
 
 
 class ProtocolError(Exception):
@@ -141,9 +156,14 @@ class ClusterError(Exception):
 # ---------------------------------------------------------------------------
 # Framing
 
+def _crc(mtype: int, payload) -> int:
+    """The CRC32 of the type byte and then ``payload``, without joining them."""
+    return zlib.crc32(payload, zlib.crc32(bytes((mtype,))))
+
+
 def frame_bytes(mtype: int, payload: bytes) -> bytes:
-    crc = zlib.crc32(bytes([mtype]) + payload)
-    return _HEADER.pack(FRAME_MAGIC, PROTOCOL_VERSION, mtype, len(payload)) + payload + _u32.pack(crc)
+    return b"".join((_HEADER.pack(FRAME_MAGIC, PROTOCOL_VERSION, mtype, len(payload)),
+                     payload, _u32.pack(_crc(mtype, payload))))
 
 
 def _frame_header(data: bytes) -> tuple[int, int]:
@@ -159,14 +179,15 @@ def _frame_header(data: bytes) -> tuple[int, int]:
     return mtype, plen
 
 
-def _frame_payload(mtype: int, body: bytes) -> bytes:
+def _frame_payload(mtype: int, body) -> bytes:
     """The payload of a frame's ``body``, the bytes after its header, once
-    the CRC that ends it is checked."""
-    payload = body[:-4]
-    (crc,) = _u32.unpack_from(body, len(payload))
-    if crc != zlib.crc32(bytes([mtype]) + payload):
-        raise ProtocolError("frame checksum failure")
-    return payload
+    the CRC that ends it is checked; copied once, when it is returned."""
+    with memoryview(body) as view:
+        payload = view[:-4]
+        (crc,) = _u32.unpack_from(view, len(payload))
+        if crc != _crc(mtype, payload):
+            raise ProtocolError("frame checksum failure")
+        return bytes(payload)
 
 
 def parse_frame(data: bytes) -> tuple[int, bytes]:
@@ -176,21 +197,24 @@ def parse_frame(data: bytes) -> tuple[int, bytes]:
     mtype, plen = _frame_header(data)
     if len(data) != _HEADER.size + plen + 4:
         raise ProtocolError("frame length mismatch")
-    return mtype, _frame_payload(mtype, data[_HEADER.size:])
+    return mtype, _frame_payload(mtype, memoryview(data)[_HEADER.size:])
 
 
 def write_frame(sock: socket.socket, mtype: int, payload: bytes = b"") -> None:
     sock.sendall(frame_bytes(mtype, payload))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ProtocolError("connection closed mid-frame")
-        buf += chunk
-    return bytes(buf)
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """The next ``n`` bytes on ``sock``, received into one buffer."""
+    buf = bytearray(n)
+    with memoryview(buf) as view:
+        got = 0
+        while got < n:
+            k = sock.recv_into(view[got:])
+            if not k:
+                raise ProtocolError("connection closed mid-frame")
+            got += k
+    return buf
 
 
 def read_frame(sock: socket.socket) -> tuple[int, bytes]:
@@ -265,53 +289,54 @@ def deserialize_block(data: bytes, table: dict[bytes, Concept] | None = None
 
 def _pack_kb_transfer(kb: KnowledgeBase, st: SymbolTable, examples: ExampleSet,
                       cfg: SearchSettings) -> bytes:
-    blob = serialize_kb(kb, st)
-    out = bytearray(_u32.pack(len(blob)))
-    out += blob
-    pos_ids, neg_ids = examples.pos_ids(), examples.neg_ids()
-    out += _u32.pack(len(pos_ids))
-    for i in pos_ids:
-        out += _u32.pack(i)
-    out += _u32.pack(len(neg_ids))
-    for i in neg_ids:
-        out += _u32.pack(i)
+    """KB_TRANSFER = the sealed form of materialized ``kb``, the positive and
+    the negative example ids (u32 count + u32 each), the search settings."""
+    out = [serialize_sealed(kb, st)]
+    for mask in (examples.positives, examples.negatives):
+        ids = np.flatnonzero(mask)
+        out += (_u32.pack(len(ids)), ids.astype(_IDS).tobytes())
     flags = (cfg.use_inverse_roles | cfg.use_cardinality << 1
              | cfg.use_disjunction << 2 | cfg.use_negation << 3)
-    out += _SETTINGS.pack(cfg.noise, cfg.eval_cfg.gain_bonus,
-                          cfg.eval_cfg.expansion_penalty, cfg.max_length, flags)
-    return bytes(out)
+    out.append(_SETTINGS.pack(cfg.noise, cfg.eval_cfg.gain_bonus,
+                              cfg.eval_cfg.expansion_penalty, cfg.max_length,
+                              flags))
+    return b"".join(out)
 
 
 def _unpack_kb_transfer(payload: bytes
-                        ) -> tuple[SymbolTable, KnowledgeBase, ExampleSet, SearchConfig]:
-    if len(payload) < 4:
-        raise ProtocolError("truncated KB transfer")
-    (blen,) = _u32.unpack_from(payload, 0)
-    pos = 4 + blen
-    if pos > len(payload):
-        raise ProtocolError("truncated KB payload")
-    st, kb = deserialize_kb(payload[4:pos])
+                        ) -> tuple[KnowledgeBase, ExampleSet, SearchConfig]:
+    """The sealed KB, the examples and the search config of a KB_TRANSFER;
+    raise ProtocolError on a fault in any of them."""
+    try:
+        kb, pos = deserialize_sealed(payload)
+    except KbError as exc:
+        raise ProtocolError(f"bad KB transfer: {exc}") from None
+    n = kb.num_individuals
 
-    def id_list(p: int) -> tuple[list[int], int]:
+    def id_mask(p: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The ids at ``p``, their mask over the individuals, and the offset
+        after them."""
         if p + 4 > len(payload):
             raise ProtocolError("truncated example list")
-        (n,) = _u32.unpack_from(payload, p)
+        (count,) = _u32.unpack_from(payload, p)
         p += 4
-        if p + 4 * n > len(payload):
+        if p + 4 * count > len(payload):
             raise ProtocolError("truncated example list")
-        ids = [_u32.unpack_from(payload, p + 4 * i)[0] for i in range(n)]
-        if any(i >= st.num_individuals for i in ids):
+        ids = np.frombuffer(payload, dtype=_IDS, count=count, offset=p)
+        if count and ids.max() >= n:
             raise ProtocolError("example id out of range")
-        return ids, p + 4 * n
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+        return ids, mask, p + 4 * count
 
-    pos_ids, pos = id_list(pos)
-    neg_ids, pos = id_list(pos)
+    pos_ids, positives, pos = id_mask(pos)
+    neg_ids, negatives, pos = id_mask(pos)
     # The rules parse_examples applies to an example file.
-    if not pos_ids:
+    if not len(pos_ids):
         raise ProtocolError("no positive examples")
-    if not neg_ids:
+    if not len(neg_ids):
         raise ProtocolError("no negative examples")
-    if not set(pos_ids).isdisjoint(neg_ids):
+    if positives[neg_ids].any():
         raise ProtocolError("an example is both positive and negative")
     if pos + _SETTINGS.size > len(payload):
         raise ProtocolError("truncated search settings")
@@ -326,8 +351,7 @@ def _unpack_kb_transfer(payload: bytes
             eval_cfg=EvalConfig(gain, pen))
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
-    examples = ExampleSet.from_ids(st.num_individuals, pos_ids, neg_ids)
-    return st, kb, examples, cfg
+    return kb, ExampleSet(n, positives, negatives), cfg
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +364,7 @@ class WorkerInfo:
     probe_millis: int = 0
     wn: int = 0
     connection_id: int = 0
+    kb_ack_millis: int = 0
 
 
 def _check_port(port: int) -> None:
@@ -462,11 +487,7 @@ class WorkerServer:
             write_frame(conn, MSG_HELLO_ACK, _u16.pack(self.cores))
             return False
         if mtype == MSG_KB_TRANSFER:
-            try:
-                st, kb, examples, cfg = _unpack_kb_transfer(payload)
-                materialize(kb, st)
-            except KbError as exc:  # a corrupt blob, or a KB that cannot close
-                raise ProtocolError(f"bad KB transfer: {exc}") from None
+            kb, examples, cfg = _unpack_kb_transfer(payload)
             stats = compute_statistics(kb)
             # The expander's refine and extension memos, the RHT mirror, the
             # decode table and the checked subtrees live as long as this
@@ -540,11 +561,11 @@ def _check_ids(c: Concept, kb: KnowledgeBase, node: int,
         _check_ids(c.child, kb, node, checked)
         what, i, n = "role", c.role.role_id, kb.num_roles
     elif isinstance(c, BoolEq):
-        what, i, n = "boolean role", c.role_id, len(kb.boolean_assertions)
+        what, i, n = "boolean role", c.role_id, kb.num_boolean_roles
     elif isinstance(c, (NumGeq, NumLeq)):
-        what, i, n = "numeric role", c.role_id, len(kb.numeric_assertions)
+        what, i, n = "numeric role", c.role_id, kb.num_numeric_roles
     elif isinstance(c, StrEq):
-        what, i, n = "string role", c.role_id, len(kb.string_assertions)
+        what, i, n = "string role", c.role_id, kb.num_string_roles
     elif isinstance(c, (And, Or)):
         for ch in c.children:
             _check_ids(ch, kb, node, checked)
@@ -674,6 +695,7 @@ class ClusterResult(SearchResult):
     workers: list[WorkerInfo]
     phases: list[str]
     dropped: list[WorkerDrop]
+    handshake_millis: int
 
 
 def discover(cfg: MasterConfig) -> list[tuple[str, int]]:
@@ -733,11 +755,13 @@ def _read_reply(sock: socket.socket, reply_type: int) -> bytes:
 
 
 def _round_trip(socks: list[socket.socket], mtype: int, payloads: list[bytes],
-                reply_type: int) -> list[bytes | ProtocolError]:
+                reply_type: int, replied: list[float] | None = None
+                ) -> list[bytes | ProtocolError]:
     """Write each worker its request, then read each reply on that worker's
     socket. Returns each reply's payload, or for a worker whose write or
     read failed or whose reply is not of ``reply_type`` the ProtocolError
-    that says why."""
+    that says why. ``replied``, if given, gets the ``time.monotonic()`` at
+    which each worker's reply was read or failed, in worker order."""
     errors: list[ProtocolError | None] = []
     for sock, payload in zip(socks, payloads):
         try:
@@ -747,13 +771,15 @@ def _round_trip(socks: list[socket.socket], mtype: int, payloads: list[bytes],
             errors.append(ProtocolError(f"cannot send: {exc.strerror or exc}"))
     replies: list[bytes | ProtocolError] = []
     for sock, error in zip(socks, errors):
+        reply = error
         if error is None:
             try:
-                replies.append(_read_reply(sock, reply_type))
-                continue
+                reply = _read_reply(sock, reply_type)
             except ProtocolError as exc:
-                error = exc
-        replies.append(error)
+                reply = exc
+        replies.append(reply)
+        if replied is not None:
+            replied.append(time.monotonic())
     return replies
 
 
@@ -844,7 +870,8 @@ class _RemoteExpander:
 
 def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
                cfg: MasterConfig) -> ClusterResult:
-    """Drive the four phases and return the merged search outcome."""
+    """Drive the four phases and return the merged search outcome. ``kb``
+    must be materialized: workers receive it sealed."""
     t0 = time.monotonic()
     phases = ["discovery"]
     endpoints = discover(cfg)
@@ -852,6 +879,9 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
         raise ClusterError("no workers responded to discovery")
     if cfg.expect_workers is not None and len(endpoints) < cfg.expect_workers:
         raise ClusterError(f"expected {cfg.expect_workers} workers, found {len(endpoints)}")
+    if not kb.materialized:
+        raise ClusterError("the knowledge base must be materialized before "
+                           "it is sent to workers")
 
     socks: list[socket.socket] = []
     workers: list[WorkerInfo] = []
@@ -864,12 +894,14 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
 
         phases.append("probing")
         kb_payload = _pack_kb_transfer(kb, st_sym, examples, cfg)
-        for reply, w in zip(_round_trip(socks, MSG_KB_TRANSFER,
-                                        [kb_payload] * len(socks), MSG_KB_ACK),
-                            workers):
+        sent, acked = time.monotonic(), []
+        replies = _round_trip(socks, MSG_KB_TRANSFER, [kb_payload] * len(socks),
+                              MSG_KB_ACK, acked)
+        for reply, w, at in zip(replies, workers, acked):
             if isinstance(reply, ProtocolError):
                 raise ClusterError(f"KB transfer failed on worker {w.address}: "
                                    f"{reply}")
+            w.kb_ack_millis = int((at - sent) * 1000)
         for reply, w in zip(_round_trip(socks, MSG_PROBE, [b""] * len(socks),
                                         MSG_PROBE_RESULT), workers):
             if isinstance(reply, ProtocolError) or len(reply) != 6:
@@ -877,6 +909,7 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
             w.cores = _u16.unpack_from(reply, 0)[0]
             w.probe_millis = _u32.unpack_from(reply, 2)[0]
             w.wn = w.cores
+        handshake_millis = int((time.monotonic() - t0) * 1000)
 
         # Fastest worker takes the best block; ties broken by connection id.
         alive = sorted(range(len(workers)),
@@ -897,7 +930,8 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
         # vars, not dataclasses.asdict, which would deep-copy the open list.
         return ClusterResult(
             **{**vars(res), "wall_millis": int((time.monotonic() - t0) * 1000)},
-            workers=workers, phases=phases, dropped=expander.dropped)
+            workers=workers, phases=phases, dropped=expander.dropped,
+            handshake_millis=handshake_millis)
     finally:
         for sock in socks:
             sock.close()

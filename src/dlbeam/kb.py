@@ -23,6 +23,12 @@ tuple, shared by its table's list and the set that keeps the rows unique.
 After ``materialize`` the class membership and role assertion tables are
 closed under the subclass and subrole hierarchies and mirrored into numpy
 arrays for the evaluation engine.
+
+Two binary forms share one table layout, written by one writer and read by
+one reader: ``serialize_kb``'s blob, which carries the names as well, and
+the sealed form of a materialized KB (``serialize_sealed``), which carries
+only the namespace sizes and the tables and decodes into a KB of numpy
+columns alone, with ``None`` for its rows.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ import shlex
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +59,8 @@ __all__ = [
     "compute_statistics",
     "serialize_kb",
     "deserialize_kb",
+    "serialize_sealed",
+    "deserialize_sealed",
 ]
 
 
@@ -146,9 +155,14 @@ _SEALED = "a materialized knowledge base takes no more rows"
 class KnowledgeBase:
     """Assertion tables plus, after materialization, their numpy mirrors.
 
-    The structural core (sets and lists below) is what equality, the codec
-    and the tests see; the numpy arrays exist only to make evaluation fast
-    and are rebuilt deterministically from the core.
+    The structural core (sets and lists below) is what equality and the
+    tests see; the numpy arrays make evaluation fast and are rebuilt
+    deterministically from the core. A sealed (materialized) KB reads its
+    counts, and everything a search reads, from the arrays, so a sealed KB
+    may hold only them: one that ``deserialize_sealed`` builds has ``None``
+    for its rows (``class_members`` and the ``*_assertions`` lists), as
+    every sealed KB has for its dedupe sets, and keeps only its hierarchy
+    edges as lists.
     """
 
     def __init__(self):
@@ -277,11 +291,23 @@ class KnowledgeBase:
 
     @property
     def num_classes(self) -> int:
-        return len(self.class_members)
+        return len(self.member_masks if self.materialized else self.class_members)
 
     @property
     def num_roles(self) -> int:
-        return len(self.role_assertions)
+        return len(self.role_subs if self.materialized else self.role_assertions)
+
+    @property
+    def num_numeric_roles(self) -> int:
+        return len(self.num_subs if self.materialized else self.numeric_assertions)
+
+    @property
+    def num_boolean_roles(self) -> int:
+        return len(self.bool_subs if self.materialized else self.boolean_assertions)
+
+    @property
+    def num_string_roles(self) -> int:
+        return len(self.str_subs if self.materialized else self.string_assertions)
 
     def assertion_counts(self) -> tuple[int, int, int]:
         """(class assertions, role assertions, concrete role assertions)."""
@@ -665,42 +691,48 @@ def materialize(kb: KnowledgeBase, st: SymbolTable | None = None) -> KnowledgeBa
     return kb
 
 
-def _seal(kb: KnowledgeBase) -> None:
+def _seal(kb: KnowledgeBase,
+          mirrors: dict[str, list[np.ndarray]] | None = None) -> None:
     """Mark ``kb`` materialized, release its dedupe sets, which no later row
-    needs, and build the numpy mirrors."""
+    needs, and set its numpy mirrors: ``mirrors``, or else those of its
+    rows."""
     kb.materialized = True
     kb._role_pair_sets = kb._num_sets = kb._bool_sets = kb._str_sets = None
     kb._edge_set = kb._redge_set = None
-    _build_caches(kb)
+    if mirrors is None:
+        mirrors = _row_mirrors(kb)
+    for name, arrays in mirrors.items():
+        setattr(kb, name, arrays)
+    _index_hierarchies(kb)
 
 
-def _build_caches(kb: KnowledgeBase) -> None:
+def _row_mirrors(kb: KnowledgeBase) -> dict[str, list[np.ndarray]]:
+    """The numpy mirrors of ``kb``'s rows, by attribute name."""
     n = kb.num_individuals
-    kb.member_masks = []
+    masks = []
     for members in kb.class_members:
         mask = np.zeros(n, dtype=bool)
-        if members:
-            mask[sorted(members)] = True
-        kb.member_masks.append(mask)
-    kb.role_subs, kb.role_objs = [], []
-    for pairs in kb.role_assertions:
-        subs = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        objs = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-        kb.role_subs.append(subs)
-        kb.role_objs.append(objs)
-    kb.num_subs, kb.num_vals = [], []
-    for rows in kb.numeric_assertions:
-        kb.num_subs.append(np.fromiter((r[0] for r in rows), dtype=np.int64, count=len(rows)))
-        kb.num_vals.append(np.fromiter((r[1] for r in rows), dtype=np.float64, count=len(rows)))
-    kb.bool_subs, kb.bool_vals = [], []
-    for rows in kb.boolean_assertions:
-        kb.bool_subs.append(np.fromiter((r[0] for r in rows), dtype=np.int64, count=len(rows)))
-        kb.bool_vals.append(np.fromiter((r[1] for r in rows), dtype=bool, count=len(rows)))
-    kb.str_subs, kb.str_vals = [], []
-    for rows in kb.string_assertions:
-        kb.str_subs.append(np.fromiter((r[0] for r in rows), dtype=np.int64, count=len(rows)))
-        kb.str_vals.append(np.fromiter((r[1] for r in rows), dtype=np.int64, count=len(rows)))
+        mask[np.fromiter(members, dtype=np.intp, count=len(members))] = True
+        masks.append(mask)
 
+    def column(tables, at, dtype):
+        return [np.fromiter((row[at] for row in rows), dtype=dtype,
+                            count=len(rows)) for rows in tables]
+
+    return {"member_masks": masks,
+            "role_subs": column(kb.role_assertions, 0, np.int64),
+            "role_objs": column(kb.role_assertions, 1, np.int64),
+            "num_subs": column(kb.numeric_assertions, 0, np.int64),
+            "num_vals": column(kb.numeric_assertions, 1, np.float64),
+            "bool_subs": column(kb.boolean_assertions, 0, np.int64),
+            "bool_vals": column(kb.boolean_assertions, 1, bool),
+            "str_subs": column(kb.string_assertions, 0, np.int64),
+            "str_vals": column(kb.string_assertions, 1, np.int64)}
+
+
+def _index_hierarchies(kb: KnowledgeBase) -> None:
+    """Each class's direct subclasses and superclasses, and each role's
+    direct subroles, sorted."""
     kb.direct_subclasses = [[] for _ in range(kb.num_classes)]
     kb.direct_superclasses = [[] for _ in range(kb.num_classes)]
     for sub, sup in kb.subclass_edges:
@@ -717,8 +749,35 @@ def _build_caches(kb: KnowledgeBase) -> None:
         lst.sort()
 
 
+def _check_sealed(kb: KnowledgeBase) -> None:
+    """Raise ``KbCodecError`` unless sealed ``kb`` is what ``materialize``
+    leaves: both hierarchies acyclic, each class's members among its
+    superclasses' and each role's pairs among its superroles'. Ids name the
+    classes and roles, as a KB without names has only its ids."""
+    try:
+        _bottom_up(kb.num_classes, kb.subclass_edges, "subclass")
+        _bottom_up(kb.num_roles, kb.subrole_edges, "subrole")
+    except KbError as exc:
+        raise KbCodecError(str(exc)) from None
+    masks = kb.member_masks
+    for sub, sup in kb.subclass_edges:
+        if (masks[sub] > masks[sup]).any():
+            raise KbCodecError(f"subclass hierarchy not closed: class {sub} "
+                               f"has a member outside its superclass {sup}")
+
+    def pair_keys(rid: int) -> np.ndarray:
+        return ((kb.role_subs[rid].astype(np.uint64) << np.uint64(32))
+                | kb.role_objs[rid].astype(np.uint64))
+
+    for sub, sup in kb.subrole_edges:
+        if not np.isin(pair_keys(sub), pair_keys(sup)).all():
+            raise KbCodecError(f"subrole hierarchy not closed: role {sub} "
+                               f"has a pair outside its superrole {sup}")
+
+
 def compute_statistics(kb: KnowledgeBase) -> KbStatistics:
-    """Max role fillers, numeric value boundaries and hierarchy extremes."""
+    """Max role fillers, numeric value boundaries and hierarchy extremes,
+    read from the numpy mirrors and the hierarchy edges only."""
     if not kb.materialized:
         raise KbError("statistics require a materialized knowledge base")
     stats = KbStatistics()
@@ -726,10 +785,14 @@ def compute_statistics(kb: KnowledgeBase) -> KbStatistics:
     for subs, objs in zip(kb.role_subs, kb.role_objs):
         stats.max_fillers.append(int(np.bincount(subs).max(initial=0)))
         stats.max_fillers_inverse.append(int(np.bincount(objs).max(initial=0)))
-    for rows in kb.numeric_assertions:
-        stats.numeric_boundaries.append(sorted({v for _, v in rows}))
-    for rows in kb.string_assertions:
-        stats.string_domains.append(sorted({vi for _, vi in rows}))
+    for vals in kb.num_vals:
+        # The sort behind return_index is stable, so of equal values, such as
+        # -0.0 and 0.0, the first asserted is kept, as a set of the rows keeps
+        # it.
+        _, first = np.unique(vals, return_index=True)
+        stats.numeric_boundaries.append(vals[first].tolist())
+    for vals in kb.str_vals:
+        stats.string_domains.append(np.unique(vals).tolist())
     has_super = {sub for sub, _ in kb.subclass_edges}
     has_sub = {sup for _, sup in kb.subclass_edges}
     stats.top_level_classes = [c for c in range(kb.num_classes) if c not in has_super]
@@ -739,9 +802,24 @@ def compute_statistics(kb: KnowledgeBase) -> KbStatistics:
 
 # ---------------------------------------------------------------------------
 # Binary codec
+#
+# One table layout serves both binary forms, the ``serialize_kb`` blob and
+# the sealed form (``serialize_sealed``): each class's sorted members (u32
+# count, u32 ids); the subclass edges, each role's pairs and the subrole
+# edges (u32 count, u32 id pairs); each numeric role's (u32 id, f64 value),
+# each boolean role's (u32 id, u8 0|1) and each string role's (u32 id, u32
+# value id) rows, each list prefixed with its u32 count. All big-endian.
+# ``_tables_bytes`` writes it from a KB's numpy mirrors and ``_read_tables``
+# reads it into record arrays, which each form turns into its own KB.
 
 KB_MAGIC = b"SPKB"
 KB_VERSION = 1
+# The most individuals a sealed form may declare. It spends no bytes on an
+# individual, so this bounds the arrays a count alone makes a reader build:
+# it is as many individuals as the names of a serialize_kb blob could name,
+# at four bytes or more each, in the largest frame a cluster accepts (2**28
+# bytes).
+MAX_SEALED_INDIVIDUALS = 1 << 26
 
 _u16 = struct.Struct(">H")
 _u32 = struct.Struct(">I")
@@ -764,10 +842,37 @@ def _rows_bytes(rows: list[tuple], dtype: np.dtype) -> bytes:
     return _u32.pack(len(rows)) + np.array(rows, dtype=dtype).tobytes()
 
 
+def _columns_bytes(dtype: np.dtype, a: np.ndarray, b: np.ndarray) -> bytes:
+    """u32 count, then the records of ``dtype`` whose fields hold ``a`` and
+    ``b``."""
+    records = np.empty(len(a), dtype=dtype)
+    records["a"] = a
+    records["b"] = b
+    return _u32.pack(len(records)) + records.tobytes()
+
+
+def _tables_bytes(kb: KnowledgeBase) -> list[bytes]:
+    """``kb``'s table sections, written from its numpy mirrors, or from
+    mirrors of its rows while it is not sealed."""
+    m = vars(kb) if kb.materialized else _row_mirrors(kb)
+    out = []
+    for mask in m["member_masks"]:
+        ids = np.flatnonzero(mask)
+        out.append(_u32.pack(len(ids)) + ids.astype(_ID).tobytes())
+    out.append(_rows_bytes(kb.subclass_edges, _PAIR))
+    out.extend(map(_columns_bytes, repeat(_PAIR), m["role_subs"], m["role_objs"]))
+    out.append(_rows_bytes(kb.subrole_edges, _PAIR))
+    out.extend(map(_columns_bytes, repeat(_NUM_ROW), m["num_subs"], m["num_vals"]))
+    out.extend(map(_columns_bytes, repeat(_BOOL_ROW), m["bool_subs"],
+                   m["bool_vals"]))
+    out.extend(map(_columns_bytes, repeat(_PAIR), m["str_subs"], m["str_vals"]))
+    return out
+
+
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0):
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def _need(self, n: int) -> None:
         if self.pos + n > len(self.data):
@@ -805,9 +910,11 @@ class _Reader:
         except UnicodeDecodeError:
             raise KbCodecError("bad UTF-8 in a name") from None
 
-    def records(self, dtype: np.dtype) -> np.ndarray:
-        """u32 count, then that many records of ``dtype``, in one read."""
-        count = self.u32()
+    def records(self, dtype: np.dtype, count: int | None = None) -> np.ndarray:
+        """``count`` records of ``dtype``, or as many as a leading u32 count
+        says, in one read."""
+        if count is None:
+            count = self.u32()
         self._need(count * dtype.itemsize)
         arr = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.pos)
         self.pos += count * dtype.itemsize
@@ -831,9 +938,60 @@ def _check_range(a: np.ndarray, a_limit: int, a_what: str,
 
 
 def _pairs(rows: np.ndarray, a_limit: int, a_what: str, b_limit: int,
-           b_what: str) -> list[tuple[int, int]]:
+           b_what: str) -> np.ndarray:
     _check_range(rows["a"], a_limit, a_what, rows["b"], b_limit, b_what)
-    return rows.tolist()
+    return rows
+
+
+class _Tables(NamedTuple):
+    """The table sections as read: big-endian record arrays, in order."""
+
+    members: list[np.ndarray]
+    subclass_edges: np.ndarray
+    roles: list[np.ndarray]
+    subrole_edges: np.ndarray
+    nums: list[np.ndarray]
+    bools: list[np.ndarray]
+    strs: list[np.ndarray]
+
+
+def _read_tables(r: _Reader, n_classes: int, n_roles: int, n_nums: int,
+                 n_bools: int, value_counts: list[int], n_ind: int) -> _Tables:
+    """The table sections at ``r`` of a KB with these numbers of classes,
+    roles, numeric and boolean roles, values of each string role and
+    individuals. Raise ``KbCodecError`` on the first fault in stream order: a
+    truncation, an id out of range, a NaN or a boolean other than 0 or 1."""
+    members = []
+    for _ in range(n_classes):
+        ids = r.records(_ID)
+        _check_range(ids, n_ind, "individual")
+        members.append(ids)
+    subclass_edges = _pairs(r.records(_PAIR), n_classes, "class", n_classes, "class")
+    roles = [_pairs(r.records(_PAIR), n_ind, "individual", n_ind, "individual")
+             for _ in range(n_roles)]
+    subrole_edges = _pairs(r.records(_PAIR), n_roles, "role", n_roles, "role")
+    nums = []
+    for _ in range(n_nums):
+        rows = r.records(_NUM_ROW)
+        _check_range(rows["a"], n_ind, "individual")
+        if np.isnan(rows["b"]).any():
+            raise KbCodecError("NaN is not a valid numeric value")
+        nums.append(rows)
+    bools = []
+    for _ in range(n_bools):
+        rows = r.records(_BOOL_ROW)
+        subs, flags = rows["a"], rows["b"]
+        bad = flags > 1
+        if bad.any():
+            first = int(np.argmax(bad))
+            _check_range(subs[:first + 1], n_ind, "individual")  # ids come first
+            raise KbCodecError(f"bad boolean {flags[first]}")
+        _check_range(subs, n_ind, "individual")
+        bools.append(rows)
+    strs = [_pairs(r.records(_PAIR), n_ind, "individual", count, "string value")
+            for count in value_counts]
+    return _Tables(members, subclass_edges, roles, subrole_edges, nums, bools,
+                   strs)
 
 
 def _unique(rows: list[tuple]) -> tuple[list[tuple], set[tuple]]:
@@ -852,40 +1010,29 @@ def _interner(names: list[str]) -> Interner:
 
 
 def serialize_kb(kb: KnowledgeBase, st: SymbolTable) -> bytes:
-    """Binary form: magic, version, table sections, trailing CRC32 of payload.
+    """Binary form: magic, version, payload, trailing CRC32 of payload.
 
     The payload is the materialized flag (u8); the names of each namespace
     and then each string role's values (u32 count, per name u32 length and
-    UTF-8 bytes); each class's sorted members (u32 count, u32 ids); the
-    subclass edges, each role's pairs and the subrole edges (u32 count, u32
-    id pairs); each numeric role's (u32 id, f64 value), each boolean role's
-    (u32 id, u8 0|1) and each string role's (u32 id, u32 value id) rows, each
-    list prefixed with its u32 count. All big-endian.
+    UTF-8 bytes); then the table sections (see the layout above).
     """
     out = [b"\x01" if kb.materialized else b"\x00"]
     for interner in (st.class_names, st.role_names, st.num_role_names,
                      st.bool_role_names, st.str_role_names, st.individual_names,
                      *st.string_values):
         out.append(_names_bytes(interner.names))
-    for members in kb.class_members:
-        out.append(_u32.pack(len(members))
-                   + np.array(sorted(members), dtype=_ID).tobytes())
-    out.append(_rows_bytes(kb.subclass_edges, _PAIR))
-    out.extend(_rows_bytes(pairs, _PAIR) for pairs in kb.role_assertions)
-    out.append(_rows_bytes(kb.subrole_edges, _PAIR))
-    out.extend(_rows_bytes(rows, _NUM_ROW) for rows in kb.numeric_assertions)
-    out.extend(_rows_bytes(rows, _BOOL_ROW) for rows in kb.boolean_assertions)
-    out.extend(_rows_bytes(rows, _PAIR) for rows in kb.string_assertions)
+    out.extend(_tables_bytes(kb))
     payload = b"".join(out)
     return KB_MAGIC + _u16.pack(KB_VERSION) + payload + _u32.pack(zlib.crc32(payload))
 
 
 def deserialize_kb(data: bytes) -> tuple[SymbolTable, KnowledgeBase]:
     """Inverse of serialize_kb, validating magic, version and checksum, the
-    names, the ids and booleans of every record, and that nothing trails the
-    payload; each failure raises ``KbCodecError``. Repeated rows are kept
-    once, in first-occurrence order, as the ``KnowledgeBase.add_*`` methods
-    keep them.
+    names, the ids, numbers and booleans of every record, that nothing
+    trails the payload and, for a materialized KB, that it is closed as
+    ``materialize`` leaves it; each failure raises ``KbCodecError``. Repeated
+    rows are kept once, in first-occurrence order, as the
+    ``KnowledgeBase.add_*`` methods keep them.
     """
     if len(data) < 10:
         raise KbCodecError("truncated stream: missing header")
@@ -918,40 +1065,86 @@ def deserialize_kb(data: bytes) -> tuple[SymbolTable, KnowledgeBase]:
     kb.num_individuals = len(st.individual_names)
     st.string_values = [_interner(r.names()) for _ in st.str_role_names.names]
 
-    n_ind = kb.num_individuals
-    for members in kb.class_members:
-        ids = r.records(_ID)
-        _check_range(ids, n_ind, "individual")
-        members.update(ids.tolist())
-    kb.subclass_edges, kb._edge_set = _unique(
-        _pairs(r.records(_PAIR), kb.num_classes, "class", kb.num_classes, "class"))
-    for rid in range(kb.num_roles):
-        kb.role_assertions[rid], kb._role_pair_sets[rid] = _unique(
-            _pairs(r.records(_PAIR), n_ind, "individual", n_ind, "individual"))
-    kb.subrole_edges, kb._redge_set = _unique(
-        _pairs(r.records(_PAIR), kb.num_roles, "role", kb.num_roles, "role"))
-    for rid in range(len(kb.numeric_assertions)):
-        rows = r.records(_NUM_ROW)
-        _check_range(rows["a"], n_ind, "individual")
-        kb.numeric_assertions[rid], kb._num_sets[rid] = _unique(rows.tolist())
-    for rid in range(len(kb.boolean_assertions)):
-        rows = r.records(_BOOL_ROW)
-        subs, flags = rows["a"], rows["b"]
-        bad = flags > 1
-        if bad.any():
-            first = int(np.argmax(bad))
-            _check_range(subs[:first + 1], n_ind, "individual")  # ids come first
-            raise KbCodecError(f"bad boolean {flags[first]}")
-        _check_range(subs, n_ind, "individual")
-        kb.boolean_assertions[rid], kb._bool_sets[rid] = _unique(
-            list(zip(subs.tolist(), (flags == 1).tolist())))
-    for rid in range(len(kb.string_assertions)):
-        kb.string_assertions[rid], kb._str_sets[rid] = _unique(
-            _pairs(r.records(_PAIR), n_ind, "individual",
-                   len(st.string_values[rid]), "string value"))
+    t = _read_tables(r, kb.num_classes, kb.num_roles, kb.num_numeric_roles,
+                     kb.num_boolean_roles, [len(v) for v in st.string_values],
+                     kb.num_individuals)
     if r.pos != len(payload):
         raise KbCodecError(f"{len(payload) - r.pos} trailing payload bytes")
+    for members, ids in zip(kb.class_members, t.members):
+        members.update(ids.tolist())
+    kb.subclass_edges, kb._edge_set = _unique(t.subclass_edges.tolist())
+    for rid, pairs in enumerate(t.roles):
+        kb.role_assertions[rid], kb._role_pair_sets[rid] = _unique(pairs.tolist())
+    kb.subrole_edges, kb._redge_set = _unique(t.subrole_edges.tolist())
+    for rid, rows in enumerate(t.nums):
+        kb.numeric_assertions[rid], kb._num_sets[rid] = _unique(rows.tolist())
+    for rid, rows in enumerate(t.bools):
+        kb.boolean_assertions[rid], kb._bool_sets[rid] = _unique(
+            list(zip(rows["a"].tolist(), (rows["b"] == 1).tolist())))
+    for rid, rows in enumerate(t.strs):
+        kb.string_assertions[rid], kb._str_sets[rid] = _unique(rows.tolist())
 
     if materialized:
         _seal(kb)
+        _check_sealed(kb)
     return st, kb
+
+
+def serialize_sealed(kb: KnowledgeBase, st: SymbolTable) -> bytes:
+    """The sealed form of materialized ``kb``: what a search reads of it and
+    nothing more. u32 counts of its classes, roles, numeric, boolean and
+    string roles and individuals; each string role's u32 count of values;
+    then the table sections of ``serialize_kb``, written from the numpy
+    mirrors. No names, and no header or checksum: the form is meant to
+    travel inside a checked frame."""
+    if not kb.materialized:
+        raise KbError("only a materialized knowledge base has a sealed form")
+    counts = [kb.num_classes, kb.num_roles, kb.num_numeric_roles,
+              kb.num_boolean_roles, kb.num_string_roles, kb.num_individuals,
+              *map(len, st.string_values)]
+    return b"".join([np.array(counts, dtype=_ID).tobytes(), *_tables_bytes(kb)])
+
+
+def deserialize_sealed(data: bytes, pos: int = 0) -> tuple[KnowledgeBase, int]:
+    """The sealed KB whose form ``serialize_sealed`` wrote at ``data[pos:]``,
+    and the offset just past it. The KB holds numpy columns and hierarchy
+    edges only; its rows are ``None`` (see ``KnowledgeBase``). Raises
+    ``KbCodecError`` on what ``deserialize_kb`` refuses in the tables, on
+    more than ``MAX_SEALED_INDIVIDUALS`` individuals, and on a KB that is not
+    closed as ``materialize`` leaves it. Rows and edges are taken as they
+    come: a sealed KB's are unique, as its tables were filled through the
+    ``add_*`` methods."""
+    r = _Reader(data, pos)
+    n_classes, n_roles, n_nums, n_bools, n_strs, n_ind = r.records(_ID, 6).tolist()
+    if n_ind > MAX_SEALED_INDIVIDUALS:
+        raise KbCodecError(f"{n_ind} individuals exceed the limit of "
+                           f"{MAX_SEALED_INDIVIDUALS}")
+    value_counts = r.records(_ID, n_strs).tolist()
+    t = _read_tables(r, n_classes, n_roles, n_nums, n_bools, value_counts, n_ind)
+
+    kb = KnowledgeBase()
+    kb.num_individuals = n_ind
+    kb.class_members = kb.role_assertions = None
+    kb.numeric_assertions = kb.boolean_assertions = kb.string_assertions = None
+    kb.subclass_edges = t.subclass_edges.tolist()
+    kb.subrole_edges = t.subrole_edges.tolist()
+    masks = []
+    for ids in t.members:
+        mask = np.zeros(n_ind, dtype=bool)
+        mask[ids] = True
+        masks.append(mask)
+
+    def column(tables, at, dtype):
+        return [rows[at].astype(dtype) for rows in tables]
+
+    _seal(kb, {"member_masks": masks,
+               "role_subs": column(t.roles, "a", np.int64),
+               "role_objs": column(t.roles, "b", np.int64),
+               "num_subs": column(t.nums, "a", np.int64),
+               "num_vals": column(t.nums, "b", np.float64),
+               "bool_subs": column(t.bools, "a", np.int64),
+               "bool_vals": column(t.bools, "b", bool),
+               "str_subs": column(t.strs, "a", np.int64),
+               "str_vals": column(t.strs, "b", np.int64)})
+    _check_sealed(kb)
+    return kb, r.pos

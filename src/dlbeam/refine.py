@@ -134,14 +134,14 @@ def build_mb(kb: KnowledgeBase, stats: KbStatistics) -> list[Concept]:
     """Concrete-role restriction pool: both booleans, every numeric boundary
     as >= and <=, and every asserted string value."""
     mb: list[Concept] = []
-    for b in range(len(kb.boolean_assertions)):
+    for b in range(kb.num_boolean_roles):
         mb.append(BoolEq(b, True))
         mb.append(BoolEq(b, False))
-    for d in range(len(kb.numeric_assertions)):
+    for d in range(kb.num_numeric_roles):
         bounds = stats.numeric_boundaries[d]
         mb.extend(NumGeq(d, v) for v in bounds)
         mb.extend(NumLeq(d, v) for v in bounds)
-    for sr in range(len(kb.string_assertions)):
+    for sr in range(kb.num_string_roles):
         mb.extend(StrEq(sr, vi) for vi in stats.string_domains[sr])
     return mb
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -159,6 +160,8 @@ def test_master_with_local_worker(capsys):
     assert code == 0
     assert "status: solved" in out
     assert "worker 127.0.0.1:" in out
+    assert re.search(r"^handshake millis: \d+$", out, re.M)
+    assert re.search(r" kb_ack_millis=\d+$", out, re.M)
 
 
 def test_master_fails_when_workers_missing(capsys):

@@ -7,6 +7,7 @@ import struct
 import threading
 import time
 import types
+from collections import Counter
 
 import pytest
 
@@ -29,7 +30,8 @@ from dlbeam.concept import (And, Atomic, Exists, MinCard, RoleExpr, TOP,
 from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
                                Score, evaluate, evaluate_batch, is_weak, score)
 from dlbeam.fixtures import fixture_path
-from dlbeam.kb import ExampleSet, compute_statistics, materialize, parse_kb
+from dlbeam.kb import (MAX_SEALED_INDIVIDUALS, ExampleSet, KbStatistics,
+                       compute_statistics, materialize, parse_kb)
 from dlbeam.refine import RefinementConfig, build_mb, top_context
 from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
                            reduce_redundant, run_search)
@@ -160,12 +162,12 @@ def test_search_params_round_trip(smoke):
                          use_negation=rng.random() < 0.5)
         packed = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, p)
         assert len(packed) == bare
-        assert _unpack_kb_transfer(packed)[3] == p
+        assert _unpack_kb_transfer(packed)[2] == p
     with pytest.raises(ProtocolError, match="truncated search settings"):
         _unpack_kb_transfer(packed[:-1])
 
 
-def test_kb_transfer_carries_the_master_settings_in_the_v3_layout(smoke):
+def test_kb_transfer_carries_the_master_settings_in_the_v4_layout(smoke):
     cfg = MasterConfig(limit=3, noise=0.25, max_millis=500, max_length=300,
                        target_accuracy=0.9, use_cardinality=False,
                        use_negation=False, eval_cfg=EvalConfig(0.75, 0.125),
@@ -174,18 +176,70 @@ def test_kb_transfer_carries_the_master_settings_in_the_v3_layout(smoke):
     # inverse roles (bit 0) and disjunction (bit 2) on
     assert payload[-27:] == struct.pack(">dddHB", 0.25, 0.75, 0.125, 300,
                                         0b0101)
-    assert PROTOCOL_VERSION == 3
-    assert _unpack_kb_transfer(payload)[3] == SearchConfig(
+    assert PROTOCOL_VERSION == 4
+    assert _unpack_kb_transfer(payload)[2] == SearchConfig(
         noise=0.25, max_length=300, use_cardinality=False, use_negation=False,
         eval_cfg=EvalConfig(0.75, 0.125))
+
+
+def assert_same_columns(got, want):
+    """``got``, a sealed KB of columns only, holds what a search reads of
+    ``want``: its counts, numpy mirrors, hierarchy edges and direct
+    sub- and superclass and subrole lists, in the same dtypes."""
+    assert got.materialized and want.materialized
+    assert got.class_members is None and got.role_assertions is None
+    assert got.numeric_assertions is None and got.boolean_assertions is None
+    assert got.string_assertions is None
+    for name in ("num_individuals", "num_classes", "num_roles",
+                 "num_numeric_roles", "num_boolean_roles", "num_string_roles",
+                 "subclass_edges", "subrole_edges", "direct_subclasses",
+                 "direct_superclasses", "direct_subroles"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("member_masks", "role_subs", "role_objs", "num_subs",
+                 "num_vals", "bool_subs", "bool_vals", "str_subs", "str_vals"):
+        got_arrays, want_arrays = getattr(got, name), getattr(want, name)
+        assert len(got_arrays) == len(want_arrays), name
+        for g, w in zip(got_arrays, want_arrays):
+            assert g.dtype == w.dtype, name
+            # tobytes, so that -0.0 and 0.0 differ
+            assert g.tobytes() == w.tobytes(), name
+
+
+def row_statistics(kb):
+    """The statistics of ``kb`` read from its rows: the reference that
+    ``compute_statistics``, which reads the numpy mirrors, must equal."""
+    stats = KbStatistics()
+    for pairs in kb.role_assertions:
+        stats.max_fillers.append(max(Counter(s for s, _ in pairs).values(),
+                                     default=0))
+        stats.max_fillers_inverse.append(
+            max(Counter(o for _, o in pairs).values(), default=0))
+    for rows in kb.numeric_assertions:
+        stats.numeric_boundaries.append(sorted({v for _, v in rows}))
+    for rows in kb.string_assertions:
+        stats.string_domains.append(sorted({vi for _, vi in rows}))
+    has_super = {sub for sub, _ in kb.subclass_edges}
+    has_sub = {sup for _, sup in kb.subclass_edges}
+    stats.top_level_classes = [c for c in range(kb.num_classes) if c not in has_super]
+    stats.leaf_classes = [c for c in range(kb.num_classes) if c not in has_sub]
+    return stats
+
+
+def assert_reads_the_statistics_and_pool_of(got, want):
+    """Sealed ``got``'s statistics and restriction pool are those of
+    ``want``, read from its rows: compared by repr and encoding, so that
+    -0.0 and 0.0 differ."""
+    stats = compute_statistics(got)
+    assert repr(stats) == repr(compute_statistics(want)) == repr(row_statistics(want))
+    assert ([encode(c) for c in build_mb(got, stats)]
+            == [encode(c) for c in build_mb(want, row_statistics(want))])
 
 
 def test_kb_transfer_round_trip(smoke):
     params = SearchConfig(max_length=5, use_disjunction=False)
     payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, params)
-    st2, kb2, ex2, params2 = _unpack_kb_transfer(payload)
-    assert st2 == smoke.st
-    assert kb2 == smoke.kb
+    kb2, ex2, params2 = _unpack_kb_transfer(payload)
+    assert_same_columns(kb2, smoke.kb)
     assert ex2 == smoke.examples
     assert params2 == params
     for cut in (2, 10, len(payload) - 1):
@@ -193,6 +247,31 @@ def test_kb_transfer_round_trip(smoke):
             _unpack_kb_transfer(payload[:cut])
     with pytest.raises(ProtocolError, match="trailing"):
         _unpack_kb_transfer(payload + b"\x00")
+
+
+@pytest.mark.parametrize("name", ["smoke", "trains"])
+def test_a_worker_reads_what_the_master_reads_of_a_fixture(request, name):
+    fix = request.getfixturevalue(name)
+    kb2, ex2, _ = _unpack_kb_transfer(
+        _pack_kb_transfer(fix.kb, fix.st, fix.examples, PARAMS))
+    assert_same_columns(kb2, fix.kb)
+    assert ex2 == fix.examples
+    assert_reads_the_statistics_and_pool_of(kb2, fix.kb)
+    assert repr(compute_statistics(kb2)) == repr(fix.stats)
+
+
+@pytest.mark.parametrize("first,second", [("-0.0", "0.0"), ("0.0", "-0.0")])
+def test_signed_zeros_resolve_to_the_first_asserted_on_both_sides(first, second):
+    st, kb = parse_kb("numrole n\nindividual a\nindividual b\nindividual c\n"
+                      f"numfact n a {first}\nnumfact n b {second}\n"
+                      "numfact n c 1.5\n")
+    materialize(kb, st)
+    examples = ExampleSet.from_ids(3, [0], [1])
+    kb2, _, _ = _unpack_kb_transfer(_pack_kb_transfer(kb, st, examples, PARAMS))
+    assert_same_columns(kb2, kb)
+    assert repr(row_statistics(kb).numeric_boundaries) == f"[[{first}, 1.5]]"
+    assert_reads_the_statistics_and_pool_of(kb, kb)
+    assert_reads_the_statistics_and_pool_of(kb2, kb)
 
 
 # --- discovery --------------------------------------------------------------
@@ -413,17 +492,51 @@ def send_kb_transfer_and_expect_error(payload, message):
 def test_worker_answers_a_corrupt_kb_blob_with_error(smoke):
     payload = bytearray(_pack_kb_transfer(smoke.kb, smoke.st, smoke.examples,
                                           PARAMS))
-    payload[4:8] = b"XXXX"  # the KB blob's magic, inside a well-formed frame
-    send_kb_transfer_and_expect_error(bytes(payload), b"bad KB transfer")
-
-
-def test_worker_answers_a_kb_that_cannot_materialize_with_error():
-    st, kb = parse_kb("class A\nclass B\nsubclass A B\nsubclass B A\n"
-                      "individual x\nindividual y\ninstance A x\n")
-    examples = ExampleSet.from_ids(2, [0], [1])
+    # Six counts, no string role, then the first class's member count and
+    # first member: an individual id out of range, in a well-formed frame.
+    assert struct.unpack_from(">6I", payload) == (2, 1, 0, 0, 0, 6)
+    assert struct.unpack_from(">I", payload, 24)[0] > 0
+    struct.pack_into(">I", payload, 28, 77)
     send_kb_transfer_and_expect_error(
-        _pack_kb_transfer(kb, st, examples, PARAMS),
-        b"cycle in subclass hierarchy")
+        bytes(payload),
+        b"bad KB transfer: individual id 77 out of range (< 6)")
+
+
+def test_kb_transfer_refuses_more_individuals_than_the_limit(smoke):
+    payload = bytearray(_pack_kb_transfer(smoke.kb, smoke.st, smoke.examples,
+                                          PARAMS))
+    # The sixth count is the individuals'; no array is built for them.
+    struct.pack_into(">I", payload, 20, MAX_SEALED_INDIVIDUALS + 1)
+    with pytest.raises(ProtocolError, match="bad KB transfer: 67108865 "
+                       "individuals exceed the limit of 67108864"):
+        _unpack_kb_transfer(bytes(payload))
+
+
+@pytest.mark.parametrize("text,subclass,subrole,message", [
+    # A sealed KB whose hierarchy has a cycle, which materialize refuses.
+    ("class A\nclass B\ninstance A x\ninstance B x\n", [(0, 1), (1, 0)], [],
+     b"bad KB transfer: cycle in subclass hierarchy: 0 -> 1 -> 0"),
+    ("role r\nrole s\nfact r x y\nfact s x y\n", [], [(0, 1), (1, 0)],
+     b"bad KB transfer: cycle in subrole hierarchy: 0 -> 1 -> 0"),
+    # Sealed KBs that are not closed under their hierarchies.
+    ("class A\nclass B\ninstance A x\n", [(0, 1)], [],
+     b"bad KB transfer: subclass hierarchy not closed: class 0 has a member "
+     b"outside its superclass 1"),
+    ("role r\nrole s\nfact r x y\nfact s y x\n", [], [(0, 1)],
+     b"bad KB transfer: subrole hierarchy not closed: role 0 has a pair "
+     b"outside its superrole 1"),
+])
+def test_worker_answers_a_kb_that_cannot_materialize_with_error(
+        text, subclass, subrole, message):
+    st, kb = parse_kb("individual x\nindividual y\n" + text)
+    materialize(kb, st)
+    # The edges of a KB that materialize cannot leave, set after sealing.
+    kb.subclass_edges, kb.subrole_edges = subclass, subrole
+    examples = ExampleSet.from_ids(2, [0], [1])
+    payload = _pack_kb_transfer(kb, st, examples, PARAMS)
+    with pytest.raises(ProtocolError, match=re.escape(message.decode())):
+        _unpack_kb_transfer(payload)
+    send_kb_transfer_and_expect_error(payload, message)
 
 
 def test_kb_transfer_rejects_an_example_id_out_of_range(smoke):
@@ -633,6 +746,7 @@ def test_master_solves_trains_with_one_worker(trains):
     assert res.workers[0].cores == 2
     assert res.workers[0].wn == 2  # block size equals the advertised cores
     assert res.workers[0].probe_millis >= 0
+    assert 0 <= res.workers[0].kb_ack_millis <= res.handshake_millis
 
 
 def test_master_equivalent_to_local_search(trains):
@@ -693,6 +807,13 @@ def test_master_raises_without_workers():
         run_master(None, None, None, cfg)
 
 
+def test_master_raises_on_a_kb_that_is_not_materialized(smoke):
+    st, kb = parse_kb(fixture_path("smoke.kb").read_text())
+    with worker() as w:
+        with pytest.raises(ClusterError, match="must be materialized"):
+            run_master(kb, st, smoke.examples, master_cfg(w))
+
+
 def test_master_raises_when_short_of_expected_workers(smoke):
     with worker() as w:
         cfg = master_cfg(w, expect_workers=2, discovery_millis=400)
@@ -751,10 +872,11 @@ SHORT_HELLO_ACK = frame_bytes(MSG_HELLO_ACK, b"\x00")
 
 
 @pytest.mark.parametrize("reply", [
-    # The same frame from a worker of protocol version 1 or 2; the checksum
-    # covers only type and payload, so it stays valid.
+    # The same frame from a worker of protocol version 1, 2 or 3; the
+    # checksum covers only type and payload, so it stays valid.
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 1) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 2) + SHORT_HELLO_ACK[6:],
+    SHORT_HELLO_ACK[:4] + struct.pack(">H", 3) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK,
     b"not a frame at all",
 ])
@@ -881,6 +1003,11 @@ def test_master_json_reports_each_dropped_worker(capsys):
         {"type": "worker_dropped", "address": f"127.0.0.1:{w.tcp_port}",
          "iteration": 0, "cause": "block shorter than its count field"}]
     assert [r["status"] for r in records if r["type"] == "result"] == ["failed"]
+    (handshake,) = [r for r in records if r["type"] == "handshake"]
+    (info,) = [r for r in records if r["type"] == "worker"]
+    assert info["address"] == f"127.0.0.1:{w.tcp_port}"
+    assert 0 <= info["kb_ack_millis"] <= handshake["handshake_millis"]
+    assert info["probe_millis"] >= 0
 
 
 def test_master_drops_a_worker_that_stops_answering(capsys):

@@ -9,32 +9,40 @@ also through a decode table, which must give what a plain decode gives, and
 numeric bounds that must parse back bit for bit. The KB codec is
 checked against ``loop_serialize_kb``, a copy of the field-at-a-time writer
 that defined the format, and its decoder against truncations and byte flips.
+A KB_TRANSFER, whose sealed KB shares the codec's tables, is checked against
+``loop_read_kb_transfer``, a field-at-a-time reader: a round trip must give
+the master's columns, statistics and restriction pool, and a truncation or
+byte flip must be refused or read as that reader reads it.
 The KB text parser is checked against shlex, which every line with a comment
 goes through, and against ``_statement``'s checks, and on arbitrary text,
 which must parse or raise a ``KbParseError`` naming its line.
 Frames and EXPAND_RESULT payloads are checked by round trips, truncations
-and byte flips, which must end in ``ProtocolError`` and nothing else. The
+and byte flips, which must end in ``ProtocolError`` and nothing else, and
+frames against the joined construction that defined their bytes. The
 EXPAND_TASK tests drive one live ``WorkerServer`` over fresh connections.
 """
 
 import importlib.util
 import math
 import random
+import re
 import shlex
 import socket
 import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlbeam.cluster import (BlockNode, MSG_ERROR, MSG_EXPAND_RESULT,
                             MSG_EXPAND_TASK, MSG_KB_ACK, MSG_KB_TRANSFER,
-                            ProtocolError, WorkerServer, _pack_expand_result,
-                            _pack_expand_task, _pack_kb_transfer,
-                            _split_expand_result, _split_expand_task,
+                            PROTOCOL_VERSION, ProtocolError, WorkerServer,
+                            _pack_expand_result, _pack_expand_task,
+                            _pack_kb_transfer, _split_expand_result,
+                            _split_expand_task, _unpack_kb_transfer,
                             deserialize_block, frame_bytes, parse_frame,
                             read_frame, serialize_block, write_frame)
 from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
@@ -46,11 +54,14 @@ from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (_PLAIN_LINE, Interner, KbCodecError, KbError,
                        KbParseError, KnowledgeBase, SymbolTable, _lines,
-                       _split_line, _statement, deserialize_kb, materialize,
-                       parse_examples, parse_kb, serialize_kb)
+                       _split_line, _statement, deserialize_kb,
+                       deserialize_sealed, materialize, parse_examples,
+                       parse_kb, serialize_kb, serialize_sealed)
 
-from generators import random_kb, tiny_kb
-from test_cluster import PARAMS, local_expand_oracle, root_block_node
+from generators import random_examples, random_kb, tiny_kb
+from test_cluster import (PARAMS, assert_reads_the_statistics_and_pool_of,
+                          assert_same_columns, local_expand_oracle,
+                          root_block_node)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -398,13 +409,19 @@ def test_kb_codec_writes_the_bytes_of_the_loop_writer_for_the_fixtures(
     assert_same_blob_and_round_trip(fix.st, fix.kb)
 
 
-def synth_text(seed: int) -> str:
-    """The synth-wide KB text of ``seed``, from the benchmark's generator."""
+def synth_texts(seed: int) -> tuple[str, str]:
+    """The synth-wide KB and example texts of ``seed``, from the benchmark's
+    generator."""
     path = Path(__file__).resolve().parents[1] / "bench" / "synth.py"
     spec = importlib.util.spec_from_file_location("synth_kb_generator", path)
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    return synth.generate(seed)[0]
+    return synth.generate(seed)
+
+
+def synth_text(seed: int) -> str:
+    """The synth-wide KB text of ``seed``."""
+    return synth_texts(seed)[0]
 
 
 def test_kb_codec_writes_the_bytes_of_the_loop_writer_for_the_synth_kb():
@@ -538,6 +555,153 @@ def test_kb_codec_rejects_a_boolean_other_than_0_or_1(flag):
     payload[-2] = 7  # an id out of range before the flag is reported first
     with pytest.raises(KbCodecError, match="individual id 7 out of range"):
         deserialize_kb(with_crc(bytes(payload)))
+
+
+# --- KB_TRANSFER and its sealed KB -----------------------------------------
+
+def sealed_kb(seed: int):
+    """A materialized generated KB, its symbols and examples. Half of them
+    have a numeric role that asserts -0.0 and 0.0, in either order."""
+    rng = random.Random(seed)
+    sym, kb = random_kb(rng, max_individuals=rng.choice((6, 30)),
+                        do_materialize=False)
+    if rng.random() < 0.5:
+        sym.num_role_names.intern("zeros")
+        kb.add_num_role()
+        for _ in range(rng.randint(1, 6)):
+            kb.add_num_fact(kb.num_numeric_roles - 1,
+                            rng.randrange(kb.num_individuals),
+                            rng.choice((-0.0, 0.0, 1.0)))
+    materialize(kb, sym)
+    return sym, kb, random_examples(rng, kb)
+
+
+def loop_read_kb_transfer(payload: bytes) -> tuple[dict, int]:
+    """A KB_TRANSFER read one field at a time, without a check: the sealed
+    KB's counts and tables, the example ids and the settings, as Python
+    values; and the number of bytes read."""
+    pos = 0
+
+    def take(fmt):
+        nonlocal pos
+        values = struct.unpack_from(fmt, payload, pos)
+        pos += struct.calcsize(fmt)
+        return values if len(values) > 1 else values[0]
+
+    def rows(fmt):
+        return [take(fmt) for _ in range(take(">I"))]
+
+    n_classes, n_roles, n_nums, n_bools, n_strs, n_ind = take(">6I")
+    values = [take(">I") for _ in range(n_strs)]
+    return {"num_individuals": n_ind, "string_values": values,
+            "members": [set(rows(">I")) for _ in range(n_classes)],
+            "subclass_edges": rows(">II"),
+            "roles": [rows(">II") for _ in range(n_roles)],
+            "subrole_edges": rows(">II"),
+            "nums": [rows(">Id") for _ in range(n_nums)],
+            "bools": [rows(">IB") for _ in range(n_bools)],
+            "strs": [rows(">II") for _ in range(n_strs)],
+            "positives": set(rows(">I")), "negatives": set(rows(">I")),
+            "settings": take(">dddHB")}, pos
+
+
+def assert_reads_as(kb, examples, cfg, want: dict) -> None:
+    """What ``_unpack_kb_transfer`` returned is what ``want``, a
+    ``loop_read_kb_transfer`` of the same payload, holds; floats compared
+    bit for bit."""
+
+    def pairs(a, b):
+        return list(zip(a.tolist(), b.tolist()))
+
+    def bits(rows):
+        return [(sub, struct.pack(">d", v)) for sub, v in rows]
+
+    assert kb.num_individuals == want["num_individuals"]
+    assert [set(np.flatnonzero(m).tolist()) for m in kb.member_masks] == want["members"]
+    assert kb.subclass_edges == want["subclass_edges"]
+    assert kb.subrole_edges == want["subrole_edges"]
+    assert list(map(pairs, kb.role_subs, kb.role_objs)) == want["roles"]
+    assert ([bits(pairs(s, v)) for s, v in zip(kb.num_subs, kb.num_vals)]
+            == [bits(rows) for rows in want["nums"]])
+    assert (list(map(pairs, kb.bool_subs, kb.bool_vals))
+            == [[(sub, flag == 1) for sub, flag in rows] for rows in want["bools"]])
+    assert list(map(pairs, kb.str_subs, kb.str_vals)) == want["strs"]
+    assert set(np.flatnonzero(examples.positives).tolist()) == want["positives"]
+    assert set(np.flatnonzero(examples.negatives).tolist()) == want["negatives"]
+    noise, gain, penalty, max_length, flags = want["settings"]
+    assert (struct.pack(">dddH", cfg.noise, cfg.eval_cfg.gain_bonus,
+                        cfg.eval_cfg.expansion_penalty, cfg.max_length)
+            == struct.pack(">dddH", noise, gain, penalty, max_length))
+    assert (cfg.use_inverse_roles, cfg.use_cardinality, cfg.use_disjunction,
+            cfg.use_negation) == tuple(bool(flags >> i & 1) for i in range(4))
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_a_kb_transfer_gives_the_worker_what_the_master_reads(seed):
+    sym, kb, examples = sealed_kb(seed)
+    payload = _pack_kb_transfer(kb, sym, examples, PARAMS)
+    kb2, ex2, cfg2 = _unpack_kb_transfer(payload)
+    assert_same_columns(kb2, kb)
+    assert ex2 == examples
+    assert cfg2 == PARAMS
+    assert_reads_the_statistics_and_pool_of(kb2, kb)
+    want, end = loop_read_kb_transfer(payload)
+    assert end == len(payload)
+    assert_reads_as(kb2, ex2, cfg2, want)
+    assert want["string_values"] == [len(v) for v in sym.string_values]
+    # The sealed KB leads the payload, and its tables are serialize_kb's.
+    sealed = serialize_sealed(kb, sym)
+    assert payload.startswith(sealed)
+    kb3, end = deserialize_sealed(sealed)
+    assert end == len(sealed)
+    assert_same_columns(kb3, kb)
+    tables = sealed[24 + 4 * len(sym.string_values):]
+    assert serialize_kb(kb, sym)[:-4].endswith(tables)
+
+
+@SETTINGS
+@given(seed=seeds, data=st.data())
+def test_every_truncation_or_byte_flip_of_a_kb_transfer_is_refused_or_read_as_written(
+        seed, data):
+    sym, kb, examples = sealed_kb(seed)
+    payload = _pack_kb_transfer(kb, sym, examples, PARAMS)
+    cut, flipped = truncation_and_flip(payload, data)
+    with pytest.raises(ProtocolError):
+        _unpack_kb_transfer(cut)
+    try:
+        got = _unpack_kb_transfer(flipped)
+    except ProtocolError:
+        return  # refused
+    want, end = loop_read_kb_transfer(flipped)
+    assert end == len(flipped)
+    assert_reads_as(*got, want)
+
+
+def names_in(data: bytes, names: set[bytes]) -> set[bytes]:
+    """The ``names``, each of printable ASCII, that occur in ``data``. An
+    occurrence lies inside one maximal run of printable bytes, so only the
+    runs are searched."""
+    lengths = {len(name) for name in names}
+    found = set()
+    for run in set(re.findall(rb"[!-~]+", data)):
+        for n in lengths:
+            found.update(run[i:i + n] for i in range(len(run) - n + 1)
+                         if run[i:i + n] in names)
+    return found
+
+
+def test_the_synth_kb_transfer_carries_no_individual_name():
+    kb_text, ex_text = synth_texts(1)
+    sym, kb = parse_kb(kb_text)
+    examples = parse_examples(ex_text, sym)
+    materialize(kb, sym)
+    names = {name.encode() for name in sym.individual_names.names}
+    assert len(names) > 20_000
+    assert all(re.fullmatch(rb"[!-~]+", name) for name in names)
+    # The search finds every name in the serialize_kb blob, which has them.
+    assert names_in(serialize_kb(kb, sym), names) == names
+    assert names_in(_pack_kb_transfer(kb, sym, examples, PARAMS), names) == set()
 
 
 # --- the KB text parser -----------------------------------------------------
@@ -757,6 +921,18 @@ def test_every_truncation_or_byte_flip_of_a_frame_raises_protocol_error(
             parse_frame(bad)
         with pytest.raises(ProtocolError):
             read_frame_from(bad)
+
+
+@SETTINGS
+@given(mtype=st.integers(0, 255), payload=st.binary(max_size=256))
+def test_a_frame_is_the_bytes_of_the_joined_construction(mtype, payload):
+    # Header, payload and the CRC32 of the type byte joined to the payload.
+    joined = (struct.pack(">4sHBI", b"SPDL", PROTOCOL_VERSION, mtype,
+                          len(payload))
+              + payload + struct.pack(">I", zlib.crc32(bytes([mtype]) + payload)))
+    assert frame_bytes(mtype, payload) == joined
+    assert parse_frame(joined) == (mtype, payload)
+    assert read_frame_from(joined) == (mtype, payload)
 
 
 result_nodes = st.builds(
