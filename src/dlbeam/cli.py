@@ -14,16 +14,21 @@ from dataclasses import replace
 
 from .cluster import (ClusterError, MasterConfig, WorkerServer,
                       DEFAULT_TCP_PORT, DEFAULT_UDP_PORT, run_master)
-from .concept import ConceptParseError, canonicalize, concept_length, parse_concept, render
+from .concept import (TOP, ConceptParseError, canonicalize, concept_length,
+                      parse_concept, render)
 from .evaluation import ExtensionMemo, evaluate
-from .kb import KbError, materialize, parse_examples, parse_kb
-from .refine import top_context
+from .kb import (KbError, compute_statistics, materialize, parse_examples,
+                 parse_kb)
+from .refine import RefinementConfig, build_mb, refine, top_context
 from .search import SearchConfig, SearchNode, SearchResult, run_search
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_CLUSTER = 3
+
+# The length of the longest rule-1 atom: an inverse some/only, or a min 2.
+_ATOM_LENGTH = 4
 
 
 class UsageError(Exception):
@@ -208,13 +213,25 @@ def cmd_stats(args) -> int:
         print(f"negative examples: {examples.neg_count}")
         # What a search's top level may name: the roles of its context.
         materialize(kb, st_sym)
-        context = top_context(ExtensionMemo().rows(kb, examples))
+        memo = ExtensionMemo()
+        context = top_context(memo.rows(kb, examples))
         roles = sum(not r.inverse for r in context.roles)
         print(f"roles with an example subject: {roles}")
         print(f"inverse roles with an example subject: "
               f"{len(context.roles) - roles}")
         print(f"concrete roles with an example subject: "
               f"{len(context.bools) + len(context.nums) + len(context.strs)}")
+        # The rule-1 atoms that a search pairs into unions. A union with an
+        # operand that covers no positive example is dropped as dominated.
+        stats = compute_statistics(kb)
+        atoms = refine(TOP, _ATOM_LENGTH, kb, stats, build_mb(kb, stats),
+                       RefinementConfig.from_stats(stats,
+                                                   use_disjunction=False),
+                       context)
+        dead = sum(evaluate(a, kb, examples, memo=memo).pos_covered == 0
+                   for a in atoms)
+        print(f"top-level atoms covering no positive example: "
+              f"{dead} of {len(atoms)}")
     return EXIT_OK
 
 

@@ -43,7 +43,8 @@ of a ``serialize_kb`` blob, written from the KB's numpy mirrors. No names
 travel. The positive and the negative example ids follow (u32 count + u32
 each), then the master's search settings that a worker's expansion reads:
 f64 noise, f64 gain bonus, f64 expansion penalty, u16 max_length and a u8 of
-flags (inverse roles, cardinality, disjunction, negation from bit 0 up).
+flags (inverse roles, cardinality, disjunction, negation from bit 0 up;
+a worker refuses a byte with any of bits 4-7 set).
 
 A worker's KB is columns only: ``kb.deserialize_sealed`` turns the tables
 into the numpy arrays a search reads, keeps no Python rows, and refuses a KB
@@ -141,6 +142,8 @@ _u32 = struct.Struct(">I")
 # KB_TRANSFER's search settings: noise, gain bonus, expansion penalty,
 # max_length, flags.
 _SETTINGS = struct.Struct(">dddHB")
+# The flags' bits 0-3: inverse roles, cardinality, disjunction, negation.
+_KNOWN_FLAGS = 0x0F
 _HEADER = struct.Struct(">4sHBI")
 _IDS = np.dtype(">u4")
 
@@ -343,6 +346,9 @@ def _unpack_kb_transfer(payload: bytes
     if pos + _SETTINGS.size != len(payload):
         raise ProtocolError("trailing bytes after KB transfer")
     noise, gain, pen, max_length, flags = _SETTINGS.unpack_from(payload, pos)
+    if flags & ~_KNOWN_FLAGS:
+        raise ProtocolError(f"bad KB transfer: unknown settings bits "
+                            f"0x{flags & ~_KNOWN_FLAGS:02x}")
     try:
         cfg = SearchConfig(
             noise=noise, max_length=max_length,

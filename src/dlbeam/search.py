@@ -21,6 +21,18 @@ cluster run still equals a local one. The expander's refinement config
 holds refine's memo, keyed by concept, bound and context, and the intern
 table beside it, so each refinement one search builds twice is one object.
 
+The in-process expander also drops each union dominated in the examples'
+context: an ``Or`` with a top-level operand that covers no positive example
+(``evaluation.dominated_union``, which reads the operands back from the
+example space that evaluating the union filled). Such a union covers the
+positives of its other operands and at least their negatives, and it is
+longer, so they dominate it. A refinement of it rewrites one operand, and a
+refined dead operand still covers no positive, so each refinement is
+dominated the same way, or weak if the union collapses to that operand. So
+the union is reported as a weak refinement is, its hash with None: the loop
+closes it, never inserts it and never expands it. A worker drops it in the
+same place, so a cluster run still equals a local one.
+
 The open list is kept sorted by each node's ``key``, (-score, canonical
 sort key), which is computed once when the node is built. Keys are unique,
 because the closed list admits a concept once and the canonical sort key is
@@ -37,6 +49,7 @@ the beam.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import insort
 from dataclasses import dataclass, field
@@ -44,7 +57,8 @@ from operator import attrgetter
 
 from .concept import (TOP, Concept, concept_length, hash_concept, sort_key)
 from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
-                         evaluate, evaluate_batch, score, weak_threshold)
+                         dominated_union, evaluate, evaluate_batch, score,
+                         weak_threshold)
 from .kb import ExampleSet, KbStatistics, KnowledgeBase, compute_statistics
 from .refine import (RefinementConfig, TopContext, build_mb, refine,
                      top_context)
@@ -112,6 +126,11 @@ class SearchSettings:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError(f"noise must be in [0, 1), got {self.noise}")
+        # A NaN target is never reached, so the search could not be solved.
+        if math.isnan(self.target_accuracy):
+            raise ValueError("target_accuracy must be a number, got nan")
+        if self.max_millis is not None and self.max_millis < 0:
+            raise ValueError(f"max_millis must be >= 0, got {self.max_millis}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +154,9 @@ class IterationStats:
     differ: a local run's ``generated`` counts every refinement, a
     cluster's only those its workers' RHT mirrors did not hold, so its
     ``redundant_dropped`` counts just the hashes that more than one worker
-    returned.
+    returned. ``weak_dropped`` counts the weak refinements and the dominated
+    unions together (see the module docstring): a worker returns both as
+    weak hashes, so the master cannot tell them apart.
     """
 
     expanded: int
@@ -291,7 +312,10 @@ class LocalExpander:
                               memo=self.ext_memo)
         found: list[tuple[int, SearchNode | None]] = []
         for (c, h, slot), cov in zip(survivors, covs):
-            if cov.pos_covered < self.min_pos:
+            # A weak node and a dominated union are dropped alike: closed,
+            # never inserted, never expanded.
+            if (cov.pos_covered < self.min_pos
+                    or dominated_union(c, kb, examples, self.ext_memo)):
                 found.append((h, None))
                 continue
             parent = beam[slot]

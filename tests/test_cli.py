@@ -147,6 +147,21 @@ def test_stats_counts_the_roles_with_an_example_subject(capsys, tmp_path):
     assert got["concrete roles with an example subject"] == "1"
 
 
+def test_stats_counts_the_top_level_atoms_that_cover_no_positive(
+        capsys, tmp_path):
+    (tmp_path / "k.kb").write_text(CONTEXT_KB)
+    (tmp_path / "k.ex").write_text("+ a\n- b\n")
+    code, out, _ = run_cli(capsys, "stats", str(tmp_path / "k.kb"),
+                           str(tmp_path / "k.ex"))
+    assert code == 0
+    got = dict(line.split(": ") for line in out.splitlines())
+    # The atoms in context are Person, not Person, age >= 30, age <= 30,
+    # and some/only over knows, knows^- and owns^-; knows has at most one
+    # filler, so there is no min 2. Person has no member and nobody knows
+    # a, so Person and knows^- some Thing cover no positive.
+    assert got["top-level atoms covering no positive example"] == "2 of 10"
+
+
 def test_stats_without_examples(capsys):
     code, out, _ = run_cli(capsys, "stats", SMOKE_KB)
     assert code == 0
@@ -185,10 +200,16 @@ def test_master_rejects_malformed_endpoint(capsys):
     (["learn", "--noise", "1.5"], "noise must be in [0, 1), got 1.5"),
     (["learn", "--noise", "-0.5"], "noise must be in [0, 1), got -0.5"),
     (["learn", "--limit", "0"], "limit must be >= 1, got 0"),
+    (["learn", "--target-accuracy", "nan"],
+     "target_accuracy must be a number, got nan"),
+    (["learn", "--max-millis", "-1"], "max_millis must be >= 0, got -1"),
     (["master", "--max-length", "70000"],
      "max_length must be in [1, 65535], got 70000"),
     (["master", "--limit", "70000"], "limit must be in [1, 65535], got 70000"),
     (["master", "--noise", "1.5"], "noise must be in [0, 1), got 1.5"),
+    (["master", "--target-accuracy", "nan"],
+     "target_accuracy must be a number, got nan"),
+    (["master", "--max-millis", "-5"], "max_millis must be >= 0, got -5"),
     (["master", "--expect-workers", "0"], "expect_workers must be >= 1, got 0"),
     (["master", "--broadcast-port", "70000"],
      "port must be in [0, 65535], got 70000"),

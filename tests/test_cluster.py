@@ -25,7 +25,7 @@ from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             _split_expand_task, _unpack_kb_transfer, discover, frame_bytes,
                             parse_frame, read_frame, run_master,
                             serialize_block, deserialize_block, write_frame)
-from dlbeam.concept import (And, Atomic, Exists, MinCard, RoleExpr, TOP,
+from dlbeam.concept import (And, Atomic, Exists, MinCard, Or, RoleExpr, TOP,
                             concept_length, connective, encode, hash_concept)
 from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
                                Score, evaluate, evaluate_batch, is_weak, score)
@@ -360,7 +360,12 @@ def local_expand_oracle(fix, tasks, params):
     covs = evaluate_batch([c for c, _, _ in survivors], fix.kb, fix.examples)
     good, weak = [], []
     for (c, h, slot), cov in zip(survivors, covs):
-        if is_weak(cov, fix.examples, params.noise):
+        # A union with an operand that covers no positive is dominated, and
+        # returned as a weak node is.
+        if is_weak(cov, fix.examples, params.noise) or (
+                isinstance(c, Or)
+                and any(evaluate(ch, fix.kb, fix.examples).pos_covered == 0
+                        for ch in c.children)):
             weak.append(h)
             continue
         sc = score(cov, _accuracy(tasks[slot], fix.examples),
@@ -598,6 +603,19 @@ def test_worker_answers_a_kb_transfer_with_a_zero_bound_with_error(smoke):
         send_kb_transfer_and_expect_error(payload, b"must be >= 1")
 
 
+@pytest.mark.parametrize("bit", range(4, 8))
+def test_worker_answers_a_kb_transfer_with_an_unknown_settings_bit_with_error(
+        smoke, bit):
+    payload = bytearray(_pack_kb_transfer(smoke.kb, smoke.st, smoke.examples,
+                                          PARAMS))
+    assert payload[-1] == 0x0F  # bits 0-3 all set
+    payload[-1] |= 1 << bit
+    message = f"bad KB transfer: unknown settings bits 0x{1 << bit:02x}"
+    with pytest.raises(ProtocolError, match=message):
+        _unpack_kb_transfer(bytes(payload))
+    send_kb_transfer_and_expect_error(bytes(payload), message.encode())
+
+
 # The smoke fixture's names with other memberships and facts, so the same
 # sort keys name concepts whose extensions differ from smoke's.
 MIRRORED_SMOKE = """\
@@ -784,8 +802,9 @@ def test_a_lone_worker_returns_only_refinements_new_to_the_rht(trains):
     assert all(i.redundant_dropped == 0 for i in res.iterations)
 
 
-def test_master_keeps_open_list_in_order_on_every_iteration(
-        trains, check_open_list):
+def final_master_open_list_checked_in_order(trains, check_open_list) -> int:
+    """The size of the final open list of a trains run of a master with two
+    workers that checks the list's order on every iteration."""
     calls = check_open_list(search_mod)  # the module of search_loop
     with worker(cores=4) as w1, worker(cores=4) as w2:
         cfg = master_cfg(
@@ -797,7 +816,24 @@ def test_master_keeps_open_list_in_order_on_every_iteration(
     assert sum(w.wn for w in res.workers) == 8
     # one call per iteration, one that finds no beam, one for the hypotheses
     assert len(calls) == len(res.iterations) + 2
-    assert calls[-1] == len(res.st_nodes) > 1000
+    assert calls[-1] == len(res.st_nodes)
+    return calls[-1]
+
+
+def test_master_keeps_open_list_in_order_on_every_iteration(
+        trains, check_open_list, monkeypatch):
+    from test_dominance import without_dominance  # it imports this module
+    # With the in-process workers dropping no union as dominated, the list
+    # grows past 1,000 nodes.
+    without_dominance(monkeypatch)
+    assert final_master_open_list_checked_in_order(trains,
+                                                   check_open_list) > 1000
+
+
+def test_master_dropping_dominated_unions_keeps_open_list_in_order(
+        trains, check_open_list):
+    assert final_master_open_list_checked_in_order(trains,
+                                                   check_open_list) > 700
 
 
 def test_master_raises_without_workers():

@@ -629,6 +629,7 @@ def assert_reads_as(kb, examples, cfg, want: dict) -> None:
     assert set(np.flatnonzero(examples.positives).tolist()) == want["positives"]
     assert set(np.flatnonzero(examples.negatives).tolist()) == want["negatives"]
     noise, gain, penalty, max_length, flags = want["settings"]
+    assert flags < 0x10  # a byte with any of bits 4-7 set is refused
     assert (struct.pack(">dddH", cfg.noise, cfg.eval_cfg.gain_bonus,
                         cfg.eval_cfg.expansion_penalty, cfg.max_length)
             == struct.pack(">dddH", noise, gain, penalty, max_length))

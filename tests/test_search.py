@@ -14,6 +14,7 @@ from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
                            extract_best_nodes, reduce_redundant, run_search)
 from generators import strict_subconcepts
 from test_context import full_context
+from test_dominance import without_dominance
 
 
 def make_node(value, cid=0, he=1, expandable=True):
@@ -238,8 +239,9 @@ def test_search_open_list_is_sorted(trains):
     assert keys == sorted(keys)
 
 
-def test_search_keeps_open_list_in_order_on_every_iteration(
-        trains, check_open_list):
+def final_open_list_checked_in_order(trains, check_open_list) -> int:
+    """The size of the final open list of a trains search that checks the
+    list's order on every iteration."""
     calls = check_open_list(search_mod)
     res = run_search(trains.kb, trains.examples,
                      SearchConfig(beam_width=8, max_length=6,
@@ -247,7 +249,20 @@ def test_search_keeps_open_list_in_order_on_every_iteration(
     assert res.status == "exhausted"
     # one call per iteration, one that finds no beam, one for the hypotheses
     assert len(calls) == len(res.iterations) + 2
-    assert calls[-1] == len(res.st_nodes) > 1000
+    assert calls[-1] == len(res.st_nodes)
+    return calls[-1]
+
+
+def test_search_keeps_open_list_in_order_on_every_iteration(
+        trains, check_open_list, monkeypatch):
+    # With no union dropped as dominated the list grows past 1,000 nodes.
+    without_dominance(monkeypatch)
+    assert final_open_list_checked_in_order(trains, check_open_list) > 1000
+
+
+def test_search_dropping_dominated_unions_keeps_open_list_in_order(
+        trains, check_open_list):
+    assert final_open_list_checked_in_order(trains, check_open_list) > 700
 
 
 def test_search_never_evaluates_a_hash_twice(trains):
@@ -297,6 +312,14 @@ def test_search_config_validation():
     for noise in (-0.1, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError, match="noise"):
             SearchConfig(noise=noise)
+    with pytest.raises(ValueError, match="target_accuracy"):
+        SearchConfig(target_accuracy=float("nan"))
+    for millis in (-1, -1000):
+        with pytest.raises(ValueError, match="max_millis"):
+            SearchConfig(max_millis=millis)
+    # An unreachable target, which runs to exhaustion, and a zero budget,
+    # which ends at once, stay allowed.
+    SearchConfig(target_accuracy=2.0, max_millis=0)
 
 
 def test_search_max_length_one_cannot_expand(smoke):
@@ -326,9 +349,11 @@ def pinned_trains_search(trains):
 
 def test_exhaustive_trains_search_is_pinned(trains, monkeypatch):
     """The context-free operator, which a context holding every role gives,
-    is pinned by a digest of the results before refinement was memoized."""
+    with no union dropped as dominated, is pinned by a digest of the results
+    before refinement was memoized."""
     every_role = full_context(trains.kb)
     monkeypatch.setattr(search_mod, "top_context", lambda space: every_role)
+    without_dominance(monkeypatch)
     res, digest = pinned_trains_search(trains)
     assert len(res.rht) == len(res.evaluated_hashes) == 4_701
     assert len(res.iterations) == 265
@@ -336,13 +361,24 @@ def test_exhaustive_trains_search_is_pinned(trains, monkeypatch):
         "856aafedcea90dc1617522d660c5647b8aa17db3db44182a6b9240c5b39c6e3f")
 
 
-def test_exhaustive_trains_search_in_context_is_pinned(trains):
-    """The same search in the context of its examples, as it runs."""
+def test_exhaustive_trains_search_in_context_is_pinned(trains, monkeypatch):
+    """The same search in the context of its examples, with no union
+    dropped as dominated."""
+    without_dominance(monkeypatch)
     res, digest = pinned_trains_search(trains)
     assert len(res.rht) == len(res.evaluated_hashes) == 2_392
     assert len(res.iterations) == 106
     assert digest == (
         "928d6f2568d8e85d445227f3fdb957c68c5c0174105dbe50f26c1af274e4cc2c")
+
+
+def test_exhaustive_trains_search_with_dominance_is_pinned(trains):
+    """The same search as it runs: in context, dropping dominated unions."""
+    res, digest = pinned_trains_search(trains)
+    assert len(res.rht) == len(res.evaluated_hashes) == 1_290
+    assert len(res.iterations) == 59
+    assert digest == (
+        "37bbb248a7d7d11b73626d44697d1c178aa26a7c1a7cdf07db945b260e4779dd")
 
 
 # --- the operand and filler memo --------------------------------------------
