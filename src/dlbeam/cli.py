@@ -214,11 +214,24 @@ def cmd_stats(args) -> int:
         # What a search's top level may name: the roles of its context.
         materialize(kb, st_sym)
         memo = ExtensionMemo()
-        context = top_context(memo.rows(kb, examples))
+        space = memo.rows(kb, examples)
+        context = top_context(space)
         roles = sum(not r.inverse for r in context.roles)
         print(f"roles with an example subject: {roles}")
         print(f"inverse roles with an example subject: "
               f"{len(context.roles) - roles}")
+        # How evaluation lays out each such role's successors (see
+        # evaluation.Chunks): examples with more than the chunks' depth are
+        # counted outside them.
+        for inverse, per_role in enumerate(space.chunks):
+            for rid, chunks in enumerate(per_role):
+                if chunks is not None:
+                    name = st_sym.role_names.name_of(rid)
+                    print(f"successors over "
+                          f"{f'inverse({name})' if inverse else name}: "
+                          f"at most {chunks.most} per example, chunk depth "
+                          f"{len(chunks.present)}, "
+                          f"{len(chunks.heavy_rows)} examples counted outside")
         print(f"concrete roles with an example subject: "
               f"{len(context.bools) + len(context.nums) + len(context.strs)}")
         # The rule-1 atoms that a search pairs into unions. A union with an

@@ -11,9 +11,11 @@ An extension is computed over the rows of one of two row spaces
   arrays: for a role with subject rows ``subs`` and object ids ``objs``, the
   rows with at least one filler in ``C`` are ``subs[child_mask[objs]]``, and
   qualified cardinalities fall out of ``np.bincount`` over the same
-  selection. Fillers are always computed here, and so are ``covered_set``,
-  an evaluation with ``keep_set`` and one given no ``ExtensionMemo``. Every
-  extension here goes through the module-level ``covered_set``.
+  selection. A filler of a top-level restriction is computed here unless
+  it is ``Thing``, an atom, a negated atom or an intersection or union of
+  such fillers, and so are ``covered_set``, an evaluation with
+  ``keep_set`` and one given no ``ExtensionMemo``. Every extension here
+  goes through the module-level ``covered_set``.
 - The example space of one (kb, examples) pair: one row per example. An
   extension is a Python int whose bit *i* is example row *i*. ``Thing`` is
   the all-ones int, an atom reads its mask restricted to the examples, a
@@ -21,17 +23,22 @@ An extension is computed over the rows of one of two row spaces
   ``|``, and a count is ``(ext & positives).bit_count()``. A search only
   ever counts the examples, so a candidate is computed here, and each of
   its top-level operands too. A role restriction here reads only the pairs
-  whose subject is an example, through the count of each row's successors
-  in the filler: ``some`` is ``count > 0``, ``min n`` is ``count >= n``,
-  ``max n`` is ``count <= n`` and ``only`` is ``count == degree``, the
-  row's number of successors. Over a role with no such pair every count is
-  0, so the answer is the same on every row, and the filler is never
-  computed. A restriction or concrete-role result is a bool array over the
-  rows, made an int once with ``np.packbits``. The counts are column sums
-  of the filler read through the role's successor blocks
-  (``RowSpace.blocks``): the rows of one degree *d* form one (d, rows)
-  block whose columns hold their successors, so a sum over a block's first
-  axis counts its rows, with no padding and one block per distinct degree.
+  whose subject is an example, laid out per role and inverse role as
+  ``Chunks``: chunk *j* is an int whose bit *i* is example row *i*'s *j*-th
+  successor, so a filler over those successors is one int per chunk, in
+  example-row order like every other int here. An atom filler is gathered
+  from its mask once per role; a negated atom, an intersection and a union
+  of fillers are ``^``, ``&`` and ``|`` of their operands' chunks; any
+  other filler is computed in the full space and gathered. Then ``some`` is
+  the union of the chunks, ``only`` holds where no chunk has a successor
+  outside the filler, and ``min n``/``max n`` count "at least n" bit-sliced
+  across the chunks. The chunks go no deeper than keeps them at least half
+  full of successors, less one chunk; a row with more successors is
+  counted with one ``np.add.reduceat`` over its own pairs and ORed in, so
+  the layout holds at most twice the pairs plus the rows. Over a role with
+  no such pair every count is 0, so the answer is the same on every row,
+  and the filler is never computed. A concrete-role result is a bool array
+  over the rows, made an int once with ``np.packbits``.
 
 A search evaluates many concepts that share operands and fillers: the
 operands of its unions and intersections, the fillers of its role
@@ -47,24 +54,25 @@ check sits at each operand and filler, so nested ones hit it too.
   size. A hit returns a freshly unpacked bool array, because callers
   combine operands in place. A miss recurses through ``covered_set``, which
   is handed the full space rather than building another. On ``synth-wide``
-  (28k individuals) it ends a search with 442 entries, 1.6 MB.
+  (28k individuals) it ends a search with 104 entries, 0.37 MB.
 - ``RowSpace.table`` of the example space: the sort key of a top-level
   operand maps to its int over the example rows. Ints are immutable, so a
   hit is returned as it is. On ``synth-wide`` (4,000 examples) it ends a
   search with 122 entries, 63 kB. ``dominated_union`` reads a union's
   operands back from it after the union is evaluated.
 - ``RowSpace.counts`` of the example space: ``(inverse, role_id, sort key
-  of the filler)`` maps to the count of each row's successors in the
-  filler, a numpy array in the dtype of the role's degrees
-  (``RowSpace.degrees``), the smallest unsigned one that holds the role's
-  largest degree. Every ``some``/``only``/``min``/``max`` over that role and
-  filler reads the one entry. On ``synth-wide`` it ends a search with 876
-  entries, 3.5 MB as ``uint8``.
+  of the filler)`` maps to the filler's chunk ints over that role's
+  successors, a bool array over its heavy rows' pairs and each heavy row's
+  count, or None and None. Every ``some``/``only``/``min``/``max`` over
+  that role and filler reads the one entry, and so does every filler with
+  it as an operand. On ``synth-wide`` it ends a search with 882 entries,
+  1.2 MB.
 - What is stored: the full-space memo and the table hold only operands and
   fillers whose own computation does more than read a stored mask. The
   concept evaluated is never stored, because each one is evaluated once per
-  search; ``Thing``, atoms and negated atoms are never stored, because
-  reading their mask is as cheap as reading an entry.
+  search; ``Thing``, atoms and negated atoms are never stored there,
+  because reading their mask is as cheap as reading an entry. The counts
+  memo stores every filler, since even an atom's chunks take a gather.
 - A memo lives exactly as long as one search: ``LocalExpander`` creates an
   ``ExtensionMemo`` for a local run and for a worker's state of each
   ``KB_TRANSFER``, and the worker probe creates one of its own. It holds
@@ -78,6 +86,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_, xor
 
 import numpy as np
 
@@ -92,6 +102,7 @@ __all__ = [
     "EvalConfig",
     "ExtensionMemo",
     "RowSpace",
+    "Chunks",
     "covered_set",
     "evaluate",
     "evaluate_batch",
@@ -155,12 +166,11 @@ class RowSpace:
     role expression's pairs are at its ``role_id`` in both; ``nums``,
     ``bools`` and ``strs`` are (subjects, values) pairs of per-role lists.
     Only the example space has the rest: ``top``, the all-ones int;
-    ``positives`` and ``negatives`` as ints; ``degrees[inverse][role_id]``,
-    each row's number of pairs, in the smallest unsigned dtype that holds
-    the largest; the memos ``table`` and ``counts`` (see the module
-    docstring); ``full``, the full space its fillers are computed in; and
-    ``blocks[inverse][role_id]``, the role's pairs laid out by
-    ``_successor_blocks``.
+    ``positives`` and ``negatives`` as ints; the memos ``table`` and
+    ``counts`` (see the module docstring); ``full``, the full space its
+    fillers' nested restrictions are computed in; and
+    ``chunks[inverse][role_id]``, the role's ``Chunks``, or None where no
+    example is the subject of a pair.
     """
 
     ids: np.ndarray | None
@@ -173,11 +183,10 @@ class RowSpace:
     top: int = 0
     positives: int = 0
     negatives: int = 0
-    degrees: tuple[list, list] | None = None
     table: dict | None = None
     counts: dict | None = None
     full: "RowSpace | None" = None
-    blocks: tuple[list, list] | None = None
+    chunks: tuple[list, list] | None = None
 
 
 def _full_space(kb: KnowledgeBase) -> RowSpace:
@@ -192,54 +201,61 @@ def _bits(a: np.ndarray) -> int:
     return int.from_bytes(np.packbits(a, bitorder="little").tobytes(), "little")
 
 
-def _degrees(subs: np.ndarray, n: int) -> np.ndarray:
-    """Each of ``n`` rows' number of pairs, in the smallest unsigned dtype
-    that holds the largest."""
-    degree = np.bincount(subs, minlength=n)
-    return degree.astype(np.min_scalar_type(degree.max(initial=0)))
+@dataclass(eq=False, slots=True)
+class Chunks:
+    """One role's pairs whose subject is an example row, laid out for
+    counting each row's successors in a filler with int bit operations.
+
+    Chunk *j* has bit *i* for example row *i*'s *j*-th successor, in the
+    order of the KB's pairs. ``ids[j, i]`` is the individual id of that
+    successor, and ``present[j]`` the rows that have one; a row without
+    reads id 0, which ``present[j]`` masks off. The number of chunks, the
+    depth, is the largest *d* for which *d* chunks hold no more ids than
+    twice the successors of the rows of at most *d*, plus one chunk. So
+    ``ids`` holds at most 2 * pairs + rows ids, and a heavy tail cannot
+    make the chunks mostly padding. ``light`` holds the rows of at most
+    depth successors, those of none too. The rest, ``heavy_rows`` in
+    ascending order, are counted outside the chunks over their own pairs:
+    ``heavy_objs`` holds their objects row by row, ``heavy_starts`` where
+    each row's begin, and ``heavy_degree`` how many each row has. ``most``
+    is the largest degree.
+    """
+
+    ids: np.ndarray
+    present: tuple[int, ...]
+    light: int
+    heavy_rows: np.ndarray
+    heavy_starts: np.ndarray
+    heavy_objs: np.ndarray
+    heavy_degree: np.ndarray
+    most: int
 
 
-def _successor_blocks(subs: np.ndarray, objs: np.ndarray, degree: np.ndarray
-                      ) -> tuple[np.ndarray, list[tuple[int, int]],
-                                 np.ndarray] | None:
-    """One role's pairs (row ``subs``, individual ``objs``) laid out for
-    counting, or None when it has none. The rows are put in order of falling
-    degree, and the rows of each degree *d* > 0 form a (d, rows) block whose
-    column *j* holds the successors of its *j*-th row. Returns the ids of
-    every block, flat and in order, each block's shape, and each row's place
-    in that order."""
+def _chunks(subs: np.ndarray, objs: np.ndarray, n: int) -> Chunks | None:
+    """The ``Chunks`` of one role's pairs (row ``subs``, individual
+    ``objs``) over ``n`` rows, or None when it has none."""
     if not len(subs):
         return None
-    by_row = objs[np.argsort(subs, kind="stable")]
-    first = np.cumsum(degree, dtype=np.intp) - degree
-    rows = np.argsort(degree, kind="stable")[::-1]
-    sizes = degree[rows]
-    ids, shapes = [], []
-    for group in np.split(rows, np.flatnonzero(sizes[1:] != sizes[:-1]) + 1):
-        d = int(degree[group[0]])
-        if d:
-            ids.append(by_row[first[group] + np.arange(d)[:, None]].ravel())
-            shapes.append((d, len(group)))
-    place = np.empty_like(rows)
-    place[rows] = np.arange(len(rows))
-    return np.concatenate(ids), shapes, place
-
-
-def _block_sums(blocks: tuple[np.ndarray, list[tuple[int, int]], np.ndarray],
-                filler: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    """Each row's count of successors in ``filler``, a bool array over all
-    individuals, summed over one role's ``_successor_blocks`` in the dtype
-    of its ``degree``."""
-    ids, shapes, place = blocks
-    found = filler.view(np.uint8).take(ids)
-    sums = np.zeros(len(place), degree.dtype)
-    at = row = 0
-    for d, rows in shapes:
-        np.add.reduce(found[at:at + d * rows].reshape(d, rows), axis=0,
-                      out=sums[row:row + rows])
-        at += d * rows
-        row += rows
-    return sums.take(place)
+    degree = np.bincount(subs, minlength=n)
+    most = int(degree.max())
+    # The deepest d chunks that hold at most twice the successors of the
+    # rows of degree <= d, plus one chunk (see ``Chunks``).
+    per_degree = np.bincount(degree)  # rows of each degree 0..most
+    d = np.arange(most + 1)
+    depth = int(np.flatnonzero(d * n <= 2 * np.cumsum(d * per_degree) + n)[-1])
+    order = np.argsort(subs, kind="stable")
+    rows, objs = subs[order], objs[order]
+    rank = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]
+    in_chunks = degree[rows] <= depth
+    ids = np.zeros((depth, n), dtype=np.intp)
+    ids[rank[in_chunks], rows[in_chunks]] = objs[in_chunks]
+    light = degree <= depth
+    heavy_rows = np.flatnonzero(~light)
+    heavy_degree = degree[heavy_rows]
+    return Chunks(ids, tuple(_bits(light & (degree > j)) for j in range(depth)),
+                  _bits(light), heavy_rows,
+                  np.cumsum(heavy_degree) - heavy_degree, objs[~in_chunks],
+                  heavy_degree, most)
 
 
 def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
@@ -262,8 +278,6 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
 
     roles = (restrict(kb.role_subs, kb.role_objs),
              restrict(kb.role_objs, kb.role_subs))
-    degrees = tuple([_degrees(subs, n) for subs in subs_list]
-                    for subs_list, _ in roles)
     return RowSpace(ids, n, [_bits(m[ids]) for m in kb.member_masks], roles,
                     restrict(kb.num_subs, kb.num_vals),
                     restrict(kb.bool_subs, kb.bool_vals),
@@ -271,9 +285,10 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
                     top=(1 << n) - 1,
                     positives=_bits(examples.positives[ids]),
                     negatives=_bits(examples.negatives[ids]),
-                    degrees=degrees, table={}, counts={}, full=_full_space(kb),
-                    blocks=tuple(list(map(_successor_blocks, *pairs, degree))
-                                 for pairs, degree in zip(roles, degrees)))
+                    table={}, counts={}, full=_full_space(kb),
+                    chunks=tuple([_chunks(subs, objs, n)
+                                  for subs, objs in zip(*pairs)]
+                                 for pairs in roles))
 
 
 class ExtensionMemo(dict):
@@ -397,29 +412,121 @@ def _row_operand(c: Concept, kb: KnowledgeBase, space: RowSpace,
     return bits
 
 
-def _successors(c: Exists | Forall | MinCard | MaxCard, kb: KnowledgeBase,
-                space: RowSpace, memo: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Each example row's count of ``c.role`` successors in ``c.child``, and
-    its count of all of them, through the space's counts memo."""
+def _filler(c: Concept, kb: KnowledgeBase, space: RowSpace, inverse: bool,
+            rid: int, chunks: Chunks, memo: dict
+            ) -> tuple[tuple[int, ...], np.ndarray | None, np.ndarray | None]:
+    """Which successors in ``chunks`` (those of role ``rid``, or its
+    inverse) are in the filler ``c``: one int per chunk; a bool array over
+    the heavy rows' pairs and each heavy row's count of them, or None and
+    None when there is no heavy row. Every filler goes through the space's
+    counts memo. ``Thing`` holds every successor, an atom is gathered from
+    its mask, and a negated atom, an intersection and a union are int and
+    array operations on what their operands hold; any other filler is
+    computed over all individuals and gathered."""
+    key = (inverse, rid, sort_key(c))
+    hit = space.counts.get(key)
+    if hit is not None:
+        return hit
+    t = type(c)
+    heavy = len(chunks.heavy_rows) > 0
+    found = None
+    if t is Top:
+        bits = chunks.present
+        if heavy:
+            found = np.ones(len(chunks.heavy_objs), dtype=bool)
+    elif t is NotAtomic:
+        bits, found, _ = _filler(Atomic(c.class_id), kb, space, inverse, rid,
+                                 chunks, memo)
+        bits = tuple(map(xor, chunks.present, bits))
+        if heavy:
+            found = ~found
+    elif t is And or t is Or:
+        op, array_op = (and_, np.logical_and) if t is And else (or_, np.logical_or)
+        bits, found, _ = _filler(c.children[0], kb, space, inverse, rid,
+                                 chunks, memo)
+        for ch in c.children[1:]:
+            more, more_found, _ = _filler(ch, kb, space, inverse, rid, chunks,
+                                          memo)
+            bits = tuple(map(op, bits, more))
+            if heavy:
+                found = array_op(found, more_found)
+    else:
+        full = (space.full.masks[c.class_id] if t is Atomic
+                else _operand(c, kb, space.full, memo))
+        packed = np.packbits(full.take(chunks.ids), axis=1, bitorder="little")
+        bits = tuple(int.from_bytes(row.tobytes(), "little") & present
+                     for row, present in zip(packed, chunks.present))
+        if heavy:
+            found = full.take(chunks.heavy_objs)
+    # Each heavy row's pairs are a run of ``found``, none of them empty.
+    count = (np.add.reduceat(found.view(np.uint8), chunks.heavy_starts,
+                             dtype=np.intp) if heavy else None)
+    out = space.counts[key] = bits, found, count
+    return out
+
+
+def _at_least(bits: tuple[int, ...], n: int) -> int:
+    """The rows whose bit is set in at least ``n`` >= 1 of ``bits``."""
+    if n == 1:
+        return reduce(or_, bits, 0)
+    if n > len(bits):
+        return 0
+    # have[k]: the rows set in at least k of the ints read so far. After
+    # int j, only the k from which n is still in reach are kept up.
+    have = [-1] + [0] * n
+    rest = len(bits)
+    for j, b in enumerate(bits):
+        rest -= 1
+        for k in range(min(n, j + 1), max(0, n - rest - 1), -1):
+            have[k] |= have[k - 1] & b
+    return have[n]
+
+
+def _restriction(c: Exists | Forall | MinCard | MaxCard, kb: KnowledgeBase,
+                 space: RowSpace, memo: dict) -> int:
+    """Extension of a top-level role restriction over the example rows,
+    read off the chunks of its role and filler: ``some`` is their union,
+    ``only`` holds where no chunk has a successor outside the filler, and
+    ``min n``/``max n`` count bit-sliced across the chunks. The heavy rows'
+    counts are compared as numbers and ORed in."""
+    t = type(c)
     inverse, rid = c.role.inverse, c.role.role_id
-    degree = space.degrees[inverse][rid]
-    blocks = space.blocks[inverse][rid]
+    chunks = space.chunks[inverse][rid]
     # With no pair every count is 0, and the filler is never computed.
-    if blocks is None:
-        return degree, degree
-    key = (inverse, rid, sort_key(c.child))
-    count = space.counts.get(key)
+    if chunks is None:
+        return 0 if t is Exists or t is MinCard else space.top
+    bits, _, count = _filler(c.child, kb, space, inverse, rid, chunks, memo)
+    if t is Exists:
+        out = _at_least(bits, 1)
+    elif t is MinCard:
+        out = _at_least(bits, c.n)
+    elif t is MaxCard:
+        out = chunks.light ^ _at_least(bits, c.n + 1)
+    else:
+        outside = 0
+        for present, b in zip(chunks.present, bits):
+            outside |= present ^ b
+        out = chunks.light ^ outside
     if count is None:
-        filler = _operand(c.child, kb, space.full, memo)
-        count = space.counts[key] = _block_sums(blocks, filler, degree)
-    return count, degree
+        return out
+    if t is Exists:
+        holds = count > 0
+    elif t is MinCard:
+        holds = count >= c.n
+    elif t is MaxCard:
+        holds = count <= c.n
+    else:
+        holds = count == chunks.heavy_degree
+    rows = np.zeros(space.size, dtype=bool)
+    rows[chunks.heavy_rows] = holds
+    return out | _bits(rows)
 
 
 def _row_extension(c: Concept, kb: KnowledgeBase, space: RowSpace,
                    memo: dict) -> int:
     """Closed-world extension of ``c`` over the example rows, as an int
-    whose bit i is row i. Operands are computed here, fillers in the full
-    space."""
+    whose bit i is row i. Operands are computed here, the fillers of role
+    restrictions over their role's chunks (``_filler``)."""
     t = type(c)
     if t is Atomic:
         return space.masks[c.class_id]
@@ -437,15 +544,8 @@ def _row_extension(c: Concept, kb: KnowledgeBase, space: RowSpace,
         for ch in c.children:
             out |= _row_operand(ch, kb, space, memo)
         return out
-    if t is Exists:
-        return _bits(_successors(c, kb, space, memo)[0] > 0)
-    if t is MinCard:
-        return _bits(_successors(c, kb, space, memo)[0] >= c.n)
-    if t is MaxCard:
-        return _bits(_successors(c, kb, space, memo)[0] <= c.n)
-    if t is Forall:
-        count, degree = _successors(c, kb, space, memo)
-        return _bits(count == degree)
+    if t is Exists or t is Forall or t is MinCard or t is MaxCard:
+        return _restriction(c, kb, space, memo)
     return _bits(_concrete(c, space))
 
 

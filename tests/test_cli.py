@@ -147,6 +147,26 @@ def test_stats_counts_the_roles_with_an_example_subject(capsys, tmp_path):
     assert got["concrete roles with an example subject"] == "1"
 
 
+def test_stats_prints_each_roles_most_successors_and_heavy_examples(
+        capsys, tmp_path):
+    (tmp_path / "k.kb").write_text(
+        "role knows\n" + "".join(f"individual {x}\n" for x in "abcdefghijk")
+        + "".join(f"fact knows a {y}\n" for y in "defghijk")
+        + "fact knows c d\nfact knows d b\n")
+    (tmp_path / "k.ex").write_text("+ a\n+ c\n- b\n")
+    code, out, _ = run_cli(capsys, "stats", str(tmp_path / "k.kb"),
+                           str(tmp_path / "k.ex"))
+    assert code == 0
+    got = dict(line.split(": ") for line in out.splitlines())
+    # Rows a, b, c have 8, 0 and 1 successors: eight chunks would hold 24
+    # ids for 9 pairs, so there is one, and a is counted outside it. Only b
+    # is an object, of d.
+    assert got["successors over knows"] == (
+        "at most 8 per example, chunk depth 1, 1 examples counted outside")
+    assert got["successors over inverse(knows)"] == (
+        "at most 1 per example, chunk depth 1, 0 examples counted outside")
+
+
 def test_stats_counts_the_top_level_atoms_that_cover_no_positive(
         capsys, tmp_path):
     (tmp_path / "k.kb").write_text(CONTEXT_KB)

@@ -461,66 +461,196 @@ def test_every_form_over_one_role_and_filler_reads_one_successor_count(seed):
             assert counts == full_counts(c, kb, examples)
             assert counts == oracle_counts(c, kb, examples)
         space = memo.rows(kb, examples)
-        assert space.degrees[False][wide].dtype == np.uint16
-        # One entry per role and filler, and none for a role no example is
-        # the subject of; each is the count of the row's successors in the
-        # filler, and the degree is the count of all of them.
-        assert space.counts.keys() == {
-            key for key in fillers if len(space.roles[key[0]][0][key[1]])}
+        check_chunks(space, kb)
+        # An entry per role and filler, and none for a role no example is
+        # the subject of; the rest are the fillers' operands and the atoms
+        # of their negated atoms, read through the same chunks.
+        assert {key for key in fillers if space.chunks[key[0]][key[1]]
+                is not None} <= space.counts.keys()
         assert not any(rid == away for inverse, rid, _ in space.counts
                        if not inverse)
-        for key, count in space.counts.items():
+        concepts = {}
+        for (inverse, rid, _), f in fillers.items():
+            for sub in (f, *strict_subconcepts(f)):
+                concepts[inverse, rid, sort_key(sub)] = sub
+                if type(sub) is NotAtomic:  # read off its atom's entry
+                    atom = Atomic(sub.class_id)
+                    concepts[inverse, rid, sort_key(atom)] = atom
+        for key, (bits, found, count) in space.counts.items():
             inverse, rid, _ = key
-            pairs = [(o, s) if inverse else (s, o)
-                     for s, o in kb.role_assertions[rid]]
-            in_filler = naive_covered_set(fillers[key], kb)
-            for row, x in enumerate(space.ids.tolist()):
-                successors = [o for s, o in pairs if s == x]
-                assert count[row] == len(in_filler.intersection(successors))
-                assert space.degrees[inverse][rid][row] == len(successors)
+            chunks = space.chunks[inverse][rid]
+            in_filler = naive_covered_set(concepts[key], kb)
+            lists = successor_lists(kb, space, inverse, rid)
+            for row, successors in enumerate(lists):
+                if row in chunks.heavy_rows:
+                    assert not any(b >> row & 1 for b in bits)
+                    continue
+                for j, b in enumerate(bits):
+                    assert b >> row & 1 == (j < len(successors)
+                                            and successors[j] in in_filler)
+            if found is None:
+                assert count is None and not len(chunks.heavy_rows)
+                continue
+            assert found.tolist() == [
+                o in in_filler for o in chunks.heavy_objs.tolist()]
+            assert count.tolist() == [
+                len(in_filler.intersection(lists[row]))
+                for row in chunks.heavy_rows.tolist()]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_successor_blocks_count_what_bincount_counts(seed):
-    """Over rows of many distinct degrees, a hub among them, the counts
-    summed over the blocks equal a bincount of the pairs in the filler."""
-    rng = np.random.default_rng(seed)
-    rows, individuals = int(rng.integers(1, 60)), int(rng.integers(1, 400))
-    degrees = rng.integers(0, 12, rows)
-    degrees[rng.integers(rows)] = rng.integers(0, 300)
-    subs = rng.permutation(np.repeat(np.arange(rows), degrees))
-    objs = rng.integers(0, individuals, len(subs))
-    degree = evaluation_mod._degrees(subs, rows)
-    blocks = evaluation_mod._successor_blocks(subs, objs, degree)
-    if not len(subs):
-        assert blocks is None
-        return
-    ids, shapes, place = blocks
-    assert sorted(ids.tolist()) == sorted(objs.tolist())
-    widths = [d for d, _ in shapes]
-    assert widths == sorted(set(degree.tolist()) - {0}, reverse=True)
-    assert sorted(place.tolist()) == list(range(rows))
-    for p in (0.0, 0.3, 1.0):
-        filler = rng.random(individuals) < p
-        got = evaluation_mod._block_sums(blocks, filler, degree)
-        assert got.dtype == degree.dtype
-        assert np.array_equal(
-            got, np.bincount(subs[filler[objs]], minlength=rows))
+def successor_lists(kb, space, inverse, rid):
+    """Each example row's successors over role ``rid`` or its inverse, by
+    the naive reading of the KB's pairs, in their order."""
+    pairs = [(o, s) if inverse else (s, o) for s, o in kb.role_assertions[rid]]
+    return [[o for s, o in pairs if s == x] for x in space.ids.tolist()]
 
 
-def test_successor_blocks_hold_each_rows_successors():
+def check_chunks(space, kb):
+    """Every role's chunks against the naive reading of the KB: the depth
+    is the largest that keeps the chunks within twice the successors they
+    hold plus one chunk, a row of at most ``depth`` successors has its
+    *j*-th at chunk *j*, a heavier row is counted outside the chunks over
+    its own pairs, and the chunks hold at most 2 * pairs + rows ids."""
+    for inverse in (False, True):
+        for rid in range(kb.num_roles):
+            lists = successor_lists(kb, space, inverse, rid)
+            chunks = space.chunks[inverse][rid]
+            pairs = sum(map(len, lists))
+            if not pairs:
+                assert chunks is None
+                continue
+            depth = len(chunks.present)
+            n = space.size
+            assert depth == max(
+                d for d in range(chunks.most + 1)
+                if d * n <= 2 * sum(len(s) for s in lists if len(s) <= d) + n)
+            assert chunks.ids.shape == (depth, n)
+            assert chunks.ids.size <= 2 * pairs + n
+            assert chunks.most == max(map(len, lists)) >= depth
+            heavy = [row for row, s in enumerate(lists) if len(s) > depth]
+            assert chunks.heavy_rows.tolist() == heavy
+            for row, successors in enumerate(lists):
+                light = len(successors) <= depth
+                assert chunks.light >> row & 1 == light
+                if not light:
+                    at = heavy.index(row)
+                    assert chunks.heavy_degree[at] == len(successors)
+                    start = chunks.heavy_starts[at]
+                    assert chunks.heavy_objs[
+                        start:start + len(successors)].tolist() == successors
+                for j in range(depth):
+                    has = light and j < len(successors)
+                    assert chunks.present[j] >> row & 1 == has
+                    if has:
+                        assert chunks.ids[j, row] == successors[j]
+
+
+def test_chunks_hold_each_rows_jth_successor():
+    # Rows 1 and 4 have no successor; row 2 has the most, three.
     subs = np.array([2, 0, 2, 2, 0, 3, 3])
     objs = np.array([7, 5, 8, 9, 6, 4, 1])
-    ids, shapes, place = evaluation_mod._successor_blocks(
-        subs, objs, np.array([2, 0, 3, 2], dtype=np.uint8))
-    # Row 2 (degree 3) first, then rows 3 and 0 (degree 2) as one (2, 2)
-    # block whose columns are their successors; row 1 has none.
-    assert shapes == [(3, 1), (2, 2)]
-    assert ids.tolist() == [7, 8, 9] + [4, 5, 1, 6]
-    assert place.tolist() == [2, 3, 0, 1]
-    assert evaluation_mod._successor_blocks(
-        subs[:0], objs[:0], np.zeros(3, dtype=np.uint8)) is None
+    chunks = evaluation_mod._chunks(subs, objs, 5)
+    assert chunks.ids.tolist() == [[5, 0, 7, 4, 0], [6, 0, 8, 1, 0],
+                                   [0, 0, 9, 0, 0]]
+    assert chunks.present == (0b01101, 0b01101, 0b00100)
+    assert chunks.light == 0b11111 and chunks.most == 3
+    assert chunks.heavy_rows.tolist() == []
+    assert evaluation_mod._chunks(subs[:0], objs[:0], 5) is None
+    # Six chunks for row 0's six successors would hold 36 ids for 8 pairs:
+    # one chunk holds rows 1 and 2, and row 0 is counted outside it.
+    subs = np.array([0, 1, 0, 0, 2, 0, 0, 0])
+    objs = np.array([3, 4, 5, 6, 7, 8, 9, 1])
+    chunks = evaluation_mod._chunks(subs, objs, 6)
+    assert chunks.ids.tolist() == [[0, 4, 7, 0, 0, 0]]
+    assert chunks.present == (0b000110,)
+    assert chunks.light == 0b111110 and chunks.most == 6
+    assert chunks.heavy_rows.tolist() == [0]
+    assert chunks.heavy_objs.tolist() == [3, 5, 6, 8, 9, 1]
+    assert chunks.heavy_starts.tolist() == [0]
+    assert chunks.heavy_degree.tolist() == [6]
+
+
+def test_chunks_of_forward_and_inverse_roles_in_the_example_space():
+    st, kb = parse_kb(
+        "role r\n" + "".join(f"individual i{x}\n" for x in range(6))
+        + "fact r i0 i1\nfact r i0 i2\nfact r i3 i0\nfact r i1 i0\n"
+        + "fact r i5 i4\n")
+    materialize(kb, st)
+    examples = ExampleSet.from_ids(6, [0, 1], [3, 4])
+    space = ExtensionMemo().rows(kb, examples)
+    check_chunks(space, kb)
+    forward, backward = space.chunks[False][0], space.chunks[True][0]
+    # Rows are i0, i1, i3, i4. Forward: i0 -> i1, i2; i1 -> i0; i3 -> i0;
+    # i4 has none. Backward: i0 <- i3, i1; i1 <- i0; i4 <- i5; i3 has none.
+    assert forward.ids.tolist() == [[1, 0, 0, 0], [2, 0, 0, 0]]
+    assert forward.present == (0b0111, 0b0001)
+    assert backward.ids.tolist() == [[3, 0, 0, 5], [1, 0, 0, 0]]
+    assert backward.present == (0b1011, 0b0001)
+    assert forward.light == backward.light == 0b1111
+
+
+def hub_kb(rng):
+    """A random KB whose role ``hub`` gives 20 to 40 example rows up to
+    three successors each, and one to three of them 40 to 80, more than
+    the chunks' depth. Objects are any individual, examples too, so the
+    inverse role has pairs over the example rows as well. Returns (kb,
+    examples, role id)."""
+    st, kb = random_kb(rng, do_materialize=False)
+    total = rng.randint(100, 160)
+    for x in range(kb.num_individuals, total):
+        st.individual_names.intern(f"i{x}")
+        kb.add_individual()
+        for c in range(kb.num_classes):
+            if rng.random() < 0.3:
+                kb.add_instance(c, x)
+    ids = list(range(total))
+    rng.shuffle(ids)
+    rows = ids[:rng.randint(20, 40)]
+    npos = rng.randint(1, len(rows) - 1)
+    examples = ExampleSet.from_ids(total, rows[:npos], rows[npos:])
+    st.role_names.intern("hub")
+    kb.add_role()
+    hub = kb.num_roles - 1
+    hubs = rng.sample(rows, rng.randint(1, 3))
+    for x in rows:
+        degree = rng.randint(40, 80) if x in hubs else rng.randint(0, 3)
+        for y in rng.sample(ids, degree):
+            kb.add_fact(hub, x, y)
+    materialize(kb, st)
+    return kb, examples, hub
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rows_above_the_chunk_depth_count_as_covered_set_and_the_oracle(seed):
+    rng = random.Random(seed)
+    kb, examples, hub = hub_kb(rng)
+    dims = dims_of(kb)
+    memo = ExtensionMemo()
+    space = memo.rows(kb, examples)
+    check_chunks(space, kb)
+    assert len(space.chunks[False][hub].heavy_rows) > 0
+    cs = []
+    for inverse in (False, True):
+        chunks = space.chunks[inverse][hub]
+        if chunks is None:
+            continue
+        role, depth = RoleExpr(hub, inverse), len(chunks.present)
+        for filler in (TOP, Atomic(rng.randrange(kb.num_classes)),
+                       NotAtomic(rng.randrange(kb.num_classes)),
+                       random_concept(rng, dims, depth=2)):
+            cs += [Exists(role, filler), Forall(role, filler)]
+            for n in {1, depth - 1, depth, depth + 1, chunks.most,
+                      chunks.most + 1} - {0}:
+                cs += [MinCard(n, role, filler), MaxCard(n - 1, role, filler),
+                       MaxCard(n, role, filler)]
+    cs = [canonicalize(c) for c in cs]
+    cs.append(canonicalize(Or((And((cs[0], cs[-1])), cs[1]))))
+    for c in cs:
+        got = evaluate(c, kb, examples, memo=memo)
+        counts = (got.pos_covered, got.neg_covered)
+        assert counts == full_counts(c, kb, examples)
+        assert counts == oracle_counts(c, kb, examples)
 
 
 # --- scoring ----------------------------------------------------------------
