@@ -119,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--broadcast-port", type=int, default=DEFAULT_UDP_PORT)
     p.add_argument("--host", default="0.0.0.0")
     p.add_argument("--cores", type=int, default=None)
+    # Has no effect. Only bench/ passes it; the benchmark change of ROADMAP
+    # item 1 deletes it.
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     return ap
@@ -283,8 +285,7 @@ def cmd_master(args) -> int:
         for w in result.workers:
             print(json.dumps({"type": "worker",
                               "address": f"{w.address[0]}:{w.address[1]}",
-                              "cores": w.cores, "wn": w.wn,
-                              "probe_millis": w.probe_millis,
+                              "cores": w.cores,
                               "kb_ack_millis": w.kb_ack_millis}))
         for d in result.dropped:
             print(json.dumps({"type": "worker_dropped",
@@ -294,7 +295,6 @@ def cmd_master(args) -> int:
         print(f"handshake millis: {result.handshake_millis}")
         for w in result.workers:
             print(f"worker {w.address[0]}:{w.address[1]} cores={w.cores}"
-                  f" wn={w.wn} probe_millis={w.probe_millis}"
                   f" kb_ack_millis={w.kb_ack_millis}")
         for d in result.dropped:
             print(f"worker {d.address[0]}:{d.address[1]} dropped in iteration"

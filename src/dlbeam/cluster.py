@@ -1,13 +1,14 @@
 """Master-worker distributed search over a framed TCP protocol.
 
-Frame layout (big-endian): magic ``SPDL``, u16 version (4), u8 message type,
+Frame layout (big-endian): magic ``SPDL``, u16 version (5), u8 message type,
 u32 payload length, payload, u32 CRC32 over type byte + payload.
 
 Message types: 0x01 HELLO, 0x02 HELLO_ACK, 0x03 KB_TRANSFER, 0x04 KB_ACK,
-0x05 PROBE, 0x06 PROBE_RESULT, 0x07 EXPAND_TASK, 0x08 EXPAND_RESULT,
-0x09 TERMINATE, 0x0F ERROR. Each message but TERMINATE gets one reply;
-on TERMINATE the worker closes the connection without one. Type 0x0A is
-reserved.
+0x07 EXPAND_TASK, 0x08 EXPAND_RESULT, 0x09 TERMINATE, 0x0F ERROR. Each
+message but TERMINATE gets one reply; on TERMINATE the worker closes the
+connection without one. Types 0x05, 0x06 and 0x0A are reserved and refused
+as any unknown type is. A HELLO_ACK carries the worker's cores as u16, at
+least 1; the master gives each worker a block of that many beam nodes.
 
 Discovery is a UDP ping ``SPDL?`` + u16 0; a worker answers ``SPDL!`` + u16
 its TCP listen port, and the master opens one TCP connection per responder.
@@ -15,12 +16,19 @@ The master drives every connection from its own thread: it writes each
 worker's request, then reads each reply on that worker's socket, whose
 timeout drops a worker that stops answering. The master's learning phase is
 ``dlbeam.search.search_loop`` over an expander that sends each worker a
-block of the beam per iteration; the worker expands its block with the same
-``dlbeam.search.LocalExpander`` that a local run uses.
+block of the beam per iteration, cut in beam order and in connection order;
+the worker expands its block with the same ``dlbeam.search.LocalExpander``
+that a local run uses.
 
 A hypothesis block is u32 count, then per node: u32 length of the encoded
-concept, the encoding, u16 he, u32 covered positives, u32 covered negatives,
-f64 score value.
+concept, the encoding, u16 he, u32 slot, u32 covered positives, u32 covered
+negatives. In an EXPAND_TASK a node's slot is its place in the master's beam;
+in an EXPAND_RESULT it is the slot of the task node it refines, echoed back.
+No score travels: the master scores each returned node as
+``LocalExpander.expand`` scores a refinement, from its counts, its length and
+the accuracy of the beam node in its slot, which becomes its parent, and
+refuses a node whose slot it did not send that worker or whose he is not its
+concept's length.
 
 An EXPAND_TASK starts with a known-hash section, u32 count + u64 each: the
 hashes added to the master's closed list (RHT) since its previous
@@ -53,7 +61,7 @@ id. The worker unpacks the settings into the ``SearchConfig`` of its
 expander, so they are validated by the same rules as a local run's. The
 expander takes its refinement context from the examples the KB_TRANSFER
 carries, as a local run's does from its own, so no field carries the context
-and the worker refines, and probes, as a local run refines.
+and the worker refines as a local run refines.
 
 Each side of a search keeps a decode table (``concept.decode``): the
 master's ``_RemoteExpander`` one for its search, a worker one per
@@ -70,7 +78,7 @@ node.
 The master records each worker it drops, with the worker's address, the
 index of the iteration and the cause, in ``ClusterResult.dropped``, and the
 cost of the handshake: ``ClusterResult.handshake_millis`` from the start of
-``run_master`` to the last PROBE_RESULT, and each worker's
+``run_master`` to the last KB_ACK, and each worker's
 ``WorkerInfo.kb_ack_millis`` from the start of the KB_TRANSFER round to its
 KB_ACK.
 """
@@ -90,15 +98,13 @@ import numpy as np
 
 from .concept import (And, Atomic, BoolEq, Concept, DecodeError, Exists,
                       Forall, MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
-                      StrEq, decode, encode, hash_concept)
-from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
-                         evaluate_batch)
+                      StrEq, concept_length, decode, encode, hash_concept)
+from .evaluation import CoverageResult, EvalConfig, score
 from .kb import (ExampleSet, KbError, KnowledgeBase, SymbolTable,
                  compute_statistics, deserialize_sealed, serialize_sealed)
 from .refine import build_mb
 from .search import (LocalExpander, SearchConfig, SearchNode, SearchResult,
-                     SearchSettings, expand_single_node, refinement_config,
-                     root_node, search_loop)
+                     SearchSettings, search_loop)
 # Not called here since the master runs search_loop and the worker a
 # LocalExpander; bench/tracing.py still wraps the master's calls under these
 # names, and reads them as 0.
@@ -106,32 +112,28 @@ from .concept import sort_key  # noqa: F401
 from .search import extract_best_nodes, reduce_redundant  # noqa: F401
 
 __all__ = [
-    "MSG_HELLO", "MSG_HELLO_ACK", "MSG_KB_TRANSFER", "MSG_KB_ACK", "MSG_PROBE",
-    "MSG_PROBE_RESULT", "MSG_EXPAND_TASK", "MSG_EXPAND_RESULT", "MSG_TERMINATE",
-    "MSG_ERROR",
+    "MSG_HELLO", "MSG_HELLO_ACK", "MSG_KB_TRANSFER", "MSG_KB_ACK",
+    "MSG_EXPAND_TASK", "MSG_EXPAND_RESULT", "MSG_TERMINATE", "MSG_ERROR",
     "ProtocolError", "ClusterError",
     "BlockNode", "WorkerInfo", "WorkerDrop",
     "write_frame", "read_frame", "frame_bytes", "parse_frame",
     "serialize_block", "deserialize_block",
     "WorkerServer", "discover", "MasterConfig", "ClusterResult", "run_master",
-    "DEFAULT_UDP_PORT", "DEFAULT_TCP_PORT", "PROBE_HE",
+    "DEFAULT_UDP_PORT", "DEFAULT_TCP_PORT",
 ]
 
 FRAME_MAGIC = b"SPDL"
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 DISCOVER_PING = b"SPDL?"
 DISCOVER_REPLY = b"SPDL!"
 DEFAULT_UDP_PORT = 47901
 DEFAULT_TCP_PORT = 47902
-PROBE_HE = 5
 MAX_PAYLOAD = 1 << 28
 
 MSG_HELLO = 0x01
 MSG_HELLO_ACK = 0x02
 MSG_KB_TRANSFER = 0x03
 MSG_KB_ACK = 0x04
-MSG_PROBE = 0x05
-MSG_PROBE_RESULT = 0x06
 MSG_EXPAND_TASK = 0x07
 MSG_EXPAND_RESULT = 0x08
 MSG_TERMINATE = 0x09
@@ -233,20 +235,20 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes]:
 class BlockNode:
     concept: Concept
     he: int
+    slot: int
     pos_covered: int
     neg_covered: int
-    value: float
 
 
-# What follows a node's concept encoding: he, covered positives, covered
-# negatives, score value.
-_NODE_TAIL = struct.Struct(">HIId")
+# What follows a node's concept encoding: he, slot, covered positives,
+# covered negatives.
+_NODE_TAIL = struct.Struct(">HIII")
 
 
 def _encode_node(n: BlockNode) -> bytes:
     enc = encode(n.concept)
     return (_u32.pack(len(enc)) + enc
-            + _NODE_TAIL.pack(n.he, n.pos_covered, n.neg_covered, n.value))
+            + _NODE_TAIL.pack(n.he, n.slot, n.pos_covered, n.neg_covered))
 
 
 def serialize_block(nodes: list[BlockNode]) -> bytes:
@@ -273,7 +275,7 @@ def deserialize_block(data: bytes, table: dict[bytes, Concept] | None = None
         if end > len(data):
             raise ProtocolError(f"node {i}: truncated record")
         enc = data[pos:pos + clen]
-        he, pc, nc, val = _NODE_TAIL.unpack_from(data, pos + clen)
+        he, slot, pc, nc = _NODE_TAIL.unpack_from(data, pos + clen)
         pos = end
         c = table.get(enc) if table is not None else None
         if c is None:
@@ -281,7 +283,7 @@ def deserialize_block(data: bytes, table: dict[bytes, Concept] | None = None
                 c = decode(enc, table)
             except DecodeError as exc:
                 raise ProtocolError(f"node {i}: {exc}") from None
-        nodes.append(BlockNode(c, he, pc, nc, val))
+        nodes.append(BlockNode(c, he, slot, pc, nc))
     if pos != len(data):
         raise ProtocolError(f"{len(data) - pos} trailing bytes after block")
     return nodes
@@ -367,9 +369,9 @@ def _unpack_kb_transfer(payload: bytes
 class WorkerInfo:
     address: tuple[str, int]
     cores: int
+    # Always 0, as there is no probe; read only by bench/tracing.py, and
+    # deleted by the benchmark change of ROADMAP item 1.
     probe_millis: int = 0
-    wn: int = 0
-    connection_id: int = 0
     kb_ack_millis: int = 0
 
 
@@ -386,7 +388,7 @@ class WorkerServer:
                  io_timeout: float = 60.0):
         self.host = host
         self.cores = cores if cores is not None else (os.cpu_count() or 1)
-        # cores travels to the master as u16 (HELLO_ACK, PROBE_RESULT).
+        # cores travels to the master as u16 (HELLO_ACK).
         if not 1 <= self.cores <= 0xFFFF:
             raise ValueError(f"cores must be in [1, 65535], got {self.cores}")
         _check_port(tcp_port)
@@ -505,13 +507,6 @@ class WorkerServer:
             state["checked"] = set()
             write_frame(conn, MSG_KB_ACK)
             return False
-        if mtype == MSG_PROBE:
-            if "expander" not in state:
-                raise ProtocolError("PROBE before KB_TRANSFER")
-            millis = self._probe(state)
-            write_frame(conn, MSG_PROBE_RESULT,
-                        _u16.pack(self.cores) + _u32.pack(millis))
-            return False
         if mtype == MSG_EXPAND_TASK:
             if "expander" not in state:
                 raise ProtocolError("EXPAND_TASK before KB_TRANSFER")
@@ -521,32 +516,20 @@ class WorkerServer:
             return True
         raise ProtocolError(f"unexpected message type 0x{mtype:02x}")
 
-    def _probe(self, state: dict) -> int:
-        """Expand Thing out to the probe depth in the expander's context,
-        as the search does, and evaluate, for timing."""
-        ex = state["expander"]
-        t0 = time.monotonic()
-        node = root_node(ex.kb, ex.examples, ex.cfg.eval_cfg, PROBE_HE)
-        # A config, and so a refine memo, of the probe's own, as is the
-        # extension memo passed to evaluate_batch below.
-        rcfg = refinement_config(ex.stats, ex.cfg)
-        emitted: list[Concept] = []
-        while node.expandable and node.he < PROBE_HE:
-            refs, _ = expand_single_node(node, ex.kb, ex.stats, ex.mb, rcfg,
-                                         PROBE_HE, ex.context)
-            emitted.extend(refs)
-        evaluate_batch(emitted, ex.kb, ex.examples, memo=ExtensionMemo())
-        return int((time.monotonic() - t0) * 1000)
-
     def _expand(self, payload: bytes, state: dict) -> bytes:
         ex, rht, table = state["expander"], state["rht"], state["table"]
         known, tasks = _split_expand_task(payload, table)
-        beam = [_search_node(bn, i, ex.kb, ex.examples, ex.cfg.max_length,
-                             state["checked"])
+        # A task node's score is never read: the worker keeps no open list,
+        # and the master scores what it returns.
+        beam = [_search_node(bn, _coverage(bn, i, ex.kb, ex.examples,
+                                           state["checked"]),
+                             ex.examples, ex.cfg)
                 for i, bn in enumerate(tasks)]
         rht.update(known)
         _generated, found = ex.expand(beam, rht)
-        nodes = [_block_node(n) for _h, n in found if n is not None]
+        slot_of = {id(n): bn.slot for n, bn in zip(beam, tasks)}
+        nodes = [_block_node(n, slot_of[id(n.parent)])
+                 for _h, n in found if n is not None]
         reply = _pack_expand_result(nodes, [h for h, n in found if n is None])
         for bn in nodes:  # encoded by now, so encode reads the stored bytes
             table[encode(bn.concept)] = bn.concept
@@ -584,34 +567,35 @@ def _check_ids(c: Concept, kb: KnowledgeBase, node: int,
     checked.add(enc)
 
 
-def _accuracy(bn: BlockNode, examples: ExampleSet) -> float:
-    return ((bn.pos_covered + (examples.neg_count - bn.neg_covered))
-            / (examples.pos_count + examples.neg_count))
-
-
-def _search_node(bn: BlockNode, i: int, kb: KnowledgeBase,
-                 examples: ExampleSet, max_length: int,
-                 checked: set[bytes]) -> SearchNode:
-    """The search node of block node ``i``. Raise ProtocolError if its
-    concept names a class or role outside ``kb``, it covers more examples
-    than there are, or its score is not finite: no search makes such a node.
-    ``checked`` is the search's set of subtrees whose ids passed."""
+def _coverage(bn: BlockNode, i: int, kb: KnowledgeBase, examples: ExampleSet,
+              checked: set[bytes]) -> CoverageResult:
+    """The counts of block node ``i``. Raise ProtocolError if its concept
+    names a class or role outside ``kb`` or it covers more examples than
+    there are: no search makes such a node. ``checked`` is the search's set
+    of subtrees whose ids passed."""
     _check_ids(bn.concept, kb, i, checked)
     if bn.pos_covered > examples.pos_count or bn.neg_covered > examples.neg_count:
         raise ProtocolError(f"node {i}: covers {bn.pos_covered} positives "
                             f"and {bn.neg_covered} negatives of "
                             f"{examples.pos_count} and {examples.neg_count}")
-    if not math.isfinite(bn.value):
-        raise ProtocolError(f"node {i}: score {bn.value} is not finite")
-    return SearchNode(bn.concept, hash_concept(bn.concept), bn.he,
-                      CoverageResult(bn.pos_covered, bn.neg_covered),
-                      Score(_accuracy(bn, examples), bn.value),
-                      expandable=bn.he < max_length)
+    return CoverageResult(bn.pos_covered, bn.neg_covered)
 
 
-def _block_node(n: SearchNode) -> BlockNode:
-    return BlockNode(n.concept, n.he, n.coverage.pos_covered,
-                     n.coverage.neg_covered, n.score.value)
+def _search_node(bn: BlockNode, cov: CoverageResult, examples: ExampleSet,
+                 cfg: SearchSettings, parent: SearchNode | None = None
+                 ) -> SearchNode:
+    """The search node of ``bn``, whose counts are ``cov``, scored from them,
+    its he and the accuracy of ``parent`` as ``LocalExpander`` scores a
+    refinement; with no parent, as a root is scored."""
+    sc = score(cov, None if parent is None else parent.score.accuracy, bn.he,
+               examples, cfg.eval_cfg)
+    return SearchNode(bn.concept, hash_concept(bn.concept), bn.he, cov, sc,
+                      parent=parent, expandable=bn.he < cfg.max_length)
+
+
+def _block_node(n: SearchNode, slot: int) -> BlockNode:
+    return BlockNode(n.concept, n.he, slot, n.coverage.pos_covered,
+                     n.coverage.neg_covered)
 
 
 def _pack_hashes(hashes: list[int]) -> bytes:
@@ -699,7 +683,6 @@ class WorkerDrop:
 @dataclass
 class ClusterResult(SearchResult):
     workers: list[WorkerInfo]
-    phases: list[str]
     dropped: list[WorkerDrop]
     handshake_millis: int
 
@@ -802,19 +785,23 @@ def _hello(ep: tuple[str, int], timeout: float) -> tuple[socket.socket, int]:
         mtype, payload = read_frame(sock)
         if mtype != MSG_HELLO_ACK or len(payload) != 2:
             raise ProtocolError("bad HELLO_ACK")
+        (cores,) = _u16.unpack(payload)
+        if cores == 0:  # a block of no nodes: the run could only fail
+            raise ProtocolError("bad HELLO_ACK: 0 cores")
     except (OSError, ProtocolError) as exc:
         sock.close()
         raise ClusterError(f"worker {ep}: {exc}") from None
-    return sock, _u16.unpack(payload)[0]
+    return sock, cores
 
 
 class _RemoteExpander:
-    """Expands on the workers: each alive worker, fastest first, gets the
-    next ``wn`` nodes of the beam as one EXPAND_TASK, with the RHT hashes
-    its mirror lacks. A node's he grows only once its worker has answered; a
-    worker whose round trip fails, or whose reply does not parse or holds a
-    node ``_search_node`` refuses, is dropped, and its nodes stay in the open
-    list for a later iteration. Each drop is recorded in ``dropped``."""
+    """Expands on the workers: each alive worker, in connection order, gets
+    the next ``cores`` nodes of the beam as one EXPAND_TASK, with the RHT
+    hashes its mirror lacks. A node's he grows only once its worker has
+    answered; a worker whose round trip fails, or whose reply does not parse
+    or holds a node ``_result_node`` refuses, is dropped, and its nodes stay
+    in the open list for a later iteration. Each drop is recorded in
+    ``dropped``."""
 
     def __init__(self, socks: list[socket.socket], workers: list[WorkerInfo],
                  alive: list[int], kb: KnowledgeBase, examples: ExampleSet,
@@ -831,39 +818,55 @@ class _RemoteExpander:
         self.iteration = 0  # the index of the next expand's iteration
 
     def width(self) -> int:
-        return sum(self.workers[i].wn for i in self.alive)
+        return sum(self.workers[i].cores for i in self.alive)
+
+    def _result_node(self, bn: BlockNode, i: int, beam: list[SearchNode],
+                     slots: range) -> SearchNode:
+        """The search node of result node ``i``, a refinement of the beam
+        node in its slot. Raise ProtocolError where ``_coverage`` does, or
+        if its he is not its concept's length, as for every refinement, or
+        its slot is not in ``slots``, the block its worker was sent."""
+        cov = _coverage(bn, i, self.kb, self.examples, self.checked)
+        length = concept_length(bn.concept)
+        if bn.he != length:
+            raise ProtocolError(f"node {i}: he {bn.he} is not its length "
+                                f"{length}")
+        if bn.slot not in slots:
+            raise ProtocolError(f"node {i}: slot {bn.slot} was not sent to "
+                                f"this worker")
+        return _search_node(bn, cov, self.examples, self.cfg, beam[bn.slot])
 
     def expand(self, beam: list[SearchNode], rht: set[int]
                ) -> tuple[int, list[tuple[int, SearchNode | None]]]:
-        blocks: list[tuple[int, list[SearchNode]]] = []
-        cursor = 0
+        blocks: list[tuple[int, range]] = []
+        cursor, every = 0, range(len(beam))
         for i in self.alive:
-            blocks.append((i, beam[cursor:cursor + self.workers[i].wn]))
-            cursor += self.workers[i].wn
+            blocks.append((i, every[cursor:cursor + self.workers[i].cores]))
+            cursor += self.workers[i].cores
         known = sorted(rht - self.sent)
         self.sent.update(known)
         replies = _round_trip(
             [self.socks[i] for i, _ in blocks], MSG_EXPAND_TASK,
-            [_pack_expand_task(known, [_block_node(n) for n in block])
-             for _i, block in blocks],
+            [_pack_expand_task(known, [_block_node(beam[s], s) for s in slots])
+             for _i, slots in blocks],
             MSG_EXPAND_RESULT)
         max_length = self.cfg.max_length
         generated = 0
         found: list[tuple[int, SearchNode | None]] = []
-        for (wi, block), reply in zip(blocks, replies):
+        for (wi, slots), reply in zip(blocks, replies):
             try:
                 if isinstance(reply, ProtocolError):
                     raise reply
                 block_nodes, weak = _split_expand_result(reply, self.table)
-                nodes = [_search_node(bn, i, self.kb, self.examples, max_length,
-                                      self.checked)
+                nodes = [self._result_node(bn, i, beam, slots)
                          for i, bn in enumerate(block_nodes)]
             except ProtocolError as exc:
                 self.alive.remove(wi)
                 self.dropped.append(WorkerDrop(self.workers[wi].address,
                                                self.iteration, str(exc)))
                 continue
-            for n in block:
+            for s in slots:
+                n = beam[s]
                 n.he += 1
                 if n.he >= max_length:
                     n.expandable = False
@@ -876,10 +879,10 @@ class _RemoteExpander:
 
 def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
                cfg: MasterConfig) -> ClusterResult:
-    """Drive the four phases and return the merged search outcome. ``kb``
-    must be materialized: workers receive it sealed."""
+    """Discover the workers, send each the KB, search, and return the
+    merged search outcome. ``kb`` must be materialized: workers receive it
+    sealed."""
     t0 = time.monotonic()
-    phases = ["discovery"]
     endpoints = discover(cfg)
     if not endpoints:
         raise ClusterError("no workers responded to discovery")
@@ -892,13 +895,11 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
     socks: list[socket.socket] = []
     workers: list[WorkerInfo] = []
     try:
-        for cid, ep in enumerate(endpoints):
+        for ep in endpoints:
             sock, cores = _hello(ep, cfg.io_timeout)
             socks.append(sock)
-            workers.append(WorkerInfo(address=ep, cores=cores,
-                                      connection_id=cid))
+            workers.append(WorkerInfo(address=ep, cores=cores))
 
-        phases.append("probing")
         kb_payload = _pack_kb_transfer(kb, st_sym, examples, cfg)
         sent, acked = time.monotonic(), []
         replies = _round_trip(socks, MSG_KB_TRANSFER, [kb_payload] * len(socks),
@@ -908,35 +909,22 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
                 raise ClusterError(f"KB transfer failed on worker {w.address}: "
                                    f"{reply}")
             w.kb_ack_millis = int((at - sent) * 1000)
-        for reply, w in zip(_round_trip(socks, MSG_PROBE, [b""] * len(socks),
-                                        MSG_PROBE_RESULT), workers):
-            if isinstance(reply, ProtocolError) or len(reply) != 6:
-                raise ClusterError(f"probe failed on worker {w.address}")
-            w.cores = _u16.unpack_from(reply, 0)[0]
-            w.probe_millis = _u32.unpack_from(reply, 2)[0]
-            w.wn = w.cores
         handshake_millis = int((time.monotonic() - t0) * 1000)
 
-        # Fastest worker takes the best block; ties broken by connection id.
-        alive = sorted(range(len(workers)),
-                       key=lambda i: (workers[i].probe_millis, workers[i].connection_id))
-
-        phases.append("learning")
+        alive = list(range(len(workers)))
         expander = _RemoteExpander(socks, workers, alive, kb, examples, cfg)
         res = search_loop(kb, examples, cfg, expander, t0)
 
-        phases.append("terminating")
         for i in alive:  # the workers close without a reply
             try:
                 write_frame(socks[i], MSG_TERMINATE)
             except OSError:
                 pass
-        phases.append("done")
 
         # vars, not dataclasses.asdict, which would deep-copy the open list.
         return ClusterResult(
             **{**vars(res), "wall_millis": int((time.monotonic() - t0) * 1000)},
-            workers=workers, phases=phases, dropped=expander.dropped,
+            workers=workers, dropped=expander.dropped,
             handshake_millis=handshake_millis)
     finally:
         for sock in socks:

@@ -75,11 +75,10 @@ check sits at each operand and filler, so nested ones hit it too.
   memo stores every filler, since even an atom's chunks take a gather.
 - A memo lives exactly as long as one search: ``LocalExpander`` creates an
   ``ExtensionMemo`` for a local run and for a worker's state of each
-  ``KB_TRANSFER``, and the worker probe creates one of its own. It holds
-  extensions of one KB and must not be passed with another. Its example
-  space belongs to one (kb, examples) pair, and a call with other objects
-  builds a new one, with an empty table and counts. No cache outlives its
-  search.
+  ``KB_TRANSFER``. It holds extensions of one KB and must not be passed
+  with another. Its example space belongs to one (kb, examples) pair, and a
+  call with other objects builds a new one, with an empty table and counts.
+  No cache outlives its search.
 """
 
 from __future__ import annotations

@@ -36,9 +36,9 @@ The result is a pure function of ``c``, the bound, the context and the
 (kb, stats, mb, cfg) it is computed against: the rules read only those, and
 none of them changes during a search. The memo therefore remembers which
 (kb, stats, mb) it was filled for and starts afresh when called with any
-other objects. It lives exactly as long as its config: one ``run_search``,
-one worker connection's KB state, or one worker probe. Each call still
-returns a new list; the memo keeps a tuple of the same concept objects.
+other objects. It lives exactly as long as its config: one ``run_search``
+or one worker connection's KB state. Each call still returns a new list;
+the memo keeps a tuple of the same concept objects.
 
 The same table interns every result by its canonical sort key, which is
 injective, so a concept that one search builds again, such as ``A and B``

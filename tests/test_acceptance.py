@@ -242,7 +242,7 @@ def test_07_cluster_matches_single_machine(trains):
     t0 = time.perf_counter()
     cluster = _loopback_cluster_search(trains, [2, 2], max_length=6,
                                        target_accuracy=2.0)
-    total_wn = sum(w.wn for w in cluster.workers)
+    total_wn = sum(w.cores for w in cluster.workers)
     local = run_search(trains.kb, trains.examples,
                        SearchConfig(beam_width=total_wn, max_length=6,
                                     target_accuracy=2.0),

@@ -11,24 +11,22 @@ from collections import Counter
 
 import pytest
 
-import dlbeam.cluster as cluster_mod
 import dlbeam.search as search_mod
 from dlbeam.cli import main
 from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             MSG_ERROR, MSG_EXPAND_RESULT,
                             MSG_EXPAND_TASK, MSG_HELLO, MSG_HELLO_ACK,
-                            MSG_KB_ACK, MSG_KB_TRANSFER, MSG_PROBE,
-                            MSG_PROBE_RESULT, MSG_TERMINATE, PROTOCOL_VERSION,
-                            ProtocolError, WorkerServer, _accuracy,
-                            _pack_expand_result, _pack_kb_transfer,
-                            _search_node, _split_expand_result,
+                            MSG_KB_ACK, MSG_KB_TRANSFER, MSG_TERMINATE,
+                            PROTOCOL_VERSION, ProtocolError, WorkerServer,
+                            _coverage, _pack_expand_result, _pack_kb_transfer,
+                            _split_expand_result,
                             _split_expand_task, _unpack_kb_transfer, discover, frame_bytes,
                             parse_frame, read_frame, run_master,
                             serialize_block, deserialize_block, write_frame)
 from dlbeam.concept import (And, Atomic, Exists, MinCard, Or, RoleExpr, TOP,
                             concept_length, connective, encode, hash_concept)
 from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
-                               Score, evaluate, evaluate_batch, is_weak, score)
+                               evaluate, evaluate_batch, is_weak, score)
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (MAX_SEALED_INDIVIDUALS, ExampleSet, KbStatistics,
                        compute_statistics, materialize, parse_kb)
@@ -69,10 +67,10 @@ def test_frame_rejects_truncation_and_extension():
 def test_frame_io_over_socketpair():
     a, b = socket.socketpair()
     try:
-        write_frame(a, MSG_PROBE, b"payload")
-        assert read_frame(b) == (MSG_PROBE, b"payload")
+        write_frame(a, MSG_EXPAND_TASK, b"payload")
+        assert read_frame(b) == (MSG_EXPAND_TASK, b"payload")
         # a closed peer mid-frame surfaces as a protocol error
-        a.sendall(frame_bytes(MSG_PROBE, b"xxxx")[:7])
+        a.sendall(frame_bytes(MSG_EXPAND_TASK, b"xxxx")[:7])
         a.close()
         with pytest.raises(ProtocolError, match="closed mid-frame"):
             read_frame(b)
@@ -96,16 +94,17 @@ def test_read_frame_rejects_oversized_payload_header():
 # --- hypothesis blocks ------------------------------------------------------
 
 SAMPLE_NODES = [
-    BlockNode(TOP, 1, 5, 5, 0.48),
-    BlockNode(Atomic(2), 2, 4, 1, 0.76),
-    BlockNode(Exists(RoleExpr(0), Atomic(1)), 3, 5, 0, 1.04),
+    BlockNode(TOP, 1, 0, 5, 5),
+    BlockNode(Atomic(2), 2, 1, 4, 1),
+    BlockNode(Exists(RoleExpr(0), Atomic(1)), 3, 2**32 - 1, 5, 0),
 ]
 
 
 def test_block_round_trip():
     rng = random.Random(601)
     random_nodes = [BlockNode(Atomic(rng.randrange(50)), rng.randint(1, 9),
-                              rng.randint(0, 9), rng.randint(0, 9), rng.random())
+                              rng.choice([0, 2**32 - 1, rng.randrange(2**32)]),
+                              rng.randint(0, 9), rng.randint(0, 9))
                     for _ in range(64)]
     for nodes in (SAMPLE_NODES, random_nodes):
         assert deserialize_block(serialize_block(nodes)) == nodes
@@ -128,7 +127,7 @@ def test_block_structural_errors(mutate, fragment):
 def test_block_reports_nodes_with_bad_encodings_by_index():
     # second node's concept bytes start right after the first record
     data = bytearray(serialize_block(SAMPLE_NODES))
-    first_len = 4 + 4 + 1 + 18
+    first_len = 4 + 4 + 1 + 14
     data[first_len + 4] = 0xEE  # unknown concept tag
     with pytest.raises(ProtocolError, match="node 1: unknown concept tag"):
         deserialize_block(bytes(data))
@@ -168,6 +167,7 @@ def test_search_params_round_trip(smoke):
 
 
 def test_kb_transfer_carries_the_master_settings_in_the_v4_layout(smoke):
+    # Protocol v5 changed the node record and left KB_TRANSFER as v4 had it.
     cfg = MasterConfig(limit=3, noise=0.25, max_millis=500, max_length=300,
                        target_accuracy=0.9, use_cardinality=False,
                        use_negation=False, eval_cfg=EvalConfig(0.75, 0.125),
@@ -176,7 +176,7 @@ def test_kb_transfer_carries_the_master_settings_in_the_v4_layout(smoke):
     # inverse roles (bit 0) and disjunction (bit 2) on
     assert payload[-27:] == struct.pack(">dddHB", 0.25, 0.75, 0.125, 300,
                                         0b0101)
-    assert PROTOCOL_VERSION == 4
+    assert PROTOCOL_VERSION == 5
     assert _unpack_kb_transfer(payload)[2] == SearchConfig(
         noise=0.25, max_length=300, use_cardinality=False, use_negation=False,
         eval_cfg=EvalConfig(0.75, 0.125))
@@ -335,12 +335,12 @@ def master_connection(fix, send_kb=True, params=PARAMS, **worker_kwargs):
 
 def root_block_node(fix):
     cov = evaluate(TOP, fix.kb, fix.examples)
-    sc = score(cov, None, 1, fix.examples)
-    return BlockNode(TOP, 1, cov.pos_covered, cov.neg_covered, sc.value)
+    return BlockNode(TOP, 1, 0, cov.pos_covered, cov.neg_covered)
 
 
 def local_expand_oracle(fix, tasks, params):
-    """What a correct worker must return for EXPAND_TASK, computed in-process."""
+    """What a correct worker must return for EXPAND_TASK, computed in-process:
+    each refinement names the slot of the task node it refines."""
     rcfg = RefinementConfig.from_stats(
         fix.stats,
         use_inverse_roles=params.use_inverse_roles,
@@ -351,9 +351,9 @@ def local_expand_oracle(fix, tasks, params):
     context = top_context(ExtensionMemo().rows(fix.kb, fix.examples))
     per_slot = []
     for bn in tasks:
-        node = SearchNode(bn.concept, hash_concept(bn.concept), bn.he,
-                          CoverageResult(bn.pos_covered, bn.neg_covered),
-                          Score(_accuracy(bn, fix.examples), bn.value))
+        cov = CoverageResult(bn.pos_covered, bn.neg_covered)
+        node = SearchNode(bn.concept, hash_concept(bn.concept), bn.he, cov,
+                          score(cov, None, bn.he, fix.examples))
         per_slot.append(expand_single_node(node, fix.kb, fix.stats, fix.mb,
                                            rcfg, params.max_length, context))
     survivors = reduce_redundant(per_slot, rht=set())
@@ -368,10 +368,8 @@ def local_expand_oracle(fix, tasks, params):
                         for ch in c.children)):
             weak.append(h)
             continue
-        sc = score(cov, _accuracy(tasks[slot], fix.examples),
-                   concept_length(c), fix.examples, params.eval_cfg)
-        good.append(BlockNode(c, concept_length(c), cov.pos_covered,
-                              cov.neg_covered, sc.value))
+        good.append(BlockNode(c, concept_length(c), tasks[slot].slot,
+                              cov.pos_covered, cov.neg_covered))
     return good, weak
 
 
@@ -383,47 +381,14 @@ def test_worker_hello_reports_cores(smoke):
         assert int.from_bytes(payload, "big") == 3
 
 
-def test_worker_probe_returns_cores_and_timing(smoke):
-    with master_connection(smoke, cores=2) as (sock, _):
-        write_frame(sock, MSG_PROBE)
-        mtype, payload = read_frame(sock)
-        assert mtype == MSG_PROBE_RESULT
-        assert len(payload) == 6
-        assert int.from_bytes(payload[:2], "big") == 2
-
-
-def test_worker_probe_refines_in_its_expanders_context(trains, monkeypatch):
-    contexts = []
-    original = cluster_mod.expand_single_node
-
-    def recording(*args):
-        contexts.append(args[6])
-        return original(*args)
-
-    monkeypatch.setattr(cluster_mod, "expand_single_node", recording)
-    with master_connection(trains) as (sock, _):
-        write_frame(sock, MSG_PROBE)
-        assert read_frame(sock)[0] == MSG_PROBE_RESULT
-    want = top_context(ExtensionMemo().rows(trains.kb, trains.examples))
-    assert want.roles == {RoleExpr(0), RoleExpr(1)}  # hasCar, firstCar
-    assert contexts
-    assert all(c.roles == want.roles for c in contexts)
-
-
-def test_worker_rejects_probe_before_kb(smoke):
-    with master_connection(smoke, send_kb=False) as (sock, _):
-        write_frame(sock, MSG_PROBE)
-        mtype, payload = read_frame(sock)
-        assert mtype == MSG_ERROR
-        assert b"PROBE before KB_TRANSFER" in payload
-
-
 def test_worker_rejects_unknown_message(smoke):
-    with master_connection(smoke, send_kb=False) as (sock, _):
-        write_frame(sock, MSG_KB_ACK)
-        mtype, payload = read_frame(sock)
-        assert mtype == MSG_ERROR
-        assert b"unexpected message type" in payload
+    # 0x05 and 0x06 were PROBE and PROBE_RESULT up to protocol v4.
+    for mtype in (MSG_KB_ACK, 0x05, 0x06, 0x0A):
+        with master_connection(smoke) as (sock, _):
+            write_frame(sock, mtype)
+            reply, payload = read_frame(sock)
+            assert reply == MSG_ERROR
+            assert f"unexpected message type 0x{mtype:02x}".encode() in payload
 
 
 def test_worker_answers_corrupt_frame_with_error_and_hangs_up(smoke):
@@ -441,7 +406,7 @@ def test_worker_answers_an_over_deep_concept_with_error(smoke):
     # Thing: a well-formed frame that decode must refuse, not recurse into.
     enc = bytes.fromhex("030000000000") * 5_000 + bytes.fromhex("00")
     block = (struct.pack(">II", 1, len(enc)) + enc
-             + struct.pack(">HIId", 1, 0, 0, 0.5))
+             + struct.pack(">HIII", 1, 0, 0, 0))
     with master_connection(smoke) as (sock, _):
         write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + block)
         mtype, payload = read_frame(sock)
@@ -457,7 +422,7 @@ def test_worker_answers_an_over_deep_concept_with_error(smoke):
 def test_worker_answers_a_task_concept_outside_the_kb_with_error(
         smoke, concept, message):
     root = root_block_node(smoke)
-    task = BlockNode(concept, 4, root.pos_covered, root.neg_covered, root.value)
+    task = BlockNode(concept, 4, 0, root.pos_covered, root.neg_covered)
     with master_connection(smoke) as (sock, _):
         write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block([task]))
         mtype, payload = read_frame(sock)
@@ -466,17 +431,14 @@ def test_worker_answers_a_task_concept_outside_the_kb_with_error(
         assert sock.recv(1) == b""  # worker closed the connection
 
 
-@pytest.mark.parametrize("counts,value,message", [
+@pytest.mark.parametrize("counts,message", [
     # smoke has 2 positives and 2 negatives
-    ((3, 0), None, b"node 0: covers 3 positives and 0 negatives of 2 and 2"),
-    ((2, 3), None, b"node 0: covers 2 positives and 3 negatives of 2 and 2"),
-    ((2, 0), float("nan"), b"node 0: score nan is not finite"),
+    ((3, 0), b"node 0: covers 3 positives and 0 negatives of 2 and 2"),
+    ((2, 3), b"node 0: covers 2 positives and 3 negatives of 2 and 2"),
 ])
-def test_worker_answers_a_task_node_with_impossible_counts_or_score_with_error(
-        smoke, counts, value, message):
-    root = root_block_node(smoke)
-    task = BlockNode(TOP, 1, *counts,
-                     root.value if value is None else value)
+def test_worker_answers_a_task_node_with_impossible_counts_with_error(
+        smoke, counts, message):
+    task = BlockNode(TOP, 1, 0, *counts)
     with master_connection(smoke) as (sock, _):
         write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block([task]))
         mtype, payload = read_frame(sock)
@@ -655,8 +617,7 @@ def test_a_new_kb_transfer_starts_a_new_extension_memo(smoke):
             # Thing at he 4: every refinement up to length 5, so operands and
             # fillers recur across the batch and fill the memo.
             root = root_block_node(fix)
-            tasks = [BlockNode(TOP, 4, root.pos_covered, root.neg_covered,
-                               root.value)]
+            tasks = [BlockNode(TOP, 4, 0, root.pos_covered, root.neg_covered)]
             write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block(tasks))
             mtype, payload = read_frame(sock)
             assert mtype == MSG_EXPAND_RESULT
@@ -691,7 +652,10 @@ def test_worker_expand_second_level(trains):
         tasks = [root_block_node(trains)]
         write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block(tasks))
         nodes, _ = _split_expand_result(read_frame(sock)[1])
-        level2 = sorted(nodes, key=lambda bn: -bn.value)[:4]
+        # Four first-level nodes in beam slots 3 to 6, echoed back.
+        level2 = [BlockNode(bn.concept, bn.he, 3 + k, bn.pos_covered,
+                            bn.neg_covered)
+                  for k, bn in enumerate(nodes[:4])]
         write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block(level2))
         mtype, payload = read_frame(sock)
         assert mtype == MSG_EXPAND_RESULT
@@ -724,11 +688,11 @@ def test_a_worker_adds_the_nodes_it_returns_to_its_decode_table(trains):
 def test_search_node_refuses_a_node_again_and_keeps_only_subtrees_that_passed(
         trains):
     bad = BlockNode(connective(And, (Atomic(0), Exists(RoleExpr(0), Atomic(999)))),
-                    3, 1, 1, 0.5)
+                    3, 0, 1, 1)
     checked = set()
     for _ in range(2):
         with pytest.raises(ProtocolError, match="node 4: class id 999"):
-            _search_node(bad, 4, trains.kb, trains.examples, 5, checked)
+            _coverage(bad, 4, trains.kb, trains.examples, checked)
     assert checked == {encode(Atomic(0))}
 
 
@@ -756,14 +720,11 @@ def test_master_solves_trains_with_one_worker(trains):
         res = run_master(trains.kb, trains.st, trains.examples,
                          master_cfg(w, max_length=7))
     assert res.status == "solved"
-    assert res.phases == ["discovery", "probing", "learning", "terminating", "done"]
     best = res.hypotheses[0]
     assert best.score.accuracy == 1.0
     assert (best.coverage.pos_covered, best.coverage.neg_covered) == (5, 0)
     assert len(res.workers) == 1
     assert res.workers[0].cores == 2
-    assert res.workers[0].wn == 2  # block size equals the advertised cores
-    assert res.workers[0].probe_millis >= 0
     assert 0 <= res.workers[0].kb_ack_millis <= res.handshake_millis
 
 
@@ -789,6 +750,20 @@ def test_master_equivalent_to_local_search(trains):
     assert ([(i.expanded, i.weak_dropped, i.st_size) for i in res.iterations]
             == [(i.expanded, i.weak_dropped, i.st_size)
                 for i in local.iterations])
+    # The master makes each returned node a child of the beam node in its
+    # slot, so every node's chain of parents is the local run's.
+    assert [parent_chain(n) for n in res.st_nodes] == [
+        parent_chain(n) for n in local.st_nodes]
+    assert parent_chain(best_c)[-1] == TOP
+
+
+def parent_chain(node):
+    """The concepts from ``node`` up through its parents to the root."""
+    chain = []
+    while node is not None:
+        chain.append(node.concept)
+        node = node.parent
+    return chain
 
 
 def test_a_lone_worker_returns_only_refinements_new_to_the_rht(trains):
@@ -813,7 +788,7 @@ def final_master_open_list_checked_in_order(trains, check_open_list) -> int:
             expect_workers=2, max_length=6, target_accuracy=2.0)
         res = run_master(trains.kb, trains.st, trains.examples, cfg)
     assert res.status == "exhausted"
-    assert sum(w.wn for w in res.workers) == 8
+    assert sum(w.cores for w in res.workers) == 8
     # one call per iteration, one that finds no beam, one for the hypotheses
     assert len(calls) == len(res.iterations) + 2
     assert calls[-1] == len(res.st_nodes)
@@ -905,15 +880,19 @@ def test_master_exits_3_when_a_discovered_port_refuses(capsys):
 
 # One byte where cores needs two.
 SHORT_HELLO_ACK = frame_bytes(MSG_HELLO_ACK, b"\x00")
+# A worker that has no core to take a block with.
+ZERO_CORES_HELLO_ACK = frame_bytes(MSG_HELLO_ACK, struct.pack(">H", 0))
 
 
 @pytest.mark.parametrize("reply", [
-    # The same frame from a worker of protocol version 1, 2 or 3; the
+    # The same frame from a worker of protocol version 1, 2, 3 or 4; the
     # checksum covers only type and payload, so it stays valid.
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 1) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 2) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 3) + SHORT_HELLO_ACK[6:],
+    SHORT_HELLO_ACK[:4] + struct.pack(">H", 4) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK,
+    ZERO_CORES_HELLO_ACK,
     b"not a frame at all",
 ])
 def test_master_closes_the_socket_of_a_failed_handshake(smoke, reply):
@@ -946,6 +925,8 @@ def test_master_closes_the_socket_of_a_failed_handshake(smoke, reply):
         assert not t.is_alive()
         assert after_reply == [b""]  # the master hung up
         assert "worker ('127.0.0.1'" in str(excinfo.value)
+        if reply == ZERO_CORES_HELLO_ACK:
+            assert str(excinfo.value).endswith(": bad HELLO_ACK: 0 cores")
     finally:
         listener.close()
 
@@ -984,7 +965,7 @@ def test_master_requeues_the_block_of_a_worker_whose_reply_does_not_parse(
 
 
 def test_master_drops_a_worker_that_returns_a_concept_outside_the_kb(trains):
-    outside = BlockNode(Atomic(999), 1, 5, 0, 2.0)
+    outside = BlockNode(Atomic(999), 1, 0, 5, 0)
     res, local = master_with_a_bad_worker(
         trains, lambda payload, state: _pack_expand_result([outside], []),
         "node 0: class id 999 is not in the KB")
@@ -994,22 +975,54 @@ def test_master_drops_a_worker_that_returns_a_concept_outside_the_kb(trains):
     assert res.st_insertions == local.st_insertions
 
 
-@pytest.mark.parametrize("pos_covered,value", [
-    (999, 2.0),  # trains has 5 positives
-    (5, float("inf")),
-    (5, float("nan")),
-])
-def test_master_drops_a_worker_that_returns_impossible_counts_or_score(
-        trains, pos_covered, value):
-    bad = BlockNode(MinCard(7, RoleExpr(0),
-                            connective(And, (Atomic(0), Atomic(1)))),
-                    5, pos_covered, 0, value)
+# A concept of length 6 that trains can hold.
+MIN7 = MinCard(7, RoleExpr(0), connective(And, (Atomic(0), Atomic(1))))
+
+
+@pytest.mark.parametrize("bad,cause", [
+    # trains has 5 positives
+    (BlockNode(MIN7, 6, 0, 999, 0), "node 0: covers 999 positives"),
+    (BlockNode(MIN7, 5, 0, 1, 5), "node 0: he 5 is not its length 6"),
+    # No block holds that slot: the widest beam here is 4.
+    (BlockNode(MIN7, 6, 2**32 - 1, 1, 5),
+     "node 0: slot 4294967295 was not sent to this worker"),
+], ids=["impossible-counts", "he-not-length", "slot-not-sent"])
+def test_master_drops_a_worker_that_returns_an_impossible_node(
+        trains, bad, cause):
     res, local = master_with_a_bad_worker(
         trains, lambda payload, state: _pack_expand_result([bad], []),
-        r"node 0: (covers 999 positives|score (inf|nan) is not finite)")
+        re.escape(cause))
     assert res.status == local.status == "exhausted"
     assert res.rht == local.rht
     assert res.st_insertions == local.st_insertions
+
+
+def test_master_scores_what_a_worker_returns(trains):
+    """A worker that adds a node of its own to its first reply cannot choose
+    that node's value: the master derives it from the node's counts, its
+    length and the beam node in its slot, as a local run would."""
+    with worker(cores=2) as w:
+        expand = w._expand
+
+        def adding_min7(payload, state):
+            nodes, weak = _split_expand_result(expand(payload, state))
+            if not state.setdefault("added", False):
+                state["added"] = True
+                slot = _split_expand_task(payload)[1][0].slot
+                nodes.append(BlockNode(MIN7, concept_length(MIN7), slot, 1, 5))
+            return _pack_expand_result(nodes, weak)
+
+        w._expand = adding_min7
+        res = run_master(trains.kb, trains.st, trains.examples,
+                         master_cfg(w, max_length=5, target_accuracy=2.0))
+    assert res.status == "exhausted" and res.dropped == []
+    (node,) = [n for n in res.st_nodes if n.concept == MIN7]
+    assert node.parent.concept == TOP
+    want = score(CoverageResult(1, 5), node.parent.score.accuracy,
+                 concept_length(MIN7), trains.examples, EvalConfig())
+    assert node.score == want
+    assert res.st_insertions[node.hash] == want.value
+    assert res.hypotheses[0].concept != MIN7
 
 
 def test_master_exits_3_once_no_worker_is_left(capsys):
@@ -1043,7 +1056,7 @@ def test_master_json_reports_each_dropped_worker(capsys):
     (info,) = [r for r in records if r["type"] == "worker"]
     assert info["address"] == f"127.0.0.1:{w.tcp_port}"
     assert 0 <= info["kb_ack_millis"] <= handshake["handshake_millis"]
-    assert info["probe_millis"] >= 0
+    assert set(info) == {"type", "address", "cores", "kb_ack_millis"}
 
 
 def test_master_drops_a_worker_that_stops_answering(capsys):
@@ -1057,8 +1070,7 @@ def test_master_drops_a_worker_that_stops_answering(capsys):
         with conn:
             conn.settimeout(10)
             replies = {MSG_HELLO: (MSG_HELLO_ACK, struct.pack(">H", 2)),
-                       MSG_KB_TRANSFER: (MSG_KB_ACK, b""),
-                       MSG_PROBE: (MSG_PROBE_RESULT, struct.pack(">HI", 2, 1))}
+                       MSG_KB_TRANSFER: (MSG_KB_ACK, b"")}
             try:
                 while True:
                     mtype, _ = read_frame(conn)

@@ -30,6 +30,7 @@ import shlex
 import socket
 import struct
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
                             RoleExpr, StrEq, canonicalize, concept_length,
                             connective, decode, encode, hash_concept,
                             parse_concept, render, sort_key)
+from dlbeam.evaluation import CoverageResult, score
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (_PLAIN_LINE, Interner, KbCodecError, KbError,
                        KbParseError, KnowledgeBase, SymbolTable, _lines,
@@ -67,6 +69,8 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
 seeds = st.integers(0, 2**32 - 1)
 u64s = st.integers(0, 2**64 - 1)
+# A node's slot, the ends of its u32 field always among the draws.
+slots = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
 
 
 # --- canonical form, the concept codec and parse_concept -------------------
@@ -201,7 +205,7 @@ def test_decoding_through_a_table_equals_a_plain_decode(c):
     assert (sort_key(got), hash_concept(got), concept_length(got), encode(got)) \
         == (sort_key(plain), hash_concept(plain), concept_length(plain), data)
     assert decode(data, table) is got  # the same bytes, the same object
-    assert deserialize_block(serialize_block([BlockNode(c, 1, 0, 0, 0.0)]),
+    assert deserialize_block(serialize_block([BlockNode(c, 1, 0, 0, 0)]),
                              table)[0].concept is got
     assert_table_is_faithful(table)
 
@@ -209,7 +213,7 @@ def test_decoding_through_a_table_equals_a_plain_decode(c):
 def block_of(enc: bytes) -> bytes:
     """A one-node block whose concept bytes are ``enc``, whatever they are."""
     return (struct.pack(">II", 1, len(enc)) + enc
-            + struct.pack(">HIId", 1, 0, 0, 0.0))
+            + struct.pack(">HIII", 1, 0, 0, 0))
 
 
 @SETTINGS
@@ -937,9 +941,26 @@ def test_a_frame_is_the_bytes_of_the_joined_construction(mtype, payload):
 
 
 result_nodes = st.builds(
-    BlockNode, canonical_concepts, st.integers(0, 0xFFFF),
-    st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
-    st.floats(allow_nan=False))
+    BlockNode, canonical_concepts, st.integers(0, 0xFFFF), slots,
+    st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(nodes=st.lists(result_nodes, min_size=1, max_size=4), data=st.data())
+def test_a_block_round_trips_and_a_flip_in_a_slot_changes_only_that_slot(
+        nodes, data):
+    block = serialize_block(nodes)
+    assert deserialize_block(block) == nodes
+    # The slot is the u32 that follows a node's u16 he, after its encoding.
+    i = data.draw(st.integers(0, len(nodes) - 1), label="node")
+    at = 4 + sum(4 + len(encode(n.concept)) + 14 for n in nodes[:i])
+    at += 4 + len(encode(nodes[i].concept)) + 2
+    flip = data.draw(st.integers(1, 2**32 - 1), label="flip")
+    flipped = bytearray(block)
+    struct.pack_into(">I", flipped, at, struct.unpack_from(">I", block, at)[0] ^ flip)
+    want = list(nodes)
+    want[i] = replace(nodes[i], slot=nodes[i].slot ^ flip)
+    assert deserialize_block(bytes(flipped)) == want
 
 
 @SETTINGS
@@ -961,9 +982,8 @@ def test_every_truncation_or_byte_flip_of_an_expand_result_is_a_protocol_error(
 # --- EXPAND_TASK ------------------------------------------------------------
 
 block_nodes = st.builds(
-    BlockNode, st.integers(0, 20).map(Atomic), st.integers(0, 0xFFFF),
-    st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
-    st.floats(allow_nan=False))
+    BlockNode, st.integers(0, 20).map(Atomic), st.integers(0, 0xFFFF), slots,
+    st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 
 
 @SETTINGS
@@ -1014,10 +1034,16 @@ def test_any_truncation_of_an_expand_task_gets_an_error_from_a_live_worker(
 
 @pytest.fixture(scope="module")
 def second_level(trains):
-    """Trains' best four first-level nodes, and what a worker with an empty
-    mirror returns for them."""
-    good, _ = local_expand_oracle(trains, [root_block_node(trains)], PARAMS)
-    tasks = sorted(good, key=lambda bn: -bn.value)[:4]
+    """Trains' best four first-level nodes in beam slots 0 to 3, and what a
+    worker with an empty mirror returns for them."""
+    root = root_block_node(trains)
+    good, _ = local_expand_oracle(trains, [root], PARAMS)
+    root_accuracy = score(CoverageResult(root.pos_covered, root.neg_covered),
+                          None, 1, trains.examples).accuracy
+    best = sorted(good, key=lambda bn: -score(
+        CoverageResult(bn.pos_covered, bn.neg_covered), root_accuracy, bn.he,
+        trains.examples).value)[:4]
+    tasks = [replace(bn, slot=k) for k, bn in enumerate(best)]
     return tasks, local_expand_oracle(trains, tasks, PARAMS)
 
 
