@@ -1,6 +1,6 @@
 """Master-worker distributed search over a framed TCP protocol.
 
-Frame layout (big-endian): magic ``SPDL``, u16 version (5), u8 message type,
+Frame layout (big-endian): magic ``SPDL``, u16 version (6), u8 message type,
 u32 payload length, payload, u32 CRC32 over type byte + payload.
 
 Message types: 0x01 HELLO, 0x02 HELLO_ACK, 0x03 KB_TRANSFER, 0x04 KB_ACK,
@@ -18,17 +18,20 @@ timeout drops a worker that stops answering. The master's learning phase is
 ``dlbeam.search.search_loop`` over an expander that sends each worker a
 block of the beam per iteration, cut in beam order and in connection order;
 the worker expands its block with the same ``dlbeam.search.LocalExpander``
-that a local run uses.
+that a local run uses. Workers refine, evaluate and count; they score
+nothing and keep no search node.
 
 A hypothesis block is u32 count, then per node: u32 length of the encoded
 concept, the encoding, u16 he, u32 slot, u32 covered positives, u32 covered
 negatives. In an EXPAND_TASK a node's slot is its place in the master's beam;
 in an EXPAND_RESULT it is the slot of the task node it refines, echoed back.
-No score travels: the master scores each returned node as
-``LocalExpander.expand`` scores a refinement, from its counts, its length and
-the accuracy of the beam node in its slot, which becomes its parent, and
-refuses a node whose slot it did not send that worker or whose he is not its
-concept's length.
+No score travels: the master's expander hands each returned node to
+``search_loop`` as the in-process expander hands it a refinement, and the
+loop scores it from its counts, its length and the accuracy of the beam node
+in its slot, which becomes its parent. The master refuses a node whose slot
+it did not send that worker, whose he is not its concept's length, or that
+is weak, which a worker returns as a weak hash. A worker refuses a task node
+whose he leaves nothing to expand under max_length.
 
 An EXPAND_TASK starts with a known-hash section, u32 count + u64 each: the
 hashes added to the master's closed list (RHT) since its previous
@@ -49,10 +52,10 @@ u32 counts of classes, roles, numeric, boolean and string roles and
 individuals, each string role's u32 count of values, then the table sections
 of a ``serialize_kb`` blob, written from the KB's numpy mirrors. No names
 travel. The positive and the negative example ids follow (u32 count + u32
-each), then the master's search settings that a worker's expansion reads:
-f64 noise, f64 gain bonus, f64 expansion penalty, u16 max_length and a u8 of
-flags (inverse roles, cardinality, disjunction, negation from bit 0 up;
-a worker refuses a byte with any of bits 4-7 set).
+each), then the master's search settings that govern a worker's
+refinement: f64 noise, u16 max_length and a u8 of flags (inverse roles,
+cardinality, disjunction, negation from bit 0 up; a worker refuses a byte
+with any of bits 4-7 set). No scoring weight travels: no worker scores.
 
 A worker's KB is columns only: ``kb.deserialize_sealed`` turns the tables
 into the numpy arrays a search reads, keeps no Python rows, and refuses a KB
@@ -99,12 +102,12 @@ import numpy as np
 from .concept import (And, Atomic, BoolEq, Concept, DecodeError, Exists,
                       Forall, MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
                       StrEq, concept_length, decode, encode, hash_concept)
-from .evaluation import CoverageResult, EvalConfig, score
+from .evaluation import CoverageResult, weak_threshold
 from .kb import (ExampleSet, KbError, KnowledgeBase, SymbolTable,
                  compute_statistics, deserialize_sealed, serialize_sealed)
 from .refine import build_mb
-from .search import (LocalExpander, SearchConfig, SearchNode, SearchResult,
-                     SearchSettings, search_loop)
+from .search import (Child, LocalExpander, SearchConfig, SearchNode,
+                     SearchResult, SearchSettings, search_loop)
 # Not called here since the master runs search_loop and the worker a
 # LocalExpander; bench/tracing.py still wraps the master's calls under these
 # names, and reads them as 0.
@@ -123,7 +126,7 @@ __all__ = [
 ]
 
 FRAME_MAGIC = b"SPDL"
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 DISCOVER_PING = b"SPDL?"
 DISCOVER_REPLY = b"SPDL!"
 DEFAULT_UDP_PORT = 47901
@@ -141,9 +144,8 @@ MSG_ERROR = 0x0F
 
 _u16 = struct.Struct(">H")
 _u32 = struct.Struct(">I")
-# KB_TRANSFER's search settings: noise, gain bonus, expansion penalty,
-# max_length, flags.
-_SETTINGS = struct.Struct(">dddHB")
+# KB_TRANSFER's search settings: noise, max_length, flags.
+_SETTINGS = struct.Struct(">dHB")
 # The flags' bits 0-3: inverse roles, cardinality, disjunction, negation.
 _KNOWN_FLAGS = 0x0F
 _HEADER = struct.Struct(">4sHBI")
@@ -302,9 +304,7 @@ def _pack_kb_transfer(kb: KnowledgeBase, st: SymbolTable, examples: ExampleSet,
         out += (_u32.pack(len(ids)), ids.astype(_IDS).tobytes())
     flags = (cfg.use_inverse_roles | cfg.use_cardinality << 1
              | cfg.use_disjunction << 2 | cfg.use_negation << 3)
-    out.append(_SETTINGS.pack(cfg.noise, cfg.eval_cfg.gain_bonus,
-                              cfg.eval_cfg.expansion_penalty, cfg.max_length,
-                              flags))
+    out.append(_SETTINGS.pack(cfg.noise, cfg.max_length, flags))
     return b"".join(out)
 
 
@@ -347,7 +347,7 @@ def _unpack_kb_transfer(payload: bytes
         raise ProtocolError("truncated search settings")
     if pos + _SETTINGS.size != len(payload):
         raise ProtocolError("trailing bytes after KB transfer")
-    noise, gain, pen, max_length, flags = _SETTINGS.unpack_from(payload, pos)
+    noise, max_length, flags = _SETTINGS.unpack_from(payload, pos)
     if flags & ~_KNOWN_FLAGS:
         raise ProtocolError(f"bad KB transfer: unknown settings bits "
                             f"0x{flags & ~_KNOWN_FLAGS:02x}")
@@ -355,8 +355,7 @@ def _unpack_kb_transfer(payload: bytes
         cfg = SearchConfig(
             noise=noise, max_length=max_length,
             use_inverse_roles=bool(flags & 1), use_cardinality=bool(flags & 2),
-            use_disjunction=bool(flags & 4), use_negation=bool(flags & 8),
-            eval_cfg=EvalConfig(gain, pen))
+            use_disjunction=bool(flags & 4), use_negation=bool(flags & 8))
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
     return kb, ExampleSet(n, positives, negatives), cfg
@@ -519,18 +518,21 @@ class WorkerServer:
     def _expand(self, payload: bytes, state: dict) -> bytes:
         ex, rht, table = state["expander"], state["rht"], state["table"]
         known, tasks = _split_expand_task(payload, table)
-        # A task node's score is never read: the worker keeps no open list,
-        # and the master scores what it returns.
-        beam = [_search_node(bn, _coverage(bn, i, ex.kb, ex.examples,
-                                           state["checked"]),
-                             ex.examples, ex.cfg)
-                for i, bn in enumerate(tasks)]
+        # A task node's counts are never read, but no search sends a node
+        # that _coverage refuses, nor one the master could not expand.
+        for i, bn in enumerate(tasks):
+            _coverage(bn, i, ex.kb, ex.examples, state["checked"])
+            if bn.he >= ex.cfg.max_length:
+                raise ProtocolError(f"node {i}: he {bn.he} leaves nothing to "
+                                    f"expand under max_length "
+                                    f"{ex.cfg.max_length}")
         rht.update(known)
-        _generated, found = ex.expand(beam, rht)
-        slot_of = {id(n): bn.slot for n, bn in zip(beam, tasks)}
-        nodes = [_block_node(n, slot_of[id(n.parent)])
-                 for _h, n in found if n is not None]
-        reply = _pack_expand_result(nodes, [h for h, n in found if n is None])
+        _expanded, _generated, found = ex.expand(tasks, rht)
+        children = [child for _h, child in found if child is not None]
+        nodes = [BlockNode(c, concept_length(c), tasks[i].slot,
+                           cov.pos_covered, cov.neg_covered)
+                 for i, c, cov in children]
+        reply = _pack_expand_result(nodes, [h for h, ch in found if ch is None])
         for bn in nodes:  # encoded by now, so encode reads the stored bytes
             table[encode(bn.concept)] = bn.concept
         return reply
@@ -579,18 +581,6 @@ def _coverage(bn: BlockNode, i: int, kb: KnowledgeBase, examples: ExampleSet,
                             f"and {bn.neg_covered} negatives of "
                             f"{examples.pos_count} and {examples.neg_count}")
     return CoverageResult(bn.pos_covered, bn.neg_covered)
-
-
-def _search_node(bn: BlockNode, cov: CoverageResult, examples: ExampleSet,
-                 cfg: SearchSettings, parent: SearchNode | None = None
-                 ) -> SearchNode:
-    """The search node of ``bn``, whose counts are ``cov``, scored from them,
-    its he and the accuracy of ``parent`` as ``LocalExpander`` scores a
-    refinement; with no parent, as a root is scored."""
-    sc = score(cov, None if parent is None else parent.score.accuracy, bn.he,
-               examples, cfg.eval_cfg)
-    return SearchNode(bn.concept, hash_concept(bn.concept), bn.he, cov, sc,
-                      parent=parent, expandable=bn.he < cfg.max_length)
 
 
 def _block_node(n: SearchNode, slot: int) -> BlockNode:
@@ -797,11 +787,11 @@ def _hello(ep: tuple[str, int], timeout: float) -> tuple[socket.socket, int]:
 class _RemoteExpander:
     """Expands on the workers: each alive worker, in connection order, gets
     the next ``cores`` nodes of the beam as one EXPAND_TASK, with the RHT
-    hashes its mirror lacks. A node's he grows only once its worker has
-    answered; a worker whose round trip fails, or whose reply does not parse
-    or holds a node ``_result_node`` refuses, is dropped, and its nodes stay
-    in the open list for a later iteration. Each drop is recorded in
-    ``dropped``."""
+    hashes its mirror lacks. It reports as expanded only the nodes of the
+    blocks whose workers answered; a worker whose round trip fails, or whose
+    reply does not parse or holds a node ``_child`` refuses, is dropped, and
+    its nodes stay in the open list for a later iteration. Each drop is
+    recorded in ``dropped``."""
 
     def __init__(self, socks: list[socket.socket], workers: list[WorkerInfo],
                  alive: list[int], kb: KnowledgeBase, examples: ExampleSet,
@@ -816,28 +806,33 @@ class _RemoteExpander:
         self.checked: set[bytes] = set()
         self.dropped: list[WorkerDrop] = []
         self.iteration = 0  # the index of the next expand's iteration
+        # A worker returns a refinement covering fewer positives than this
+        # as a weak hash, never as a node.
+        self.min_pos = weak_threshold(examples, cfg.noise)
 
     def width(self) -> int:
         return sum(self.workers[i].cores for i in self.alive)
 
-    def _result_node(self, bn: BlockNode, i: int, beam: list[SearchNode],
-                     slots: range) -> SearchNode:
-        """The search node of result node ``i``, a refinement of the beam
-        node in its slot. Raise ProtocolError where ``_coverage`` does, or
-        if its he is not its concept's length, as for every refinement, or
-        its slot is not in ``slots``, the block its worker was sent."""
+    def _child(self, bn: BlockNode, i: int, slots: range) -> Child:
+        """What result node ``i`` reports of a refinement of the beam node
+        in its slot. Raise ProtocolError where ``_coverage`` does, or if its
+        he is not its concept's length, as for every refinement, it is weak,
+        or its slot is not in ``slots``, the block its worker was sent."""
         cov = _coverage(bn, i, self.kb, self.examples, self.checked)
         length = concept_length(bn.concept)
         if bn.he != length:
             raise ProtocolError(f"node {i}: he {bn.he} is not its length "
                                 f"{length}")
+        if bn.pos_covered < self.min_pos:
+            raise ProtocolError(f"node {i}: weak, covers {bn.pos_covered} "
+                                f"positives where {self.min_pos} are needed")
         if bn.slot not in slots:
             raise ProtocolError(f"node {i}: slot {bn.slot} was not sent to "
                                 f"this worker")
-        return _search_node(bn, cov, self.examples, self.cfg, beam[bn.slot])
+        return bn.slot, bn.concept, cov
 
     def expand(self, beam: list[SearchNode], rht: set[int]
-               ) -> tuple[int, list[tuple[int, SearchNode | None]]]:
+               ) -> tuple[list[int], int, list[tuple[int, Child | None]]]:
         blocks: list[tuple[int, range]] = []
         cursor, every = 0, range(len(beam))
         for i in self.alive:
@@ -850,31 +845,27 @@ class _RemoteExpander:
             [_pack_expand_task(known, [_block_node(beam[s], s) for s in slots])
              for _i, slots in blocks],
             MSG_EXPAND_RESULT)
-        max_length = self.cfg.max_length
+        expanded: list[int] = []
         generated = 0
-        found: list[tuple[int, SearchNode | None]] = []
+        found: list[tuple[int, Child | None]] = []
         for (wi, slots), reply in zip(blocks, replies):
             try:
                 if isinstance(reply, ProtocolError):
                     raise reply
                 block_nodes, weak = _split_expand_result(reply, self.table)
-                nodes = [self._result_node(bn, i, beam, slots)
-                         for i, bn in enumerate(block_nodes)]
+                children = [self._child(bn, i, slots)
+                            for i, bn in enumerate(block_nodes)]
             except ProtocolError as exc:
                 self.alive.remove(wi)
                 self.dropped.append(WorkerDrop(self.workers[wi].address,
                                                self.iteration, str(exc)))
                 continue
-            for s in slots:
-                n = beam[s]
-                n.he += 1
-                if n.he >= max_length:
-                    n.expandable = False
-            generated += len(nodes) + len(weak)
-            found.extend((n.hash, n) for n in nodes if n.hash not in rht)
+            expanded.extend(slots)
+            generated += len(children) + len(weak)
+            found.extend((hash_concept(child[1]), child) for child in children)
             found.extend((h, None) for h in weak)
         self.iteration += 1
-        return generated, found
+        return expanded, generated, found
 
 
 def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,

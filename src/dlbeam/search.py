@@ -1,15 +1,22 @@
 """Beam search over the refinement lattice.
 
-One loop, ``search_loop``, serves ``run_search`` and the cluster master. An
-iteration takes the best expandable nodes from the open list and hands them
-to an expander, which refines them and evaluates the refinements; the loop
+One loop, ``search_loop``, serves ``run_search`` and the cluster master, and
+owns every search node. An iteration hands the best expandable nodes of the
+open list, the beam, to an expander, which refines and evaluates. It reports
+the beam indexes it expanded, and each evaluated refinement's hash, in
+evaluation order, with None if it is weak or a dominated union, else with
+the beam index of the node it refines, its concept and its counts. The loop
 adds each new hash to the global closed list (RHT) once, counts the weak
-ones, and inserts the rest into the open list at their place in its order.
-The in-process expander expands each node (each node keeps a private closed
-list spanning its own re-expansions), keeps the first occurrence of each
+ones, scores each other refinement against its parent in the beam and
+inserts its node into the open list at its place in the list's order, and
+grows the he of each expanded node.
+
+The RHT is the only closed list: at each expansion a node proposes again
+what it proposed before, and all of that is in the RHT by then. The
+in-process expander refines each node, keeps the first occurrence of each
 hash across the per-node refinement lists that the RHT does not hold, and
-evaluates the survivors in a batch; the cluster's sends blocks of the beam to
-workers, each of which runs the same in-process expander on its block.
+evaluates the survivors in a batch; the cluster's sends blocks of the beam
+to workers, each of which runs the same in-process expander on its block.
 
 The in-process expander refines in the context of its examples
 (``refine.top_context``), computed once per search from the example space
@@ -40,11 +47,12 @@ injective, so inserting each new node by bisection gives the same list as
 appending it and sorting.
 
 Nodes are not removed on expansion; they are revisited with a horizontal
-expansion budget (he) that grows by one per visit until it reaches the
-length cap. Scores are fixed at insertion time, with the expansion penalty
-charged against the node's initial he, so the set of (hash, score) pairs a
-run inserts depends only on the beam width, not on how many workers share
-the beam.
+expansion budget (he) that grows by one per expansion until it reaches the
+length cap: for every node of a local beam, and on a cluster for the nodes
+of the blocks whose workers answered. Scores are fixed at insertion time,
+with the expansion penalty charged against the node's initial he, so the
+set of (hash, score) pairs a run inserts depends only on the beam width,
+not on how many workers share the beam.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ __all__ = [
     "SearchConfig",
     "IterationStats",
     "SearchResult",
+    "Child",
     "extract_best_nodes",
     "insert_node",
     "expand_single_node",
@@ -89,9 +98,6 @@ class SearchNode:
     score: Score
     parent: "SearchNode | None" = None
     expandable: bool = True
-    # Hashes this node has emitted across all of its expansions; None before
-    # the first expansion and again once the node can no longer be expanded.
-    local_closed: set[int] | None = None
     # Open-list order, best first: (-score, canonical sort key). Fixed at
     # construction, since neither the score nor the concept changes.
     key: tuple = field(init=False, repr=False, compare=False)
@@ -151,12 +157,14 @@ class IterationStats:
     While no worker fails, a cluster run has the same ``expanded``,
     ``weak_dropped`` and ``st_size`` as a local run of the same beam width,
     iteration by iteration. Its ``generated`` and ``redundant_dropped``
-    differ: a local run's ``generated`` counts every refinement, a
-    cluster's only those its workers' RHT mirrors did not hold, so its
-    ``redundant_dropped`` counts just the hashes that more than one worker
-    returned. ``weak_dropped`` counts the weak refinements and the dominated
-    unions together (see the module docstring): a worker returns both as
-    weak hashes, so the master cannot tell them apart.
+    differ: a local run's ``generated`` counts every refinement its
+    expander proposed, a node's re-proposals of what it proposed at an
+    earlier expansion included, a cluster's only those its workers' RHT
+    mirrors did not hold, so its ``redundant_dropped`` counts just the
+    hashes that more than one worker returned. ``weak_dropped`` counts the
+    weak refinements and the dominated unions together (see the module
+    docstring): a worker returns both as weak hashes, so the master cannot
+    tell them apart.
     """
 
     expanded: int
@@ -201,39 +209,18 @@ def extract_best_nodes(st: list[SearchNode], k: int,
     return st[:k]
 
 
-def expand_single_node(node: SearchNode, kb: KnowledgeBase, stats: KbStatistics,
+def expand_single_node(node, kb: KnowledgeBase, stats: KbStatistics,
                        mb: list[Concept], rcfg: RefinementConfig,
-                       max_length: int, context: TopContext | None
-                       ) -> tuple[list[Concept], set[int]]:
-    """Refine at bound he+1 in ``context`` (context-free when it is None),
-    emit only hashes new to this node, grow he."""
-    if node.he >= max_length:
-        node.expandable = False
-        node.local_closed = None
-        return [], set()
-    bound = node.he + 1
-    closed = node.local_closed
-    if closed is None:
-        closed = node.local_closed = set()
-    emitted: list[Concept] = []
-    emitted_hashes: set[int] = set()
-    for r in refine(node.concept, bound, kb, stats, mb, rcfg, context):
-        h = hash_concept(r)
-        if h in closed:
-            continue
-        closed.add(h)
-        emitted_hashes.add(h)
-        emitted.append(r)
-    node.he += 1
-    if node.he >= max_length:
-        node.expandable = False
-        node.local_closed = None
-    return emitted, emitted_hashes
+                       context: TopContext | None) -> list[Concept]:
+    """The refinements of ``node`` at bound he+1 in ``context``
+    (context-free when it is None). ``node`` is anything with a ``concept``
+    and an ``he``, a beam node or a worker's task node, and is not changed:
+    ``search_loop`` grows he."""
+    return refine(node.concept, node.he + 1, kb, stats, mb, rcfg, context)
 
 
-def reduce_redundant(per_slot: list[tuple[list[Concept], set[int]]],
-                     rht: set[int], verify: bool = False
-                     ) -> list[tuple[Concept, int, int]]:
+def reduce_redundant(per_slot: list[list[Concept]], rht: set[int],
+                     verify: bool = False) -> list[tuple[Concept, int, int]]:
     """First occurrence of each hash across the per-slot refinement lists.
 
     Returns (concept, hash, slot) triples ordered by ascending slot then the
@@ -244,7 +231,7 @@ def reduce_redundant(per_slot: list[tuple[list[Concept], set[int]]],
     by_hash: dict[int, Concept] = {}
     out: list[tuple[Concept, int, int]] = []
     taken: set[int] = set()
-    for slot, (refs, _closed) in enumerate(per_slot):
+    for slot, refs in enumerate(per_slot):
         for c in refs:
             h = hash_concept(c)
             if verify and by_hash.setdefault(h, c) != c:
@@ -278,6 +265,12 @@ def root_node(kb: KnowledgeBase, examples: ExampleSet, eval_cfg: EvalConfig,
                       expandable=max_length > 1)
 
 
+# What an expander reports of an evaluated refinement that is neither weak
+# nor a dominated union: the beam index of the node it refines, its concept
+# and its counts.
+Child = tuple[int, Concept, CoverageResult]
+
+
 class LocalExpander:
     """Expands in this process: each node through ``expand_single_node``, the
     slots through ``reduce_redundant``, the survivors in one
@@ -300,41 +293,39 @@ class LocalExpander:
     def width(self) -> int:
         return self.cfg.beam_width
 
-    def expand(self, beam: list[SearchNode], rht: set[int]
-               ) -> tuple[int, list[tuple[int, SearchNode | None]]]:
-        kb, examples, cfg = self.kb, self.examples, self.cfg
+    def expand(self, beam: list, rht: set[int]
+               ) -> tuple[range, int, list[tuple[int, Child | None]]]:
+        """Expand every node of ``beam``, each anything with a ``concept``
+        and an ``he``; see ``search_loop``."""
+        kb, examples = self.kb, self.examples
         per_slot = [expand_single_node(n, kb, self.stats, self.mb, self.rcfg,
-                                       cfg.max_length, self.context)
+                                       self.context)
                     for n in beam]
         survivors = reduce_redundant(per_slot, rht,
-                                     verify=cfg.verify_collisions)
+                                     verify=self.cfg.verify_collisions)
         covs = evaluate_batch([c for c, _, _ in survivors], kb, examples,
                               memo=self.ext_memo)
-        found: list[tuple[int, SearchNode | None]] = []
+        found: list[tuple[int, Child | None]] = []
         for (c, h, slot), cov in zip(survivors, covs):
-            # A weak node and a dominated union are dropped alike: closed,
+            # A weak node and a dominated union are reported alike: closed,
             # never inserted, never expanded.
-            if (cov.pos_covered < self.min_pos
-                    or dominated_union(c, kb, examples, self.ext_memo)):
-                found.append((h, None))
-                continue
-            parent = beam[slot]
-            he0 = concept_length(c)
-            sc = score(cov, parent.score.accuracy, he0, examples, cfg.eval_cfg)
-            found.append((h, SearchNode(c, h, he0, cov, sc, parent=parent,
-                                        expandable=he0 < cfg.max_length)))
-        return sum(len(refs) for refs, _ in per_slot), found
+            weak = (cov.pos_covered < self.min_pos
+                    or dominated_union(c, kb, examples, self.ext_memo))
+            found.append((h, None if weak else (slot, c, cov)))
+        return range(len(beam)), sum(map(len, per_slot)), found
 
 
 def search_loop(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchSettings,
                 expander, t0: float) -> SearchResult:
     """The beam search of ``run_search`` and of the cluster master.
 
-    Times count from ``t0``, a ``time.monotonic()`` reading. ``expander.width()`` is how many nodes to take per iteration,
-    and the run fails once it is 0. ``expander.expand(beam, rht)`` returns
-    the number of refinements generated, and each evaluated refinement that
-    is new to ``rht`` as its hash with its node, or with None if it is weak;
-    a weak hash may repeat.
+    Times count from ``t0``, a ``time.monotonic()`` reading.
+    ``expander.width()`` is how many nodes to take per iteration, and the
+    run fails once it is 0. ``expander.expand(beam, rht)`` returns the
+    indexes of the beam nodes it expanded, the number of refinements it
+    generated, and each evaluated refinement that is new to ``rht`` as its
+    hash with its ``Child``, or with None if it is weak or a dominated
+    union; a hash may repeat, and its first occurrence counts.
     """
 
     def elapsed_ms() -> int:
@@ -361,21 +352,30 @@ def search_loop(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchSettings,
         if not beam:
             status = "exhausted"
             break
-        generated, found = expander.expand(beam, rht)
+        expanded, generated, found = expander.expand(beam, rht)
+        for slot in expanded:
+            n = beam[slot]
+            n.he += 1
+            n.expandable = n.he < cfg.max_length
         evaluated = weak_dropped = 0
-        for h, node in found:
-            if h in rht:  # a weak hash that more than one worker returned
+        for h, child in found:
+            if h in rht:  # a hash that more than one worker returned
                 continue
             rht.add(h)
             evaluated_hashes.append(h)
             evaluated += 1
-            if node is None:
+            if child is None:
                 weak_dropped += 1
                 continue
-            insert_node(st, node)
-            st_insertions[h] = node.score.value
-            if node.score.accuracy > best_accuracy:
-                best_accuracy = node.score.accuracy
+            slot, c, cov = child
+            parent = beam[slot]
+            he0 = concept_length(c)
+            sc = score(cov, parent.score.accuracy, he0, examples, cfg.eval_cfg)
+            insert_node(st, SearchNode(c, h, he0, cov, sc, parent=parent,
+                                       expandable=he0 < cfg.max_length))
+            st_insertions[h] = sc.value
+            if sc.accuracy > best_accuracy:
+                best_accuracy = sc.accuracy
         iterations.append(IterationStats(
             expanded=len(beam), generated=generated,
             redundant_dropped=generated - evaluated,

@@ -72,7 +72,7 @@ def _threaded_staged_reduce(per_slot, rht, pool_size):
     """reduce_redundant's merge schedule, but with the stage merges actually
     running on a pool; the result must not depend on pool size."""
     stages = [[(c, hash_concept(c), i) for c in refs]
-              for i, (refs, _closed) in enumerate(per_slot)]
+              for i, refs in enumerate(per_slot)]
 
     def merge(pair):
         a, b = pair
@@ -116,7 +116,7 @@ def test_03_thread_counts_change_nothing(trains):
         eval_ok = eval_ok and chunked == per_concept
 
     chunk = len(batch) // 8
-    per_slot = [(batch[i * chunk:(i + 1) * chunk], set()) for i in range(8)]
+    per_slot = [batch[i * chunk:(i + 1) * chunk] for i in range(8)]
     rht = {hash_concept(c) for c in batch[:40]}
     expected = reduce_redundant(per_slot, rht=set(rht))
     reduce_ok = all(

@@ -31,7 +31,7 @@ from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (MAX_SEALED_INDIVIDUALS, ExampleSet, KbStatistics,
                        compute_statistics, materialize, parse_kb)
 from dlbeam.refine import RefinementConfig, build_mb, top_context
-from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
+from dlbeam.search import (SearchConfig, expand_single_node,
                            reduce_redundant, run_search)
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
@@ -153,7 +153,6 @@ def test_search_params_round_trip(smoke):
                                  SearchConfig()))
     for _ in range(40):
         p = SearchConfig(noise=rng.choice([0.0, 0.1, 0.25]),
-                         eval_cfg=EvalConfig(rng.random(), rng.random() / 10),
                          max_length=rng.randint(1, 20),
                          use_inverse_roles=rng.random() < 0.5,
                          use_cardinality=rng.random() < 0.5,
@@ -166,20 +165,18 @@ def test_search_params_round_trip(smoke):
         _unpack_kb_transfer(packed[:-1])
 
 
-def test_kb_transfer_carries_the_master_settings_in_the_v4_layout(smoke):
-    # Protocol v5 changed the node record and left KB_TRANSFER as v4 had it.
+def test_kb_transfer_carries_the_master_settings_in_the_v6_layout(smoke):
+    # No scoring weight travels: workers score nothing.
     cfg = MasterConfig(limit=3, noise=0.25, max_millis=500, max_length=300,
                        target_accuracy=0.9, use_cardinality=False,
                        use_negation=False, eval_cfg=EvalConfig(0.75, 0.125),
                        broadcast_addrs=(), expect_workers=2)
     payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, cfg)
     # inverse roles (bit 0) and disjunction (bit 2) on
-    assert payload[-27:] == struct.pack(">dddHB", 0.25, 0.75, 0.125, 300,
-                                        0b0101)
-    assert PROTOCOL_VERSION == 5
+    assert payload[-11:] == struct.pack(">dHB", 0.25, 300, 0b0101)
+    assert PROTOCOL_VERSION == 6
     assert _unpack_kb_transfer(payload)[2] == SearchConfig(
-        noise=0.25, max_length=300, use_cardinality=False, use_negation=False,
-        eval_cfg=EvalConfig(0.75, 0.125))
+        noise=0.25, max_length=300, use_cardinality=False, use_negation=False)
 
 
 def assert_same_columns(got, want):
@@ -349,13 +346,8 @@ def local_expand_oracle(fix, tasks, params):
         use_negation=params.use_negation)
     # A worker refines in the context of the examples it was sent.
     context = top_context(ExtensionMemo().rows(fix.kb, fix.examples))
-    per_slot = []
-    for bn in tasks:
-        cov = CoverageResult(bn.pos_covered, bn.neg_covered)
-        node = SearchNode(bn.concept, hash_concept(bn.concept), bn.he, cov,
-                          score(cov, None, bn.he, fix.examples))
-        per_slot.append(expand_single_node(node, fix.kb, fix.stats, fix.mb,
-                                           rcfg, params.max_length, context))
+    per_slot = [expand_single_node(bn, fix.kb, fix.stats, fix.mb, rcfg, context)
+                for bn in tasks]
     survivors = reduce_redundant(per_slot, rht=set())
     covs = evaluate_batch([c for c, _, _ in survivors], fix.kb, fix.examples)
     good, weak = [], []
@@ -431,14 +423,20 @@ def test_worker_answers_a_task_concept_outside_the_kb_with_error(
         assert sock.recv(1) == b""  # worker closed the connection
 
 
-@pytest.mark.parametrize("counts,message", [
+@pytest.mark.parametrize("task,message", [
     # smoke has 2 positives and 2 negatives
-    ((3, 0), b"node 0: covers 3 positives and 0 negatives of 2 and 2"),
-    ((2, 3), b"node 0: covers 2 positives and 3 negatives of 2 and 2"),
+    (BlockNode(TOP, 1, 0, 3, 0),
+     b"node 0: covers 3 positives and 0 negatives of 2 and 2"),
+    (BlockNode(TOP, 1, 0, 2, 3),
+     b"node 0: covers 2 positives and 3 negatives of 2 and 2"),
+    # PARAMS has max_length 5, so no refinement is longer than he 5.
+    (BlockNode(TOP, 5, 0, 2, 2),
+     b"node 0: he 5 leaves nothing to expand under max_length 5"),
+    (BlockNode(TOP, 0xFFFF, 0, 2, 2),
+     b"node 0: he 65535 leaves nothing to expand under max_length 5"),
 ])
-def test_worker_answers_a_task_node_with_impossible_counts_with_error(
-        smoke, counts, message):
-    task = BlockNode(TOP, 1, 0, *counts)
+def test_worker_answers_an_impossible_task_node_with_error(
+        smoke, task, message):
     with master_connection(smoke) as (sock, _):
         write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block([task]))
         mtype, payload = read_frame(sock)
@@ -531,11 +529,10 @@ def test_worker_answers_a_kb_transfer_with_bad_examples_with_error(
 
 
 def kb_transfer_with(fix, fmt, offset, value):
-    """A KB_TRANSFER of ``fix`` whose 27-byte search settings hold ``value``,
-    packed as ``fmt``, at ``offset``: 0 noise, 8 gain bonus, 16 expansion
-    penalty, 24 max_length."""
+    """A KB_TRANSFER of ``fix`` whose 11-byte search settings hold ``value``,
+    packed as ``fmt``, at ``offset``: 0 noise, 8 max_length."""
     payload = bytearray(_pack_kb_transfer(fix.kb, fix.st, fix.examples, PARAMS))
-    struct.pack_into(fmt, payload, len(payload) - 27 + offset, value)
+    struct.pack_into(fmt, payload, len(payload) - 11 + offset, value)
     return bytes(payload)
 
 
@@ -547,19 +544,8 @@ def test_worker_answers_a_kb_transfer_with_bad_noise_with_error(smoke):
         send_kb_transfer_and_expect_error(payload, b"noise must be in")
 
 
-def test_worker_answers_a_kb_transfer_with_a_non_finite_weight_with_error(
-        smoke):
-    for offset, name in ((8, "gain_bonus"), (16, "expansion_penalty")):
-        for value in (float("nan"), float("inf"), float("-inf")):
-            payload = kb_transfer_with(smoke, ">d", offset, value)
-            message = f"{name} must be finite, got {value}"
-            with pytest.raises(ProtocolError, match=message):
-                _unpack_kb_transfer(payload)
-            send_kb_transfer_and_expect_error(payload, message.encode())
-
-
 def test_worker_answers_a_kb_transfer_with_a_zero_bound_with_error(smoke):
-    for payload in (kb_transfer_with(smoke, ">H", 24, 0),):
+    for payload in (kb_transfer_with(smoke, ">H", 8, 0),):
         with pytest.raises(ProtocolError, match="must be >= 1"):
             _unpack_kb_transfer(payload)
         send_kb_transfer_and_expect_error(payload, b"must be >= 1")
@@ -885,12 +871,13 @@ ZERO_CORES_HELLO_ACK = frame_bytes(MSG_HELLO_ACK, struct.pack(">H", 0))
 
 
 @pytest.mark.parametrize("reply", [
-    # The same frame from a worker of protocol version 1, 2, 3 or 4; the
-    # checksum covers only type and payload, so it stays valid.
+    # The same frame from a worker of protocol version 1 to 5; the checksum
+    # covers only type and payload, so it stays valid.
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 1) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 2) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 3) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK[:4] + struct.pack(">H", 4) + SHORT_HELLO_ACK[6:],
+    SHORT_HELLO_ACK[:4] + struct.pack(">H", 5) + SHORT_HELLO_ACK[6:],
     SHORT_HELLO_ACK,
     ZERO_CORES_HELLO_ACK,
     b"not a frame at all",
@@ -984,9 +971,12 @@ MIN7 = MinCard(7, RoleExpr(0), connective(And, (Atomic(0), Atomic(1))))
     (BlockNode(MIN7, 6, 0, 999, 0), "node 0: covers 999 positives"),
     (BlockNode(MIN7, 5, 0, 1, 5), "node 0: he 5 is not its length 6"),
     # No block holds that slot: the widest beam here is 4.
-    (BlockNode(MIN7, 6, 2**32 - 1, 1, 5),
+    (BlockNode(MIN7, 6, 2**32 - 1, 5, 5),
      "node 0: slot 4294967295 was not sent to this worker"),
-], ids=["impossible-counts", "he-not-length", "slot-not-sent"])
+    # At noise 0 a node that is not weak covers all 5 positives.
+    (BlockNode(MIN7, 6, 0, 4, 0),
+     "node 0: weak, covers 4 positives where 5 are needed"),
+], ids=["impossible-counts", "he-not-length", "slot-not-sent", "weak-node"])
 def test_master_drops_a_worker_that_returns_an_impossible_node(
         trains, bad, cause):
     res, local = master_with_a_bad_worker(
@@ -1009,7 +999,7 @@ def test_master_scores_what_a_worker_returns(trains):
             if not state.setdefault("added", False):
                 state["added"] = True
                 slot = _split_expand_task(payload)[1][0].slot
-                nodes.append(BlockNode(MIN7, concept_length(MIN7), slot, 1, 5))
+                nodes.append(BlockNode(MIN7, concept_length(MIN7), slot, 5, 5))
             return _pack_expand_result(nodes, weak)
 
         w._expand = adding_min7
@@ -1018,7 +1008,7 @@ def test_master_scores_what_a_worker_returns(trains):
     assert res.status == "exhausted" and res.dropped == []
     (node,) = [n for n in res.st_nodes if n.concept == MIN7]
     assert node.parent.concept == TOP
-    want = score(CoverageResult(1, 5), node.parent.score.accuracy,
+    want = score(CoverageResult(5, 5), node.parent.score.accuracy,
                  concept_length(MIN7), trains.examples, EvalConfig())
     assert node.score == want
     assert res.st_insertions[node.hash] == want.value

@@ -606,7 +606,7 @@ def loop_read_kb_transfer(payload: bytes) -> tuple[dict, int]:
             "bools": [rows(">IB") for _ in range(n_bools)],
             "strs": [rows(">II") for _ in range(n_strs)],
             "positives": set(rows(">I")), "negatives": set(rows(">I")),
-            "settings": take(">dddHB")}, pos
+            "settings": take(">dHB")}, pos
 
 
 def assert_reads_as(kb, examples, cfg, want: dict) -> None:
@@ -632,11 +632,10 @@ def assert_reads_as(kb, examples, cfg, want: dict) -> None:
     assert list(map(pairs, kb.str_subs, kb.str_vals)) == want["strs"]
     assert set(np.flatnonzero(examples.positives).tolist()) == want["positives"]
     assert set(np.flatnonzero(examples.negatives).tolist()) == want["negatives"]
-    noise, gain, penalty, max_length, flags = want["settings"]
+    noise, max_length, flags = want["settings"]
     assert flags < 0x10  # a byte with any of bits 4-7 set is refused
-    assert (struct.pack(">dddH", cfg.noise, cfg.eval_cfg.gain_bonus,
-                        cfg.eval_cfg.expansion_penalty, cfg.max_length)
-            == struct.pack(">dddH", noise, gain, penalty, max_length))
+    assert (struct.pack(">dH", cfg.noise, cfg.max_length)
+            == struct.pack(">dH", noise, max_length))
     assert (cfg.use_inverse_roles, cfg.use_cardinality, cfg.use_disjunction,
             cfg.use_negation) == tuple(bool(flags >> i & 1) for i in range(4))
 

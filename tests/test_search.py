@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -57,66 +58,56 @@ def context_of(fix):
 def test_expand_root_emits_short_refinements(trains):
     cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
     node = root_node(trains)
-    refs, closed = expand_single_node(node, trains.kb, trains.stats,
-                                      trains.mb, cfg, 7, context)
+    refs = expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
+                              context)
     assert refs
     assert all(concept_length(c) <= 2 for c in refs)
-    assert closed == {hash_concept(c) for c in refs}
-    assert node.he == 2
-    assert node.expandable
+    assert node.he == 1 and node.expandable  # the search loop grows he
 
 
-def test_expand_again_only_emits_new_hashes(trains):
+def test_expand_again_proposes_the_earlier_refinements_again(trains):
+    # A node keeps no closed list of its own: the RHT holds what it
+    # proposed before by the time it is expanded again.
     cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
     node = root_node(trains)
-    first, _ = expand_single_node(node, trains.kb, trains.stats, trains.mb,
-                                  cfg, 7, context)
-    second, closed2 = expand_single_node(node, trains.kb, trains.stats,
-                                         trains.mb, cfg, 7, context)
-    assert node.he == 3
-    first_hashes = {hash_concept(c) for c in first}
-    assert first_hashes.isdisjoint(closed2)
-    assert second  # bound 3 reaches quantifiers the length-2 pass could not
+    first = expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
+                               context)
+    node.he = 2
+    second = expand_single_node(node, trains.kb, trains.stats, trains.mb,
+                                cfg, context)
+    # bound 3 reaches quantifiers the length-2 pass could not
+    assert ({hash_concept(c) for c in first}
+            < {hash_concept(c) for c in second})
 
 
-def test_expand_exhausts_at_max_length(trains):
-    cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
-    node = root_node(trains)
-    for _ in range(10):
-        expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg, 3,
-                           context)
-        if not node.expandable:
-            break
-    assert node.he == 3
-    assert not node.expandable
-    refs, closed = expand_single_node(node, trains.kb, trains.stats,
-                                      trains.mb, cfg, 3, context)
-    assert refs == [] and closed == set()
-    assert node.he == 3  # the guarded call never bumps the budget
+def test_search_loop_grows_he_of_the_nodes_reported_expanded(trains):
+    """The loop alone grows he, and ends a node's expansion at max_length,
+    for just the beam nodes the expander reports it expanded."""
+    seen = []
 
+    class EverySecondCall:
+        def width(self):
+            return 1
 
-def test_local_closed_lives_only_while_the_node_is_expandable(trains):
-    cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
-    node = root_node(trains)
-    assert node.local_closed is None  # nothing emitted yet
-    _, closed = expand_single_node(node, trains.kb, trains.stats, trains.mb,
-                                   cfg, 3, context)
-    assert node.expandable and node.local_closed == closed
-    expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg, 3,
-                       context)
-    assert not node.expandable and node.local_closed is None
-    node = root_node(trains)
-    node.he = 3
-    assert expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
-                              3, context) == ([], set())
-    assert not node.expandable and node.local_closed is None
+        def expand(self, beam, rht):
+            seen.append(beam[0].he)
+            return (range(1) if len(seen) % 2 == 0 else []), 0, []
+
+    res = search_mod.search_loop(
+        trains.kb, trains.examples,
+        SearchConfig(max_length=4, target_accuracy=2.0), EverySecondCall(),
+        time.monotonic())
+    assert seen == [1, 1, 2, 2, 3, 3]
+    assert res.status == "exhausted"
+    (root,) = res.st_nodes
+    assert root.he == 4 and not root.expandable
 
 
 # --- reduction --------------------------------------------------------------
 
 def fold_oracle(per_slot, rht):
     out, taken = [], set(rht)
-    for slot, (refs, _) in enumerate(per_slot):
+    for slot, refs in enumerate(per_slot):
         for c in refs:
             h = hash_concept(c)
             if h not in taken:
@@ -127,7 +118,7 @@ def fold_oracle(per_slot, rht):
 
 def test_reduce_redundant_example():
     a, b, c, d = Atomic(0), Atomic(1), Atomic(2), Atomic(3)
-    per_slot = [([a, b], set()), ([b, c], set()), ([c, d, a], set())]
+    per_slot = [[a, b], [b, c], [c, d, a]]
     got = reduce_redundant(per_slot, rht=set())
     assert got == [(a, hash_concept(a), 0), (b, hash_concept(b), 0),
                    (c, hash_concept(c), 1), (d, hash_concept(d), 2)]
@@ -135,7 +126,7 @@ def test_reduce_redundant_example():
 
 def test_reduce_redundant_respects_rht():
     a, b = Atomic(0), Atomic(1)
-    got = reduce_redundant([([a, b], set())], rht={hash_concept(a)})
+    got = reduce_redundant([[a, b]], rht={hash_concept(a)})
     assert got == [(b, hash_concept(b), 0)]
     assert reduce_redundant([], rht=set()) == []
 
@@ -145,7 +136,7 @@ def test_reduce_redundant_matches_fold_for_many_slot_counts():
     for _ in range(60):
         nslots = rng.randint(1, 8)
         pool = [Atomic(i) for i in range(12)]
-        per_slot = [(rng.sample(pool, rng.randint(0, 6)), set())
+        per_slot = [rng.sample(pool, rng.randint(0, 6))
                     for _ in range(nslots)]
         rht = {hash_concept(pool[i]) for i in range(12) if rng.random() < 0.2}
         assert reduce_redundant(per_slot, rht) == fold_oracle(per_slot, rht)
@@ -153,17 +144,17 @@ def test_reduce_redundant_matches_fold_for_many_slot_counts():
 
 def test_reduce_redundant_slot_labels():
     a, b = Atomic(0), Atomic(1)
-    got = reduce_redundant([([a], set()), ([b, a], set())], rht=set())
+    got = reduce_redundant([[a], [b, a]], rht=set())
     assert got == [(a, hash_concept(a), 0), (b, hash_concept(b), 1)]
 
 
 def test_reduce_redundant_collision_verification(monkeypatch):
     monkeypatch.setattr(search_mod, "hash_concept", lambda c: 42)
-    per_slot = [([Atomic(0)], set()), ([Atomic(1)], set())]
+    per_slot = [[Atomic(0)], [Atomic(1)]]
     with pytest.raises(RuntimeError, match="hash collision"):
         search_mod.reduce_redundant(per_slot, set(), verify=True)
     # identical concepts under one hash are fine, first slot survives
-    same = [([Atomic(0)], set()), ([Atomic(0)], set())]
+    same = [[Atomic(0)], [Atomic(0)]]
     got = search_mod.reduce_redundant(same, set(), verify=True)
     assert got == [(Atomic(0), 42, 0)]
     # without verification a collision silently keeps the first arrival
@@ -349,16 +340,19 @@ def pinned_trains_search(trains):
 
 def test_exhaustive_trains_search_is_pinned(trains, monkeypatch):
     """The context-free operator, which a context holding every role gives,
-    with no union dropped as dominated, is pinned by a digest of the results
-    before refinement was memoized."""
+    with no union dropped as dominated, is pinned by a digest of its
+    results. Those are the results from before refinement was memoized, but
+    for ``generated`` and ``redundant_dropped``, which count each node's
+    re-proposals since the RHT is the only closed list."""
     every_role = full_context(trains.kb)
     monkeypatch.setattr(search_mod, "top_context", lambda space: every_role)
     without_dominance(monkeypatch)
     res, digest = pinned_trains_search(trains)
     assert len(res.rht) == len(res.evaluated_hashes) == 4_701
     assert len(res.iterations) == 265
+    assert sum(i.generated for i in res.iterations) == 6_653
     assert digest == (
-        "856aafedcea90dc1617522d660c5647b8aa17db3db44182a6b9240c5b39c6e3f")
+        "bb5f57688a73fe974d89e9c4915dc4046e64e3efa77912c2d80c974804066301")
 
 
 def test_exhaustive_trains_search_in_context_is_pinned(trains, monkeypatch):
@@ -368,8 +362,9 @@ def test_exhaustive_trains_search_in_context_is_pinned(trains, monkeypatch):
     res, digest = pinned_trains_search(trains)
     assert len(res.rht) == len(res.evaluated_hashes) == 2_392
     assert len(res.iterations) == 106
+    assert sum(i.generated for i in res.iterations) == 3_471
     assert digest == (
-        "928d6f2568d8e85d445227f3fdb957c68c5c0174105dbe50f26c1af274e4cc2c")
+        "7590f8f0c65940eda107bd0d464ac6bf63c44783dfed8c8b1a49e79abae68183")
 
 
 def test_exhaustive_trains_search_with_dominance_is_pinned(trains):
@@ -377,8 +372,9 @@ def test_exhaustive_trains_search_with_dominance_is_pinned(trains):
     res, digest = pinned_trains_search(trains)
     assert len(res.rht) == len(res.evaluated_hashes) == 1_290
     assert len(res.iterations) == 59
+    assert sum(i.generated for i in res.iterations) == 1_953
     assert digest == (
-        "37bbb248a7d7d11b73626d44697d1c178aa26a7c1a7cdf07db945b260e4779dd")
+        "d0f189e378a41423f3bb9a2c82779c11249c78363b68800d9ea51b87e99d0849")
 
 
 # --- the operand and filler memo --------------------------------------------
