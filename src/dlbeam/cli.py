@@ -19,8 +19,9 @@ from .concept import (TOP, ConceptParseError, canonicalize, concept_length,
 from .evaluation import ExtensionMemo, evaluate
 from .kb import (KbError, compute_statistics, materialize, parse_examples,
                  parse_kb)
-from .refine import RefinementConfig, build_mb, refine, top_context
-from .search import SearchConfig, SearchNode, SearchResult, run_search
+from .refine import Refiner, build_mb, refine, top_context
+from .search import (SearchConfig, SearchNode, SearchResult, SearchSettings,
+                     run_search)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -215,8 +216,8 @@ def cmd_stats(args) -> int:
         print(f"negative examples: {examples.neg_count}")
         # What a search's top level may name: the roles of its context.
         materialize(kb, st_sym)
-        memo = ExtensionMemo()
-        space = memo.rows(kb, examples)
+        memo = ExtensionMemo(kb, examples)
+        space = memo.space
         context = top_context(space)
         roles = sum(not r.inverse for r in context.roles)
         print(f"roles with an example subject: {roles}")
@@ -239,10 +240,9 @@ def cmd_stats(args) -> int:
         # The rule-1 atoms that a search pairs into unions. A union with an
         # operand that covers no positive example is dropped as dominated.
         stats = compute_statistics(kb)
-        atoms = refine(TOP, _ATOM_LENGTH, kb, stats, build_mb(kb, stats),
-                       RefinementConfig.from_stats(stats,
-                                                   use_disjunction=False),
-                       context)
+        refiner = Refiner(kb, stats, build_mb(kb, stats),
+                          SearchSettings(use_disjunction=False))
+        atoms = refine(TOP, _ATOM_LENGTH, refiner, context)
         dead = sum(evaluate(a, kb, examples, memo=memo).pos_covered == 0
                    for a in atoms)
         print(f"top-level atoms covering no positive example: "

@@ -61,7 +61,8 @@ A worker's KB is columns only: ``kb.deserialize_sealed`` turns the tables
 into the numpy arrays a search reads, keeps no Python rows, and refuses a KB
 that is not closed as ``materialize`` leaves it, naming classes and roles by
 id. The worker unpacks the settings into the ``SearchConfig`` of its
-expander, so they are validated by the same rules as a local run's. The
+expander, so they are validated by the same rules as a local run's, and its
+``refine.Refiner`` reads the hypothesis language from that config. The
 expander takes its refinement context from the examples the KB_TRANSFER
 carries, as a local run's does from its own, so no field carries the context
 and the worker refines as a local run refines.
@@ -461,30 +462,23 @@ class WorkerServer:
             self._threads.append(t)
 
     def _serve_master(self, conn: socket.socket) -> None:
+        """Serve one connection until TERMINATE, a protocol error, which
+        gets one ERROR reply, or a socket error or timeout, reading a frame
+        or writing a reply, which ends it quietly."""
         conn.settimeout(self.io_timeout)
         state: dict = {}
         try:
             while not self._stop.is_set():
-                try:
-                    mtype, payload = read_frame(conn)
-                except ProtocolError as exc:
-                    try:
-                        write_frame(conn, MSG_ERROR, str(exc).encode("utf-8"))
-                    except OSError:
-                        pass
+                mtype, payload = read_frame(conn)
+                if self._dispatch(conn, mtype, payload, state):
                     return
-                except (socket.timeout, OSError):
-                    return
-                try:
-                    done = self._dispatch(conn, mtype, payload, state)
-                except ProtocolError as exc:
-                    try:
-                        write_frame(conn, MSG_ERROR, str(exc).encode("utf-8"))
-                    except OSError:
-                        pass
-                    return
-                if done:
-                    return
+        except ProtocolError as exc:
+            try:
+                write_frame(conn, MSG_ERROR, str(exc).encode("utf-8"))
+            except OSError:
+                pass
+        except OSError:  # socket.timeout included
+            pass
         finally:
             conn.close()
 
@@ -496,7 +490,7 @@ class WorkerServer:
         if mtype == MSG_KB_TRANSFER:
             kb, examples, cfg = _unpack_kb_transfer(payload)
             stats = compute_statistics(kb)
-            # The expander's refine and extension memos, the RHT mirror, the
+            # The expander's refiner and extension memo, the RHT mirror, the
             # decode table and the checked subtrees live as long as this
             # state, so a new KB_TRANSFER starts new ones.
             state["expander"] = LocalExpander(kb, examples, cfg, stats,

@@ -48,7 +48,8 @@ result, and each entry is bit for bit what is computed without it. The
 check sits at each operand and filler, so nested ones hit it too.
 
 - The full-space memo is the dict passed as ``memo``; an ``ExtensionMemo``
-  is such a dict that also holds the example space. The sort key of an
+  is such a dict that also holds, as ``space``, the example space of the
+  (kb, examples) pair it is built for. The sort key of an
   operand or filler computed in the full space maps to its extension over
   all individuals as an ``np.packbits`` array, an eighth of a bool array's
   size. A hit returns a freshly unpacked bool array, because callers
@@ -75,10 +76,9 @@ check sits at each operand and filler, so nested ones hit it too.
   memo stores every filler, since even an atom's chunks take a gather.
 - A memo lives exactly as long as one search: ``LocalExpander`` creates an
   ``ExtensionMemo`` for a local run and for a worker's state of each
-  ``KB_TRANSFER``. It holds extensions of one KB and must not be passed
-  with another. Its example space belongs to one (kb, examples) pair, and a
-  call with other objects builds a new one, with an empty table and counts.
-  No cache outlives its search.
+  ``KB_TRANSFER``. It builds its example space once, when it is created,
+  and belongs to that (kb, examples) pair: it must not be passed with any
+  other. No cache outlives its search.
 """
 
 from __future__ import annotations
@@ -291,24 +291,16 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
 
 
 class ExtensionMemo(dict):
-    """One search's memos: the sort key of a strict sub-concept maps to its
-    packed extension over all individuals, and ``rows`` hands out the
-    example space of the (kb, examples) pair it was last called with, which
-    holds the example space's own memos ``table`` and ``counts``."""
+    """One search's memos over (kb, examples): the sort key of a strict
+    sub-concept maps to its packed extension over all individuals, and
+    ``space`` is the example space, which holds its own memos ``table`` and
+    ``counts``."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("space",)
 
-    def __init__(self):
+    def __init__(self, kb: KnowledgeBase, examples: ExampleSet):
         super().__init__()
-        self._rows = (None, None, None)
-
-    def rows(self, kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
-        """The example space of (kb, examples); a new one for other objects."""
-        owner_kb, owner_examples, space = self._rows
-        if owner_kb is not kb or owner_examples is not examples:
-            space = _example_space(kb, examples)
-            self._rows = (kb, examples, space)
-        return space
+        self.space = _example_space(kb, examples)
 
 
 # Concepts whose extension is a stored mask, read or inverted: never memoized.
@@ -567,14 +559,15 @@ def covered_set(c: Concept, kb: KnowledgeBase, memo: dict | None = None,
 def evaluate(c: Concept, kb: KnowledgeBase, examples: ExampleSet,
              keep_set: bool = False, memo: dict | None = None) -> CoverageResult:
     """Covered positives and negatives of ``c``, and its extension over all
-    individuals if ``keep_set``. An ``ExtensionMemo`` computes the counts in
-    its example space; any other memo, and ``keep_set``, in the full one."""
+    individuals if ``keep_set``. An ``ExtensionMemo``, which must be the
+    one built for (kb, examples), computes the counts in its example space;
+    any other memo, and ``keep_set``, in the full one."""
     if keep_set or not isinstance(memo, ExtensionMemo):
         cov = covered_set(c, kb, memo)
         return CoverageResult(int(np.count_nonzero(cov & examples.positives)),
                               int(np.count_nonzero(cov & examples.negatives)),
                               cov if keep_set else None)
-    space = memo.rows(kb, examples)
+    space = memo.space
     bits = _row_extension(c, kb, space, memo)
     return CoverageResult((bits & space.positives).bit_count(),
                           (bits & space.negatives).bit_count())
@@ -588,15 +581,15 @@ def evaluate_batch(cs: list[Concept], kb: KnowledgeBase, examples: ExampleSet,
     return [evaluate(c, kb, examples, keep_sets, memo) for c in cs]
 
 
-def dominated_union(c: Concept, kb: KnowledgeBase, examples: ExampleSet,
+def dominated_union(c: Concept, kb: KnowledgeBase,
                     memo: ExtensionMemo) -> bool:
     """Whether ``c`` is a union with a top-level operand that covers no
-    positive example. Each operand is read from the example space of
-    ``memo``, where evaluating ``c`` with it has left the operand's
-    extension, so nothing is computed again."""
+    positive example of ``memo``'s examples. Each operand is read from the
+    example space of ``memo``, where evaluating ``c`` with it has left the
+    operand's extension, so nothing is computed again."""
     if type(c) is not Or:
         return False
-    space = memo.rows(kb, examples)
+    space = memo.space
     positives = space.positives
     return any(not _row_operand(ch, kb, space, memo) & positives
                for ch in c.children)

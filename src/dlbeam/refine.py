@@ -27,34 +27,35 @@ given. For a concept with no such restriction among its top-level operands,
 refinement in context is exactly the context-free refinement minus the
 results that have one.
 
-``refine`` is memoized. Each ``RefinementConfig`` object carries one memo,
-created with it, that maps (canonical sort key of ``c``, bound, context) to
-the refinement list, and the check sits inside ``refine`` itself, so the
-recursive calls on operands and fillers hit it as well as the search's own
-calls. A context is keyed by identity, as each search computes its own once.
-The result is a pure function of ``c``, the bound, the context and the
-(kb, stats, mb, cfg) it is computed against: the rules read only those, and
-none of them changes during a search. The memo therefore remembers which
-(kb, stats, mb) it was filled for and starts afresh when called with any
-other objects. It lives exactly as long as its config: one ``run_search``
-or one worker connection's KB state. Each call still returns a new list;
-the memo keeps a tuple of the same concept objects.
+``refine`` reads what it refines against from a ``Refiner``, built once
+per search from the KB, its statistics, its concrete-role pool and the
+search's settings, of which it reads the four ``use_*`` flags of the
+hypothesis language. None of these changes during a search, so the result
+is a pure function of ``c``, the bound, the context and the refiner.
 
-The same table interns every result by its canonical sort key, which is
-injective, so a concept that one search builds again, such as ``A and B``
-from ``A`` and from ``B``, or a refinement at the next bound, comes back as
-the object built first, with its stored hash, length, sort key and encoding.
-A sort key starts with its constructor's rank, an int, and a memo key with a
-sort key, a tuple, so the two kinds of entry never meet.
+``refine`` is memoized in the refiner's ``memo``, which maps (canonical sort
+key of ``c``, bound, context) to the refinement list. The check sits inside
+``refine`` itself, so the recursive calls on operands and fillers hit it as
+well as the search's own calls. A context is keyed by identity, as each
+search computes its own once. The memo lives exactly as long as its
+refiner: one ``run_search`` or one worker connection's KB state. Each call
+still returns a new list; the memo keeps a tuple of the same concept
+objects.
 
-The memo needs no lock: threads sharing a config can only compute an equal
-entry twice, and a rebinding replaces the (owner, table) pair as a whole, so
-no call ever writes into a table filled for other objects.
+The refiner's ``interned`` table maps each result's canonical sort key,
+which is injective, to the result, so a concept that one search builds
+again, such as ``A and B`` from ``A`` and from ``B``, or a refinement at the
+next bound, comes back as the object built first, with its stored hash,
+length, sort key and encoding.
+
+Neither table needs a lock: threads sharing a refiner can only compute an
+equal entry twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq, Concept,
                       Exists, Forall, MaxCard, MinCard, NotAtomic, NumGeq,
@@ -63,34 +64,35 @@ from .concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq, Concept,
 from .evaluation import RowSpace
 from .kb import KbStatistics, KnowledgeBase
 
-__all__ = ["RefinementConfig", "TopContext", "build_mb", "refine",
-           "refine_top_levels", "top_context"]
+if TYPE_CHECKING:  # search imports this module
+    from .search import SearchSettings
+
+__all__ = ["Refiner", "TopContext", "build_mb", "refine", "refine_top_levels",
+           "top_context"]
 
 
-@dataclass(frozen=True)
-class RefinementConfig:
-    max_cardinality: tuple[int, ...] = ()
-    max_cardinality_inverse: tuple[int, ...] = ()
-    use_inverse_roles: bool = True
-    use_cardinality: bool = True
-    use_disjunction: bool = True
-    use_negation: bool = True
+class Refiner:
+    """What one search refines against, with refine's memo and intern table
+    (see the module docstring). ``settings`` is the search's
+    ``SearchSettings`` or ``SearchConfig``."""
 
-    @classmethod
-    def from_stats(cls, stats: KbStatistics, **kwargs) -> "RefinementConfig":
-        return cls(max_cardinality=tuple(stats.max_fillers),
-                   max_cardinality_inverse=tuple(stats.max_fillers_inverse),
-                   **kwargs)
+    __slots__ = ("kb", "stats", "mb", "use_inverse_roles", "use_cardinality",
+                 "use_disjunction", "use_negation", "memo", "interned")
 
-    def __post_init__(self):
-        # refine's memo (see the module docstring): (owner, table), where
-        # owner is the (kb, stats, mb) the table was filled for. Not a field,
-        # so it takes no part in equality, repr or construction.
-        object.__setattr__(self, "_memo", ((None, None, None), {}))
+    def __init__(self, kb: KnowledgeBase, stats: KbStatistics,
+                 mb: list[Concept], settings: SearchSettings):
+        self.kb, self.stats, self.mb = kb, stats, mb
+        self.use_inverse_roles = settings.use_inverse_roles
+        self.use_cardinality = settings.use_cardinality
+        self.use_disjunction = settings.use_disjunction
+        self.use_negation = settings.use_negation
+        self.memo: dict[tuple, tuple[Concept, ...]] = {}
+        self.interned: dict[tuple, Concept] = {}
 
-    def filler_cap(self, role) -> int:
+    def filler_cap(self, role: RoleExpr) -> int:
         """The KB's most fillers of ``role``, at most what the codec holds."""
-        caps = self.max_cardinality_inverse if role.inverse else self.max_cardinality
+        caps = (self.stats.max_fillers_inverse if role.inverse
+                else self.stats.max_fillers)
         return min(caps[role.role_id], MAX_CARDINALITY)
 
 
@@ -146,85 +148,71 @@ def build_mb(kb: KnowledgeBase, stats: KbStatistics) -> list[Concept]:
     return mb
 
 
-def _role_exprs(kb: KnowledgeBase, cfg: RefinementConfig,
-                context: TopContext | None):
-    for inverse in (False, True) if cfg.use_inverse_roles else (False,):
-        for rid in range(kb.num_roles):
+def _role_exprs(r: Refiner, context: TopContext | None):
+    for inverse in (False, True) if r.use_inverse_roles else (False,):
+        for rid in range(r.kb.num_roles):
             role = RoleExpr(rid, inverse)
             if context is None or role in context.roles:
                 yield role
 
 
-def _top_refinements(bound: int, kb: KnowledgeBase, stats: KbStatistics,
-                     mb: list[Concept], cfg: RefinementConfig,
+def _top_refinements(bound: int, r: Refiner,
                      context: TopContext | None) -> list[Concept]:
     """Rule 1: the atoms reachable directly from Thing, length-bounded, over
     the roles of ``context``."""
     out: list[Concept] = []
     if bound >= 1:
-        out.extend(Atomic(c) for c in stats.top_level_classes)
-        out.extend(m for m in mb if concept_length(m) <= bound
+        out.extend(Atomic(c) for c in r.stats.top_level_classes)
+        out.extend(m for m in r.mb if concept_length(m) <= bound
                    and (context is None or context.admits(m)))
-    if cfg.use_negation and bound >= 2:
-        out.extend(NotAtomic(c) for c in stats.leaf_classes)
-    for role in _role_exprs(kb, cfg, context):
+    if r.use_negation and bound >= 2:
+        out.extend(NotAtomic(c) for c in r.stats.leaf_classes)
+    for role in _role_exprs(r, context):
         rlen = 3 + (1 if role.inverse else 0)
         if rlen <= bound:
             out.append(Exists(role, TOP))
             out.append(Forall(role, TOP))
-        if (cfg.use_cardinality and not role.inverse and rlen + 1 <= bound
-                and cfg.filler_cap(role) >= 2):
+        if (r.use_cardinality and not role.inverse and rlen + 1 <= bound
+                and r.filler_cap(role) >= 2):
             out.append(MinCard(2, role, TOP))
     return out
 
 
-def _memo_table(kb: KnowledgeBase, stats: KbStatistics, mb: list[Concept],
-                cfg: RefinementConfig) -> dict:
-    """The memo ``cfg`` keeps for this (kb, stats, mb); a new one for others."""
-    owner, table = cfg._memo
-    if owner[0] is not kb or owner[1] is not stats or owner[2] is not mb:
-        table = {}
-        object.__setattr__(cfg, "_memo", ((kb, stats, mb), table))
-    return table
-
-
-def refine(c: Concept, length_bound: int, kb: KnowledgeBase, stats: KbStatistics,
-           mb: list[Concept], cfg: RefinementConfig,
+def refine(c: Concept, length_bound: int, r: Refiner,
            context: TopContext | None = None) -> list[Concept]:
     """All one-step refinements of canonical ``c`` with length <= bound, in
     ``context`` if one is given (see the module docstring)."""
-    table = _memo_table(kb, stats, mb, cfg)
     memo_key = (sort_key(c), length_bound, context)
-    known = table.get(memo_key)
+    known = r.memo.get(memo_key)
     if known is not None:
         return list(known)
     if length_bound < concept_length(c):
         raise ValueError("length bound below the concept's own length")
-    raw = _apply_rules(c, length_bound, kb, stats, mb, cfg, context)
-    if isinstance(c, Top) and cfg.use_disjunction:
-        raw.extend(refine_top_levels(length_bound, kb, stats, mb, cfg, context))
+    raw = _apply_rules(c, length_bound, r, context)
+    if isinstance(c, Top) and r.use_disjunction:
+        raw.extend(refine_top_levels(length_bound, r, context))
+    interned = r.interned
     seen: set[int] = set()
     out: list[Concept] = []
     input_hash = hash_concept(c)
-    for r in raw:
-        if concept_length(r) > length_bound:
+    for d in raw:
+        if concept_length(d) > length_bound:
             continue
-        r = table.setdefault(sort_key(r), r)  # the intern table
-        h = hash_concept(r)
+        d = interned.setdefault(sort_key(d), d)
+        h = hash_concept(d)
         if h == input_hash or h in seen:
             continue
         seen.add(h)
-        out.append(r)
+        out.append(d)
     out.sort(key=sort_key)
-    table[memo_key] = tuple(out)
+    r.memo[memo_key] = tuple(out)
     return out
 
 
-def refine_top_levels(length_bound: int, kb: KnowledgeBase, stats: KbStatistics,
-                      mb: list[Concept], cfg: RefinementConfig,
+def refine_top_levels(length_bound: int, r: Refiner,
                       context: TopContext | None = None) -> list[Concept]:
     """Binary unions of distinct rule-1 atoms, length-bounded and canonical."""
-    atoms = _top_refinements(length_bound - 2, kb, stats, mb, cfg, context)
+    atoms = _top_refinements(length_bound - 2, r, context)
     out: list[Concept] = []
     for i in range(len(atoms)):
         li = concept_length(atoms[i])
@@ -237,17 +225,17 @@ def refine_top_levels(length_bound: int, kb: KnowledgeBase, stats: KbStatistics,
     return out
 
 
-def _apply_rules(c: Concept, bound: int, kb: KnowledgeBase, stats: KbStatistics,
-                 mb: list[Concept], cfg: RefinementConfig,
+def _apply_rules(c: Concept, bound: int, r: Refiner,
                  context: TopContext | None) -> list[Concept]:
+    kb = r.kb
     out: list[Concept] = []
 
     if isinstance(c, Top):
-        out.extend(_top_refinements(bound, kb, stats, mb, cfg, context))
+        out.extend(_top_refinements(bound, r, context))
 
     elif isinstance(c, Atomic):
         out.extend(Atomic(s) for s in kb.direct_subclasses[c.class_id])
-        for x in _top_refinements(bound - 2, kb, stats, mb, cfg, context):
+        for x in _top_refinements(bound - 2, r, context):
             out.append(connective(And, (c, x)))
 
     elif isinstance(c, NotAtomic):
@@ -258,31 +246,29 @@ def _apply_rules(c: Concept, bound: int, kb: KnowledgeBase, stats: KbStatistics,
         overhead = concept_length(c) - concept_length(c.child)
         child_bound = bound - overhead
         if child_bound >= concept_length(c.child):
-            out.extend(Exists(c.role, r)
-                       for r in refine(c.child, child_bound, kb, stats, mb, cfg))
+            out.extend(Exists(c.role, d) for d in refine(c.child, child_bound, r))
         for s in kb.direct_subroles[c.role.role_id]:
             sub = RoleExpr(s, c.role.inverse)
             if context is None or sub in context.roles:
                 out.append(Exists(sub, c.child))
-        if (cfg.use_cardinality and concept_length(c) + 1 <= bound
-                and cfg.filler_cap(c.role) >= 2):
+        if (r.use_cardinality and concept_length(c) + 1 <= bound
+                and r.filler_cap(c.role) >= 2):
             out.append(MinCard(2, c.role, c.child))
 
     elif isinstance(c, Forall):
         overhead = concept_length(c) - concept_length(c.child)
         child_bound = bound - overhead
         if child_bound >= concept_length(c.child):
-            out.extend(Forall(c.role, r)
-                       for r in refine(c.child, child_bound, kb, stats, mb, cfg))
+            out.extend(Forall(c.role, d) for d in refine(c.child, child_bound, r))
 
     elif isinstance(c, MinCard):
-        if c.n + 1 <= cfg.filler_cap(c.role):
+        if c.n + 1 <= r.filler_cap(c.role):
             out.append(MinCard(c.n + 1, c.role, c.child))
         overhead = concept_length(c) - concept_length(c.child)
         child_bound = bound - overhead
         if child_bound >= concept_length(c.child):
-            out.extend(MinCard(c.n, c.role, r)
-                       for r in refine(c.child, child_bound, kb, stats, mb, cfg))
+            out.extend(MinCard(c.n, c.role, d)
+                       for d in refine(c.child, child_bound, r))
 
     elif isinstance(c, MaxCard):
         if c.n - 1 >= 0:
@@ -290,17 +276,17 @@ def _apply_rules(c: Concept, bound: int, kb: KnowledgeBase, stats: KbStatistics,
         overhead = concept_length(c) - concept_length(c.child)
         child_bound = bound - overhead
         if child_bound >= concept_length(c.child):
-            out.extend(MaxCard(c.n, c.role, r)
-                       for r in refine(c.child, child_bound, kb, stats, mb, cfg))
+            out.extend(MaxCard(c.n, c.role, d)
+                       for d in refine(c.child, child_bound, r))
 
     elif isinstance(c, NumGeq):
-        bounds = stats.numeric_boundaries[c.role_id]
+        bounds = r.stats.numeric_boundaries[c.role_id]
         above = [v for v in bounds if v > c.value]
         if above:
             out.append(NumGeq(c.role_id, above[0]))
 
     elif isinstance(c, NumLeq):
-        bounds = stats.numeric_boundaries[c.role_id]
+        bounds = r.stats.numeric_boundaries[c.role_id]
         below = [v for v in bounds if v < c.value]
         if below:
             out.append(NumLeq(c.role_id, below[-1]))
@@ -314,12 +300,11 @@ def _apply_rules(c: Concept, bound: int, kb: KnowledgeBase, stats: KbStatistics,
             child_bound = bound - (total - concept_length(child))
             if child_bound < concept_length(child):
                 continue
-            for r in refine(child, child_bound, kb, stats, mb, cfg, context):
-                rebuilt = c.children[:i] + (r,) + c.children[i + 1:]
+            for d in refine(child, child_bound, r, context):
+                rebuilt = c.children[:i] + (d,) + c.children[i + 1:]
                 out.append(connective(type(c), rebuilt))
         if isinstance(c, And):
-            for x in _top_refinements(bound - total - 1, kb, stats, mb, cfg,
-                                      context):
+            for x in _top_refinements(bound - total - 1, r, context):
                 out.append(connective(And, c.children + (x,)))
 
     else:

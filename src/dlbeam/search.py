@@ -24,9 +24,10 @@ its evaluation counts in: the top level of a refinement names no role,
 inverse role or concrete role that no example is the subject of, since such
 a restriction is constant on the examples (see ``dlbeam.refine``). A worker
 computes the same context from the examples its KB_TRANSFER carries, so a
-cluster run still equals a local one. The expander's refinement config
-holds refine's memo, keyed by concept, bound and context, and the intern
-table beside it, so each refinement one search builds twice is one object.
+cluster run still equals a local one. The expander refines through one
+``refine.Refiner``, built from the KB and the search's own settings, whose
+memo is keyed by concept, bound and context and whose intern table makes
+each refinement one search builds twice one object.
 
 The in-process expander also drops each union dominated in the examples'
 context: an ``Or`` with a top-level operand that covers no positive example
@@ -68,8 +69,7 @@ from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
                          dominated_union, evaluate, evaluate_batch, score,
                          weak_threshold)
 from .kb import ExampleSet, KbStatistics, KnowledgeBase, compute_statistics
-from .refine import (RefinementConfig, TopContext, build_mb, refine,
-                     top_context)
+from .refine import Refiner, TopContext, build_mb, refine, top_context
 
 __all__ = [
     "SearchNode",
@@ -82,7 +82,6 @@ __all__ = [
     "insert_node",
     "expand_single_node",
     "reduce_redundant",
-    "refinement_config",
     "root_node",
     "search_loop",
     "run_search",
@@ -195,28 +194,25 @@ def insert_node(st: list[SearchNode], node: SearchNode) -> None:
     insort(st, node, key=_node_key)
 
 
-def extract_best_nodes(st: list[SearchNode], k: int,
-                       expandable_only: bool = True) -> list[SearchNode]:
-    """Best k nodes of the sorted open list, left in place for re-expansion."""
-    if expandable_only:
-        out = []
-        for n in st:
-            if n.expandable:
-                out.append(n)
-                if len(out) == k:
-                    break
-        return out
-    return st[:k]
+def extract_best_nodes(st: list[SearchNode], k: int) -> list[SearchNode]:
+    """Best k expandable nodes of the sorted open list, left in place for
+    re-expansion."""
+    out = []
+    for n in st:
+        if n.expandable:
+            out.append(n)
+            if len(out) == k:
+                break
+    return out
 
 
-def expand_single_node(node, kb: KnowledgeBase, stats: KbStatistics,
-                       mb: list[Concept], rcfg: RefinementConfig,
+def expand_single_node(node, refiner: Refiner,
                        context: TopContext | None) -> list[Concept]:
     """The refinements of ``node`` at bound he+1 in ``context``
     (context-free when it is None). ``node`` is anything with a ``concept``
     and an ``he``, a beam node or a worker's task node, and is not changed:
     ``search_loop`` grows he."""
-    return refine(node.concept, node.he + 1, kb, stats, mb, rcfg, context)
+    return refine(node.concept, node.he + 1, refiner, context)
 
 
 def reduce_redundant(per_slot: list[list[Concept]], rht: set[int],
@@ -244,18 +240,6 @@ def reduce_redundant(per_slot: list[list[Concept]], rht: set[int],
     return out
 
 
-def refinement_config(stats: KbStatistics, cfg: SearchSettings
-                      ) -> RefinementConfig:
-    """A refinement config, and with it a refine memo, for one search in the
-    hypothesis language of ``cfg``."""
-    return RefinementConfig.from_stats(
-        stats,
-        use_inverse_roles=cfg.use_inverse_roles,
-        use_cardinality=cfg.use_cardinality,
-        use_disjunction=cfg.use_disjunction,
-        use_negation=cfg.use_negation)
-
-
 def root_node(kb: KnowledgeBase, examples: ExampleSet, eval_cfg: EvalConfig,
               max_length: int) -> SearchNode:
     """Thing, evaluated and scored as the root of a search."""
@@ -279,14 +263,13 @@ class LocalExpander:
     def __init__(self, kb: KnowledgeBase, examples: ExampleSet,
                  cfg: SearchConfig, stats: KbStatistics, mb: list[Concept]):
         self.kb, self.examples, self.cfg = kb, examples, cfg
-        self.stats, self.mb = stats, mb
-        # rcfg carries refine's memo and intern table, and ext_memo
-        # evaluation's operand and filler extensions and the example row
-        # space the candidates are counted in, so both live for this search
-        # only. The search refines in the context of that row space.
-        self.rcfg = refinement_config(stats, cfg)
-        self.ext_memo = ExtensionMemo()
-        self.context = top_context(self.ext_memo.rows(kb, examples))
+        # The refiner holds refine's memo and intern table, and ext_memo
+        # evaluation's operand and filler extensions and the example space
+        # the candidates are counted in, so both live for this search only.
+        # The search refines in the context of that example space.
+        self.refiner = Refiner(kb, stats, mb, cfg)
+        self.ext_memo = ExtensionMemo(kb, examples)
+        self.context = top_context(self.ext_memo.space)
         # A refinement covering fewer positives than this is weak.
         self.min_pos = weak_threshold(examples, cfg.noise)
 
@@ -298,8 +281,7 @@ class LocalExpander:
         """Expand every node of ``beam``, each anything with a ``concept``
         and an ``he``; see ``search_loop``."""
         kb, examples = self.kb, self.examples
-        per_slot = [expand_single_node(n, kb, self.stats, self.mb, self.rcfg,
-                                       self.context)
+        per_slot = [expand_single_node(n, self.refiner, self.context)
                     for n in beam]
         survivors = reduce_redundant(per_slot, rht,
                                      verify=self.cfg.verify_collisions)
@@ -310,7 +292,7 @@ class LocalExpander:
             # A weak node and a dominated union are reported alike: closed,
             # never inserted, never expanded.
             weak = (cov.pos_covered < self.min_pos
-                    or dominated_union(c, kb, examples, self.ext_memo))
+                    or dominated_union(c, kb, self.ext_memo))
             found.append((h, None if weak else (slot, c, cov)))
         return range(len(beam)), sum(map(len, per_slot)), found
 
@@ -385,7 +367,7 @@ def search_loop(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchSettings,
             status = "solved"
 
     return SearchResult(
-        hypotheses=extract_best_nodes(st, cfg.limit, expandable_only=False),
+        hypotheses=st[:cfg.limit],
         status=status, st_nodes=st, st_insertions=st_insertions, rht=rht,
         evaluated_hashes=evaluated_hashes, iterations=iterations,
         wall_millis=elapsed_ms())

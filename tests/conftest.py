@@ -67,13 +67,13 @@ def check_open_list(monkeypatch):
     def install(module):
         original = module.extract_best_nodes
 
-        def checked(st, k, expandable_only=True):
+        def checked(st, k):
             keys = [open_list_order(n) for n in st]
             assert [n.key for n in st] == keys
             # A stable sort leaves st as it is exactly when its keys ascend.
             assert keys == sorted(keys)
             calls.append(len(st))
-            return original(st, k, expandable_only)
+            return original(st, k)
 
         monkeypatch.setattr(module, "extract_best_nodes", checked)
         return calls

@@ -30,7 +30,7 @@ from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (MAX_SEALED_INDIVIDUALS, ExampleSet, KbStatistics,
                        compute_statistics, materialize, parse_kb)
-from dlbeam.refine import RefinementConfig, build_mb, top_context
+from dlbeam.refine import Refiner, build_mb, top_context
 from dlbeam.search import (SearchConfig, expand_single_node,
                            reduce_redundant, run_search)
 
@@ -338,16 +338,10 @@ def root_block_node(fix):
 def local_expand_oracle(fix, tasks, params):
     """What a correct worker must return for EXPAND_TASK, computed in-process:
     each refinement names the slot of the task node it refines."""
-    rcfg = RefinementConfig.from_stats(
-        fix.stats,
-        use_inverse_roles=params.use_inverse_roles,
-        use_cardinality=params.use_cardinality,
-        use_disjunction=params.use_disjunction,
-        use_negation=params.use_negation)
+    refiner = Refiner(fix.kb, fix.stats, fix.mb, params)
     # A worker refines in the context of the examples it was sent.
-    context = top_context(ExtensionMemo().rows(fix.kb, fix.examples))
-    per_slot = [expand_single_node(bn, fix.kb, fix.stats, fix.mb, rcfg, context)
-                for bn in tasks]
+    context = top_context(ExtensionMemo(fix.kb, fix.examples).space)
+    per_slot = [expand_single_node(bn, refiner, context) for bn in tasks]
     survivors = reduce_redundant(per_slot, rht=set())
     covs = evaluate_batch([c for c, _, _ in survivors], fix.kb, fix.examples)
     good, weak = [], []
@@ -691,6 +685,39 @@ def test_worker_terminate_closes_without_reply(smoke):
         assert sock.recv(1) == b""  # no reply, and the connection is closed
 
 
+def test_a_master_that_resets_mid_reply_raises_nothing_in_the_worker(smoke):
+    # The master resets the connection as soon as its KB_TRANSFER is sent,
+    # so the worker reads the frame and then fails to write the KB_ACK.
+    escaped = []
+    hook = threading.excepthook
+    threading.excepthook = escaped.append
+    try:
+        with worker() as w:
+            for _ in range(3):
+                sock = socket.create_connection(("127.0.0.1", w.tcp_port),
+                                                timeout=10)
+                # A HELLO first, so the worker is serving this connection.
+                write_frame(sock, MSG_HELLO)
+                assert read_frame(sock)[0] == MSG_HELLO_ACK
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+                write_frame(sock, MSG_KB_TRANSFER,
+                            _pack_kb_transfer(smoke.kb, smoke.st,
+                                              smoke.examples, PARAMS))
+                sock.close()  # with linger 0: a reset, not a FIN
+            for t in w._threads[2:]:  # the connection threads
+                t.join(timeout=10)
+                assert not t.is_alive()
+            # The worker still serves a new master.
+            with socket.create_connection(("127.0.0.1", w.tcp_port),
+                                          timeout=10) as sock:
+                write_frame(sock, MSG_HELLO)
+                assert read_frame(sock)[0] == MSG_HELLO_ACK
+    finally:
+        threading.excepthook = hook
+    assert [args.exc_value for args in escaped] == []
+
+
 # --- master end-to-end ------------------------------------------------------
 
 def master_cfg(w, **kwargs):
@@ -775,8 +802,8 @@ def final_master_open_list_checked_in_order(trains, check_open_list) -> int:
         res = run_master(trains.kb, trains.st, trains.examples, cfg)
     assert res.status == "exhausted"
     assert sum(w.cores for w in res.workers) == 8
-    # one call per iteration, one that finds no beam, one for the hypotheses
-    assert len(calls) == len(res.iterations) + 2
+    # one call per iteration and one that finds no beam
+    assert len(calls) == len(res.iterations) + 1
     assert calls[-1] == len(res.st_nodes)
     return calls[-1]
 

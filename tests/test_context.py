@@ -25,9 +25,9 @@ from dlbeam.concept import (And, BoolEq, Exists, Forall, MaxCard, MinCard,
                             concept_length, hash_concept)
 from dlbeam.evaluation import ExtensionMemo
 from dlbeam.kb import compute_statistics
-from dlbeam.refine import (RefinementConfig, TopContext, build_mb, refine,
+from dlbeam.refine import (Refiner, TopContext, build_mb, refine,
                            refine_top_levels, top_context)
-from dlbeam.search import SearchConfig, run_search
+from dlbeam.search import SearchConfig, SearchSettings, run_search
 from generators import (dims_of, example_subset_kb, random_concept,
                         random_examples, random_kb)
 from test_cluster import master_cfg, worker
@@ -102,14 +102,15 @@ def test_refine_in_context_is_context_free_refine_minus_dead_operands(seed):
     _, kb, examples = generated_input(rng)
     stats = compute_statistics(kb)
     mb = build_mb(kb, stats)
-    context = top_context(ExtensionMemo().rows(kb, examples))
+    context = top_context(ExtensionMemo(kb, examples).space)
     assert same_context(context, reference_context(kb, examples))
-    free_cfg, ctx_cfg = (RefinementConfig.from_stats(stats) for _ in range(2))
+    free, in_context = (Refiner(kb, stats, mb, SearchSettings())
+                        for _ in range(2))
 
-    tops = refine(TOP, 5, kb, stats, mb, free_cfg)
+    tops = refine(TOP, 5, free)
     concepts = [TOP] + rng.sample(tops, min(20, len(tops)))
     for c in concepts[1:5]:
-        below = refine(c, concept_length(c) + 2, kb, stats, mb, free_cfg)
+        below = refine(c, concept_length(c) + 2, free)
         concepts += rng.sample(below, min(5, len(below)))
     concepts += [random_concept(rng, dims_of(kb), depth=3) for _ in range(10)]
     checked = 0
@@ -118,30 +119,25 @@ def test_refine_in_context_is_context_free_refine_minus_dead_operands(seed):
             continue
         checked += 1
         for bound in range(concept_length(c), concept_length(c) + 3):
-            want = [r for r in refine(c, bound, kb, stats, mb, free_cfg)
+            want = [r for r in refine(c, bound, free)
                     if not has_dead_operand(r, context)]
-            assert refine(c, bound, kb, stats, mb, ctx_cfg, context) == want
+            assert refine(c, bound, in_context, context) == want
     assert checked
     for bound in range(2, 7):
-        want = [r for r in refine_top_levels(bound, kb, stats, mb, free_cfg)
+        want = [r for r in refine_top_levels(bound, free)
                 if not has_dead_operand(r, context)]
-        assert refine_top_levels(bound, kb, stats, mb, ctx_cfg,
-                                 context) == want
+        assert refine_top_levels(bound, in_context, context) == want
 
 
 def test_the_full_context_refines_as_no_context(trains):
-    free_cfg, full_cfg = (RefinementConfig.from_stats(trains.stats)
-                          for _ in range(2))
+    free, in_full = (Refiner(trains.kb, trains.stats, trains.mb,
+                             SearchSettings()) for _ in range(2))
     full = full_context(trains.kb)
     frontier = [TOP]
     for bound in range(1, 6):
         for c in frontier:
-            assert (refine(c, bound, trains.kb, trains.stats, trains.mb,
-                           full_cfg, full)
-                    == refine(c, bound, trains.kb, trains.stats, trains.mb,
-                              free_cfg))
-        frontier = refine(TOP, bound, trains.kb, trains.stats, trains.mb,
-                          free_cfg)[:40]
+            assert refine(c, bound, in_full, full) == refine(c, bound, free)
+        frontier = refine(TOP, bound, free)[:40]
 
 
 # --- the search ---------------------------------------------------------------
@@ -206,7 +202,7 @@ def test_a_search_in_context_drops_only_concepts_with_a_dead_operand(seed):
 def test_a_cluster_in_context_equals_a_local_search(seed):
     st_sym, kb, examples = example_subset_kb(random.Random(seed))
     away = RoleExpr(kb.num_roles - 1, False)  # no example is its subject
-    assert away not in top_context(ExtensionMemo().rows(kb, examples)).roles
+    assert away not in top_context(ExtensionMemo(kb, examples).space).roles
     with worker(cores=2) as w:
         res = run_master(kb, st_sym, examples,
                          master_cfg(w, max_length=5, target_accuracy=2.0,

@@ -24,8 +24,8 @@ from dlbeam.concept import (And, Atomic, NotAtomic, Or, TOP, connective,
                             hash_concept)
 from dlbeam.evaluation import (ExtensionMemo, dominated_union, evaluate_batch,
                                weak_threshold)
-from dlbeam.refine import RefinementConfig, refine
-from dlbeam.search import SearchConfig, run_search
+from dlbeam.refine import Refiner, refine
+from dlbeam.search import SearchConfig, SearchSettings, run_search
 from naive_oracle import naive_covered_set
 from test_cluster import master_cfg, worker
 from test_context import generated_input
@@ -46,7 +46,7 @@ def covers_no_positive(c, kb, examples) -> bool:
 
 def evaluated_memo(fix, concepts) -> ExtensionMemo:
     """A search's memo after it evaluated ``concepts``."""
-    memo = ExtensionMemo()
+    memo = ExtensionMemo(fix.kb, fix.examples)
     evaluate_batch(concepts, fix.kb, fix.examples, memo=memo)
     return memo
 
@@ -54,9 +54,10 @@ def evaluated_memo(fix, concepts) -> ExtensionMemo:
 def atoms_by_positives(fix):
     """The rule-1 atoms of the fixture that cover some positive, and those
     that cover none."""
-    cfg = RefinementConfig.from_stats(fix.stats, use_disjunction=False)
+    refiner = Refiner(fix.kb, fix.stats, fix.mb,
+                      SearchSettings(use_disjunction=False))
     live, dead = [], []
-    for c in refine(TOP, 4, fix.kb, fix.stats, fix.mb, cfg):
+    for c in refine(TOP, 4, refiner):
         (dead if covers_no_positive(c, fix.kb, fix.examples) else live).append(c)
     return live, dead
 
@@ -67,10 +68,10 @@ def test_a_union_with_an_operand_that_covers_no_positive_is_dominated(trains):
     for operand in (dead[0], connective(And, (live[0], dead[0]))):
         u = connective(Or, (live[0], operand))
         memo = evaluated_memo(trains, [u])
-        table = dict(memo.rows(trains.kb, trains.examples).table)
-        assert dominated_union(u, trains.kb, trains.examples, memo)
+        table = dict(memo.space.table)
+        assert dominated_union(u, trains.kb, memo)
         # The operands are read back from what evaluation left.
-        assert memo.rows(trains.kb, trains.examples).table == table
+        assert memo.space.table == table
 
 
 def test_a_union_whose_operands_all_cover_a_positive_is_kept(trains):
@@ -85,7 +86,7 @@ def test_a_union_whose_operands_all_cover_a_positive_is_kept(trains):
         assert not any(covers_no_positive(ch, trains.kb, trains.examples)
                        for ch in u.children)
         memo = evaluated_memo(trains, [u])
-        assert not dominated_union(u, trains.kb, trains.examples, memo)
+        assert not dominated_union(u, trains.kb, memo)
 
 
 def test_a_concept_that_is_not_a_union_is_never_dominated(trains):
@@ -95,7 +96,7 @@ def test_a_concept_that_is_not_a_union_is_never_dominated(trains):
               connective(And, (live[1], inner))):
         assert not isinstance(c, Or)
         memo = evaluated_memo(trains, [c])
-        assert not dominated_union(c, trains.kb, trains.examples, memo)
+        assert not dominated_union(c, trains.kb, memo)
 
 
 # --- the search ---------------------------------------------------------------

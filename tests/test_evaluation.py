@@ -320,7 +320,7 @@ def test_example_space_counts_equal_covered_set_and_the_oracle(seed):
     cs = ([random_concept(rng, dims_of(kb), depth=3) for _ in range(20)]
           + away_concepts(rng, kb))
     pos, neg = set(examples.pos_ids()), set(examples.neg_ids())
-    memo = ExtensionMemo()
+    memo = ExtensionMemo(kb, examples)
     for c in cs:
         got = evaluate(c, kb, examples, memo=memo)
         assert (got.pos_covered, got.neg_covered) == full_counts(c, kb, examples)
@@ -334,7 +334,7 @@ def test_example_space_counts_equal_covered_set_and_the_oracle(seed):
                 == evaluate(c, kb, examples))
         assert (evaluate(c, kb, examples, keep_set=True, memo=memo)
                 == evaluate(c, kb, examples, keep_set=True))
-    space = memo.rows(kb, examples)
+    space = memo.space
     assert space.ids.tolist() == sorted(pos | neg)
     operands = {sort_key(s): s for c in cs for s in strict_subconcepts(c)}
     assert memo.keys() <= operands.keys()
@@ -359,7 +359,7 @@ def test_a_restriction_no_example_is_subject_of_never_computes_its_filler(
         _, kb, examples = example_subset_kb(rng)
         away = RoleExpr(kb.num_roles - 1)
         filler = Exists(RoleExpr(0), NotAtomic(0))
-        memo = ExtensionMemo()
+        memo = ExtensionMemo(kb, examples)
         for c in (Exists(away, filler), Forall(away, filler),
                   MinCard(1, away, filler), MaxCard(0, away, filler)):
             got = evaluate(c, kb, examples, memo=memo)
@@ -370,24 +370,18 @@ def test_a_restriction_no_example_is_subject_of_never_computes_its_filler(
             assert calls == []
 
 
-def test_one_memo_with_a_second_example_set_rebuilds_the_row_space():
+def test_each_example_set_counts_under_a_memo_of_its_own():
     rng = random.Random(312)
     for _ in range(30):
         _, kb, first = example_subset_kb(rng)
         second = random_examples(rng, kb)
         cs = [random_concept(rng, dims_of(kb), depth=3) for _ in range(20)]
-        memo = ExtensionMemo()
-        for examples in (first, second, first):
+        for examples in (first, second):
+            memo = ExtensionMemo(kb, examples)
             assert ([evaluate(c, kb, examples, memo=memo) for c in cs]
                     == [evaluate(c, kb, examples) for c in cs])
-            assert memo.rows(kb, examples).ids.tolist() == sorted(
+            assert memo.space.ids.tolist() == sorted(
                 examples.pos_ids() + examples.neg_ids())
-        # Equal masks in another object still start a new row space.
-        space = memo.rows(kb, first)
-        twin = ExampleSet(kb.num_individuals, first.positives.copy(),
-                          first.negatives.copy())
-        assert memo.rows(kb, twin) is not space
-        assert memo.rows(kb, twin) is memo.rows(kb, twin)
 
 
 WIDE = 300  # individuals, so that one row can have more than 255 successors
@@ -453,14 +447,14 @@ def test_every_form_over_one_role_and_filler_reads_one_successor_count(seed):
                      MinCard(n, role, filler), MaxCard(n - 1, role, filler)]
             cs += forms + [canonicalize(Or((And((forms[0], forms[3])),
                                             forms[1])))]
-    memo = ExtensionMemo()
-    for examples in (first, second, first):
+    for examples in (first, second):
+        memo = ExtensionMemo(kb, examples)
         for c in cs:
             got = evaluate(c, kb, examples, memo=memo)
             counts = (got.pos_covered, got.neg_covered)
             assert counts == full_counts(c, kb, examples)
             assert counts == oracle_counts(c, kb, examples)
-        space = memo.rows(kb, examples)
+        space = memo.space
         check_chunks(space, kb)
         # An entry per role and filler, and none for a role no example is
         # the subject of; the rest are the fillers' operands and the atoms
@@ -577,7 +571,7 @@ def test_chunks_of_forward_and_inverse_roles_in_the_example_space():
         + "fact r i5 i4\n")
     materialize(kb, st)
     examples = ExampleSet.from_ids(6, [0, 1], [3, 4])
-    space = ExtensionMemo().rows(kb, examples)
+    space = ExtensionMemo(kb, examples).space
     check_chunks(space, kb)
     forward, backward = space.chunks[False][0], space.chunks[True][0]
     # Rows are i0, i1, i3, i4. Forward: i0 -> i1, i2; i1 -> i0; i3 -> i0;
@@ -626,8 +620,8 @@ def test_rows_above_the_chunk_depth_count_as_covered_set_and_the_oracle(seed):
     rng = random.Random(seed)
     kb, examples, hub = hub_kb(rng)
     dims = dims_of(kb)
-    memo = ExtensionMemo()
-    space = memo.rows(kb, examples)
+    memo = ExtensionMemo(kb, examples)
+    space = memo.space
     check_chunks(space, kb)
     assert len(space.chunks[False][hub].heavy_rows) > 0
     cs = []

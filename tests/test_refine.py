@@ -1,11 +1,11 @@
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import dlbeam.refine as refine_mod
 from dlbeam.concept import (MAX_CARDINALITY, And, Atomic, BoolEq, Exists,
                             Forall, MaxCard, MinCard, NotAtomic, NumGeq, NumLeq,
                             Or, RoleExpr, StrEq, TOP, canonicalize,
@@ -13,8 +13,8 @@ from dlbeam.concept import (MAX_CARDINALITY, And, Atomic, BoolEq, Exists,
                             render, sort_key)
 from dlbeam.evaluation import covered_set
 from dlbeam.kb import compute_statistics, materialize, parse_kb
-from dlbeam.refine import (RefinementConfig, build_mb, refine,
-                           refine_top_levels)
+from dlbeam.refine import Refiner, build_mb, refine, refine_top_levels
+from dlbeam.search import SearchSettings
 from generators import dims_of, random_concept, random_kb
 
 
@@ -25,8 +25,10 @@ def setup_kb(text):
     return st, kb, stats, build_mb(kb, stats)
 
 
-def rcfg_for(stats, **kwargs):
-    return RefinementConfig.from_stats(stats, **kwargs)
+def refiner_of(fix, **toggles):
+    """A refiner for the fixture ``fix`` in the hypothesis language that the
+    ``use_*`` ``toggles`` leave."""
+    return Refiner(fix.kb, fix.stats, fix.mb, SearchSettings(**toggles))
 
 
 # --- M_B --------------------------------------------------------------------
@@ -58,8 +60,8 @@ def test_build_mb_empty_without_concrete_roles(trains):
 # --- rule 1 (from Thing) ----------------------------------------------------
 
 def test_refine_thing_at_bound_three(trains):
-    cfg = rcfg_for(trains.stats)
-    got = refine(TOP, 3, trains.kb, trains.stats, trains.mb, cfg)
+    refiner = refiner_of(trains)
+    got = refine(TOP, 3, refiner)
     st = trains.st
     tops = [st.class_names.id_of(n) for n in ("Train", "Car", "Load")]
     for cid in tops:
@@ -76,8 +78,8 @@ def test_refine_thing_at_bound_three(trains):
 
 
 def test_refine_thing_at_bound_four_adds_inverse_and_cardinality(trains):
-    cfg = rcfg_for(trains.stats)
-    got = refine(TOP, 4, trains.kb, trains.stats, trains.mb, cfg)
+    refiner = refiner_of(trains)
+    got = refine(TOP, 4, refiner)
     has_car = trains.st.role_names.id_of("hasCar")
     assert Exists(RoleExpr(has_car, True), TOP) in got
     assert Forall(RoleExpr(has_car, True), TOP) in got
@@ -90,16 +92,16 @@ def test_refine_thing_at_bound_four_adds_inverse_and_cardinality(trains):
 
 
 def test_refine_thing_at_bound_one(trains):
-    cfg = rcfg_for(trains.stats)
-    got = refine(TOP, 1, trains.kb, trains.stats, trains.mb, cfg)
+    refiner = refiner_of(trains)
+    got = refine(TOP, 1, refiner)
     assert got  # top-level atomics fit
     assert all(isinstance(c, Atomic) for c in got)
 
 
 def test_feature_toggles(trains):
     def refined_types(**kwargs):
-        cfg = rcfg_for(trains.stats, **kwargs)
-        got = refine(TOP, 6, trains.kb, trains.stats, trains.mb, cfg)
+        refiner = refiner_of(trains, **kwargs)
+        got = refine(TOP, 6, refiner)
         types = set()
         for c in got:
             stack = [c]
@@ -124,10 +126,10 @@ def test_feature_toggles(trains):
 # --- rules 2-3 (atomic, negation) -------------------------------------------
 
 def test_refine_atomic_descends_hierarchy(trains):
-    cfg = rcfg_for(trains.stats)
+    refiner = refiner_of(trains)
     st = trains.st
     car = Atomic(st.class_names.id_of("Car"))
-    got = refine(car, 3, trains.kb, trains.stats, trains.mb, cfg)
+    got = refine(car, 3, refiner)
     for name in ("ClosedCar", "OpenCar", "ShortCar", "LongCar"):
         assert Atomic(st.class_names.id_of(name)) in got
     train = Atomic(st.class_names.id_of("Train"))
@@ -136,46 +138,46 @@ def test_refine_atomic_descends_hierarchy(trains):
 
 
 def test_refine_atomic_respects_length_bound(trains):
-    cfg = rcfg_for(trains.stats)
+    refiner = refiner_of(trains)
     car = Atomic(trains.st.class_names.id_of("Car"))
-    got = refine(car, 1, trains.kb, trains.stats, trains.mb, cfg)
+    got = refine(car, 1, refiner)
     assert all(isinstance(c, Atomic) for c in got)  # no room for conjunctions
 
 
 def test_refine_negation_climbs_hierarchy(trains):
-    cfg = rcfg_for(trains.stats)
+    refiner = refiner_of(trains)
     st = trains.st
     closed = st.class_names.id_of("ClosedCar")
     car = st.class_names.id_of("Car")
-    got = refine(NotAtomic(closed), 4, trains.kb, trains.stats, trains.mb, cfg)
+    got = refine(NotAtomic(closed), 4, refiner)
     assert got == [NotAtomic(car)]
     # a root class has no superclasses: its complement is terminal
-    assert refine(NotAtomic(car), 4, trains.kb, trains.stats, trains.mb, cfg) == []
+    assert refine(NotAtomic(car), 4, refiner) == []
 
 
 # --- rule 4-5 (quantifiers) -------------------------------------------------
 
 def test_refine_exists(trains):
-    cfg = rcfg_for(trains.stats)
+    refiner = refiner_of(trains)
     st = trains.st
     has_car = RoleExpr(st.role_names.id_of("hasCar"))
     first_car = RoleExpr(st.role_names.id_of("firstCar"))
     car = Atomic(st.class_names.id_of("Car"))
-    got = refine(Exists(has_car, TOP), 4, trains.kb, trains.stats, trains.mb, cfg)
+    got = refine(Exists(has_car, TOP), 4, refiner)
     assert Exists(has_car, car) in got          # child refinement
     assert Exists(first_car, TOP) in got        # subrole descent
     assert MinCard(2, has_car, TOP) in got      # cardinality introduction
     # the cardinality step needs one extra length unit
-    tight = refine(Exists(has_car, TOP), 3, trains.kb, trains.stats, trains.mb, cfg)
+    tight = refine(Exists(has_car, TOP), 3, refiner)
     assert MinCard(2, has_car, TOP) not in tight
     assert Exists(has_car, car) in tight
 
 
 def test_refine_exists_inverse_cardinality(trains):
-    cfg = rcfg_for(trains.stats)
+    refiner = refiner_of(trains)
     st = trains.st
     inv = RoleExpr(st.role_names.id_of("hasCar"), True)
-    got = refine(Exists(inv, TOP), 5, trains.kb, trains.stats, trains.mb, cfg)
+    got = refine(Exists(inv, TOP), 5, refiner)
     # every car has exactly one hasCar-predecessor in the fixture
     assert trains.stats.max_fillers_inverse[inv.role_id] == 1
     assert MinCard(2, inv, TOP) not in got
@@ -183,10 +185,10 @@ def test_refine_exists_inverse_cardinality(trains):
 
 
 def test_refine_forall_only_refines_child(trains):
-    cfg = rcfg_for(trains.stats)
+    refiner = refiner_of(trains)
     st = trains.st
     has_car = RoleExpr(st.role_names.id_of("hasCar"))
-    got = refine(Forall(has_car, TOP), 4, trains.kb, trains.stats, trains.mb, cfg)
+    got = refine(Forall(has_car, TOP), 4, refiner)
     assert got
     assert all(isinstance(c, Forall) and c.role == has_car for c in got)
 
@@ -212,57 +214,56 @@ numfact d w 4.0
 
 def test_refine_min_card_steps_up_to_cap():
     _, kb, stats, mb = setup_kb(CARD_KB)
-    cfg = rcfg_for(stats)
+    refiner = Refiner(kb, stats, mb, SearchSettings())
     assert stats.max_fillers == [2]
     r = RoleExpr(0)
-    got = refine(MinCard(1, r, TOP), 5, kb, stats, mb, cfg)
+    got = refine(MinCard(1, r, TOP), 5, refiner)
     assert MinCard(2, r, TOP) in got
-    got = refine(MinCard(2, r, TOP), 5, kb, stats, mb, cfg)
+    got = refine(MinCard(2, r, TOP), 5, refiner)
     assert all(not (isinstance(c, MinCard) and c.n == 3) for c in got)
     assert MinCard(2, r, Atomic(0)) in got  # child refinement still applies
 
 
 def test_refine_caps_cardinality_at_what_the_codec_holds(smoke):
     # A KB whose role has more fillers than a u16 holds: the cap stops there.
-    cfg = RefinementConfig(max_cardinality=(70_000,),
-                           max_cardinality_inverse=(70_000,))
+    stats = replace(smoke.stats, max_fillers=[70_000],
+                    max_fillers_inverse=[70_000])
+    refiner = Refiner(smoke.kb, stats, smoke.mb, SearchSettings())
     for r in (RoleExpr(0), RoleExpr(0, True)):
-        assert cfg.filler_cap(r) == MAX_CARDINALITY == 65_535
-        got = refine(MinCard(65_534, r, TOP), 6, smoke.kb, smoke.stats,
-                     smoke.mb, cfg)
+        assert refiner.filler_cap(r) == MAX_CARDINALITY == 65_535
+        got = refine(MinCard(65_534, r, TOP), 6, refiner)
         assert MinCard(65_535, r, TOP) in got
-        got = refine(MinCard(65_535, r, TOP), 6, smoke.kb, smoke.stats,
-                     smoke.mb, cfg)
+        got = refine(MinCard(65_535, r, TOP), 6, refiner)
         assert got and max(c.n for c in got) == 65_535
         assert all(decode(encode(c)) == c for c in got)
 
 
 def test_refine_max_card_steps_down_to_zero():
     _, kb, stats, mb = setup_kb(CARD_KB)
-    cfg = rcfg_for(stats)
+    refiner = Refiner(kb, stats, mb, SearchSettings())
     r = RoleExpr(0)
-    got = refine(MaxCard(1, r, TOP), 5, kb, stats, mb, cfg)
+    got = refine(MaxCard(1, r, TOP), 5, refiner)
     assert MaxCard(0, r, TOP) in got
-    got = refine(MaxCard(0, r, TOP), 5, kb, stats, mb, cfg)
+    got = refine(MaxCard(0, r, TOP), 5, refiner)
     assert all(not isinstance(c, MaxCard) or c.n == 0 for c in got)
 
 
 def test_refine_numeric_bounds_step_one_boundary():
     _, kb, stats, mb = setup_kb(CARD_KB)
-    cfg = rcfg_for(stats)
+    refiner = Refiner(kb, stats, mb, SearchSettings())
     assert stats.numeric_boundaries == [[1.0, 2.5, 4.0]]
-    assert refine(NumGeq(0, 1.0), 3, kb, stats, mb, cfg) == [NumGeq(0, 2.5)]
-    assert refine(NumGeq(0, 2.5), 3, kb, stats, mb, cfg) == [NumGeq(0, 4.0)]
-    assert refine(NumGeq(0, 4.0), 3, kb, stats, mb, cfg) == []
-    assert refine(NumLeq(0, 4.0), 3, kb, stats, mb, cfg) == [NumLeq(0, 2.5)]
-    assert refine(NumLeq(0, 1.0), 3, kb, stats, mb, cfg) == []
+    assert refine(NumGeq(0, 1.0), 3, refiner) == [NumGeq(0, 2.5)]
+    assert refine(NumGeq(0, 2.5), 3, refiner) == [NumGeq(0, 4.0)]
+    assert refine(NumGeq(0, 4.0), 3, refiner) == []
+    assert refine(NumLeq(0, 4.0), 3, refiner) == [NumLeq(0, 2.5)]
+    assert refine(NumLeq(0, 1.0), 3, refiner) == []
 
 
 def test_refine_concrete_equalities_are_terminal():
     _, kb, stats, mb = setup_kb(CONCRETE_KB)
-    cfg = rcfg_for(stats)
-    assert refine(BoolEq(0, True), 5, kb, stats, mb, cfg) == []
-    assert refine(StrEq(0, 0), 5, kb, stats, mb, cfg) == []
+    refiner = Refiner(kb, stats, mb, SearchSettings())
+    assert refine(BoolEq(0, True), 5, refiner) == []
+    assert refine(StrEq(0, 0), 5, refiner) == []
 
 
 CONCRETE_KB = """\
@@ -277,40 +278,40 @@ strfact s x red
 # --- rules 9-10 (connectives) -----------------------------------------------
 
 def test_refine_and(trains):
-    cfg = rcfg_for(trains.stats)
+    refiner = refiner_of(trains)
     st = trains.st
     train = Atomic(st.class_names.id_of("Train"))
     car = Atomic(st.class_names.id_of("Car"))
     closed = Atomic(st.class_names.id_of("ClosedCar"))
     load = Atomic(st.class_names.id_of("Load"))
     c = And((train, car))
-    got = refine(c, 5, trains.kb, trains.stats, trains.mb, cfg)
+    got = refine(c, 5, refiner)
     assert And((train, closed)) in got            # child replaced
     assert And((train, car, load)) in got         # conjunct appended
     # at the exact current length there is no room to grow
-    tight = refine(c, 3, trains.kb, trains.stats, trains.mb, cfg)
+    tight = refine(c, 3, refiner)
     assert And((train, closed)) in tight
     assert all(len(x.children) == 2 for x in tight if isinstance(x, And))
 
 
 def test_refine_or_replaces_but_never_appends(trains):
-    cfg = rcfg_for(trains.stats)
+    refiner = refiner_of(trains)
     st = trains.st
     train = Atomic(st.class_names.id_of("Train"))
     car = Atomic(st.class_names.id_of("Car"))
     closed = Atomic(st.class_names.id_of("ClosedCar"))
     c = Or((train, car))
-    got = refine(c, 7, trains.kb, trains.stats, trains.mb, cfg)
+    got = refine(c, 7, refiner)
     assert Or((train, closed)) in got
     assert all(len(x.children) == 2 for x in got if isinstance(x, Or))
 
 
 def test_refine_top_levels_builds_binary_unions(trains):
-    cfg = rcfg_for(trains.stats)
+    refiner = refiner_of(trains)
     st = trains.st
     train = Atomic(st.class_names.id_of("Train"))
     car = Atomic(st.class_names.id_of("Car"))
-    got = refine_top_levels(3, trains.kb, trains.stats, trains.mb, cfg)
+    got = refine_top_levels(3, refiner)
     assert Or((train, car)) in got
     assert all(isinstance(c, Or) and len(c.children) == 2 for c in got)
     assert all(concept_length(c) <= 3 for c in got)
@@ -318,9 +319,9 @@ def test_refine_top_levels_builds_binary_unions(trains):
 
 def test_refine_rejects_bound_below_input():
     _, kb, stats, mb = setup_kb(CARD_KB)
-    cfg = rcfg_for(stats)
+    refiner = Refiner(kb, stats, mb, SearchSettings())
     with pytest.raises(ValueError):
-        refine(MinCard(2, RoleExpr(0), TOP), 3, kb, stats, mb, cfg)
+        refine(MinCard(2, RoleExpr(0), TOP), 3, refiner)
 
 
 # --- output contract --------------------------------------------------------
@@ -344,13 +345,13 @@ def test_refine_output_contract_on_random_inputs():
         _, kb = random_kb(rng)
         stats = compute_statistics(kb)
         mb = build_mb(kb, stats)
-        cfg = rcfg_for(stats)
+        refiner = Refiner(kb, stats, mb, SearchSettings())
         dims = dims_of(kb)
         for _ in range(6):
             c = random_concept(rng, dims, depth=3)
             bound = concept_length(c) + rng.randint(0, 3)
-            got = refine(c, bound, kb, stats, mb, cfg)
-            assert got == refine(c, bound, kb, stats, mb, cfg)  # deterministic
+            got = refine(c, bound, refiner)
+            assert got == refine(c, bound, refiner)  # deterministic
             hashes = [hash_concept(r) for r in got]
             assert len(hashes) == len(set(hashes))              # no duplicates
             assert hash_concept(c) not in hashes                # input excluded
@@ -371,12 +372,12 @@ def test_specializing_rules_shrink_coverage():
         _, kb = random_kb(rng)
         stats = compute_statistics(kb)
         mb = build_mb(kb, stats)
-        cfg = rcfg_for(stats)
+        refiner = Refiner(kb, stats, mb, SearchSettings())
         c = random_concept(rng, dims_of(kb), depth=3)
         if contains_max_card(c):
             continue
         base = covered_set(c, kb)
-        for r in refine(c, concept_length(c) + 2, kb, stats, mb, cfg):
+        for r in refine(c, concept_length(c) + 2, refiner):
             assert not np.any(covered_set(r, kb) & ~base), \
                 f"{r} is not a specialization of {c}"
         checked += 1
@@ -385,14 +386,14 @@ def test_specializing_rules_shrink_coverage():
 # --- completeness at a small bound ------------------------------------------
 
 def closure_from_thing(fix, bound, **toggles):
-    cfg = rcfg_for(fix.stats, **toggles)
+    refiner = refiner_of(fix, **toggles)
     seen = {hash_concept(TOP)}
     frontier = [TOP]
     everything = []
     while frontier:
         nxt = []
         for c in frontier:
-            for r in refine(c, bound, fix.kb, fix.stats, fix.mb, cfg):
+            for r in refine(c, bound, refiner):
                 h = hash_concept(r)
                 if h not in seen:
                     seen.add(h)
@@ -443,39 +444,50 @@ def test_closure_respects_disjunction_toggle(trains):
 
 # --- memo -------------------------------------------------------------------
 
-def memo_free(monkeypatch):
-    """Make every refine call start from an empty memo, recursion included."""
-    monkeypatch.setattr(refine_mod, "_memo_table", lambda kb, stats, mb, cfg: {})
+class NeverStores(dict):
+    """A table that keeps nothing: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+    def setdefault(self, key, default=None):
+        return default
 
 
-def test_a_shared_memo_changes_no_refinement(monkeypatch):
+def memo_free(refiner: Refiner) -> Refiner:
+    """``refiner`` with a memo and an intern table that never store, so that
+    every refine call through it, recursion included, starts afresh."""
+    refiner.memo = refiner.interned = NeverStores()
+    return refiner
+
+
+def test_a_shared_memo_changes_no_refinement():
     rng = random.Random(402)
     for _ in range(25):
         _, kb = random_kb(rng)
         stats = compute_statistics(kb)
         mb = build_mb(kb, stats)
         dims = dims_of(kb)
-        cfg = rcfg_for(stats)
+        refiner = Refiner(kb, stats, mb, SearchSettings())
         # Thing, its refinements and theirs share sub-problems with each
         # other, and random trees add every constructor.
-        concepts = [TOP] + refine(TOP, 4, kb, stats, mb, cfg)
-        concepts += [r for c in concepts[1:6] for r in refine(c, 5, kb, stats, mb, cfg)]
+        concepts = [TOP] + refine(TOP, 4, refiner)
+        concepts += [r for c in concepts[1:6] for r in refine(c, 5, refiner)]
         concepts += [random_concept(rng, dims, depth=3) for _ in range(10)]
         pairs = [(c, concept_length(c) + rng.randint(0, 2)) for c in concepts]
 
-        with monkeypatch.context() as m:
-            memo_free(m)
-            want = [refine(c, b, kb, stats, mb, rcfg_for(stats)) for c, b in pairs]
+        fresh = memo_free(Refiner(kb, stats, mb, SearchSettings()))
+        want = [refine(c, b, fresh) for c, b in pairs]
 
-        shared = rcfg_for(stats)
+        shared = Refiner(kb, stats, mb, SearchSettings())
         order = list(range(len(pairs))) * 2
         rng.shuffle(order)
         for i in order:
             c, b = pairs[i]
-            got = refine(c, b, kb, stats, mb, shared)
+            got = refine(c, b, shared)
             assert got == want[i]
             got.append(TOP)  # a fresh list: the memo's copy is not touched
-        assert [refine(c, b, kb, stats, mb, shared) for c, b in pairs] == want
+        assert [refine(c, b, shared) for c, b in pairs] == want
 
 
 LOW_KB = """\
@@ -497,39 +509,36 @@ instance A x
 
 def test_no_memo_leaks_across_kbs():
     # The same class ids, but the hierarchy is turned round.
-    st_low, low, low_stats, low_mb = setup_kb(LOW_KB)
-    st_high, high, high_stats, high_mb = setup_kb(HIGH_KB)
+    st_low, *low = setup_kb(LOW_KB)
+    st_high, *high = setup_kb(HIGH_KB)
     a = Atomic(st_low.class_names.id_of("A"))
     b = Atomic(st_low.class_names.id_of("B"))
     assert st_high.class_names.id_of("A") == a.class_id
-    for cfg_low, cfg_high in ((rcfg_for(low_stats), rcfg_for(high_stats)),
-                              (rcfg_for(low_stats),) * 2):  # one shared config
-        for _ in range(2):
-            assert b in refine(a, 3, low, low_stats, low_mb, cfg_low)
-            assert b not in refine(a, 3, high, high_stats, high_mb, cfg_high)
-            assert a in refine(b, 3, high, high_stats, high_mb, cfg_high)
-            assert a not in refine(b, 3, low, low_stats, low_mb, cfg_low)
+    low = Refiner(*low, SearchSettings())
+    high = Refiner(*high, SearchSettings())
+    for _ in range(2):
+        assert b in refine(a, 3, low)
+        assert b not in refine(a, 3, high)
+        assert a in refine(b, 3, high)
+        assert a not in refine(b, 3, low)
 
 
-def test_threads_sharing_one_memo_get_memo_free_results(monkeypatch):
-    # Threads expand in parallel against one config. Half of them use the
-    # other KB, so the memo is also rebound while others fill it.
-    kbs = [setup_kb(LOW_KB), setup_kb(HIGH_KB)]
+def test_threads_sharing_one_memo_get_memo_free_results():
+    # Threads expand in parallel, each half against one shared refiner of
+    # its own KB, so each memo is filled by four threads at once.
+    kbs = [setup_kb(LOW_KB)[1:], setup_kb(HIGH_KB)[1:]]
     pairs = [(Atomic(i), b) for i in range(2) for b in range(1, 6)]
-    with monkeypatch.context() as m:
-        memo_free(m)
-        want = [[refine(c, b, kb, stats, mb, rcfg_for(stats)) for c, b in pairs]
-                for _, kb, stats, mb in kbs]
-    shared = rcfg_for(kbs[0][2])
+    want = [[refine(c, b, memo_free(Refiner(*kb, SearchSettings())))
+             for c, b in pairs] for kb in kbs]
+    shared = [Refiner(*kb, SearchSettings()) for kb in kbs]
     failures = []
 
     def work(k: int) -> None:
-        _, kb, stats, mb = kbs[k % 2]
         rng = random.Random(k)
         for _ in range(20_000):
             i = rng.randrange(len(pairs))
             c, b = pairs[i]
-            if refine(c, b, kb, stats, mb, shared) != want[k % 2][i]:
+            if refine(c, b, shared[k % 2]) != want[k % 2][i]:
                 failures.append((k, i))
 
     old = sys.getswitchinterval()

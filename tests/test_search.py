@@ -10,9 +10,10 @@ from dlbeam.concept import (Atomic, TOP, concept_length, hash_concept,
                             render, sort_key)
 from dlbeam.evaluation import CoverageResult, ExtensionMemo, Score
 from dlbeam.kb import materialize, parse_examples, parse_kb
-from dlbeam.refine import RefinementConfig, top_context
-from dlbeam.search import (SearchConfig, SearchNode, expand_single_node,
-                           extract_best_nodes, reduce_redundant, run_search)
+from dlbeam.refine import Refiner, top_context
+from dlbeam.search import (SearchConfig, SearchNode, SearchSettings,
+                           expand_single_node, extract_best_nodes,
+                           reduce_redundant, run_search)
 from generators import strict_subconcepts
 from test_context import full_context
 from test_dominance import without_dominance
@@ -33,12 +34,6 @@ def test_extract_best_nodes_takes_prefix_of_expandables():
     assert [n.score.value for n in got] == [0.9, 0.7]
     got = extract_best_nodes(st, 10)
     assert len(got) == 3  # non-expandable node skipped
-
-
-def test_extract_best_nodes_including_finished():
-    st = [make_node(0.9, 0, expandable=False), make_node(0.8, 1)]
-    got = extract_best_nodes(st, 1, expandable_only=False)
-    assert got == [st[0]]
     assert extract_best_nodes([], 3) == []
 
 
@@ -52,14 +47,17 @@ def root_node(fix):
 
 
 def context_of(fix):
-    return top_context(ExtensionMemo().rows(fix.kb, fix.examples))
+    return top_context(ExtensionMemo(fix.kb, fix.examples).space)
+
+
+def refiner_of(fix):
+    return Refiner(fix.kb, fix.stats, fix.mb, SearchSettings())
 
 
 def test_expand_root_emits_short_refinements(trains):
-    cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
+    refiner, context = refiner_of(trains), context_of(trains)
     node = root_node(trains)
-    refs = expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
-                              context)
+    refs = expand_single_node(node, refiner, context)
     assert refs
     assert all(concept_length(c) <= 2 for c in refs)
     assert node.he == 1 and node.expandable  # the search loop grows he
@@ -68,13 +66,11 @@ def test_expand_root_emits_short_refinements(trains):
 def test_expand_again_proposes_the_earlier_refinements_again(trains):
     # A node keeps no closed list of its own: the RHT holds what it
     # proposed before by the time it is expanded again.
-    cfg, context = RefinementConfig.from_stats(trains.stats), context_of(trains)
+    refiner, context = refiner_of(trains), context_of(trains)
     node = root_node(trains)
-    first = expand_single_node(node, trains.kb, trains.stats, trains.mb, cfg,
-                               context)
+    first = expand_single_node(node, refiner, context)
     node.he = 2
-    second = expand_single_node(node, trains.kb, trains.stats, trains.mb,
-                                cfg, context)
+    second = expand_single_node(node, refiner, context)
     # bound 3 reaches quantifiers the length-2 pass could not
     assert ({hash_concept(c) for c in first}
             < {hash_concept(c) for c in second})
@@ -238,8 +234,8 @@ def final_open_list_checked_in_order(trains, check_open_list) -> int:
                      SearchConfig(beam_width=8, max_length=6,
                                   target_accuracy=2.0))  # run to exhaustion
     assert res.status == "exhausted"
-    # one call per iteration, one that finds no beam, one for the hypotheses
-    assert len(calls) == len(res.iterations) + 2
+    # one call per iteration and one that finds no beam
+    assert len(calls) == len(res.iterations) + 1
     assert calls[-1] == len(res.st_nodes)
     return calls[-1]
 
