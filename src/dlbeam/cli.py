@@ -16,7 +16,7 @@ from .cluster import (ClusterError, MasterConfig, WorkerServer,
                       DEFAULT_TCP_PORT, DEFAULT_UDP_PORT, run_master)
 from .concept import (TOP, ConceptParseError, canonicalize, concept_length,
                       parse_concept, render)
-from .evaluation import ExtensionMemo, evaluate
+from .evaluation import Evaluator, evaluate
 from .kb import (KbError, compute_statistics, materialize, parse_examples,
                  parse_kb)
 from .refine import Refiner, build_mb, refine, top_context
@@ -216,8 +216,8 @@ def cmd_stats(args) -> int:
         print(f"negative examples: {examples.neg_count}")
         # What a search's top level may name: the roles of its context.
         materialize(kb, st_sym)
-        memo = ExtensionMemo(kb, examples)
-        space = memo.space
+        evaluator = Evaluator(kb, examples)
+        space = evaluator.space
         context = top_context(space)
         roles = sum(not r.inverse for r in context.roles)
         print(f"roles with an example subject: {roles}")
@@ -243,8 +243,7 @@ def cmd_stats(args) -> int:
         refiner = Refiner(kb, stats, build_mb(kb, stats),
                           SearchSettings(use_disjunction=False))
         atoms = refine(TOP, _ATOM_LENGTH, refiner, context)
-        dead = sum(evaluate(a, kb, examples, memo=memo).pos_covered == 0
-                   for a in atoms)
+        dead = sum(evaluator.count(a).pos_covered == 0 for a in atoms)
         print(f"top-level atoms covering no positive example: "
               f"{dead} of {len(atoms)}")
     return EXIT_OK

@@ -14,7 +14,7 @@ An extension is computed over the rows of one of two row spaces
   selection. A filler of a top-level restriction is computed here unless
   it is ``Thing``, an atom, a negated atom or an intersection or union of
   such fillers, and so are ``covered_set``, an evaluation with
-  ``keep_set`` and one given no ``ExtensionMemo``. Every extension here
+  ``keep_set`` and one given no ``Evaluator``. Every extension here
   goes through the module-level ``covered_set``.
 - The example space of one (kb, examples) pair: one row per example. An
   extension is a Python int whose bit *i* is example row *i*. ``Thing`` is
@@ -47,15 +47,14 @@ restrictions. Each memo below maps a canonical sort key rather than the
 result, and each entry is bit for bit what is computed without it. The
 check sits at each operand and filler, so nested ones hit it too.
 
-- The full-space memo is the dict passed as ``memo``; an ``ExtensionMemo``
-  is such a dict that also holds, as ``space``, the example space of the
-  (kb, examples) pair it is built for. The sort key of an
-  operand or filler computed in the full space maps to its extension over
-  all individuals as an ``np.packbits`` array, an eighth of a bool array's
-  size. A hit returns a freshly unpacked bool array, because callers
-  combine operands in place. A miss recurses through ``covered_set``, which
-  is handed the full space rather than building another. On ``synth-wide``
-  (28k individuals) it ends a search with 104 entries, 0.37 MB.
+- The full-space memo is the dict passed as ``memo`` to ``covered_set``, or
+  an ``Evaluator``'s ``memo``. The sort key of an operand or filler computed
+  in the full space maps to its extension over all individuals as an
+  ``np.packbits`` array, an eighth of a bool array's size. A hit returns a
+  freshly unpacked bool array, because callers combine operands in place. A
+  miss recurses through ``covered_set``, which is handed the full space
+  rather than building another. On ``synth-wide`` (28k individuals) it ends
+  a search with 104 entries, 0.37 MB.
 - ``RowSpace.table`` of the example space: the sort key of a top-level
   operand maps to its int over the example rows. Ints are immutable, so a
   hit is returned as it is. On ``synth-wide`` (4,000 examples) it ends a
@@ -74,11 +73,14 @@ check sits at each operand and filler, so nested ones hit it too.
   search; ``Thing``, atoms and negated atoms are never stored there,
   because reading their mask is as cheap as reading an entry. The counts
   memo stores every filler, since even an atom's chunks take a gather.
-- A memo lives exactly as long as one search: ``LocalExpander`` creates an
-  ``ExtensionMemo`` for a local run and for a worker's state of each
-  ``KB_TRANSFER``. It builds its example space once, when it is created,
-  and belongs to that (kb, examples) pair: it must not be passed with any
-  other. No cache outlives its search.
+
+An ``Evaluator`` holds the three memos and the example space (``space``)
+of one (kb, examples) pair, and counts concepts there. Each holder of a pair
+builds one and keeps it while it holds the pair, so no cache outlives it:
+``LocalExpander`` for a local run and for each KB_TRANSFER a worker takes,
+the cluster master's expander, and ``dlbeam stats``. ``evaluate`` refuses
+an ``Evaluator`` built for another kb or example set with ``ValueError``:
+its space would count the other set's examples.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ __all__ = [
     "CoverageResult",
     "Score",
     "EvalConfig",
-    "ExtensionMemo",
+    "Evaluator",
     "RowSpace",
     "Chunks",
     "covered_set",
@@ -189,6 +191,8 @@ class RowSpace:
 
 
 def _full_space(kb: KnowledgeBase) -> RowSpace:
+    if not kb.materialized:
+        raise KbError("evaluation requires a materialized knowledge base")
     return RowSpace(None, kb.num_individuals, kb.member_masks,
                     ((kb.role_subs, kb.role_objs), (kb.role_objs, kb.role_subs)),
                     (kb.num_subs, kb.num_vals), (kb.bool_subs, kb.bool_vals),
@@ -258,8 +262,7 @@ def _chunks(subs: np.ndarray, objs: np.ndarray, n: int) -> Chunks | None:
 
 
 def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
-    if not kb.materialized:
-        raise KbError("evaluation requires a materialized knowledge base")
+    full = _full_space(kb)
     ids = np.flatnonzero(examples.positives | examples.negatives)
     n = len(ids)
     row_of = np.full(kb.num_individuals, -1, dtype=np.intp)
@@ -284,23 +287,29 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
                     top=(1 << n) - 1,
                     positives=_bits(examples.positives[ids]),
                     negatives=_bits(examples.negatives[ids]),
-                    table={}, counts={}, full=_full_space(kb),
+                    table={}, counts={}, full=full,
                     chunks=tuple([_chunks(subs, objs, n)
                                   for subs, objs in zip(*pairs)]
                                  for pairs in roles))
 
 
-class ExtensionMemo(dict):
-    """One search's memos over (kb, examples): the sort key of a strict
-    sub-concept maps to its packed extension over all individuals, and
-    ``space`` is the example space, which holds its own memos ``table`` and
-    ``counts``."""
+class Evaluator:
+    """Evaluation of concepts against ``examples`` over ``kb``: ``memo`` is
+    the full-space memo, ``space`` the example space, which holds its own
+    memos ``table`` and ``counts`` (see the module docstring)."""
 
-    __slots__ = ("space",)
+    __slots__ = ("kb", "examples", "memo", "space")
 
     def __init__(self, kb: KnowledgeBase, examples: ExampleSet):
-        super().__init__()
+        self.kb, self.examples = kb, examples
+        self.memo: dict = {}
         self.space = _example_space(kb, examples)
+
+    def count(self, c: Concept) -> CoverageResult:
+        """Covered positives and negatives of ``c``."""
+        bits, space = _row_extension(c, self), self.space
+        return CoverageResult((bits & space.positives).bit_count(),
+                              (bits & space.negatives).bit_count())
 
 
 # Concepts whose extension is a stored mask, read or inverted: never memoized.
@@ -390,32 +399,32 @@ def _concrete(c: Concept, space: RowSpace) -> np.ndarray:
     return out
 
 
-def _row_operand(c: Concept, kb: KnowledgeBase, space: RowSpace,
-                 memo: dict) -> int:
+def _row_operand(c: Concept, ev: Evaluator) -> int:
     """Extension of the top-level operand ``c`` over the example rows,
-    through the space's table."""
+    through the example space's table."""
     if type(c) in _MASK_READS:
-        return _row_extension(c, kb, space, memo)
+        return _row_extension(c, ev)
     key = sort_key(c)
-    bits = space.table.get(key)
+    table = ev.space.table
+    bits = table.get(key)
     if bits is None:
-        bits = space.table[key] = _row_extension(c, kb, space, memo)
+        bits = table[key] = _row_extension(c, ev)
     return bits
 
 
-def _filler(c: Concept, kb: KnowledgeBase, space: RowSpace, inverse: bool,
-            rid: int, chunks: Chunks, memo: dict
+def _filler(c: Concept, ev: Evaluator, inverse: bool, rid: int, chunks: Chunks
             ) -> tuple[tuple[int, ...], np.ndarray | None, np.ndarray | None]:
     """Which successors in ``chunks`` (those of role ``rid``, or its
     inverse) are in the filler ``c``: one int per chunk; a bool array over
     the heavy rows' pairs and each heavy row's count of them, or None and
-    None when there is no heavy row. Every filler goes through the space's
-    counts memo. ``Thing`` holds every successor, an atom is gathered from
-    its mask, and a negated atom, an intersection and a union are int and
-    array operations on what their operands hold; any other filler is
-    computed over all individuals and gathered."""
+    None when there is no heavy row. Every filler goes through the example
+    space's counts memo. ``Thing`` holds every successor, an atom is
+    gathered from its mask, and a negated atom, an intersection and a union
+    are int and array operations on what their operands hold; any other
+    filler is computed over all individuals and gathered."""
     key = (inverse, rid, sort_key(c))
-    hit = space.counts.get(key)
+    memo = ev.space.counts
+    hit = memo.get(key)
     if hit is not None:
         return hit
     t = type(c)
@@ -426,24 +435,22 @@ def _filler(c: Concept, kb: KnowledgeBase, space: RowSpace, inverse: bool,
         if heavy:
             found = np.ones(len(chunks.heavy_objs), dtype=bool)
     elif t is NotAtomic:
-        bits, found, _ = _filler(Atomic(c.class_id), kb, space, inverse, rid,
-                                 chunks, memo)
+        bits, found, _ = _filler(Atomic(c.class_id), ev, inverse, rid, chunks)
         bits = tuple(map(xor, chunks.present, bits))
         if heavy:
             found = ~found
     elif t is And or t is Or:
         op, array_op = (and_, np.logical_and) if t is And else (or_, np.logical_or)
-        bits, found, _ = _filler(c.children[0], kb, space, inverse, rid,
-                                 chunks, memo)
+        bits, found, _ = _filler(c.children[0], ev, inverse, rid, chunks)
         for ch in c.children[1:]:
-            more, more_found, _ = _filler(ch, kb, space, inverse, rid, chunks,
-                                          memo)
+            more, more_found, _ = _filler(ch, ev, inverse, rid, chunks)
             bits = tuple(map(op, bits, more))
             if heavy:
                 found = array_op(found, more_found)
     else:
-        full = (space.full.masks[c.class_id] if t is Atomic
-                else _operand(c, kb, space.full, memo))
+        full_space = ev.space.full
+        full = (full_space.masks[c.class_id] if t is Atomic
+                else _operand(c, ev.kb, full_space, ev.memo))
         packed = np.packbits(full.take(chunks.ids), axis=1, bitorder="little")
         bits = tuple(int.from_bytes(row.tobytes(), "little") & present
                      for row, present in zip(packed, chunks.present))
@@ -452,7 +459,7 @@ def _filler(c: Concept, kb: KnowledgeBase, space: RowSpace, inverse: bool,
     # Each heavy row's pairs are a run of ``found``, none of them empty.
     count = (np.add.reduceat(found.view(np.uint8), chunks.heavy_starts,
                              dtype=np.intp) if heavy else None)
-    out = space.counts[key] = bits, found, count
+    out = memo[key] = bits, found, count
     return out
 
 
@@ -473,20 +480,20 @@ def _at_least(bits: tuple[int, ...], n: int) -> int:
     return have[n]
 
 
-def _restriction(c: Exists | Forall | MinCard | MaxCard, kb: KnowledgeBase,
-                 space: RowSpace, memo: dict) -> int:
+def _restriction(c: Exists | Forall | MinCard | MaxCard,
+                 ev: Evaluator) -> int:
     """Extension of a top-level role restriction over the example rows,
     read off the chunks of its role and filler: ``some`` is their union,
     ``only`` holds where no chunk has a successor outside the filler, and
     ``min n``/``max n`` count bit-sliced across the chunks. The heavy rows'
     counts are compared as numbers and ORed in."""
-    t = type(c)
+    t, space = type(c), ev.space
     inverse, rid = c.role.inverse, c.role.role_id
     chunks = space.chunks[inverse][rid]
     # With no pair every count is 0, and the filler is never computed.
     if chunks is None:
         return 0 if t is Exists or t is MinCard else space.top
-    bits, _, count = _filler(c.child, kb, space, inverse, rid, chunks, memo)
+    bits, _, count = _filler(c.child, ev, inverse, rid, chunks)
     if t is Exists:
         out = _at_least(bits, 1)
     elif t is MinCard:
@@ -513,12 +520,11 @@ def _restriction(c: Exists | Forall | MinCard | MaxCard, kb: KnowledgeBase,
     return out | _bits(rows)
 
 
-def _row_extension(c: Concept, kb: KnowledgeBase, space: RowSpace,
-                   memo: dict) -> int:
+def _row_extension(c: Concept, ev: Evaluator) -> int:
     """Closed-world extension of ``c`` over the example rows, as an int
     whose bit i is row i. Operands are computed here, the fillers of role
     restrictions over their role's chunks (``_filler``)."""
-    t = type(c)
+    t, space = type(c), ev.space
     if t is Atomic:
         return space.masks[c.class_id]
     if t is NotAtomic:
@@ -528,15 +534,15 @@ def _row_extension(c: Concept, kb: KnowledgeBase, space: RowSpace,
     if t is And:
         out = space.top
         for ch in c.children:
-            out &= _row_operand(ch, kb, space, memo)
+            out &= _row_operand(ch, ev)
         return out
     if t is Or:
         out = 0
         for ch in c.children:
-            out |= _row_operand(ch, kb, space, memo)
+            out |= _row_operand(ch, ev)
         return out
     if t is Exists or t is Forall or t is MinCard or t is MaxCard:
-        return _restriction(c, kb, space, memo)
+        return _restriction(c, ev)
     return _bits(_concrete(c, space))
 
 
@@ -549,28 +555,27 @@ def covered_set(c: Concept, kb: KnowledgeBase, memo: dict | None = None,
     ``full`` is ``kb``'s full space, which a caller that has one passes down
     so that a filler miss does not build another.
     """
-    if full is None:
-        if not kb.materialized:
-            raise KbError("evaluation requires a materialized knowledge base")
-        full = _full_space(kb)
-    return _extension(c, kb, full, memo)
+    return _extension(c, kb, _full_space(kb) if full is None else full, memo)
 
 
 def evaluate(c: Concept, kb: KnowledgeBase, examples: ExampleSet,
              keep_set: bool = False, memo: dict | None = None) -> CoverageResult:
     """Covered positives and negatives of ``c``, and its extension over all
-    individuals if ``keep_set``. An ``ExtensionMemo``, which must be the
-    one built for (kb, examples), computes the counts in its example space;
-    any other memo, and ``keep_set``, in the full one."""
-    if keep_set or not isinstance(memo, ExtensionMemo):
-        cov = covered_set(c, kb, memo)
-        return CoverageResult(int(np.count_nonzero(cov & examples.positives)),
-                              int(np.count_nonzero(cov & examples.negatives)),
-                              cov if keep_set else None)
-    space = memo.space
-    bits = _row_extension(c, kb, space, memo)
-    return CoverageResult((bits & space.positives).bit_count(),
-                          (bits & space.negatives).bit_count())
+    individuals if ``keep_set``. ``memo`` may be an ``Evaluator``, which
+    must be the one built for (kb, examples) or ValueError is raised; it
+    counts in its example space, and with ``keep_set`` computes in the full
+    one through its full-space memo. Any other memo is a full-space memo."""
+    if isinstance(memo, Evaluator):
+        if memo.kb is not kb or memo.examples is not examples:
+            raise ValueError("an Evaluator evaluates only against the kb and "
+                             "examples it was built for")
+        if not keep_set:
+            return memo.count(c)
+        memo = memo.memo
+    cov = covered_set(c, kb, memo)
+    return CoverageResult(int(np.count_nonzero(cov & examples.positives)),
+                          int(np.count_nonzero(cov & examples.negatives)),
+                          cov if keep_set else None)
 
 
 def evaluate_batch(cs: list[Concept], kb: KnowledgeBase, examples: ExampleSet,
@@ -581,18 +586,14 @@ def evaluate_batch(cs: list[Concept], kb: KnowledgeBase, examples: ExampleSet,
     return [evaluate(c, kb, examples, keep_sets, memo) for c in cs]
 
 
-def dominated_union(c: Concept, kb: KnowledgeBase,
-                    memo: ExtensionMemo) -> bool:
+def dominated_union(c: Concept, ev: Evaluator) -> bool:
     """Whether ``c`` is a union with a top-level operand that covers no
-    positive example of ``memo``'s examples. Each operand is read from the
-    example space of ``memo``, where evaluating ``c`` with it has left the
-    operand's extension, so nothing is computed again."""
+    positive example of ``ev``'s examples. Each operand is read through the
+    example space's table, where evaluating ``c`` with ``ev`` has left it."""
     if type(c) is not Or:
         return False
-    space = memo.space
-    positives = space.positives
-    return any(not _row_operand(ch, kb, space, memo) & positives
-               for ch in c.children)
+    positives = ev.space.positives
+    return any(not _row_operand(ch, ev) & positives for ch in c.children)
 
 
 def score(cov: CoverageResult, parent_accuracy: float | None, he: int,

@@ -18,28 +18,26 @@ hash across the per-node refinement lists that the RHT does not hold, and
 evaluates the survivors in a batch; the cluster's sends blocks of the beam
 to workers, each of which runs the same in-process expander on its block.
 
-The in-process expander refines in the context of its examples
-(``refine.top_context``), computed once per search from the example space
-its evaluation counts in: the top level of a refinement names no role,
-inverse role or concrete role that no example is the subject of, since such
-a restriction is constant on the examples (see ``dlbeam.refine``). A worker
-computes the same context from the examples its KB_TRANSFER carries, so a
-cluster run still equals a local one. The expander refines through one
-``refine.Refiner``, built from the KB and the search's own settings, whose
-memo is keyed by concept, bound and context and whose intern table makes
-each refinement one search builds twice one object.
+The in-process expander holds one ``refine.Refiner``, built from the KB and
+the search's own settings, and one ``evaluation.Evaluator`` of the search's
+(kb, examples). It refines in the context of the examples
+(``refine.top_context``), read once off the evaluator's example space: the
+top level of a refinement names no role, inverse role or concrete role that
+no example is the subject of, since such a restriction is constant on the
+examples (see ``dlbeam.refine``). A worker's context comes from the examples
+its KB_TRANSFER carries, so a cluster run still equals a local one.
 
 The in-process expander also drops each union dominated in the examples'
 context: an ``Or`` with a top-level operand that covers no positive example
-(``evaluation.dominated_union``, which reads the operands back from the
-example space that evaluating the union filled). Such a union covers the
-positives of its other operands and at least their negatives, and it is
-longer, so they dominate it. A refinement of it rewrites one operand, and a
-refined dead operand still covers no positive, so each refinement is
-dominated the same way, or weak if the union collapses to that operand. So
-the union is reported as a weak refinement is, its hash with None: the loop
-closes it, never inserts it and never expands it. A worker drops it in the
-same place, so a cluster run still equals a local one.
+(``evaluation.dominated_union``). Such a union covers the positives of its
+other operands and at least their negatives, and it is longer, so they
+dominate it. A refinement of it rewrites one operand, and a refined dead
+operand still covers no positive, so each refinement is dominated the same
+way, or weak if the union collapses to that operand. So the union is
+reported as a weak refinement is, its hash with None: the loop closes it,
+never inserts it and never expands it. A worker drops it in the same place,
+so a cluster run still equals a local one; the master, which holds an
+evaluator of its own, refuses one that a worker returns.
 
 The open list is kept sorted by each node's ``key``, (-score, canonical
 sort key), which is computed once when the node is built. Keys are unique,
@@ -65,8 +63,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .concept import (TOP, Concept, concept_length, hash_concept, sort_key)
-from .evaluation import (CoverageResult, EvalConfig, ExtensionMemo, Score,
-                         dominated_union, evaluate, evaluate_batch, score,
+from .evaluation import (CoverageResult, EvalConfig, Evaluator, Score,
+                         dominated_union, evaluate_batch, score,
                          weak_threshold)
 from .kb import ExampleSet, KbStatistics, KnowledgeBase, compute_statistics
 from .refine import Refiner, TopContext, build_mb, refine, top_context
@@ -155,15 +153,16 @@ class IterationStats:
 
     While no worker fails, a cluster run has the same ``expanded``,
     ``weak_dropped`` and ``st_size`` as a local run of the same beam width,
-    iteration by iteration. Its ``generated`` and ``redundant_dropped``
-    differ: a local run's ``generated`` counts every refinement its
-    expander proposed, a node's re-proposals of what it proposed at an
-    earlier expansion included, a cluster's only those its workers' RHT
-    mirrors did not hold, so its ``redundant_dropped`` counts just the
-    hashes that more than one worker returned. ``weak_dropped`` counts the
-    weak refinements and the dominated unions together (see the module
-    docstring): a worker returns both as weak hashes, so the master cannot
-    tell them apart.
+    iteration by iteration; after a drop, ``expanded`` counts only the
+    nodes of the workers that answered. Its ``generated`` and
+    ``redundant_dropped`` differ: a local run's ``generated`` counts every
+    refinement its expander proposed, a node's re-proposals of what it
+    proposed at an earlier expansion included, a cluster's only those its
+    workers' RHT mirrors did not hold, so its ``redundant_dropped`` counts
+    just the hashes that more than one worker returned. ``weak_dropped``
+    counts the weak refinements and the dominated unions together (see the
+    module docstring): a worker returns both as weak hashes, so the master
+    cannot tell them apart.
     """
 
     expanded: int
@@ -240,10 +239,10 @@ def reduce_redundant(per_slot: list[list[Concept]], rht: set[int],
     return out
 
 
-def root_node(kb: KnowledgeBase, examples: ExampleSet, eval_cfg: EvalConfig,
+def root_node(examples: ExampleSet, eval_cfg: EvalConfig,
               max_length: int) -> SearchNode:
-    """Thing, evaluated and scored as the root of a search."""
-    cov = evaluate(TOP, kb, examples)
+    """Thing, which covers every example, scored as the root of a search."""
+    cov = CoverageResult(examples.pos_count, examples.neg_count)
     return SearchNode(TOP, hash_concept(TOP), 1, cov,
                       score(cov, None, 1, examples, eval_cfg),
                       expandable=max_length > 1)
@@ -263,13 +262,13 @@ class LocalExpander:
     def __init__(self, kb: KnowledgeBase, examples: ExampleSet,
                  cfg: SearchConfig, stats: KbStatistics, mb: list[Concept]):
         self.kb, self.examples, self.cfg = kb, examples, cfg
-        # The refiner holds refine's memo and intern table, and ext_memo
-        # evaluation's operand and filler extensions and the example space
-        # the candidates are counted in, so both live for this search only.
-        # The search refines in the context of that example space.
+        # The refiner holds refine's memo and intern table, the evaluator
+        # evaluation's memos and the example space the candidates are counted
+        # and refined in, so both live for this search only. Building the
+        # evaluator refuses a KB that is not materialized.
         self.refiner = Refiner(kb, stats, mb, cfg)
-        self.ext_memo = ExtensionMemo(kb, examples)
-        self.context = top_context(self.ext_memo.space)
+        self.evaluator = Evaluator(kb, examples)
+        self.context = top_context(self.evaluator.space)
         # A refinement covering fewer positives than this is weak.
         self.min_pos = weak_threshold(examples, cfg.noise)
 
@@ -280,25 +279,24 @@ class LocalExpander:
                ) -> tuple[range, int, list[tuple[int, Child | None]]]:
         """Expand every node of ``beam``, each anything with a ``concept``
         and an ``he``; see ``search_loop``."""
-        kb, examples = self.kb, self.examples
         per_slot = [expand_single_node(n, self.refiner, self.context)
                     for n in beam]
         survivors = reduce_redundant(per_slot, rht,
                                      verify=self.cfg.verify_collisions)
-        covs = evaluate_batch([c for c, _, _ in survivors], kb, examples,
-                              memo=self.ext_memo)
+        covs = evaluate_batch([c for c, _, _ in survivors], self.kb,
+                              self.examples, memo=self.evaluator)
         found: list[tuple[int, Child | None]] = []
         for (c, h, slot), cov in zip(survivors, covs):
             # A weak node and a dominated union are reported alike: closed,
             # never inserted, never expanded.
             weak = (cov.pos_covered < self.min_pos
-                    or dominated_union(c, kb, self.ext_memo))
+                    or dominated_union(c, self.evaluator))
             found.append((h, None if weak else (slot, c, cov)))
         return range(len(beam)), sum(map(len, per_slot)), found
 
 
-def search_loop(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchSettings,
-                expander, t0: float) -> SearchResult:
+def search_loop(examples: ExampleSet, cfg: SearchSettings, expander,
+                t0: float) -> SearchResult:
     """The beam search of ``run_search`` and of the cluster master.
 
     Times count from ``t0``, a ``time.monotonic()`` reading.
@@ -313,7 +311,7 @@ def search_loop(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchSettings,
     def elapsed_ms() -> int:
         return int((time.monotonic() - t0) * 1000)
 
-    root = root_node(kb, examples, cfg.eval_cfg, cfg.max_length)
+    root = root_node(examples, cfg.eval_cfg, cfg.max_length)
     st: list[SearchNode] = [root]
     rht: set[int] = {root.hash}
     st_insertions: dict[int, float] = {root.hash: root.score.value}
@@ -359,7 +357,7 @@ def search_loop(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchSettings,
             if sc.accuracy > best_accuracy:
                 best_accuracy = sc.accuracy
         iterations.append(IterationStats(
-            expanded=len(beam), generated=generated,
+            expanded=len(expanded), generated=generated,
             redundant_dropped=generated - evaluated,
             weak_dropped=weak_dropped, st_size=len(st),
             elapsed_millis=elapsed_ms()))
@@ -383,4 +381,4 @@ def run_search(kb: KnowledgeBase, examples: ExampleSet, cfg: SearchConfig,
     if mb is None:
         mb = build_mb(kb, stats)
     expander = LocalExpander(kb, examples, cfg, stats, mb)
-    return search_loop(kb, examples, cfg, expander, time.monotonic())
+    return search_loop(examples, cfg, expander, time.monotonic())

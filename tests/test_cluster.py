@@ -25,7 +25,7 @@ from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             serialize_block, deserialize_block, write_frame)
 from dlbeam.concept import (And, Atomic, Exists, MinCard, Or, RoleExpr, TOP,
                             concept_length, connective, encode, hash_concept)
-from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
+from dlbeam.evaluation import (CoverageResult, EvalConfig, Evaluator,
                                evaluate, evaluate_batch, is_weak, score)
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (MAX_SEALED_INDIVIDUALS, ExampleSet, KbStatistics,
@@ -340,7 +340,7 @@ def local_expand_oracle(fix, tasks, params):
     each refinement names the slot of the task node it refines."""
     refiner = Refiner(fix.kb, fix.stats, fix.mb, params)
     # A worker refines in the context of the examples it was sent.
-    context = top_context(ExtensionMemo(fix.kb, fix.examples).space)
+    context = top_context(Evaluator(fix.kb, fix.examples).space)
     per_slot = [expand_single_node(bn, refiner, context) for bn in tasks]
     survivors = reduce_redundant(per_slot, rht=set())
     covs = evaluate_batch([c for c, _, _ in survivors], fix.kb, fix.examples)
@@ -1003,7 +1003,12 @@ MIN7 = MinCard(7, RoleExpr(0), connective(And, (Atomic(0), Atomic(1))))
     # At noise 0 a node that is not weak covers all 5 positives.
     (BlockNode(MIN7, 6, 0, 4, 0),
      "node 0: weak, covers 4 positives where 5 are needed"),
-], ids=["impossible-counts", "he-not-length", "slot-not-sent", "weak-node"])
+    # Train or Car: no Car is a train, so no positive, and a worker drops
+    # the union as dominated.
+    (BlockNode(connective(Or, (Atomic(0), Atomic(1))), 3, 0, 5, 5),
+     "node 0: dominated union"),
+], ids=["impossible-counts", "he-not-length", "slot-not-sent", "weak-node",
+        "dominated-union"])
 def test_master_drops_a_worker_that_returns_an_impossible_node(
         trains, bad, cause):
     res, local = master_with_a_bad_worker(
@@ -1012,6 +1017,63 @@ def test_master_drops_a_worker_that_returns_an_impossible_node(
     assert res.status == local.status == "exhausted"
     assert res.rht == local.rht
     assert res.st_insertions == local.st_insertions
+
+
+def test_master_drops_a_worker_that_returns_a_dominated_union_it_was_sent(
+        trains):
+    """A worker that adds Train or Car to its first reply, for a slot of
+    its own block, is dropped: a local run would drop that union as
+    dominated, never insert it, and never expand it."""
+    union = connective(Or, (Atomic(0), Atomic(1)))
+    with worker(cores=2) as w:
+        expand = w._expand
+
+        def adding_union(payload, state):
+            nodes, weak = _split_expand_result(expand(payload, state))
+            slot = _split_expand_task(payload)[1][0].slot
+            nodes.append(BlockNode(union, concept_length(union), slot, 5, 5))
+            return _pack_expand_result(nodes, weak)
+
+        w._expand = adding_union
+        res = run_master(trains.kb, trains.st, trains.examples,
+                         master_cfg(w, max_length=5, target_accuracy=2.0))
+    assert res.status == "failed"
+    (drop,) = res.dropped
+    assert drop.iteration == 0
+    assert re.match(r"node \d+: dominated union", drop.cause), drop.cause
+    assert [n.concept for n in res.st_nodes] == [TOP]
+
+
+def test_the_iteration_that_drops_a_worker_counts_only_what_was_expanded(
+        trains):
+    """A worker that fails at its third EXPAND_TASK is dropped in iteration
+    2, which expanded only the other worker's block."""
+    with worker(cores=2) as good, worker(cores=2) as bad:
+        expand = bad._expand
+
+        def failing_third(payload, state):
+            state["tasks"] = state.get("tasks", 0) + 1
+            if state["tasks"] == 3:
+                return unparseable_expand_result(payload, state)
+            return expand(payload, state)
+
+        bad._expand = failing_third
+        cfg = master_cfg(
+            good, worker_endpoints=(("127.0.0.1", good.udp_port),
+                                    ("127.0.0.1", bad.udp_port)),
+            expect_workers=2, max_length=5, target_accuracy=2.0)
+        res = run_master(trains.kb, trains.st, trains.examples, cfg)
+    (drop,) = res.dropped
+    assert drop.address == ("127.0.0.1", bad.tcp_port)
+    assert drop.iteration == 2
+    # Until then the run is a local one of both workers' width.
+    local = run_search(trains.kb, trains.examples,
+                       SearchConfig(beam_width=4, max_length=5,
+                                    target_accuracy=2.0))
+    assert ([i.expanded for i in res.iterations[:2]]
+            == [i.expanded for i in local.iterations[:2]])
+    assert local.iterations[2].expanded == 4
+    assert res.iterations[2].expanded == 2
 
 
 def test_master_scores_what_a_worker_returns(trains):

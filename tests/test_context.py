@@ -23,7 +23,7 @@ from dlbeam.cluster import run_master
 from dlbeam.concept import (And, BoolEq, Exists, Forall, MaxCard, MinCard,
                             NumGeq, NumLeq, Or, RoleExpr, StrEq, TOP,
                             concept_length, hash_concept)
-from dlbeam.evaluation import ExtensionMemo
+from dlbeam.evaluation import Evaluator
 from dlbeam.kb import compute_statistics
 from dlbeam.refine import (Refiner, TopContext, build_mb, refine,
                            refine_top_levels, top_context)
@@ -102,7 +102,7 @@ def test_refine_in_context_is_context_free_refine_minus_dead_operands(seed):
     _, kb, examples = generated_input(rng)
     stats = compute_statistics(kb)
     mb = build_mb(kb, stats)
-    context = top_context(ExtensionMemo(kb, examples).space)
+    context = top_context(Evaluator(kb, examples).space)
     assert same_context(context, reference_context(kb, examples))
     free, in_context = (Refiner(kb, stats, mb, SearchSettings())
                         for _ in range(2))
@@ -202,7 +202,7 @@ def test_a_search_in_context_drops_only_concepts_with_a_dead_operand(seed):
 def test_a_cluster_in_context_equals_a_local_search(seed):
     st_sym, kb, examples = example_subset_kb(random.Random(seed))
     away = RoleExpr(kb.num_roles - 1, False)  # no example is its subject
-    assert away not in top_context(ExtensionMemo(kb, examples).space).roles
+    assert away not in top_context(Evaluator(kb, examples).space).roles
     with worker(cores=2) as w:
         res = run_master(kb, st_sym, examples,
                          master_cfg(w, max_length=5, target_accuracy=2.0,

@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlbeam.cluster as cluster_mod
 import dlbeam.search as search_mod
 from dlbeam.cluster import run_master
 from dlbeam.concept import (And, Atomic, NotAtomic, Or, TOP, connective,
                             hash_concept)
-from dlbeam.evaluation import (ExtensionMemo, dominated_union, evaluate_batch,
+from dlbeam.evaluation import (Evaluator, dominated_union, evaluate_batch,
                                weak_threshold)
 from dlbeam.refine import Refiner, refine
 from dlbeam.search import SearchConfig, SearchSettings, run_search
@@ -33,8 +34,10 @@ from test_context import generated_input
 
 def without_dominance(m) -> None:
     """Stop a search dropping dominated unions, through the monkeypatch
-    ``m``: the search as it ran before it dropped them."""
+    ``m``: the search as it ran before it dropped them. A cluster master
+    then also accepts the dominated unions its workers return."""
     m.setattr(search_mod, "dominated_union", lambda *args: False)
+    m.setattr(cluster_mod, "dominated_union", lambda *args: False)
 
 
 def covers_no_positive(c, kb, examples) -> bool:
@@ -44,9 +47,9 @@ def covers_no_positive(c, kb, examples) -> bool:
 
 # --- the helper ---------------------------------------------------------------
 
-def evaluated_memo(fix, concepts) -> ExtensionMemo:
+def evaluated_memo(fix, concepts) -> Evaluator:
     """A search's memo after it evaluated ``concepts``."""
-    memo = ExtensionMemo(fix.kb, fix.examples)
+    memo = Evaluator(fix.kb, fix.examples)
     evaluate_batch(concepts, fix.kb, fix.examples, memo=memo)
     return memo
 
@@ -69,7 +72,7 @@ def test_a_union_with_an_operand_that_covers_no_positive_is_dominated(trains):
         u = connective(Or, (live[0], operand))
         memo = evaluated_memo(trains, [u])
         table = dict(memo.space.table)
-        assert dominated_union(u, trains.kb, memo)
+        assert dominated_union(u, memo)
         # The operands are read back from what evaluation left.
         assert memo.space.table == table
 
@@ -86,7 +89,7 @@ def test_a_union_whose_operands_all_cover_a_positive_is_kept(trains):
         assert not any(covers_no_positive(ch, trains.kb, trains.examples)
                        for ch in u.children)
         memo = evaluated_memo(trains, [u])
-        assert not dominated_union(u, trains.kb, memo)
+        assert not dominated_union(u, memo)
 
 
 def test_a_concept_that_is_not_a_union_is_never_dominated(trains):
@@ -96,7 +99,7 @@ def test_a_concept_that_is_not_a_union_is_never_dominated(trains):
               connective(And, (live[1], inner))):
         assert not isinstance(c, Or)
         memo = evaluated_memo(trains, [c])
-        assert not dominated_union(c, trains.kb, memo)
+        assert not dominated_union(c, memo)
 
 
 # --- the search ---------------------------------------------------------------

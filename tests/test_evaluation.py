@@ -12,7 +12,7 @@ import dlbeam.evaluation as evaluation_mod
 from dlbeam.concept import (And, Atomic, BoolEq, Exists, Forall, MaxCard,
                             MinCard, NotAtomic, NumGeq, NumLeq, Or, RoleExpr,
                             StrEq, TOP, Top, canonicalize, sort_key)
-from dlbeam.evaluation import (CoverageResult, EvalConfig, ExtensionMemo,
+from dlbeam.evaluation import (CoverageResult, EvalConfig, Evaluator,
                                covered_set, evaluate, evaluate_batch, is_weak,
                                score, weak_threshold)
 from dlbeam.kb import ExampleSet, KbError, materialize, parse_kb
@@ -320,7 +320,7 @@ def test_example_space_counts_equal_covered_set_and_the_oracle(seed):
     cs = ([random_concept(rng, dims_of(kb), depth=3) for _ in range(20)]
           + away_concepts(rng, kb))
     pos, neg = set(examples.pos_ids()), set(examples.neg_ids())
-    memo = ExtensionMemo(kb, examples)
+    memo = Evaluator(kb, examples)
     for c in cs:
         got = evaluate(c, kb, examples, memo=memo)
         assert (got.pos_covered, got.neg_covered) == full_counts(c, kb, examples)
@@ -337,7 +337,7 @@ def test_example_space_counts_equal_covered_set_and_the_oracle(seed):
     space = memo.space
     assert space.ids.tolist() == sorted(pos | neg)
     operands = {sort_key(s): s for c in cs for s in strict_subconcepts(c)}
-    assert memo.keys() <= operands.keys()
+    assert memo.memo.keys() <= operands.keys()
     assert space.table.keys() <= operands.keys()
     for key, bits in space.table.items():
         assert not isinstance(operands[key], (Top, Atomic, NotAtomic))
@@ -359,7 +359,7 @@ def test_a_restriction_no_example_is_subject_of_never_computes_its_filler(
         _, kb, examples = example_subset_kb(rng)
         away = RoleExpr(kb.num_roles - 1)
         filler = Exists(RoleExpr(0), NotAtomic(0))
-        memo = ExtensionMemo(kb, examples)
+        memo = Evaluator(kb, examples)
         for c in (Exists(away, filler), Forall(away, filler),
                   MinCard(1, away, filler), MaxCard(0, away, filler)):
             got = evaluate(c, kb, examples, memo=memo)
@@ -377,11 +377,29 @@ def test_each_example_set_counts_under_a_memo_of_its_own():
         second = random_examples(rng, kb)
         cs = [random_concept(rng, dims_of(kb), depth=3) for _ in range(20)]
         for examples in (first, second):
-            memo = ExtensionMemo(kb, examples)
+            memo = Evaluator(kb, examples)
             assert ([evaluate(c, kb, examples, memo=memo) for c in cs]
                     == [evaluate(c, kb, examples) for c in cs])
             assert memo.space.ids.tolist() == sorted(
                 examples.pos_ids() + examples.neg_ids())
+
+
+def test_an_evaluator_refuses_another_kb_or_example_set(trains, smoke):
+    """An Evaluator counts in the example space it was built for, so
+    handed another pair it would count that space's examples."""
+    kb, examples = trains.kb, trains.examples
+    c = Exists(RoleExpr(0), Atomic(3))  # hasCar some ClosedCar
+    ids = examples.pos_ids() + examples.neg_ids()
+    # The same examples with trains 0 and 5 the only positives.
+    other = ExampleSet.from_ids(kb.num_individuals, [0, 5],
+                                [i for i in ids if i not in (0, 5)])
+    ev = Evaluator(kb, examples)
+    assert evaluate(c, kb, other) == CoverageResult(2, 6)
+    assert evaluate(c, kb, examples, memo=ev) == evaluate(c, kb, examples)
+    for keep_set in (False, True):
+        for pair in ((kb, other), (smoke.kb, examples)):
+            with pytest.raises(ValueError, match="built for"):
+                evaluate(c, *pair, keep_set, memo=ev)
 
 
 WIDE = 300  # individuals, so that one row can have more than 255 successors
@@ -448,7 +466,7 @@ def test_every_form_over_one_role_and_filler_reads_one_successor_count(seed):
             cs += forms + [canonicalize(Or((And((forms[0], forms[3])),
                                             forms[1])))]
     for examples in (first, second):
-        memo = ExtensionMemo(kb, examples)
+        memo = Evaluator(kb, examples)
         for c in cs:
             got = evaluate(c, kb, examples, memo=memo)
             counts = (got.pos_covered, got.neg_covered)
@@ -571,7 +589,7 @@ def test_chunks_of_forward_and_inverse_roles_in_the_example_space():
         + "fact r i5 i4\n")
     materialize(kb, st)
     examples = ExampleSet.from_ids(6, [0, 1], [3, 4])
-    space = ExtensionMemo(kb, examples).space
+    space = Evaluator(kb, examples).space
     check_chunks(space, kb)
     forward, backward = space.chunks[False][0], space.chunks[True][0]
     # Rows are i0, i1, i3, i4. Forward: i0 -> i1, i2; i1 -> i0; i3 -> i0;
@@ -620,7 +638,7 @@ def test_rows_above_the_chunk_depth_count_as_covered_set_and_the_oracle(seed):
     rng = random.Random(seed)
     kb, examples, hub = hub_kb(rng)
     dims = dims_of(kb)
-    memo = ExtensionMemo(kb, examples)
+    memo = Evaluator(kb, examples)
     space = memo.space
     check_chunks(space, kb)
     assert len(space.chunks[False][hub].heavy_rows) > 0

@@ -8,7 +8,7 @@ import dlbeam.evaluation as evaluation_mod
 import dlbeam.search as search_mod
 from dlbeam.concept import (Atomic, TOP, concept_length, hash_concept,
                             render, sort_key)
-from dlbeam.evaluation import CoverageResult, ExtensionMemo, Score
+from dlbeam.evaluation import CoverageResult, Evaluator, Score
 from dlbeam.kb import materialize, parse_examples, parse_kb
 from dlbeam.refine import Refiner, top_context
 from dlbeam.search import (SearchConfig, SearchNode, SearchSettings,
@@ -47,7 +47,7 @@ def root_node(fix):
 
 
 def context_of(fix):
-    return top_context(ExtensionMemo(fix.kb, fix.examples).space)
+    return top_context(Evaluator(fix.kb, fix.examples).space)
 
 
 def refiner_of(fix):
@@ -90,7 +90,7 @@ def test_search_loop_grows_he_of_the_nodes_reported_expanded(trains):
             return (range(1) if len(seen) % 2 == 0 else []), 0, []
 
     res = search_mod.search_loop(
-        trains.kb, trains.examples,
+        trains.examples,
         SearchConfig(max_length=4, target_accuracy=2.0), EverySecondCall(),
         time.monotonic())
     assert seen == [1, 1, 2, 2, 3, 3]
@@ -436,12 +436,12 @@ def test_search_memo_holds_no_top_level_concept(trains, monkeypatch):
     first = len(batches)
     run_search(trains.kb, trains.examples, EXHAUST)
     memo = batches[0][1]
-    assert memo
+    assert memo.memo
     assert all(m is memo for _, m in batches[:first])
     assert all(m is not memo for _, m in batches[first:])  # one per search
     operands = {sort_key(s) for cs, _ in batches[:first] for c in cs
                 for s in strict_subconcepts(c)}
-    assert memo.keys() <= operands
+    assert memo.memo.keys() <= operands
 
 
 # --- interning ----------------------------------------------------------------
