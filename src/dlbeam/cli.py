@@ -14,12 +14,12 @@ from dataclasses import replace
 
 from .cluster import (ClusterError, MasterConfig, WorkerServer,
                       DEFAULT_TCP_PORT, DEFAULT_UDP_PORT, run_master)
-from .concept import (TOP, ConceptParseError, canonicalize, concept_length,
+from .concept import (ConceptParseError, canonicalize, concept_length,
                       parse_concept, render)
 from .evaluation import Evaluator, evaluate
 from .kb import (KbError, compute_statistics, materialize, parse_examples,
                  parse_kb)
-from .refine import Refiner, build_mb, refine, top_context
+from .refine import Refiner, build_mb, top_context
 from .search import (SearchConfig, SearchNode, SearchResult, SearchSettings,
                      run_search)
 
@@ -27,9 +27,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_CLUSTER = 3
-
-# The length of the longest rule-1 atom: an inverse some/only, or a min 2.
-_ATOM_LENGTH = 4
 
 
 class UsageError(Exception):
@@ -240,9 +237,8 @@ def cmd_stats(args) -> int:
         # The rule-1 atoms that a search pairs into unions. A union with an
         # operand that covers no positive example is dropped as dominated.
         stats = compute_statistics(kb)
-        refiner = Refiner(kb, stats, build_mb(kb, stats),
-                          SearchSettings(use_disjunction=False))
-        atoms = refine(TOP, _ATOM_LENGTH, refiner, context)
+        refiner = Refiner(kb, stats, build_mb(kb, stats), SearchSettings())
+        atoms = refiner.atoms(sys.maxsize, context)
         dead = sum(evaluator.count(a).pos_covered == 0 for a in atoms)
         print(f"top-level atoms covering no positive example: "
               f"{dead} of {len(atoms)}")

@@ -79,9 +79,10 @@ back, such as a beam node sent again with a larger he, is not decoded twice.
 A worker also adds every node it returns to its table, so its own nodes come
 back in the next EXPAND_TASK without being decoded. Beside the table, each
 side keeps the encodings of the subtrees whose class and role ids it has
-checked against the KB, and checks each distinct subtree once. The set holds
-only subtrees that passed; the table can also hold subtrees of a refused
-node.
+checked against the KB, and checks each distinct subtree once; the master,
+which renders what it keeps, also checks string value ids against its
+symbol table. The set holds only subtrees that passed; the table can also
+hold subtrees of a refused node.
 
 The master records each worker it drops, with the worker's address, the
 index of the iteration and the cause, in ``ClusterResult.dropped``, and the
@@ -464,6 +465,8 @@ class WorkerServer:
                 return
             t = threading.Thread(target=self._serve_master, args=(conn,), daemon=True)
             t.start()
+            # The two loops lead the list; drop the finished connections.
+            self._threads[2:] = [u for u in self._threads[2:] if u.is_alive()]
             self._threads.append(t)
 
     def _serve_master(self, conn: socket.socket) -> None:
@@ -538,17 +541,18 @@ class WorkerServer:
 
 
 def _check_ids(c: Concept, kb: KnowledgeBase, node: int,
-               checked: set[bytes]) -> None:
+               checked: set[bytes], values: list[int] | None = None) -> None:
     """Raise ProtocolError if ``c``, the concept of block node ``node``,
-    names a class or role that ``kb`` does not have. ``checked`` holds the
-    encodings of the subtrees that passed, which are not walked again."""
+    names a class or role that ``kb`` does not have, or a string value id
+    not below its role's count in ``values``, if given. ``checked`` holds
+    the encodings of the subtrees that passed, which are not walked again."""
     enc = encode(c)
     if enc in checked:
         return
     if isinstance(c, (Atomic, NotAtomic)):
         what, i, n = "class", c.class_id, kb.num_classes
     elif isinstance(c, (Exists, Forall, MinCard, MaxCard)):
-        _check_ids(c.child, kb, node, checked)
+        _check_ids(c.child, kb, node, checked, values)
         what, i, n = "role", c.role.role_id, kb.num_roles
     elif isinstance(c, BoolEq):
         what, i, n = "boolean role", c.role_id, kb.num_boolean_roles
@@ -556,9 +560,11 @@ def _check_ids(c: Concept, kb: KnowledgeBase, node: int,
         what, i, n = "numeric role", c.role_id, kb.num_numeric_roles
     elif isinstance(c, StrEq):
         what, i, n = "string role", c.role_id, kb.num_string_roles
+        if values is not None and i < n:
+            what, i, n = f"string role {i} value", c.value_index, values[i]
     elif isinstance(c, (And, Or)):
         for ch in c.children:
-            _check_ids(ch, kb, node, checked)
+            _check_ids(ch, kb, node, checked, values)
         checked.add(enc)
         return
     else:  # Thing
@@ -569,12 +575,13 @@ def _check_ids(c: Concept, kb: KnowledgeBase, node: int,
 
 
 def _coverage(bn: BlockNode, i: int, kb: KnowledgeBase, examples: ExampleSet,
-              checked: set[bytes]) -> CoverageResult:
-    """The counts of block node ``i``. Raise ProtocolError if its concept
-    names a class or role outside ``kb`` or it covers more examples than
-    there are: no search makes such a node. ``checked`` is the search's set
-    of subtrees whose ids passed."""
-    _check_ids(bn.concept, kb, i, checked)
+              checked: set[bytes], values: list[int] | None = None
+              ) -> CoverageResult:
+    """The counts of block node ``i``. Raise ProtocolError where
+    ``_check_ids`` does, or if it covers more examples than there are: no
+    search makes such a node. ``checked`` is the search's set of subtrees
+    whose ids passed."""
+    _check_ids(bn.concept, kb, i, checked, values)
     if bn.pos_covered > examples.pos_count or bn.neg_covered > examples.neg_count:
         raise ProtocolError(f"node {i}: covers {bn.pos_covered} positives "
                             f"and {bn.neg_covered} negatives of "
@@ -649,6 +656,9 @@ class MasterConfig(SearchSettings):
             if getattr(self, name) > 0xFFFF:
                 raise ValueError(f"{name} must be in [1, 65535], "
                                  f"got {getattr(self, name)}")
+        if self.discovery_millis < 0:
+            raise ValueError(f"discovery_millis must be >= 0, "
+                             f"got {self.discovery_millis}")
         if self.expect_workers is not None and self.expect_workers < 1:
             raise ValueError(f"expect_workers must be >= 1, "
                              f"got {self.expect_workers}")
@@ -793,10 +803,13 @@ class _RemoteExpander:
     recorded in ``dropped``."""
 
     def __init__(self, socks: list[socket.socket], workers: list[WorkerInfo],
-                 alive: list[int], kb: KnowledgeBase, examples: ExampleSet,
-                 cfg: MasterConfig):
+                 alive: list[int], kb: KnowledgeBase, st_sym: SymbolTable,
+                 examples: ExampleSet, cfg: MasterConfig):
         self.socks, self.workers, self.alive = socks, workers, alive
         self.kb, self.examples, self.cfg = kb, examples, cfg
+        # The master renders what it keeps, so it refuses a string value
+        # id that its symbol table cannot name.
+        self.values = [len(v) for v in st_sym.string_values]
         # The RHT hashes already sent. Every alive worker gets every
         # EXPAND_TASK, so this is each alive worker's mirror.
         self.sent: set[int] = set()
@@ -820,7 +833,8 @@ class _RemoteExpander:
         he is not its concept's length, as for every refinement, it is weak,
         it is a dominated union, or its slot is not in ``slots``, the block
         its worker was sent."""
-        cov = _coverage(bn, i, self.kb, self.examples, self.checked)
+        cov = _coverage(bn, i, self.kb, self.examples, self.checked,
+                        self.values)
         length = concept_length(bn.concept)
         if bn.he != length:
             raise ProtocolError(f"node {i}: he {bn.he} is not its length "
@@ -908,7 +922,8 @@ def run_master(kb: KnowledgeBase, st_sym: SymbolTable, examples: ExampleSet,
         handshake_millis = int((time.monotonic() - t0) * 1000)
 
         alive = list(range(len(workers)))
-        expander = _RemoteExpander(socks, workers, alive, kb, examples, cfg)
+        expander = _RemoteExpander(socks, workers, alive, kb, st_sym,
+                                   examples, cfg)
         res = search_loop(examples, cfg, expander, t0)
 
         for i in alive:  # the workers close without a reply

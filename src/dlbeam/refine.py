@@ -2,10 +2,10 @@
 
 Each rule either descends a class/role hierarchy, tightens a numeric or
 cardinality bound, or adds a conjunct, so iterated refinement is monotone in
-concept length. Results are deduplicated, length-bounded, sorted in
-canonical order, and never include the input concept itself. They are
-canonical by construction: the input is, and every And/Or is built by
-``concept.connective``, so no pass over the results is needed.
+concept length. Results are deduplicated, sorted in canonical order, and
+never include the input concept itself. They are length-bounded and
+canonical by construction: each rule builds within its bound, the input is
+canonical, and every And/Or is built by ``concept.connective``.
 
 Disjunction enters the search only at the very top: ``refine_top_levels``
 pairs distinct refinements of Thing into binary unions, and rule application
@@ -21,11 +21,15 @@ context, the rules that introduce a role at the top level leave such roles
 out: rule 1 proposes no ``some``/``only``/``min 2`` over them and no ``mb``
 entry of such a concrete role, and the ``some`` rule rewrites no role to such
 a direct subrole. The top level is the concept itself and, through
-``And``/``Or``, its operands, which inherit the context; a filler is refined
-without one (``context`` None), as the whole concept is when no context is
-given. For a concept with no such restriction among its top-level operands,
-refinement in context is exactly the context-free refinement minus the
-results that have one.
+``And``/``Or``, its operands, which inherit the context. A filler is refined
+in the refiner's ``full`` context of every role, inverse role and concrete
+role, as a concept is when no context is given. For a concept with no such
+restriction among its top-level operands, refinement in context is
+refinement in the full context minus the results that have one.
+
+Rule 1, the atoms directly below Thing, is a table per context that
+``Refiner.atoms`` builds once, sorted by length; each call takes the prefix
+within its bound, so every rule reads the same atom objects.
 
 ``refine`` reads what it refines against from a ``Refiner``, built once
 per search from the KB, its statistics, its concrete-role pool and the
@@ -37,10 +41,10 @@ is a pure function of ``c``, the bound, the context and the refiner.
 key of ``c``, bound, context) to the refinement list. The check sits inside
 ``refine`` itself, so the recursive calls on operands and fillers hit it as
 well as the search's own calls. A context is keyed by identity, as each
-search computes its own once. The memo lives exactly as long as its
-refiner: one ``run_search`` or one worker connection's KB state. Each call
-still returns a new list; the memo keeps a tuple of the same concept
-objects.
+search computes its own once; no context is resolved to the full context
+before the key is built. The memo lives exactly as long as its refiner: one
+``run_search`` or one worker connection's KB state. Each call still returns
+a new list; the memo keeps a tuple of the same concept objects.
 
 The refiner's ``interned`` table maps each result's canonical sort key,
 which is injective, to the result, so a concept that one search builds
@@ -48,12 +52,13 @@ again, such as ``A and B`` from ``A`` and from ``B``, or a refinement at the
 next bound, comes back as the object built first, with its stored hash,
 length, sort key and encoding.
 
-Neither table needs a lock: threads sharing a refiner can only compute an
-equal entry twice.
+None of these tables needs a lock: threads sharing a refiner can only
+compute an equal entry twice.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -73,11 +78,12 @@ __all__ = ["Refiner", "TopContext", "build_mb", "refine", "refine_top_levels",
 
 class Refiner:
     """What one search refines against, with refine's memo and intern table
-    (see the module docstring). ``settings`` is the search's
-    ``SearchSettings`` or ``SearchConfig``."""
+    and the rule-1 atoms of each context (see the module docstring).
+    ``settings`` is the search's ``SearchSettings`` or ``SearchConfig``."""
 
     __slots__ = ("kb", "stats", "mb", "use_inverse_roles", "use_cardinality",
-                 "use_disjunction", "use_negation", "memo", "interned")
+                 "use_disjunction", "use_negation", "full", "memo", "interned",
+                 "atom_tables")
 
     def __init__(self, kb: KnowledgeBase, stats: KbStatistics,
                  mb: list[Concept], settings: SearchSettings):
@@ -86,14 +92,51 @@ class Refiner:
         self.use_cardinality = settings.use_cardinality
         self.use_disjunction = settings.use_disjunction
         self.use_negation = settings.use_negation
+        self.full = TopContext(
+            frozenset(RoleExpr(rid, inverse) for inverse in (False, True)
+                      for rid in range(kb.num_roles)),
+            frozenset(range(kb.num_boolean_roles)),
+            frozenset(range(kb.num_numeric_roles)),
+            frozenset(range(kb.num_string_roles)))
         self.memo: dict[tuple, tuple[Concept, ...]] = {}
         self.interned: dict[tuple, Concept] = {}
+        # Each context's rule-1 atoms, shortest first, with their lengths.
+        self.atom_tables: dict[TopContext, tuple] = {}
 
     def filler_cap(self, role: RoleExpr) -> int:
         """The KB's most fillers of ``role``, at most what the codec holds."""
         caps = (self.stats.max_fillers_inverse if role.inverse
                 else self.stats.max_fillers)
         return min(caps[role.role_id], MAX_CARDINALITY)
+
+    def atoms(self, bound: int, context: TopContext) -> tuple[Concept, ...]:
+        """Rule 1: the atoms reachable directly from Thing over the roles of
+        ``context``, with length <= ``bound``, shortest first."""
+        table = self.atom_tables.get(context)
+        if table is None:
+            table = self.atom_tables[context] = self._atom_table(context)
+        atoms, lengths = table
+        return atoms[:bisect_right(lengths, bound)]
+
+    def _atom_table(self, context: TopContext
+                    ) -> tuple[tuple[Concept, ...], list[int]]:
+        out: list[Concept] = [Atomic(c) for c in self.stats.top_level_classes]
+        by_type = {BoolEq: context.bools, StrEq: context.strs,
+                   NumGeq: context.nums, NumLeq: context.nums}
+        out.extend(m for m in self.mb if m.role_id in by_type[type(m)])
+        if self.use_negation:
+            out.extend(NotAtomic(c) for c in self.stats.leaf_classes)
+        for inverse in (False, True) if self.use_inverse_roles else (False,):
+            for rid in range(self.kb.num_roles):
+                role = RoleExpr(rid, inverse)
+                if role not in context.roles:
+                    continue
+                out += (Exists(role, TOP), Forall(role, TOP))
+                if (self.use_cardinality and not inverse
+                        and self.filler_cap(role) >= 2):
+                    out.append(MinCard(2, role, TOP))
+        out.sort(key=concept_length)
+        return tuple(out), [concept_length(a) for a in out]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +149,6 @@ class TopContext:
     bools: frozenset[int]
     nums: frozenset[int]
     strs: frozenset[int]
-
-    def admits(self, m: Concept) -> bool:
-        """Whether the concrete-role restriction ``m`` has an example subject."""
-        t = type(m)
-        if t is BoolEq:
-            return m.role_id in self.bools
-        if t is StrEq:
-            return m.role_id in self.strs
-        return m.role_id in self.nums
 
 
 def top_context(space: RowSpace) -> TopContext:
@@ -148,40 +182,13 @@ def build_mb(kb: KnowledgeBase, stats: KbStatistics) -> list[Concept]:
     return mb
 
 
-def _role_exprs(r: Refiner, context: TopContext | None):
-    for inverse in (False, True) if r.use_inverse_roles else (False,):
-        for rid in range(r.kb.num_roles):
-            role = RoleExpr(rid, inverse)
-            if context is None or role in context.roles:
-                yield role
-
-
-def _top_refinements(bound: int, r: Refiner,
-                     context: TopContext | None) -> list[Concept]:
-    """Rule 1: the atoms reachable directly from Thing, length-bounded, over
-    the roles of ``context``."""
-    out: list[Concept] = []
-    if bound >= 1:
-        out.extend(Atomic(c) for c in r.stats.top_level_classes)
-        out.extend(m for m in r.mb if concept_length(m) <= bound
-                   and (context is None or context.admits(m)))
-    if r.use_negation and bound >= 2:
-        out.extend(NotAtomic(c) for c in r.stats.leaf_classes)
-    for role in _role_exprs(r, context):
-        rlen = 3 + (1 if role.inverse else 0)
-        if rlen <= bound:
-            out.append(Exists(role, TOP))
-            out.append(Forall(role, TOP))
-        if (r.use_cardinality and not role.inverse and rlen + 1 <= bound
-                and r.filler_cap(role) >= 2):
-            out.append(MinCard(2, role, TOP))
-    return out
-
-
 def refine(c: Concept, length_bound: int, r: Refiner,
            context: TopContext | None = None) -> list[Concept]:
     """All one-step refinements of canonical ``c`` with length <= bound, in
-    ``context`` if one is given (see the module docstring)."""
+    ``context``, the refiner's full context if None (see the module
+    docstring)."""
+    if context is None:
+        context = r.full
     memo_key = (sort_key(c), length_bound, context)
     known = r.memo.get(memo_key)
     if known is not None:
@@ -192,15 +199,12 @@ def refine(c: Concept, length_bound: int, r: Refiner,
     if isinstance(c, Top) and r.use_disjunction:
         raw.extend(refine_top_levels(length_bound, r, context))
     interned = r.interned
-    seen: set[int] = set()
+    seen = {hash_concept(c)}
     out: list[Concept] = []
-    input_hash = hash_concept(c)
     for d in raw:
-        if concept_length(d) > length_bound:
-            continue
         d = interned.setdefault(sort_key(d), d)
         h = hash_concept(d)
-        if h == input_hash or h in seen:
+        if h in seen:
             continue
         seen.add(h)
         out.append(d)
@@ -211,73 +215,58 @@ def refine(c: Concept, length_bound: int, r: Refiner,
 
 def refine_top_levels(length_bound: int, r: Refiner,
                       context: TopContext | None = None) -> list[Concept]:
-    """Binary unions of distinct rule-1 atoms, length-bounded and canonical."""
-    atoms = _top_refinements(length_bound - 2, r, context)
+    """Binary unions of distinct rule-1 atoms, length-bounded and canonical,
+    in ``context``, the refiner's full context if None."""
+    atoms = r.atoms(length_bound - 2, r.full if context is None else context)
     out: list[Concept] = []
-    for i in range(len(atoms)):
-        li = concept_length(atoms[i])
-        for j in range(i + 1, len(atoms)):
-            if li + concept_length(atoms[j]) + 1 > length_bound:
-                continue
-            u = connective(Or, (atoms[i], atoms[j]))
+    for i, a in enumerate(atoms):
+        room = length_bound - 1 - concept_length(a)
+        for b in atoms[i + 1:]:
+            if concept_length(b) > room:
+                break  # the atoms are sorted by length
+            u = connective(Or, (a, b))
             if isinstance(u, Or):  # drops weakly-equal pairs that collapse
                 out.append(u)
     return out
 
 
 def _apply_rules(c: Concept, bound: int, r: Refiner,
-                 context: TopContext | None) -> list[Concept]:
+                 context: TopContext) -> list[Concept]:
     kb = r.kb
     out: list[Concept] = []
 
     if isinstance(c, Top):
-        out.extend(_top_refinements(bound, r, context))
+        out.extend(r.atoms(bound, context))
 
     elif isinstance(c, Atomic):
         out.extend(Atomic(s) for s in kb.direct_subclasses[c.class_id])
-        for x in _top_refinements(bound - 2, r, context):
-            out.append(connective(And, (c, x)))
+        out.extend(connective(And, (c, x))
+                   for x in r.atoms(bound - 2, context))
 
     elif isinstance(c, NotAtomic):
         # The complement shrinks as the class grows.
         out.extend(NotAtomic(s) for s in kb.direct_superclasses[c.class_id])
 
-    elif isinstance(c, Exists):
-        overhead = concept_length(c) - concept_length(c.child)
-        child_bound = bound - overhead
-        if child_bound >= concept_length(c.child):
-            out.extend(Exists(c.role, d) for d in refine(c.child, child_bound, r))
-        for s in kb.direct_subroles[c.role.role_id]:
-            sub = RoleExpr(s, c.role.inverse)
-            if context is None or sub in context.roles:
-                out.append(Exists(sub, c.child))
-        if (r.use_cardinality and concept_length(c) + 1 <= bound
-                and r.filler_cap(c.role) >= 2):
-            out.append(MinCard(2, c.role, c.child))
-
-    elif isinstance(c, Forall):
-        overhead = concept_length(c) - concept_length(c.child)
-        child_bound = bound - overhead
-        if child_bound >= concept_length(c.child):
-            out.extend(Forall(c.role, d) for d in refine(c.child, child_bound, r))
-
-    elif isinstance(c, MinCard):
-        if c.n + 1 <= r.filler_cap(c.role):
-            out.append(MinCard(c.n + 1, c.role, c.child))
-        overhead = concept_length(c) - concept_length(c.child)
-        child_bound = bound - overhead
-        if child_bound >= concept_length(c.child):
-            out.extend(MinCard(c.n, c.role, d)
-                       for d in refine(c.child, child_bound, r))
-
-    elif isinstance(c, MaxCard):
-        if c.n - 1 >= 0:
-            out.append(MaxCard(c.n - 1, c.role, c.child))
-        overhead = concept_length(c) - concept_length(c.child)
-        child_bound = bound - overhead
-        if child_bound >= concept_length(c.child):
-            out.extend(MaxCard(c.n, c.role, d)
-                       for d in refine(c.child, child_bound, r))
+    elif isinstance(c, (Exists, Forall, MinCard, MaxCard)):
+        # Every restriction refines its filler, in the full context; then
+        # each has its own rule.
+        t, role, child = type(c), c.role, c.child
+        head = (role,) if t is Exists or t is Forall else (c.n, role)
+        child_bound = bound - concept_length(c) + concept_length(child)
+        out.extend(t(*head, d) for d in refine(child, child_bound, r, r.full))
+        if t is Exists:
+            for s in kb.direct_subroles[role.role_id]:
+                sub = RoleExpr(s, role.inverse)
+                if sub in context.roles:
+                    out.append(Exists(sub, child))
+            if (r.use_cardinality and concept_length(c) + 1 <= bound
+                    and r.filler_cap(role) >= 2):
+                out.append(MinCard(2, role, child))
+        elif t is MinCard:
+            if c.n + 1 <= r.filler_cap(role):
+                out.append(MinCard(c.n + 1, role, child))
+        elif t is MaxCard and c.n >= 1:
+            out.append(MaxCard(c.n - 1, role, child))
 
     elif isinstance(c, NumGeq):
         bounds = r.stats.numeric_boundaries[c.role_id]
@@ -297,15 +286,13 @@ def _apply_rules(c: Concept, bound: int, r: Refiner,
     elif isinstance(c, (And, Or)):
         total = concept_length(c)
         for i, child in enumerate(c.children):
-            child_bound = bound - (total - concept_length(child))
-            if child_bound < concept_length(child):
-                continue
+            child_bound = bound - total + concept_length(child)
             for d in refine(child, child_bound, r, context):
                 rebuilt = c.children[:i] + (d,) + c.children[i + 1:]
                 out.append(connective(type(c), rebuilt))
         if isinstance(c, And):
-            for x in _top_refinements(bound - total - 1, r, context):
-                out.append(connective(And, c.children + (x,)))
+            out.extend(connective(And, c.children + (x,))
+                       for x in r.atoms(bound - total - 1, context))
 
     else:
         raise TypeError(f"not a concept: {c!r}")

@@ -206,11 +206,10 @@ def extract_best_nodes(st: list[SearchNode], k: int) -> list[SearchNode]:
 
 
 def expand_single_node(node, refiner: Refiner,
-                       context: TopContext | None) -> list[Concept]:
-    """The refinements of ``node`` at bound he+1 in ``context``
-    (context-free when it is None). ``node`` is anything with a ``concept``
-    and an ``he``, a beam node or a worker's task node, and is not changed:
-    ``search_loop`` grows he."""
+                       context: TopContext) -> list[Concept]:
+    """The refinements of ``node`` at bound he+1 in ``context``. ``node`` is
+    anything with a ``concept`` and an ``he``, a beam node or a worker's task
+    node, and is not changed: ``search_loop`` grows he."""
     return refine(node.concept, node.he + 1, refiner, context)
 
 

@@ -231,6 +231,8 @@ def test_master_rejects_malformed_endpoint(capsys):
      "target_accuracy must be a number, got nan"),
     (["master", "--max-millis", "-5"], "max_millis must be >= 0, got -5"),
     (["master", "--expect-workers", "0"], "expect_workers must be >= 1, got 0"),
+    (["master", "--discovery-millis", "-5"],
+     "discovery_millis must be >= 0, got -5"),
     (["master", "--broadcast-port", "70000"],
      "port must be in [0, 65535], got 70000"),
     (["master", "--worker-endpoint", "127.0.0.1:70000"],

@@ -23,13 +23,15 @@ from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             _split_expand_task, _unpack_kb_transfer, discover, frame_bytes,
                             parse_frame, read_frame, run_master,
                             serialize_block, deserialize_block, write_frame)
-from dlbeam.concept import (And, Atomic, Exists, MinCard, Or, RoleExpr, TOP,
-                            concept_length, connective, encode, hash_concept)
+from dlbeam.concept import (And, Atomic, Exists, MinCard, Or, RoleExpr,
+                            StrEq, TOP, concept_length, connective, encode,
+                            hash_concept)
 from dlbeam.evaluation import (CoverageResult, EvalConfig, Evaluator,
                                evaluate, evaluate_batch, is_weak, score)
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (MAX_SEALED_INDIVIDUALS, ExampleSet, KbStatistics,
-                       compute_statistics, materialize, parse_kb)
+                       compute_statistics, materialize, parse_examples,
+                       parse_kb)
 from dlbeam.refine import Refiner, build_mb, top_context
 from dlbeam.search import (SearchConfig, expand_single_node,
                            reduce_redundant, run_search)
@@ -718,6 +720,28 @@ def test_a_master_that_resets_mid_reply_raises_nothing_in_the_worker(smoke):
     assert [args.exc_value for args in escaped] == []
 
 
+def test_a_worker_keeps_no_finished_connection_thread():
+    with worker() as w:
+        for _ in range(4):
+            with socket.create_connection(("127.0.0.1", w.tcp_port),
+                                          timeout=10) as sock:
+                write_frame(sock, MSG_HELLO)
+                assert read_frame(sock)[0] == MSG_HELLO_ACK
+                write_frame(sock, MSG_TERMINATE)
+                assert sock.recv(1) == b""
+            deadline = time.monotonic() + 10
+            while any(t.is_alive() for t in w._threads[2:]):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        with socket.create_connection(("127.0.0.1", w.tcp_port),
+                                      timeout=10) as sock:
+            write_frame(sock, MSG_HELLO)
+            assert read_frame(sock)[0] == MSG_HELLO_ACK
+            # The two loops and this connection's thread.
+            assert len(w._threads) == 3
+            assert all(t.is_alive() for t in w._threads)
+
+
 # --- master end-to-end ------------------------------------------------------
 
 def master_cfg(w, **kwargs):
@@ -1102,6 +1126,48 @@ def test_master_scores_what_a_worker_returns(trains):
     assert node.score == want
     assert res.st_insertions[node.hash] == want.value
     assert res.hypotheses[0].concept != MIN7
+
+
+STRING_KB = """\
+class Box
+strrole code
+individual a
+individual b
+individual c
+individual d
+instance Box a
+instance Box b
+instance Box c
+strfact code a x
+strfact code c y
+"""
+
+
+def test_master_drops_a_worker_that_returns_a_string_value_outside_the_kb():
+    """The master renders its hypotheses with its symbol table, so it
+    refuses a string value id that the table does not have, although the
+    KB the worker holds has the string role."""
+    st, kb = parse_kb(STRING_KB)
+    materialize(kb, st)
+    examples = parse_examples("+ a\n+ b\n- c\n- d\n", st)
+    unknown = StrEq(0, 99)
+    with worker(cores=2) as w:
+        expand = w._expand
+
+        def adding_unknown(payload, state):
+            nodes, weak = _split_expand_result(expand(payload, state))
+            slot = _split_expand_task(payload)[1][0].slot
+            nodes.append(BlockNode(unknown, 1, slot, examples.pos_count, 0))
+            return _pack_expand_result(nodes, weak)
+
+        w._expand = adding_unknown
+        res = run_master(kb, st, examples, master_cfg(w, max_length=4))
+    (drop,) = res.dropped
+    assert drop.iteration == 0
+    assert re.fullmatch(r"node \d+: string role 0 value id 99 is not in "
+                        r"the KB", drop.cause), drop.cause
+    assert res.status == "failed"
+    assert all(n.concept != unknown for n in res.st_nodes)
 
 
 def test_master_exits_3_once_no_worker_is_left(capsys):

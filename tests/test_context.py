@@ -1,4 +1,4 @@
-"""Refinement in the examples' context.
+"""Refinement in the examples' context, and the rule-1 table of each context.
 
 A search refines in the context of its examples (``refine.top_context``):
 its top level names no role, inverse role or concrete role that no example
@@ -10,8 +10,13 @@ context evaluates the context-free search's concepts minus those; and it
 reports the same best concept and score, and as hypotheses the best of the
 context-free open list that have no dead operand. A context-free search is
 a search whose context is replaced by one that holds every role.
+
+Rule 1 is read from a table that the refiner builds once per context. These
+tests check it against the per-call rule 1 it replaced, kept here as the
+oracle, and check that no context is the refiner's full context.
 """
 
+import itertools
 import random
 
 import pytest
@@ -20,9 +25,9 @@ from hypothesis import strategies as st
 
 import dlbeam.search as search_mod
 from dlbeam.cluster import run_master
-from dlbeam.concept import (And, BoolEq, Exists, Forall, MaxCard, MinCard,
-                            NumGeq, NumLeq, Or, RoleExpr, StrEq, TOP,
-                            concept_length, hash_concept)
+from dlbeam.concept import (And, Atomic, BoolEq, Exists, Forall, MaxCard,
+                            MinCard, NotAtomic, NumGeq, NumLeq, Or, RoleExpr,
+                            StrEq, TOP, concept_length, hash_concept, sort_key)
 from dlbeam.evaluation import Evaluator
 from dlbeam.kb import compute_statistics
 from dlbeam.refine import (Refiner, TopContext, build_mb, refine,
@@ -138,6 +143,111 @@ def test_the_full_context_refines_as_no_context(trains):
         for c in frontier:
             assert refine(c, bound, in_full, full) == refine(c, bound, free)
         frontier = refine(TOP, bound, free)[:40]
+
+
+# --- rule 1, one table per context -------------------------------------------
+
+def reference_rule_1(bound, r: Refiner, context: TopContext | None):
+    """Rule 1 as it was built at each call, before the table: the atoms
+    directly below Thing with length <= ``bound``, over the roles of
+    ``context``, or over every role if it is None."""
+    out = []
+    if bound >= 1:
+        out.extend(Atomic(c) for c in r.stats.top_level_classes)
+        out.extend(m for m in r.mb if concept_length(m) <= bound
+                   and (context is None
+                        or not has_dead_operand(m, context)))
+    if r.use_negation and bound >= 2:
+        out.extend(NotAtomic(c) for c in r.stats.leaf_classes)
+    for inverse in (False, True) if r.use_inverse_roles else (False,):
+        for rid in range(r.kb.num_roles):
+            role = RoleExpr(rid, inverse)
+            if context is not None and role not in context.roles:
+                continue
+            rlen = 3 + inverse
+            if rlen <= bound:
+                out.append(Exists(role, TOP))
+                out.append(Forall(role, TOP))
+            if (r.use_cardinality and not inverse and rlen + 1 <= bound
+                    and r.filler_cap(role) >= 2):
+                out.append(MinCard(2, role, TOP))
+    return out
+
+
+def sub_context(rng, ctx: TopContext) -> TopContext:
+    """A random part of ``ctx``."""
+
+    def part(items):
+        return frozenset(x for x in sorted(items, key=repr)
+                         if rng.random() < 0.5)
+
+    return TopContext(part(ctx.roles), part(ctx.bools), part(ctx.nums),
+                      part(ctx.strs))
+
+
+FLAG_SETTINGS = [
+    SearchSettings(use_inverse_roles=inv, use_cardinality=card,
+                   use_disjunction=disj, use_negation=neg)
+    for inv, card, disj, neg in itertools.product((False, True), repeat=4)]
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_the_rule_1_table_equals_rule_1_built_per_call(seed):
+    rng = random.Random(seed)
+    _, kb, examples = generated_input(rng)
+    stats = compute_statistics(kb)
+    mb = build_mb(kb, stats)
+    example_context = top_context(Evaluator(kb, examples).space)
+    built = []
+    original = Refiner._atom_table
+
+    def counting(self, context):
+        built.append(context)
+        return original(self, context)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Refiner, "_atom_table", counting)
+        for flags in FLAG_SETTINGS:
+            r = Refiner(kb, stats, mb, flags)
+            assert same_context(r.full, full_context(kb))
+            cases = [(r.full, None), (example_context, example_context)]
+            cases += [(c, c) for c in (sub_context(rng, r.full)
+                                       for _ in range(3))]
+            built.clear()
+            for ctx, oracle_ctx in cases:
+                for bound in range(-1, 7):
+                    want = sorted(reference_rule_1(bound, r, oracle_ctx),
+                                  key=concept_length)
+                    got = r.atoms(bound, ctx)
+                    assert ([sort_key(a) for a in got]
+                            == [sort_key(a) for a in want])
+                    # A second call returns the very same atom objects.
+                    again = r.atoms(bound, ctx)
+                    assert all(a is b for a, b in zip(again, got, strict=True))
+            assert built == [ctx for ctx, _ in cases]
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_no_context_is_the_full_context_and_one_memo_entry(seed):
+    rng = random.Random(seed)
+    _, kb, _ = generated_input(rng)
+    stats = compute_statistics(kb)
+    r = Refiner(kb, stats, build_mb(kb, stats), rng.choice(FLAG_SETTINGS))
+    tops = refine(TOP, 4, r)
+    concepts = [TOP] + rng.sample(tops, min(8, len(tops)))
+    concepts += [random_concept(rng, dims_of(kb), depth=3) for _ in range(5)]
+    for c in concepts:
+        for bound in range(concept_length(c), concept_length(c) + 3):
+            free = refine(c, bound, r)
+            entries = len(r.memo)
+            assert (sort_key(c), bound, r.full) in r.memo
+            assert refine(c, bound, r, r.full) == free
+            assert len(r.memo) == entries
+    for bound in range(2, 7):
+        assert refine_top_levels(bound, r) == refine_top_levels(bound, r,
+                                                                 r.full)
 
 
 # --- the search ---------------------------------------------------------------
