@@ -73,16 +73,16 @@ and the worker refines as a local run refines.
 
 Each side of a search keeps a decode table (``concept.decode``): the
 master's ``_RemoteExpander`` one for its search, a worker one per
-KB_TRANSFER, which a later KB_TRANSFER replaces. ``deserialize_block`` looks
+KB_TRANSFER, which a later KB_TRANSFER replaces. Each side decodes against
+the ``concept.IdBounds`` of its KB, so a class or role id that the KB does
+not have is refused in the one walk that parses it; the master, which
+renders what it keeps, also bounds string value ids by its symbol table. A
+table so holds only subtrees that passed, and ``deserialize_block`` looks
 each node's encoding up whole before decoding it, so a concept that comes
-back, such as a beam node sent again with a larger he, is not decoded twice.
-A worker also adds every node it returns to its table, so its own nodes come
-back in the next EXPAND_TASK without being decoded. Beside the table, each
-side keeps the encodings of the subtrees whose class and role ids it has
-checked against the KB, and checks each distinct subtree once; the master,
-which renders what it keeps, also checks string value ids against its
-symbol table. The set holds only subtrees that passed; the table can also
-hold subtrees of a refused node.
+back, such as a beam node sent again with a larger he, is neither decoded
+nor checked twice. A worker also adds every node it returns to its table,
+in range by construction, so its own nodes come back in the next
+EXPAND_TASK without being decoded.
 
 The master records each worker it drops, with the worker's address, the
 index of the iteration and the cause, in ``ClusterResult.dropped``, and the
@@ -105,9 +105,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concept import (And, Atomic, BoolEq, Concept, DecodeError, Exists,
-                      Forall, MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
-                      StrEq, concept_length, decode, encode, hash_concept)
+from .concept import (Concept, DecodeError, IdBounds, concept_length, decode,
+                      encode, hash_concept)
 from .evaluation import (CoverageResult, Evaluator, dominated_union,
                          weak_threshold)
 from .kb import (ExampleSet, KbError, KnowledgeBase, SymbolTable,
@@ -265,11 +264,12 @@ def serialize_block(nodes: list[BlockNode]) -> bytes:
     return _u32.pack(len(nodes)) + b"".join(_encode_node(n) for n in nodes)
 
 
-def deserialize_block(data: bytes, table: dict[bytes, Concept] | None = None
-                      ) -> list[BlockNode]:
-    """The nodes of a block. With a decode ``table``, a node whose whole
-    encoding is in it takes the concept found there, and the others are
-    decoded through it (see ``concept.decode``)."""
+def deserialize_block(data: bytes, table: dict[bytes, Concept] | None = None,
+                      bounds: IdBounds | None = None) -> list[BlockNode]:
+    """The nodes of a block, their concepts decoded within ``bounds``, if
+    given. With a decode ``table``, a node whose whole encoding is in it
+    takes the concept found there, and the others are decoded through it
+    (see ``concept.decode``)."""
     if len(data) < 4:
         raise ProtocolError("block shorter than its count field")
     (count,) = _u32.unpack_from(data, 0)
@@ -289,7 +289,7 @@ def deserialize_block(data: bytes, table: dict[bytes, Concept] | None = None
         c = table.get(enc) if table is not None else None
         if c is None:
             try:
-                c = decode(enc, table)
+                c = decode(enc, table, bounds)
             except DecodeError as exc:
                 raise ProtocolError(f"node {i}: {exc}") from None
         nodes.append(BlockNode(c, he, slot, pc, nc))
@@ -387,7 +387,9 @@ def _check_port(port: int) -> None:
 
 
 class WorkerServer:
-    """A worker node: answers discovery pings and serves one master at a time."""
+    """A worker node: answers discovery pings and serves every connection
+    it accepts on a thread of its own, with its own KB, settings, RHT
+    mirror and decode table."""
 
     def __init__(self, host: str = "127.0.0.1", tcp_port: int = 0,
                  udp_port: int = DEFAULT_UDP_PORT, cores: int | None = None,
@@ -499,13 +501,13 @@ class WorkerServer:
             kb, examples, cfg = _unpack_kb_transfer(payload)
             stats = compute_statistics(kb)
             # The expander's refiner and extension memo, the RHT mirror, the
-            # decode table and the checked subtrees live as long as this
-            # state, so a new KB_TRANSFER starts new ones.
+            # decode table and its bounds live as long as this state, so a
+            # new KB_TRANSFER starts new ones.
             state["expander"] = LocalExpander(kb, examples, cfg, stats,
                                               build_mb(kb, stats))
             state["rht"] = set()
             state["table"] = {}
-            state["checked"] = set()
+            state["bounds"] = _id_bounds(kb)
             write_frame(conn, MSG_KB_ACK)
             return False
         if mtype == MSG_EXPAND_TASK:
@@ -519,11 +521,11 @@ class WorkerServer:
 
     def _expand(self, payload: bytes, state: dict) -> bytes:
         ex, rht, table = state["expander"], state["rht"], state["table"]
-        known, tasks = _split_expand_task(payload, table)
+        known, tasks = _split_expand_task(payload, table, state["bounds"])
         # A task node's counts are never read, but no search sends a node
         # that _coverage refuses, nor one the master could not expand.
         for i, bn in enumerate(tasks):
-            _coverage(bn, i, ex.kb, ex.examples, state["checked"])
+            _coverage(bn, i, ex.examples)
             if bn.he >= ex.cfg.max_length:
                 raise ProtocolError(f"node {i}: he {bn.he} leaves nothing to "
                                     f"expand under max_length "
@@ -540,48 +542,17 @@ class WorkerServer:
         return reply
 
 
-def _check_ids(c: Concept, kb: KnowledgeBase, node: int,
-               checked: set[bytes], values: list[int] | None = None) -> None:
-    """Raise ProtocolError if ``c``, the concept of block node ``node``,
-    names a class or role that ``kb`` does not have, or a string value id
-    not below its role's count in ``values``, if given. ``checked`` holds
-    the encodings of the subtrees that passed, which are not walked again."""
-    enc = encode(c)
-    if enc in checked:
-        return
-    if isinstance(c, (Atomic, NotAtomic)):
-        what, i, n = "class", c.class_id, kb.num_classes
-    elif isinstance(c, (Exists, Forall, MinCard, MaxCard)):
-        _check_ids(c.child, kb, node, checked, values)
-        what, i, n = "role", c.role.role_id, kb.num_roles
-    elif isinstance(c, BoolEq):
-        what, i, n = "boolean role", c.role_id, kb.num_boolean_roles
-    elif isinstance(c, (NumGeq, NumLeq)):
-        what, i, n = "numeric role", c.role_id, kb.num_numeric_roles
-    elif isinstance(c, StrEq):
-        what, i, n = "string role", c.role_id, kb.num_string_roles
-        if values is not None and i < n:
-            what, i, n = f"string role {i} value", c.value_index, values[i]
-    elif isinstance(c, (And, Or)):
-        for ch in c.children:
-            _check_ids(ch, kb, node, checked, values)
-        checked.add(enc)
-        return
-    else:  # Thing
-        return
-    if i >= n:
-        raise ProtocolError(f"node {node}: {what} id {i} is not in the KB")
-    checked.add(enc)
+def _id_bounds(kb: KnowledgeBase, values: tuple[int, ...] | None = None
+               ) -> IdBounds:
+    """The bounds that a concept of ``kb`` must fit, with ``values``, each
+    string role's number of values, if given."""
+    return IdBounds(kb.num_classes, kb.num_roles, kb.num_boolean_roles,
+                    kb.num_numeric_roles, kb.num_string_roles, values)
 
 
-def _coverage(bn: BlockNode, i: int, kb: KnowledgeBase, examples: ExampleSet,
-              checked: set[bytes], values: list[int] | None = None
-              ) -> CoverageResult:
-    """The counts of block node ``i``. Raise ProtocolError where
-    ``_check_ids`` does, or if it covers more examples than there are: no
-    search makes such a node. ``checked`` is the search's set of subtrees
-    whose ids passed."""
-    _check_ids(bn.concept, kb, i, checked, values)
+def _coverage(bn: BlockNode, i: int, examples: ExampleSet) -> CoverageResult:
+    """The counts of block node ``i``. Raise ProtocolError if it covers more
+    examples than there are: no search makes such a node."""
     if bn.pos_covered > examples.pos_count or bn.neg_covered > examples.neg_count:
         raise ProtocolError(f"node {i}: covers {bn.pos_covered} positives "
                             f"and {bn.neg_covered} negatives of "
@@ -615,12 +586,13 @@ def _pack_expand_task(known: list[int], nodes: list[BlockNode]) -> bytes:
     return _pack_hashes(known) + serialize_block(nodes)
 
 
-def _split_expand_task(payload: bytes, table: dict[bytes, Concept] | None = None
+def _split_expand_task(payload: bytes, table: dict[bytes, Concept] | None = None,
+                       bounds: IdBounds | None = None
                        ) -> tuple[list[int], list[BlockNode]]:
     """The known hashes and the nodes of an EXPAND_TASK, its concepts
-    decoded through ``table``."""
+    decoded through ``table`` within ``bounds``."""
     known, rest = _split_hashes(payload, "known-hash")
-    return known, deserialize_block(rest, table)
+    return known, deserialize_block(rest, table, bounds)
 
 
 def _pack_expand_result(nodes: list[BlockNode], weak: list[int]) -> bytes:
@@ -628,12 +600,13 @@ def _pack_expand_result(nodes: list[BlockNode], weak: list[int]) -> bytes:
     return _pack_hashes(weak) + serialize_block(nodes)
 
 
-def _split_expand_result(payload: bytes, table: dict[bytes, Concept] | None = None
+def _split_expand_result(payload: bytes, table: dict[bytes, Concept] | None = None,
+                         bounds: IdBounds | None = None
                          ) -> tuple[list[BlockNode], list[int]]:
     """The nodes and weak hashes of an EXPAND_RESULT, its concepts decoded
-    through ``table``."""
+    through ``table`` within ``bounds``."""
     weak, rest = _split_hashes(payload, "weak-hash")
-    return deserialize_block(rest, table), weak
+    return deserialize_block(rest, table, bounds), weak
 
 
 # ---------------------------------------------------------------------------
@@ -806,16 +779,15 @@ class _RemoteExpander:
                  alive: list[int], kb: KnowledgeBase, st_sym: SymbolTable,
                  examples: ExampleSet, cfg: MasterConfig):
         self.socks, self.workers, self.alive = socks, workers, alive
-        self.kb, self.examples, self.cfg = kb, examples, cfg
-        # The master renders what it keeps, so it refuses a string value
-        # id that its symbol table cannot name.
-        self.values = [len(v) for v in st_sym.string_values]
+        self.examples = examples
         # The RHT hashes already sent. Every alive worker gets every
         # EXPAND_TASK, so this is each alive worker's mirror.
         self.sent: set[int] = set()
-        # This search's decode table and checked subtrees.
+        # This search's decode table and its bounds. The master renders
+        # what it keeps, so it refuses a string value id that its symbol
+        # table cannot name.
         self.table: dict[bytes, Concept] = {}
-        self.checked: set[bytes] = set()
+        self.bounds = _id_bounds(kb, tuple(map(len, st_sym.string_values)))
         self.dropped: list[WorkerDrop] = []
         self.iteration = 0  # the index of the next expand's iteration
         # A worker returns a refinement covering fewer positives than this,
@@ -833,8 +805,7 @@ class _RemoteExpander:
         he is not its concept's length, as for every refinement, it is weak,
         it is a dominated union, or its slot is not in ``slots``, the block
         its worker was sent."""
-        cov = _coverage(bn, i, self.kb, self.examples, self.checked,
-                        self.values)
+        cov = _coverage(bn, i, self.examples)
         length = concept_length(bn.concept)
         if bn.he != length:
             raise ProtocolError(f"node {i}: he {bn.he} is not its length "
@@ -871,7 +842,8 @@ class _RemoteExpander:
             try:
                 if isinstance(reply, ProtocolError):
                     raise reply
-                block_nodes, weak = _split_expand_result(reply, self.table)
+                block_nodes, weak = _split_expand_result(reply, self.table,
+                                                         self.bounds)
                 children = [self._child(bn, i, slots)
                             for i, bn in enumerate(block_nodes)]
             except ProtocolError as exc:

@@ -20,12 +20,15 @@ encoding is built by joining the node's own header to its children's stored
 encodings, so it is the same pre-order byte string that one walk over the
 whole tree writes (``_encode_into``), and no subtree is encoded twice.
 
-``decode`` may be given a decode table, a dict from encoding bytes to the one
-concept decoded from them, owned by the caller for one search. A subtree is
-looked up in it only once its own checks have passed; a hit returns the
-concept decoded earlier, with its stored facts, and a miss stores the new
-concept, with the bytes it came from as its encoding. So a subtree that
-recurs across the replies of one search is built once.
+``decode`` may be given the ``IdBounds`` of one KB, and then refuses an id
+the KB does not have where it parses it. It may also be given a decode
+table, a dict from encoding bytes to the one concept decoded from them,
+owned by the caller for one search. A subtree is looked up in it only once
+its own checks, ids included, have passed; a hit returns the concept
+decoded earlier, with its stored facts, and a miss stores the new concept,
+with the bytes it came from as its encoding. So a table holds only subtrees
+that passed, and a subtree that recurs across the replies of one search is
+built once.
 
 ``decode`` and ``parse_concept`` refuse trees nested deeper than
 ``MAX_NESTING`` levels with their own typed error, so untrusted bytes or
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "RoleExpr",
@@ -62,6 +65,7 @@ __all__ = [
     "encode",
     "decode",
     "DecodeError",
+    "IdBounds",
     "fnv1a_64",
     "hash_concept",
     "concept_length",
@@ -359,6 +363,22 @@ class DecodeError(ValueError):
     """Raised when a byte sequence is not a valid canonical concept encoding."""
 
 
+class IdBounds(NamedTuple):
+    """The counts that the ids of a concept of one KB must be below;
+    ``values`` holds each string role's number of values, if given."""
+
+    classes: int
+    roles: int
+    boolean_roles: int
+    numeric_roles: int
+    string_roles: int
+    values: tuple[int, ...] | None = None
+
+
+def _not_in_kb(what: str, i: int) -> DecodeError:
+    return DecodeError(f"{what} id {i} is not in the KB")
+
+
 def _encode_into(c: Concept, out: bytearray) -> None:
     """One pre-order walk of the whole tree into ``out``, reading no stored
     encoding: the byte layout that ``encode`` must reproduce."""
@@ -474,8 +494,8 @@ def _connective_node(cls, children: tuple, keys: list) -> Concept:
     return c
 
 
-def _decode_at(data: bytes, pos: int, depth: int,
-               table: dict | None) -> tuple[Concept, int]:
+def _decode_at(data: bytes, pos: int, depth: int, table: dict | None,
+               bounds: IdBounds | None) -> tuple[Concept, int]:
     if depth > MAX_NESTING:
         raise DecodeError(f"concept nested deeper than {MAX_NESTING} levels "
                           f"at byte {pos}")
@@ -483,14 +503,17 @@ def _decode_at(data: bytes, pos: int, depth: int,
     start = pos
     tag = data[pos]
     pos += 1
-    # Each branch checks its node and leaves the constructor and its
-    # arguments in build and args, which run only if the table misses.
+    # Each branch checks its node, its ids last, and leaves the constructor
+    # and its arguments in build and args, which run only if the table misses.
     if tag == _TAG_TOP:
         return TOP, pos
     if tag in (_TAG_ATOMIC, _TAG_NOT_ATOMIC):
         _need(data, pos, 4)
+        cid = int.from_bytes(data[pos:pos + 4], "big")
+        if bounds is not None and cid >= bounds.classes:
+            raise _not_in_kb("class", cid)
         build = Atomic if tag == _TAG_ATOMIC else NotAtomic
-        args = (int.from_bytes(data[pos:pos + 4], "big"),)
+        args = (cid,)
         pos += 4
     elif tag in (_TAG_EXISTS, _TAG_FORALL):
         _need(data, pos, 5)
@@ -498,7 +521,9 @@ def _decode_at(data: bytes, pos: int, depth: int,
         if inv not in (0, 1):
             raise DecodeError(f"bad inverse flag {inv} at byte {pos}")
         rid = int.from_bytes(data[pos + 1:pos + 5], "big")
-        child, pos = _decode_at(data, pos + 5, depth + 1, table)
+        child, pos = _decode_at(data, pos + 5, depth + 1, table, bounds)
+        if bounds is not None and rid >= bounds.roles:
+            raise _not_in_kb("role", rid)
         build = _role_restriction
         args = (Exists if tag == _TAG_EXISTS else Forall, rid, bool(inv), child)
     elif tag in (_TAG_MIN_CARD, _TAG_MAX_CARD):
@@ -508,9 +533,11 @@ def _decode_at(data: bytes, pos: int, depth: int,
         if inv not in (0, 1):
             raise DecodeError(f"bad inverse flag {inv} at byte {pos + 2}")
         rid = int.from_bytes(data[pos + 3:pos + 7], "big")
-        child, pos = _decode_at(data, pos + 7, depth + 1, table)
+        child, pos = _decode_at(data, pos + 7, depth + 1, table, bounds)
         if tag == _TAG_MIN_CARD and n < 1:
             raise DecodeError("MinCard with n=0")
+        if bounds is not None and rid >= bounds.roles:
+            raise _not_in_kb("role", rid)
         build = _card_restriction
         args = (MinCard if tag == _TAG_MIN_CARD else MaxCard, n, rid, bool(inv),
                 child)
@@ -523,7 +550,7 @@ def _decode_at(data: bytes, pos: int, depth: int,
         cls = And if tag == _TAG_AND else Or
         children = []
         for _ in range(k):
-            child, pos = _decode_at(data, pos, depth + 1, table)
+            child, pos = _decode_at(data, pos, depth + 1, table, bounds)
             if type(child) is cls:
                 raise DecodeError("nested operand of the same connective (not flattened)")
             children.append(child)
@@ -537,6 +564,8 @@ def _decode_at(data: bytes, pos: int, depth: int,
         v = data[pos + 4]
         if v not in (0, 1):
             raise DecodeError(f"bad boolean value {v} at byte {pos + 4}")
+        if bounds is not None and rid >= bounds.boolean_roles:
+            raise _not_in_kb("boolean role", rid)
         build, args = BoolEq, (rid, bool(v))
         pos += 5
     elif tag in (_TAG_NUM_GEQ, _TAG_NUM_LEQ):
@@ -545,6 +574,8 @@ def _decode_at(data: bytes, pos: int, depth: int,
         (v,) = _unpack_f64(data, pos + 4)
         if math.isnan(v):
             raise DecodeError("NaN numeric restriction")
+        if bounds is not None and rid >= bounds.numeric_roles:
+            raise _not_in_kb("numeric role", rid)
         build = NumGeq if tag == _TAG_NUM_GEQ else NumLeq
         args = (rid, v)
         pos += 12
@@ -552,6 +583,11 @@ def _decode_at(data: bytes, pos: int, depth: int,
         _need(data, pos, 8)
         rid = int.from_bytes(data[pos:pos + 4], "big")
         vi = int.from_bytes(data[pos + 4:pos + 8], "big")
+        if bounds is not None:
+            if rid >= bounds.string_roles:
+                raise _not_in_kb("string role", rid)
+            if bounds.values is not None and vi >= bounds.values[rid]:
+                raise _not_in_kb(f"string role {rid} value", vi)
         build, args = StrEq, (rid, vi)
         pos += 8
     else:
@@ -566,16 +602,20 @@ def _decode_at(data: bytes, pos: int, depth: int,
     return c, pos
 
 
-def decode(data: bytes, table: dict[bytes, Concept] | None = None) -> Concept:
+def decode(data: bytes, table: dict[bytes, Concept] | None = None,
+           bounds: IdBounds | None = None) -> Concept:
     """Inverse of encode. Rejects truncation, unknown tags, nesting deeper
-    than ``MAX_NESTING`` and any encoding whose And/Or operands are not
-    flattened, deduplicated and sorted.
+    than ``MAX_NESTING``, any encoding whose And/Or operands are not
+    flattened, deduplicated and sorted, and, with ``bounds``, any id at or
+    above its bound ("<what> id <i> is not in the KB"), checking each
+    restriction's filler before its role and a string role before its value.
 
-    With a decode ``table`` (encoding bytes -> concept, owned by one
-    search), each subtree that passes its checks is looked up by its bytes:
-    a hit returns the concept decoded before, a miss is built, given its
-    bytes as its stored encoding, and added. ``data`` must then be bytes."""
-    c, pos = _decode_at(data, 0, 1, table)
+    With a decode ``table`` (encoding bytes -> concept, owned by one search,
+    which passes the same ``bounds`` each time), each subtree that passes its
+    checks is looked up by its bytes: a hit returns the concept decoded
+    before, a miss is built, given its bytes as its stored encoding, and
+    added. ``data`` must then be bytes."""
+    c, pos = _decode_at(data, 0, 1, table, bounds)
     if pos != len(data):
         raise DecodeError(f"{len(data) - pos} trailing bytes after concept")
     return c

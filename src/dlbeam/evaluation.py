@@ -143,7 +143,8 @@ class EvalConfig:
 
     def __post_init__(self):
         # A non-finite weight would make every score of a search NaN or
-        # infinite, so a finite score is an invariant the cluster relies on.
+        # infinite, and the open list's key order (-score, sort key) needs
+        # finite scores.
         for name in ("gain_bonus", "expansion_penalty"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, "

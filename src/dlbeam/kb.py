@@ -150,19 +150,25 @@ class SymbolTable:
 
 
 _SEALED = "a materialized knowledge base takes no more rows"
+# A KB's assertion rows, and the numpy mirrors of a materialized KB's rows.
+_ROWS = ("class_members", "role_assertions", "numeric_assertions",
+         "boolean_assertions", "string_assertions")
+_MIRRORS = ("member_masks", "role_subs", "role_objs", "num_subs", "num_vals",
+            "bool_subs", "bool_vals", "str_subs", "str_vals")
 
 
 class KnowledgeBase:
     """Assertion tables plus, after materialization, their numpy mirrors.
 
     The structural core (sets and lists below) is what equality and the
-    tests see; the numpy arrays make evaluation fast and are rebuilt
-    deterministically from the core. A sealed (materialized) KB reads its
-    counts, and everything a search reads, from the arrays, so a sealed KB
-    may hold only them: one that ``deserialize_sealed`` builds has ``None``
-    for its rows (``class_members`` and the ``*_assertions`` lists), as
-    every sealed KB has for its dedupe sets, and keeps only its hierarchy
-    edges as lists.
+    tests see while the KB is open; the numpy arrays make evaluation fast
+    and are rebuilt deterministically from the core. A sealed (materialized)
+    KB reads its counts, its assertion counts and everything a search reads
+    from the arrays, and compares its arrays and hierarchy edges, so a
+    sealed KB may hold only them: one that ``deserialize_sealed`` builds
+    has ``None`` for its rows (``class_members`` and the ``*_assertions``
+    lists), as every sealed KB has for its dedupe sets, and keeps only its
+    hierarchy edges as lists.
     """
 
     def __init__(self):
@@ -311,24 +317,25 @@ class KnowledgeBase:
 
     def assertion_counts(self) -> tuple[int, int, int]:
         """(class assertions, role assertions, concrete role assertions)."""
-        n_class = sum(len(m) for m in self.class_members)
-        n_role = sum(len(a) for a in self.role_assertions)
-        n_concrete = (sum(len(a) for a in self.numeric_assertions)
-                      + sum(len(a) for a in self.boolean_assertions)
-                      + sum(len(a) for a in self.string_assertions))
-        return n_class, n_role, n_concrete
+        m = vars(self) if self.materialized else _row_mirrors(self)
+        return (sum(map(np.count_nonzero, m["member_masks"])),
+                sum(map(len, m["role_subs"])),
+                sum(map(len, m["num_subs"] + m["bool_subs"] + m["str_subs"])))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, KnowledgeBase)
+        """Rows while open; once materialized, numpy columns, which are all
+        a sealed KB holds. Both compare the hierarchy edges."""
+        if not (isinstance(other, KnowledgeBase)
+                and self.materialized == other.materialized
                 and self.num_individuals == other.num_individuals
-                and self.class_members == other.class_members
                 and self.subclass_edges == other.subclass_edges
-                and self.role_assertions == other.role_assertions
-                and self.subrole_edges == other.subrole_edges
-                and self.numeric_assertions == other.numeric_assertions
-                and self.boolean_assertions == other.boolean_assertions
-                and self.string_assertions == other.string_assertions
-                and self.materialized == other.materialized)
+                and self.subrole_edges == other.subrole_edges):
+            return False
+        if not self.materialized:
+            return all(getattr(self, n) == getattr(other, n) for n in _ROWS)
+        pairs = ((getattr(self, n), getattr(other, n)) for n in _MIRRORS)
+        return all(len(a) == len(b) and all(map(np.array_equal, a, b))
+                   for a, b in pairs)
 
 
 @dataclass

@@ -41,8 +41,9 @@ is a pure function of ``c``, the bound, the context and the refiner.
 key of ``c``, bound, context) to the refinement list. The check sits inside
 ``refine`` itself, so the recursive calls on operands and fillers hit it as
 well as the search's own calls. A context is keyed by identity, as each
-search computes its own once; no context is resolved to the full context
-before the key is built. The memo lives exactly as long as its refiner: one
+search computes its own once; a call without one is resolved to the
+refiner's ``full`` context before the key is built, so it shares that
+context's entries. The memo lives exactly as long as its refiner: one
 ``run_search`` or one worker connection's KB state. Each call still returns
 a new list; the memo keeps a tuple of the same concept objects.
 

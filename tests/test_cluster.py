@@ -18,7 +18,7 @@ from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
                             MSG_EXPAND_TASK, MSG_HELLO, MSG_HELLO_ACK,
                             MSG_KB_ACK, MSG_KB_TRANSFER, MSG_TERMINATE,
                             PROTOCOL_VERSION, ProtocolError, WorkerServer,
-                            _coverage, _pack_expand_result, _pack_kb_transfer,
+                            _id_bounds, _pack_expand_result, _pack_kb_transfer,
                             _split_expand_result,
                             _split_expand_task, _unpack_kb_transfer, discover, frame_bytes,
                             parse_frame, read_frame, run_master,
@@ -667,15 +667,16 @@ def test_a_worker_adds_the_nodes_it_returns_to_its_decode_table(trains):
                for got, bn in zip(again, nodes, strict=True))
 
 
-def test_search_node_refuses_a_node_again_and_keeps_only_subtrees_that_passed(
+def test_a_refused_node_is_refused_again_and_its_table_keeps_only_subtrees_that_passed(
         trains):
     bad = BlockNode(connective(And, (Atomic(0), Exists(RoleExpr(0), Atomic(999)))),
                     3, 0, 1, 1)
-    checked = set()
+    block = serialize_block([BlockNode(Atomic(0), 1, 0, 1, 1)] * 4 + [bad])
+    table = {}
     for _ in range(2):
         with pytest.raises(ProtocolError, match="node 4: class id 999"):
-            _coverage(bad, 4, trains.kb, trains.examples, checked)
-    assert checked == {encode(Atomic(0))}
+            deserialize_block(block, table, _id_bounds(trains.kb))
+    assert table == {encode(Atomic(0)): Atomic(0)}
 
 
 def test_worker_terminate_closes_without_reply(smoke):

@@ -8,7 +8,8 @@ import pytest
 
 from dlbeam.kb import (ExampleSet, Interner, KbCodecError, KbError,
                        KbParseError, compute_statistics, deserialize_kb,
-                       materialize, parse_examples, parse_kb, serialize_kb)
+                       deserialize_sealed, materialize, parse_examples,
+                       parse_kb, serialize_kb, serialize_sealed)
 from generators import random_kb, tiny_kb
 
 GOLDEN_TEXT = """\
@@ -484,6 +485,26 @@ def test_kb_equality_tracks_content():
     assert kb == kb2 and st == st2
     kb2.add_instance(0, 0)
     assert kb != kb2
+
+
+def test_a_sealed_kb_equals_its_source_and_not_a_kb_with_other_members():
+    """A sealed KB has no rows, so it compares its columns and edges."""
+    rng = random.Random(211)
+    for _ in range(30):
+        st, kb = random_kb(rng, do_materialize=False)
+        other = copy.deepcopy(kb)
+        materialize(kb, st)
+        missing = [(c, x) for c in range(kb.num_classes)
+                   for x in range(kb.num_individuals)
+                   if not kb.member_masks[c][x]]
+        other.add_instance(*rng.choice(missing))
+        materialize(other, st)
+        sealed, _ = deserialize_sealed(serialize_sealed(kb, st))
+        other_sealed, _ = deserialize_sealed(serialize_sealed(other, st))
+        assert sealed == kb and kb == sealed
+        assert sealed.assertion_counts() == kb.assertion_counts()
+        assert other_sealed == other
+        assert sealed != other_sealed and kb != other
 
 
 def test_interner_round_trip():

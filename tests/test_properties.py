@@ -4,10 +4,12 @@ codec and text parser, frames, and the EXPAND_TASK and EXPAND_RESULT payloads.
 ``canonicalize`` is checked against ``reference_canonicalize``, a copy of
 the walk that defined the normal form before ``connective`` took it over.
 The concept codec is checked by round trips, truncations and byte flips,
-also through a decode table, which must give what a plain decode gives, and
-``parse_concept`` by text over its grammar's alphabet, and ``render`` by
-numeric bounds that must parse back bit for bit. The KB codec is
-checked against ``loop_serialize_kb``, a copy of the field-at-a-time writer
+also through a decode table, which must give what a plain decode gives,
+and within a KB's id bounds against ``reference_check_ids``, a copy of the
+walk that checked a received concept's ids after its decode.
+``parse_concept`` is checked by text over its grammar's alphabet, and
+``render`` by numeric bounds that must parse back bit for bit. The KB codec
+is checked against ``loop_serialize_kb``, a copy of the field-at-a-time writer
 that defined the format, and its decoder against truncations and byte flips.
 A KB_TRANSFER, whose sealed KB shares the codec's tables, is checked against
 ``loop_read_kb_transfer``, a field-at-a-time reader: a round trip must give
@@ -48,10 +50,10 @@ from dlbeam.cluster import (BlockNode, MSG_ERROR, MSG_EXPAND_RESULT,
                             read_frame, serialize_block, write_frame)
 from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
                             ConceptParseError, DecodeError, Exists, Forall,
-                            MaxCard, MinCard, NotAtomic, NumGeq, NumLeq, Or,
-                            RoleExpr, StrEq, canonicalize, concept_length,
-                            connective, decode, encode, hash_concept,
-                            parse_concept, render, sort_key)
+                            IdBounds, MaxCard, MinCard, NotAtomic, NumGeq,
+                            NumLeq, Or, RoleExpr, StrEq, canonicalize,
+                            concept_length, connective, decode, encode,
+                            hash_concept, parse_concept, render, sort_key)
 from dlbeam.evaluation import CoverageResult, score
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (_PLAIN_LINE, Interner, KbCodecError, KbError,
@@ -60,7 +62,8 @@ from dlbeam.kb import (_PLAIN_LINE, Interner, KbCodecError, KbError,
                        deserialize_sealed, materialize, parse_examples,
                        parse_kb, serialize_kb, serialize_sealed)
 
-from generators import random_examples, random_kb, tiny_kb
+from generators import (ConceptDims, random_concept, random_examples,
+                        random_kb, tiny_kb)
 from test_cluster import (PARAMS, assert_reads_the_statistics_and_pool_of,
                           assert_same_columns, local_expand_oracle,
                           root_block_node)
@@ -241,6 +244,87 @@ def test_truncations_and_byte_flips_through_a_shared_table_are_refused_or_faithf
     else:
         assert back == decode(flipped) and encode(back) == flipped
         assert deserialize_block(block_of(flipped), table)[0].concept is back
+    assert_table_is_faithful(table)
+
+
+def reference_check_ids(c, bounds: IdBounds, node: int,
+                        checked: set[bytes]) -> None:
+    """Raise ProtocolError if ``c``, the concept of block node ``node``,
+    names an id at or above its bound: the walk over a decoded concept that
+    checked its ids before ``decode`` took the bounds. ``checked`` holds the
+    encodings of the subtrees that passed, which are not walked again."""
+    enc = encode(c)
+    if enc in checked:
+        return
+    if isinstance(c, (Atomic, NotAtomic)):
+        what, i, n = "class", c.class_id, bounds.classes
+    elif isinstance(c, (Exists, Forall, MinCard, MaxCard)):
+        reference_check_ids(c.child, bounds, node, checked)
+        what, i, n = "role", c.role.role_id, bounds.roles
+    elif isinstance(c, BoolEq):
+        what, i, n = "boolean role", c.role_id, bounds.boolean_roles
+    elif isinstance(c, (NumGeq, NumLeq)):
+        what, i, n = "numeric role", c.role_id, bounds.numeric_roles
+    elif isinstance(c, StrEq):
+        what, i, n = "string role", c.role_id, bounds.string_roles
+        if bounds.values is not None and i < n:
+            what, i, n = f"string role {i} value", c.value_index, bounds.values[i]
+    elif isinstance(c, (And, Or)):
+        for ch in c.children:
+            reference_check_ids(ch, bounds, node, checked)
+        checked.add(enc)
+        return
+    else:  # Thing
+        return
+    if i >= n:
+        raise ProtocolError(f"node {node}: {what} id {i} is not in the KB")
+    checked.add(enc)
+
+
+# Random concepts name classes 0-5, roles 0-3, each kind of concrete role
+# 0-1 and string values 0-3; the bounds fall on either side of each.
+BOUNDS_DIMS = ConceptDims(n_classes=6, n_roles=4, n_num=2, n_bool=2, n_str=2)
+
+
+@st.composite
+def id_bounds(draw):
+    strs = draw(st.integers(0, 3), label="string roles")
+    values = draw(st.none() | st.tuples(*[st.integers(0, 5)] * strs),
+                  label="values")
+    return IdBounds(draw(st.integers(0, 7), label="classes"),
+                    draw(st.integers(0, 5), label="roles"),
+                    draw(st.integers(0, 3), label="boolean roles"),
+                    draw(st.integers(0, 3), label="numeric roles"),
+                    strs, values)
+
+
+@SETTINGS
+@given(seed=seeds, bounds=id_bounds())
+def test_decoding_within_bounds_refuses_what_the_reference_walk_refuses(
+        seed, bounds):
+    rng = random.Random(seed)
+    table, checked = {}, set()  # one search's, shared by its blocks
+    for _ in range(6):
+        c = random_concept(rng, BOUNDS_DIMS)
+        try:
+            reference_check_ids(c, bounds, 0, checked)
+            want = None
+        except ProtocolError as exc:
+            want = str(exc)
+        if want is None:
+            assert decode(encode(c), None, bounds) == c
+            (got,) = deserialize_block(block_of(encode(c)), table, bounds)
+            assert got.concept == c
+        else:
+            with pytest.raises(DecodeError) as plain:
+                decode(encode(c), None, bounds)
+            assert f"node 0: {plain.value}" == want
+            with pytest.raises(ProtocolError) as through_table:
+                deserialize_block(block_of(encode(c)), table, bounds)
+            assert str(through_table.value) == want
+        # No entry, after a refusal or not, names an id out of bounds.
+        for entry in table.values():
+            reference_check_ids(entry, bounds, 0, set())
     assert_table_is_faithful(table)
 
 
@@ -489,7 +573,8 @@ def test_kb_codec_keeps_the_first_of_repeated_rows_as_the_adders_do(seed):
         for row in rows:
             want.add_str_fact(rid, *row)
 
-    want.materialized = kb.materialized
+    if kb.materialized:  # closed already; sealing builds the columns
+        materialize(want)  # that a materialized KB compares
 
     sym2, kb2 = deserialize_kb(loop_serialize_kb(raw, sym))
     assert sym2 == sym
