@@ -10,13 +10,12 @@ import argparse
 import json
 import signal
 import sys
-from dataclasses import replace
 
 from .cluster import (ClusterError, MasterConfig, WorkerServer,
                       DEFAULT_TCP_PORT, DEFAULT_UDP_PORT, run_master)
 from .concept import (ConceptParseError, canonicalize, concept_length,
                       parse_concept, render)
-from .evaluation import Evaluator, evaluate
+from .evaluation import Evaluator, accuracy, evaluate
 from .kb import (KbError, compute_statistics, materialize, parse_examples,
                  parse_kb)
 from .refine import Refiner, build_mb, top_context
@@ -47,6 +46,9 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as exc:
         raise KbError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise KbError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                      f"{exc.reason})") from None
 
 
 def _load_kb(path: str):
@@ -105,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--broadcast-port", type=int, default=DEFAULT_UDP_PORT)
     p.add_argument("--discovery-millis", type=int, default=2000)
     p.add_argument("--expect-workers", type=int, default=None)
-    p.add_argument("--with-local-worker", action="store_true")
     p.add_argument("--worker-endpoint", action="append", default=[],
                    metavar="HOST:PORT", help="directly pinged worker (repeatable)")
     p.add_argument("--io-timeout", type=float, default=60.0, metavar="SECONDS",
@@ -184,12 +185,10 @@ def cmd_eval(args) -> int:
     materialize(kb, st_sym)
     concept = canonicalize(parse_concept(args.concept, st_sym))
     cov = evaluate(concept, kb, examples)
-    npos, nneg = examples.pos_count, examples.neg_count
-    accuracy = (cov.pos_covered + (nneg - cov.neg_covered)) / (npos + nneg)
     print(f"concept: {render(concept, st_sym)}")
-    print(f"pos covered: {cov.pos_covered}/{npos}")
-    print(f"neg covered: {cov.neg_covered}/{nneg}")
-    print(f"accuracy: {accuracy:.4f}")
+    print(f"pos covered: {cov.pos_covered}/{examples.pos_count}")
+    print(f"neg covered: {cov.neg_covered}/{examples.neg_count}")
+    print(f"accuracy: {accuracy(cov, examples):.4f}")
     return EXIT_OK
 
 
@@ -262,17 +261,7 @@ def cmd_master(args) -> int:
     st_sym, kb = _load_kb(args.kb)
     examples = parse_examples(_read(args.examples), st_sym)
     materialize(kb, st_sym)
-    local = None
-    if args.with_local_worker:
-        local = WorkerServer(udp_port=0).start()
-        # endpoints are ping targets, so the worker's UDP port, not its TCP one
-        cfg = replace(cfg, worker_endpoints=cfg.worker_endpoints
-                      + (("127.0.0.1", local.udp_port),))
-    try:
-        result = run_master(kb, st_sym, examples, cfg)
-    finally:
-        if local is not None:
-            local.stop()
+    result = run_master(kb, st_sym, examples, cfg)
     _report(result, st_sym, examples, args.json)
     if args.json:
         print(json.dumps({"type": "handshake",

@@ -523,13 +523,18 @@ class WorkerServer:
         ex, rht, table = state["expander"], state["rht"], state["table"]
         known, tasks = _split_expand_task(payload, table, state["bounds"])
         # A task node's counts are never read, but no search sends a node
-        # that _coverage refuses, nor one the master could not expand.
+        # that _coverage refuses, nor one the master could not expand, nor
+        # one whose he is below its length, which refine cannot take.
         for i, bn in enumerate(tasks):
             _coverage(bn, i, ex.examples)
             if bn.he >= ex.cfg.max_length:
                 raise ProtocolError(f"node {i}: he {bn.he} leaves nothing to "
                                     f"expand under max_length "
                                     f"{ex.cfg.max_length}")
+            n = concept_length(bn.concept)
+            if bn.he < n:
+                raise ProtocolError(f"node {i}: he {bn.he} is below its "
+                                    f"length {n}")
         rht.update(known)
         _expanded, _generated, found = ex.expand(tasks, rht)
         children = [child for _h, child in found if child is not None]

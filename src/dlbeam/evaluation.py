@@ -100,7 +100,8 @@ from .kb import ExampleSet, KbError, KnowledgeBase
 __all__ = [
     "CoverageResult",
     "Score",
-    "EvalConfig",
+    "GAIN_BONUS",
+    "EXPANSION_PENALTY",
     "Evaluator",
     "RowSpace",
     "Chunks",
@@ -108,6 +109,7 @@ __all__ = [
     "evaluate",
     "evaluate_batch",
     "dominated_union",
+    "accuracy",
     "score",
     "is_weak",
     "weak_threshold",
@@ -136,19 +138,11 @@ class Score:
     value: float
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    gain_bonus: float = 0.5
-    expansion_penalty: float = 0.02
-
-    def __post_init__(self):
-        # A non-finite weight would make every score of a search NaN or
-        # infinite, and the open list's key order (-score, sort key) needs
-        # finite scores.
-        for name in ("gain_bonus", "expansion_penalty"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, "
-                                 f"got {getattr(self, name)}")
+# The weights of a score shaped as DL-Learner's (Lehmann & Hitzler 2010):
+# the share of the gain in accuracy over the parent that is added, and what
+# each unit of the node's length costs.
+GAIN_BONUS = 0.5
+EXPANSION_PENALTY = 0.02
 
 
 @dataclass(eq=False, slots=True)
@@ -597,14 +591,19 @@ def dominated_union(c: Concept, ev: Evaluator) -> bool:
     return any(not _row_operand(ch, ev) & positives for ch in c.children)
 
 
-def score(cov: CoverageResult, parent_accuracy: float | None, he: int,
-          examples: ExampleSet, cfg: EvalConfig = EvalConfig()) -> Score:
-    """accuracy + gain bonus over the parent, minus the expansion penalty."""
+def accuracy(cov: CoverageResult, examples: ExampleSet) -> float:
+    """The share of the examples ``cov`` classifies right: the positives it
+    covers and the negatives it does not."""
     npos, nneg = examples.pos_count, examples.neg_count
-    accuracy = (cov.pos_covered + (nneg - cov.neg_covered)) / (npos + nneg)
-    gain = 0.0 if parent_accuracy is None else max(0.0, accuracy - parent_accuracy)
-    value = accuracy + cfg.gain_bonus * gain - cfg.expansion_penalty * he
-    return Score(accuracy, value)
+    return (cov.pos_covered + (nneg - cov.neg_covered)) / (npos + nneg)
+
+
+def score(cov: CoverageResult, parent_accuracy: float | None, he: int,
+          examples: ExampleSet) -> Score:
+    """accuracy + gain bonus over the parent, minus the expansion penalty."""
+    acc = accuracy(cov, examples)
+    gain = 0.0 if parent_accuracy is None else max(0.0, acc - parent_accuracy)
+    return Score(acc, acc + GAIN_BONUS * gain - EXPANSION_PENALTY * he)
 
 
 def weak_threshold(examples: ExampleSet, noise: float) -> int:

@@ -63,9 +63,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .concept import (TOP, Concept, concept_length, hash_concept, sort_key)
-from .evaluation import (CoverageResult, EvalConfig, Evaluator, Score,
-                         dominated_union, evaluate_batch, score,
-                         weak_threshold)
+from .evaluation import (CoverageResult, Evaluator, Score, dominated_union,
+                         evaluate_batch, score, weak_threshold)
 from .kb import ExampleSet, KbStatistics, KnowledgeBase, compute_statistics
 from .refine import Refiner, TopContext, build_mb, refine, top_context
 
@@ -107,9 +106,10 @@ class SearchNode:
 class SearchSettings:
     """The settings every search reads, local or distributed, validated here.
 
-    ``SearchConfig`` adds what only a local run reads, the beam width and the
-    collision check; the cluster's ``MasterConfig`` adds how the master finds
-    and talks to its workers, whose beam width is the workers' cores.
+    ``SearchConfig`` adds only the beam width of a local run; the cluster's
+    ``MasterConfig`` adds how the master finds and talks to its workers,
+    whose beam width is the workers' cores. The score weights are
+    ``evaluation.GAIN_BONUS`` and ``evaluation.EXPANSION_PENALTY``.
     """
 
     limit: int = 1
@@ -121,7 +121,6 @@ class SearchSettings:
     use_cardinality: bool = True
     use_disjunction: bool = True
     use_negation: bool = True
-    eval_cfg: EvalConfig = EvalConfig()
 
     def __post_init__(self):
         for name in ("limit", "max_length"):
@@ -139,7 +138,6 @@ class SearchSettings:
 @dataclass(frozen=True)
 class SearchConfig(SearchSettings):
     beam_width: int = 4
-    verify_collisions: bool = False
 
     def __post_init__(self):
         if self.beam_width < 1:
@@ -213,37 +211,39 @@ def expand_single_node(node, refiner: Refiner,
     return refine(node.concept, node.he + 1, refiner, context)
 
 
-def reduce_redundant(per_slot: list[list[Concept]], rht: set[int],
-                     verify: bool = False) -> list[tuple[Concept, int, int]]:
+def reduce_redundant(per_slot: list[list[Concept]], rht: set[int]
+                     ) -> list[tuple[Concept, int, int]]:
     """First occurrence of each hash across the per-slot refinement lists.
 
     Returns (concept, hash, slot) triples ordered by ascending slot then the
     slot's original order; on a cross-slot duplicate the lower slot's copy
-    survives; anything already in rht is dropped. With ``verify`` set, equal
-    hashes from structurally different concepts raise.
+    survives; anything already in rht is dropped. A hash repeated by a
+    structurally different concept raises RuntimeError. A duplicate is
+    mostly the refiner's interned object, so the equality test seldom runs.
     """
-    by_hash: dict[int, Concept] = {}
+    first: dict[int, Concept] = {}
     out: list[tuple[Concept, int, int]] = []
-    taken: set[int] = set()
     for slot, refs in enumerate(per_slot):
         for c in refs:
             h = hash_concept(c)
-            if verify and by_hash.setdefault(h, c) != c:
+            if h in rht:
+                continue
+            seen = first.get(h)
+            if seen is not None:
+                if seen is c or seen == c:
+                    continue
                 raise RuntimeError(f"hash collision 0x{h:016x} between "
                                    f"structurally different concepts")
-            if h in rht or h in taken:
-                continue
-            taken.add(h)
+            first[h] = c
             out.append((c, h, slot))
     return out
 
 
-def root_node(examples: ExampleSet, eval_cfg: EvalConfig,
-              max_length: int) -> SearchNode:
+def root_node(examples: ExampleSet, max_length: int) -> SearchNode:
     """Thing, which covers every example, scored as the root of a search."""
     cov = CoverageResult(examples.pos_count, examples.neg_count)
     return SearchNode(TOP, hash_concept(TOP), 1, cov,
-                      score(cov, None, 1, examples, eval_cfg),
+                      score(cov, None, 1, examples),
                       expandable=max_length > 1)
 
 
@@ -280,8 +280,7 @@ class LocalExpander:
         and an ``he``; see ``search_loop``."""
         per_slot = [expand_single_node(n, self.refiner, self.context)
                     for n in beam]
-        survivors = reduce_redundant(per_slot, rht,
-                                     verify=self.cfg.verify_collisions)
+        survivors = reduce_redundant(per_slot, rht)
         covs = evaluate_batch([c for c, _, _ in survivors], self.kb,
                               self.examples, memo=self.evaluator)
         found: list[tuple[int, Child | None]] = []
@@ -310,7 +309,7 @@ def search_loop(examples: ExampleSet, cfg: SearchSettings, expander,
     def elapsed_ms() -> int:
         return int((time.monotonic() - t0) * 1000)
 
-    root = root_node(examples, cfg.eval_cfg, cfg.max_length)
+    root = root_node(examples, cfg.max_length)
     st: list[SearchNode] = [root]
     rht: set[int] = {root.hash}
     st_insertions: dict[int, float] = {root.hash: root.score.value}
@@ -349,7 +348,7 @@ def search_loop(examples: ExampleSet, cfg: SearchSettings, expander,
             slot, c, cov = child
             parent = beam[slot]
             he0 = concept_length(c)
-            sc = score(cov, parent.score.accuracy, he0, examples, cfg.eval_cfg)
+            sc = score(cov, parent.score.accuracy, he0, examples)
             insert_node(st, SearchNode(c, h, he0, cov, sc, parent=parent,
                                        expandable=he0 < cfg.max_length))
             st_insertions[h] = sc.value

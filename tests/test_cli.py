@@ -6,11 +6,14 @@ import socket
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 
-from dlbeam.cli import main
+from dlbeam.cli import _search_settings, build_parser, main
+from dlbeam.cluster import WorkerServer
 from dlbeam.fixtures import fixture_path
+from dlbeam.search import SearchConfig
 
 TRAINS_KB = str(fixture_path("trains.kb"))
 TRAINS_EX = str(fixture_path("trains.ex"))
@@ -55,6 +58,26 @@ def test_learn_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "learn", str(tmp_path / "nope.kb"), TRAINS_EX)
     assert code == 1
     assert "nope.kb" in err
+
+
+@pytest.mark.parametrize("command", ["learn", "stats"])
+@pytest.mark.parametrize("which", ["kb", "examples"])
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, command,
+                                                   which):
+    bad = tmp_path / f"bad.{which}"
+    bad.write_bytes(b"class A\nindividual \xff\xfe\n")
+    files = [str(bad), TRAINS_EX] if which == "kb" else [TRAINS_KB, str(bad)]
+    code, _, err = run_cli(capsys, command, *files)
+    assert code == 1
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+def test_every_search_config_field_is_set_by_a_learn_flag():
+    # A setting that no flag sets has no caller but the tests.
+    args = build_parser().parse_args(["learn", TRAINS_KB, TRAINS_EX])
+    assert (set(_search_settings(args)) | {"beam_width"}
+            == {f.name for f in fields(SearchConfig)})
 
 
 def test_learn_json_output(capsys):
@@ -188,10 +211,15 @@ def test_stats_without_examples(capsys):
     assert "positive examples" not in out
 
 
-def test_master_with_local_worker(capsys):
-    code, out, _ = run_cli(capsys, "master", TRAINS_KB, TRAINS_EX,
-                           "--with-local-worker", "--expect-workers", "1",
-                           "--max-length", "7")
+def test_master_with_a_worker_beside_it(capsys):
+    w = WorkerServer(udp_port=0).start()
+    try:
+        # endpoints are ping targets, so the worker's UDP port
+        code, out, _ = run_cli(capsys, "master", TRAINS_KB, TRAINS_EX,
+                               "--worker-endpoint", f"127.0.0.1:{w.udp_port}",
+                               "--expect-workers", "1", "--max-length", "7")
+    finally:
+        w.stop()
     assert code == 0
     assert "status: solved" in out
     assert "worker 127.0.0.1:" in out
@@ -200,9 +228,14 @@ def test_master_with_local_worker(capsys):
 
 
 def test_master_fails_when_workers_missing(capsys):
-    code, _, err = run_cli(capsys, "master", TRAINS_KB, TRAINS_EX,
-                           "--with-local-worker", "--expect-workers", "2",
-                           "--discovery-millis", "400")
+    w = WorkerServer(udp_port=0).start()
+    try:
+        code, _, err = run_cli(capsys, "master", TRAINS_KB, TRAINS_EX,
+                               "--worker-endpoint", f"127.0.0.1:{w.udp_port}",
+                               "--expect-workers", "2",
+                               "--discovery-millis", "400")
+    finally:
+        w.stop()
     assert code == 3
     assert "cluster error:" in err
 

@@ -26,7 +26,7 @@ from dlbeam.cluster import (BlockNode, ClusterError, MasterConfig,
 from dlbeam.concept import (And, Atomic, Exists, MinCard, Or, RoleExpr,
                             StrEq, TOP, concept_length, connective, encode,
                             hash_concept)
-from dlbeam.evaluation import (CoverageResult, EvalConfig, Evaluator,
+from dlbeam.evaluation import (CoverageResult, Evaluator,
                                evaluate, evaluate_batch, is_weak, score)
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (MAX_SEALED_INDIVIDUALS, ExampleSet, KbStatistics,
@@ -171,8 +171,8 @@ def test_kb_transfer_carries_the_master_settings_in_the_v6_layout(smoke):
     # No scoring weight travels: workers score nothing.
     cfg = MasterConfig(limit=3, noise=0.25, max_millis=500, max_length=300,
                        target_accuracy=0.9, use_cardinality=False,
-                       use_negation=False, eval_cfg=EvalConfig(0.75, 0.125),
-                       broadcast_addrs=(), expect_workers=2)
+                       use_negation=False, broadcast_addrs=(),
+                       expect_workers=2)
     payload = _pack_kb_transfer(smoke.kb, smoke.st, smoke.examples, cfg)
     # inverse roles (bit 0) and disjunction (bit 2) on
     assert payload[-11:] == struct.pack(">dHB", 0.25, 300, 0b0101)
@@ -439,6 +439,29 @@ def test_worker_answers_an_impossible_task_node_with_error(
         assert mtype == MSG_ERROR
         assert message in payload
         assert sock.recv(1) == b""  # worker closed the connection
+
+
+def test_worker_answers_a_task_node_below_its_length_and_serves_on(trains):
+    # refine cannot take a bound below the concept's own length; the worker
+    # refuses the node before it refines, and its connection thread lives
+    # to answer the next master.
+    concept = Exists(RoleExpr(0), Exists(RoleExpr(0), Atomic(0)))
+    n = concept_length(concept)
+    root = root_block_node(trains)
+    task = BlockNode(concept, 0, 0, root.pos_covered, root.neg_covered)
+    with master_connection(trains) as (sock, w):
+        write_frame(sock, MSG_EXPAND_TASK, NO_KNOWN + serialize_block([task]))
+        mtype, payload = read_frame(sock)
+        assert mtype == MSG_ERROR
+        assert payload == f"node 0: he 0 is below its length {n}".encode()
+        assert sock.recv(1) == b""  # worker closed the connection
+        with socket.create_connection(("127.0.0.1", w.tcp_port),
+                                      timeout=10) as again:
+            again.settimeout(10)
+            write_frame(again, MSG_KB_TRANSFER,
+                        _pack_kb_transfer(trains.kb, trains.st,
+                                          trains.examples, PARAMS))
+            assert read_frame(again) == (MSG_KB_ACK, b"")
 
 
 def send_kb_transfer_and_expect_error(payload, message):
@@ -1123,7 +1146,7 @@ def test_master_scores_what_a_worker_returns(trains):
     (node,) = [n for n in res.st_nodes if n.concept == MIN7]
     assert node.parent.concept == TOP
     want = score(CoverageResult(5, 5), node.parent.score.accuracy,
-                 concept_length(MIN7), trains.examples, EvalConfig())
+                 concept_length(MIN7), trains.examples)
     assert node.score == want
     assert res.st_insertions[node.hash] == want.value
     assert res.hypotheses[0].concept != MIN7

@@ -12,7 +12,7 @@ import dlbeam.evaluation as evaluation_mod
 from dlbeam.concept import (And, Atomic, BoolEq, Exists, Forall, MaxCard,
                             MinCard, NotAtomic, NumGeq, NumLeq, Or, RoleExpr,
                             StrEq, TOP, Top, canonicalize, sort_key)
-from dlbeam.evaluation import (CoverageResult, EvalConfig, Evaluator,
+from dlbeam.evaluation import (CoverageResult, Evaluator, accuracy,
                                covered_set, evaluate, evaluate_batch, is_weak,
                                score, weak_threshold)
 from dlbeam.kb import ExampleSet, KbError, materialize, parse_kb
@@ -676,19 +676,13 @@ def test_score_formula():
     # accuracy counts uncovered negatives as wins
     s = score(CoverageResult(4, 1), None, 1, ex)
     assert s.accuracy == pytest.approx((4 + 4) / 10)
+    assert s.accuracy == accuracy(CoverageResult(4, 1), ex)
     # gain bonus is half the improvement over the parent
     s = score(CoverageResult(5, 0), 0.8, 5, ex)
     assert s.value == pytest.approx(1.0 + 0.5 * 0.2 - 0.02 * 5)
     # no negative gain: a worse child only pays the length penalty
     s = score(CoverageResult(3, 0), 1.0, 4, ex)
     assert s.value == pytest.approx(0.8 - 0.02 * 4)
-
-
-def test_score_custom_config():
-    ex = ExampleSet.from_ids(4, [0, 1], [2, 3])
-    cfg = EvalConfig(gain_bonus=1.0, expansion_penalty=0.1)
-    s = score(CoverageResult(2, 0), 0.5, 2, ex, cfg)
-    assert s.value == pytest.approx(1.0 + 0.5 - 0.2)
 
 
 # --- weakness ---------------------------------------------------------------

@@ -148,13 +148,10 @@ def test_reduce_redundant_collision_verification(monkeypatch):
     monkeypatch.setattr(search_mod, "hash_concept", lambda c: 42)
     per_slot = [[Atomic(0)], [Atomic(1)]]
     with pytest.raises(RuntimeError, match="hash collision"):
-        search_mod.reduce_redundant(per_slot, set(), verify=True)
+        search_mod.reduce_redundant(per_slot, set())
     # identical concepts under one hash are fine, first slot survives
     same = [[Atomic(0)], [Atomic(0)]]
-    got = search_mod.reduce_redundant(same, set(), verify=True)
-    assert got == [(Atomic(0), 42, 0)]
-    # without verification a collision silently keeps the first arrival
-    got = search_mod.reduce_redundant(per_slot, set(), verify=False)
+    got = search_mod.reduce_redundant(same, set())
     assert got == [(Atomic(0), 42, 0)]
 
 
@@ -284,8 +281,7 @@ def test_search_iteration_stats_are_consistent(trains):
 
 
 def test_search_with_collision_verification(smoke):
-    res = run_search(smoke.kb, smoke.examples,
-                     SearchConfig(max_length=5, verify_collisions=True))
+    res = run_search(smoke.kb, smoke.examples, SearchConfig(max_length=5))
     assert res.status == "solved"
 
 
