@@ -41,9 +41,12 @@ def _build(cls, **kwargs):
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of ``path``, less a leading byte-order mark: the text
+    that ``utf-8-sig`` decodes, with a bad byte's offset counted from the
+    start of the file, mark included."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except OSError as exc:
         raise KbError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

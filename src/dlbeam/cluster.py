@@ -6,9 +6,12 @@ u32 payload length, payload, u32 CRC32 over type byte + payload.
 Message types: 0x01 HELLO, 0x02 HELLO_ACK, 0x03 KB_TRANSFER, 0x04 KB_ACK,
 0x07 EXPAND_TASK, 0x08 EXPAND_RESULT, 0x09 TERMINATE, 0x0F ERROR. Each
 message but TERMINATE gets one reply; on TERMINATE the worker closes the
-connection without one. Types 0x05, 0x06 and 0x0A are reserved and refused
-as any unknown type is. A HELLO_ACK carries the worker's cores as u16, at
-least 1; the master gives each worker a block of that many beam nodes.
+connection without one. A request the worker refuses, or fails on with an
+error of its own (``internal error: <Type>: <message>``), gets an ERROR, and
+the worker then closes the connection. Types 0x05, 0x06 and 0x0A are
+reserved and refused as any unknown type is. A HELLO_ACK carries the
+worker's cores as u16, at least 1; the master gives each worker a block of
+that many beam nodes.
 
 Discovery is a UDP ping ``SPDL?`` + u16 0; a worker answers ``SPDL!`` + u16
 its TCP listen port, and the master opens one TCP connection per responder.
@@ -98,6 +101,7 @@ import math
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 import zlib
@@ -472,9 +476,11 @@ class WorkerServer:
             self._threads.append(t)
 
     def _serve_master(self, conn: socket.socket) -> None:
-        """Serve one connection until TERMINATE, a protocol error, which
-        gets one ERROR reply, or a socket error or timeout, reading a frame
-        or writing a reply, which ends it quietly."""
+        """Serve one connection until TERMINATE, a protocol error or any
+        other error of the worker's own, each of which gets one ERROR reply
+        (the other error's traceback also goes to standard error), or a
+        socket error or timeout, reading a frame or writing a reply, which
+        ends it quietly."""
         conn.settimeout(self.io_timeout)
         state: dict = {}
         try:
@@ -483,14 +489,23 @@ class WorkerServer:
                 if self._dispatch(conn, mtype, payload, state):
                     return
         except ProtocolError as exc:
-            try:
-                write_frame(conn, MSG_ERROR, str(exc).encode("utf-8"))
-            except OSError:
-                pass
+            self._reply_error(conn, str(exc))
         except OSError:  # socket.timeout included
             pass
+        except Exception as exc:  # a fault of the worker's, such as a hash collision
+            # The default hook prints the traceback without importing the
+            # traceback module, which a worker would otherwise carry.
+            sys.excepthook(type(exc), exc, exc.__traceback__)
+            self._reply_error(conn, f"internal error: {type(exc).__name__}: {exc}")
         finally:
             conn.close()
+
+    @staticmethod
+    def _reply_error(conn: socket.socket, message: str) -> None:
+        try:
+            write_frame(conn, MSG_ERROR, message.encode("utf-8"))
+        except OSError:
+            pass
 
     def _dispatch(self, conn: socket.socket, mtype: int, payload: bytes,
                   state: dict) -> bool:

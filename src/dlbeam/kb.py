@@ -13,9 +13,12 @@ it: at spaces and tabs, a ``#`` outside quotes starts a comment that runs to
 the end of the line, and single or double quotes, or a backslash, keep a
 name or value with spaces in one token (``strfact colour car1 "dark red"``).
 A line of printable ASCII, spaces and tabs with no quote, backslash or
-``#`` splits the same way with ``str.split``, so only the lines that need
-``shlex`` pay for it. Lines are numbered as ``str.splitlines`` numbers them,
-and each error names its line.
+``#`` splits the same way with ``str.split``. The reader cuts a text into
+slices of whole lines, about 16 KiB each, and splits a slice with no other
+character by ``str.split`` alone, so only the slices with a line that needs
+``shlex`` pay for the per-line check. Lines are numbered as
+``str.splitlines`` numbers them, across slices, and each error names its
+line.
 
 Names must be declared before use; ids are dense and assigned in declaration
 order, so a file always interns to the same ids. Each assertion row is one
@@ -39,7 +42,7 @@ import shlex
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -396,24 +399,50 @@ class KbStatistics:
 
 # A line of printable ASCII, spaces and tabs with no quote, backslash or
 # ``#``: shlex splits such a line at its spaces and tabs only, as str.split
-# does.
-_PLAIN_LINE = re.compile(r"[ \t!$-&(-\[\]-~]*")
+# does. A slice of lines with no character outside the class but "\n" is
+# plain line by line.
+_PLAIN_CLASS = r" \t!$-&(-\[\]-~"
+_PLAIN_LINE = re.compile(f"[{_PLAIN_CLASS}]*")
+_NOT_PLAIN = re.compile(f"[^\n{_PLAIN_CLASS}]")
 # The line boundaries str.splitlines honours besides "\n".
 _OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                  "\u2028", "\u2029")
+# The characters of text the reader cuts into one slice, give or take the
+# rest of the line the cut falls in. Parsing is as fast at 16 KiB as at
+# 64 KiB, and a slice's lines, alive while it is parsed, take a quarter of
+# the memory.
+_SLICE_CHARS = 1 << 14
 
 
-def _lines(text: str):
-    """The lines of ``text.splitlines()``, one at a time, without the list."""
+def _slices(text: str):
+    """The lines of ``text.splitlines()``, a slice of whole lines at a time.
+
+    Yields, per slice, an iterator of ``(lineno, line, tokens)``, which
+    splits a line only when it is reached, so an error is raised in line
+    order. A slice with no character outside ``_PLAIN_LINE``'s class is
+    split by ``str.split`` alone; any other slice goes line by line through
+    ``_split_line``.
+    """
     if any(brk in text for brk in _OTHER_BREAKS):
-        yield from text.splitlines()
+        lines = text.splitlines()
+        yield zip(count(1), lines, map(_split_line, lines, count(1)))
         return
-    find, start, end = text.find, 0, len(text)
-    while start < end:
-        stop = find("\n", start)
+    if not text:
+        return
+    # splitlines has no empty line after a last line end.
+    end = len(text) - text.endswith("\n")
+    start, lineno = 0, 1
+    while True:
+        stop = text.find("\n", start + _SLICE_CHARS, end)
         if stop < 0:
             stop = end
-        yield text[start:stop]
+        lines = text[start:stop].split("\n")
+        tokens = (map(str.split, lines) if _NOT_PLAIN.search(text, start, stop) is None
+                  else map(_split_line, lines, count(lineno)))
+        yield zip(count(lineno), lines, tokens)
+        if stop == end:
+            return
+        lineno += len(lines)
         start = stop + 1
 
 
@@ -527,9 +556,12 @@ def _statement(tokens: list[str], lineno: int, st: SymbolTable,
 def parse_kb(text: str) -> tuple[SymbolTable, KnowledgeBase]:
     """Parse the plain-text format into an unmaterialized knowledge base.
 
-    The statements a large KB is made of take a direct path through the
-    interners' dicts; any other line, and any line that path cannot apply
-    (a bad one included), goes through ``_statement`` and its checks.
+    The text is read a slice of whole lines at a time (``_slices``): a plain
+    slice is tokenized by ``str.split`` in C, any other line by line through
+    ``_split_line``. The statements a large KB is made of take a direct path
+    through the interners' dicts; any other line, and any line that path
+    cannot apply (a bad one included), goes through ``_statement`` and its
+    checks.
     """
     st = SymbolTable()
     kb = KnowledgeBase()
@@ -540,8 +572,7 @@ def parse_kb(text: str) -> tuple[SymbolTable, KnowledgeBase]:
     bool_roles = st.bool_role_names._ids
     individuals = st.individual_names._ids
     numbers: dict[str, float] = {}  # one float object per distinct text
-    for lineno, raw in enumerate(_lines(text), start=1):
-        tokens = _split_line(raw, lineno)
+    for lineno, _, tokens in chain.from_iterable(_slices(text)):
         n = len(tokens)
         if not n:
             continue
@@ -594,8 +625,7 @@ def parse_examples(text: str, st: SymbolTable) -> ExampleSet:
     """Parse ``+ name`` / ``- name`` lines into example masks."""
     pos: set[int] = set()
     neg: set[int] = set()
-    for lineno, raw in enumerate(_lines(text), start=1):
-        tokens = _split_line(raw, lineno)
+    for lineno, raw, tokens in chain.from_iterable(_slices(text)):
         if not tokens:
             continue
         if len(tokens) != 2 or tokens[0] not in ("+", "-"):

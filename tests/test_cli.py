@@ -73,6 +73,28 @@ def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, command,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("which", ["kb", "examples"])
+def test_a_file_that_starts_with_a_byte_order_mark_reads_as_without(
+        capsys, tmp_path, which):
+    src = TRAINS_KB if which == "kb" else TRAINS_EX
+    marked = tmp_path / f"marked.{which}"
+    with open(src, "rb") as f:
+        marked.write_bytes(b"\xef\xbb\xbf" + f.read())
+    files = [str(marked), TRAINS_EX] if which == "kb" else [TRAINS_KB, str(marked)]
+    want = run_cli(capsys, "stats", TRAINS_KB, TRAINS_EX)
+    assert want[0] == 0
+    assert run_cli(capsys, "stats", *files) == want
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_by_its_file_offset(
+        capsys, tmp_path):
+    bad = tmp_path / "bad.kb"
+    bad.write_bytes(b"\xef\xbb\xbfclass A\nindividual \xff\n")
+    code, _, err = run_cli(capsys, "learn", str(bad), TRAINS_EX)
+    assert code == 1
+    assert err.startswith(f"error: {bad}: not UTF-8 text (byte 22: ")
+
+
 def test_every_search_config_field_is_set_by_a_learn_flag():
     # A setting that no flag sets has no caller but the tests.
     args = build_parser().parse_args(["learn", TRAINS_KB, TRAINS_EX])

@@ -1037,6 +1037,21 @@ def test_master_drops_a_worker_that_returns_a_concept_outside_the_kb(trains):
     assert res.st_insertions == local.st_insertions
 
 
+def test_master_drops_a_worker_that_fails_with_an_internal_error(trains):
+    """An error of the worker's own, not only a protocol error, gets an
+    ERROR reply that names it, so the master's drop record says why."""
+    def failing_expand(payload, state):
+        raise RuntimeError("hash collision 0x2a")
+
+    res, local = master_with_a_bad_worker(
+        trains, failing_expand,
+        re.escape("worker error: internal error: RuntimeError: "
+                  "hash collision 0x2a"))
+    assert res.status == local.status == "exhausted"
+    assert res.rht == local.rht
+    assert res.st_insertions == local.st_insertions
+
+
 # A concept of length 6 that trains can hold.
 MIN7 = MinCard(7, RoleExpr(0), connective(And, (Atomic(0), Atomic(1))))
 

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from dlbeam import kb as kb_module
 from dlbeam.kb import (ExampleSet, Interner, KbCodecError, KbError,
                        KbParseError, compute_statistics, deserialize_kb,
                        deserialize_sealed, materialize, parse_examples,
@@ -130,6 +131,55 @@ def test_parse_errors_are_the_same_on_the_shlex_path(text, line, fragment, varia
     assert_fails_alike(parse_kb, text, variant(text))
 
 
+# The reader cuts a text into slices of whole lines, each about
+# kb._SLICE_CHARS long, and splits a slice with no quote, backslash or ``#``
+# by str.split alone; numbering and errors must not see the cuts.
+
+def statements_over(slices: int) -> str:
+    """A KB text of every statement, more than ``slices`` slices long."""
+    lines = ["class C0", "class C1", "subclass C1 C0", "role r", "role q",
+             "subrole q r", "numrole n", "boolrole b", "strrole s"]
+    i = 0
+    while sum(map(len, lines)) <= slices * kb_module._SLICE_CHARS:
+        lines += [f"individual i{i}", f"instance C{i % 2} i{i}",
+                  f"fact r i{i} i{i // 2}", f"numfact n i{i} {i / 4}",
+                  f"boolfact b i{i} {'true' if i % 3 else 'false'}",
+                  f"strfact s i{i} v{i % 5}"]
+        i += 1
+    return "\n".join(lines) + "\n"
+
+
+def plain_filler() -> str:
+    """Plain declaration lines, more than one slice long, ending in "\n"."""
+    count = kb_module._SLICE_CHARS // 8
+    return "".join(f"class Filler{i}\n" for i in range(count))
+
+
+def test_a_text_of_several_slices_parses_as_its_commented_form():
+    text = statements_over(3)
+    st, kb = parse_kb(text)
+    assert kb.num_individuals > 100
+    assert (st, kb) == parse_kb(commented(text))
+
+
+@pytest.mark.parametrize("text,line,fragment", PARSE_ERRORS)
+def test_parse_errors_after_more_than_one_slice_carry_the_shifted_line(
+        text, line, fragment):
+    filler = plain_filler()
+    assert len(filler) > kb_module._SLICE_CHARS
+    shifted = filler + text
+    with pytest.raises(KbParseError) as exc:
+        parse_kb(shifted)
+    assert exc.value.line == line + filler.count("\n")
+    assert fragment in str(exc.value)
+    assert_fails_alike(parse_kb, shifted, commented(shifted))
+
+
+def test_a_crlf_text_longer_than_one_slice_parses_as_its_lf_form():
+    text = statements_over(2)
+    assert parse_kb(text.replace("\n", "\r\n")) == parse_kb(text)
+
+
 # --- examples ---------------------------------------------------------------
 
 def test_parse_examples_golden():
@@ -163,6 +213,20 @@ def test_parse_examples_errors_are_the_same_on_the_shlex_path(text, err, fragmen
                                                               variant):
     st, _ = parse_kb("individual a\nindividual b\n")
     assert_fails_alike(lambda t: parse_examples(t, st), text, variant(text))
+
+
+@pytest.mark.parametrize("text,err,fragment", EXAMPLE_ERRORS)
+def test_parse_examples_errors_after_more_than_one_slice_are_the_same(
+        text, err, fragment):
+    st, _ = parse_kb("individual a\nindividual b\n")
+    filler = "\n" * (kb_module._SLICE_CHARS + 1)
+    shifted = filler + text
+    with pytest.raises(err) as exc:
+        parse_examples(shifted, st)
+    if err is KbParseError:  # each case fails on its last line
+        assert exc.value.line == text.count("\n") + 1 + len(filler)
+    assert fragment in str(exc.value)
+    assert_fails_alike(lambda t: parse_examples(t, st), shifted, commented(shifted))
 
 
 def test_example_set_from_ids():

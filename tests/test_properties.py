@@ -34,12 +34,14 @@ import struct
 import zlib
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlbeam import kb as kb_module
 from dlbeam.cluster import (BlockNode, MSG_ERROR, MSG_EXPAND_RESULT,
                             MSG_EXPAND_TASK, MSG_KB_ACK, MSG_KB_TRANSFER,
                             PROTOCOL_VERSION, ProtocolError, WorkerServer,
@@ -57,7 +59,7 @@ from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
 from dlbeam.evaluation import CoverageResult, score
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (_PLAIN_LINE, Interner, KbCodecError, KbError,
-                       KbParseError, KnowledgeBase, SymbolTable, _lines,
+                       KbParseError, KnowledgeBase, SymbolTable, _slices,
                        _split_line, _statement, deserialize_kb,
                        deserialize_sealed, materialize, parse_examples,
                        parse_kb, serialize_kb, serialize_sealed)
@@ -820,10 +822,30 @@ def test_a_line_splits_as_shlex_splits_it(line):
         assert line.split() == want
 
 
+def outcome(f, *args):
+    """``f(*args)``, or the line and message of the KbParseError it raises."""
+    try:
+        return f(*args)
+    except KbParseError as exc:
+        return exc.line, str(exc)
+
+
 @settings(SETTINGS, max_examples=500)
-@given(text=line_texts)
-def test_streamed_lines_are_the_splitlines_lines(text):
-    assert list(_lines(text)) == text.splitlines()
+@given(text=line_texts, size=st.integers(1, 16))
+def test_sliced_lines_are_the_splitlines_lines(text, size):
+    """At any slice size the slices hold the lines of splitlines, in order
+    and numbered from 1, and split each one as _split_line does."""
+    with mock.patch.object(kb_module, "_SLICE_CHARS", size):
+        slices = list(_slices(text))
+    lines = text.splitlines()
+    got = []
+    for numbered in slices:
+        while (item := outcome(next, numbered, None)) is not None:
+            if len(item) == 3:  # (lineno, line, tokens); an error is (line, message)
+                lineno, line, item = item
+                assert (lineno, line) == (len(got) + 1, lines[len(got)])
+            got.append(item)
+    assert got == [outcome(_split_line, line, i) for i, line in enumerate(lines, 1)]
 
 
 # Names that need quoting, or read as something else when they are not.
