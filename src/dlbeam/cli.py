@@ -54,9 +54,12 @@ def _read(path: str) -> str:
                       f"{exc.reason})") from None
 
 
-def _load_kb(path: str):
-    st, kb = parse_kb(_read(path))
-    return st, kb
+def _load(args):
+    """The symbols, materialized KB and examples that ``args`` names."""
+    st_sym, kb = parse_kb(_read(args.kb))
+    examples = parse_examples(_read(args.examples), st_sym)
+    materialize(kb, st_sym)
+    return st_sym, kb, examples
 
 
 def _search_flags(p: argparse.ArgumentParser) -> None:
@@ -174,18 +177,14 @@ def _status_code(status: str) -> int:
 
 def cmd_learn(args) -> int:
     cfg = _build(SearchConfig, beam_width=args.beam, **_search_settings(args))
-    st_sym, kb = _load_kb(args.kb)
-    examples = parse_examples(_read(args.examples), st_sym)
-    materialize(kb, st_sym)
+    st_sym, kb, examples = _load(args)
     result = run_search(kb, examples, cfg)
     _report(result, st_sym, examples, args.json)
     return _status_code(result.status)
 
 
 def cmd_eval(args) -> int:
-    st_sym, kb = _load_kb(args.kb)
-    examples = parse_examples(_read(args.examples), st_sym)
-    materialize(kb, st_sym)
+    st_sym, kb, examples = _load(args)
     concept = canonicalize(parse_concept(args.concept, st_sym))
     cov = evaluate(concept, kb, examples)
     print(f"concept: {render(concept, st_sym)}")
@@ -196,7 +195,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    st_sym, kb = _load_kb(args.kb)
+    st_sym, kb = parse_kb(_read(args.kb))
     n_class, n_role, n_concrete = kb.assertion_counts()
     n_concrete_roles = (kb.num_numeric_roles + kb.num_boolean_roles
                         + kb.num_string_roles)
@@ -261,9 +260,7 @@ def cmd_master(args) -> int:
         discovery_millis=args.discovery_millis,
         expect_workers=args.expect_workers,
         io_timeout=args.io_timeout)
-    st_sym, kb = _load_kb(args.kb)
-    examples = parse_examples(_read(args.examples), st_sym)
-    materialize(kb, st_sym)
+    st_sym, kb, examples = _load(args)
     result = run_master(kb, st_sym, examples, cfg)
     _report(result, st_sym, examples, args.json)
     if args.json:

@@ -111,7 +111,6 @@ __all__ = [
     "dominated_union",
     "accuracy",
     "score",
-    "is_weak",
     "weak_threshold",
 ]
 
@@ -612,8 +611,3 @@ def weak_threshold(examples: ExampleSet, noise: float) -> int:
     if not 0.0 <= noise < 1.0:
         raise ValueError(f"noise must be in [0, 1), got {noise}")
     return math.ceil((1.0 - noise) * examples.pos_count)
-
-
-def is_weak(cov: CoverageResult, examples: ExampleSet, noise: float) -> bool:
-    """Too few covered positives to ever reach the noise-adjusted target."""
-    return cov.pos_covered < weak_threshold(examples, noise)

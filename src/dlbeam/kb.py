@@ -1,4 +1,4 @@
-"""Knowledge base: parsing, interning, hierarchy closure, statistics, codec.
+r"""Knowledge base: parsing, interning, hierarchy closure, statistics, codec.
 
 The plain-text format is line oriented:
 
@@ -16,9 +16,10 @@ A line of printable ASCII, spaces and tabs with no quote, backslash or
 ``#`` splits the same way with ``str.split``. The reader cuts a text into
 slices of whole lines, about 16 KiB each, and splits a slice with no other
 character by ``str.split`` alone, so only the slices with a line that needs
-``shlex`` pay for the per-line check. Lines are numbered as
-``str.splitlines`` numbers them, across slices, and each error names its
-line.
+``shlex`` pay for the per-line check. Any line ending reads alike: "\r\n"
+and every other boundary ``str.splitlines`` honours is read as "\n", so
+lines are numbered as ``str.splitlines`` numbers them, across slices, and
+each error names its line.
 
 Names must be declared before use; ids are dense and assigned in declaration
 order, so a file always interns to the same ids. Each assertion row is one
@@ -28,10 +29,12 @@ closed under the subclass and subrole hierarchies and mirrored into numpy
 arrays for the evaluation engine.
 
 Two binary forms share one table layout, written by one writer and read by
-one reader: ``serialize_kb``'s blob, which carries the names as well, and
+one reader, which keeps the first copy of a repeated row as the ``add_*``
+methods do: ``serialize_kb``'s blob, which carries the names as well, and
 the sealed form of a materialized KB (``serialize_sealed``), which carries
-only the namespace sizes and the tables and decodes into a KB of numpy
-columns alone, with ``None`` for its rows.
+only the namespace sizes and the tables. A materialized KB decodes from
+either form through one builder into numpy columns alone, with ``None`` for
+its rows; only an open blob decodes to rows.
 """
 
 from __future__ import annotations
@@ -121,19 +124,20 @@ class Interner:
         return f"Interner({self._names!r})"
 
 
+# A SymbolTable's namespaces but its string values, in the order a blob
+# carries their names.
+_NAMESPACES = ("class_names", "role_names", "num_role_names", "bool_role_names",
+               "str_role_names", "individual_names")
+
+
 class SymbolTable:
     """All interned namespaces of one knowledge base."""
 
-    __slots__ = ("class_names", "role_names", "num_role_names", "bool_role_names",
-                 "str_role_names", "individual_names", "string_values")
+    __slots__ = (*_NAMESPACES, "string_values")
 
     def __init__(self):
-        self.class_names = Interner()
-        self.role_names = Interner()
-        self.num_role_names = Interner()
-        self.bool_role_names = Interner()
-        self.str_role_names = Interner()
-        self.individual_names = Interner()
+        for namespace in _NAMESPACES:
+            setattr(self, namespace, Interner())
         # One value table per string role, indexed by the role id.
         self.string_values: list[Interner] = []
 
@@ -142,14 +146,8 @@ class SymbolTable:
         return len(self.individual_names)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SymbolTable)
-                and self.class_names == other.class_names
-                and self.role_names == other.role_names
-                and self.num_role_names == other.num_role_names
-                and self.bool_role_names == other.bool_role_names
-                and self.str_role_names == other.str_role_names
-                and self.individual_names == other.individual_names
-                and self.string_values == other.string_values)
+        return isinstance(other, SymbolTable) and all(
+            getattr(self, n) == getattr(other, n) for n in self.__slots__)
 
 
 _SEALED = "a materialized knowledge base takes no more rows"
@@ -168,10 +166,10 @@ class KnowledgeBase:
     and are rebuilt deterministically from the core. A sealed (materialized)
     KB reads its counts, its assertion counts and everything a search reads
     from the arrays, and compares its arrays and hierarchy edges, so a
-    sealed KB may hold only them: one that ``deserialize_sealed`` builds
-    has ``None`` for its rows (``class_members`` and the ``*_assertions``
-    lists), as every sealed KB has for its dedupe sets, and keeps only its
-    hierarchy edges as lists.
+    sealed KB may hold only them: a decoded one (``deserialize_sealed``, or
+    ``deserialize_kb`` of a materialized blob) has ``None`` for its rows
+    (``class_members`` and the ``*_assertions`` lists), as every sealed KB
+    has for its dedupe sets, and keeps only its hierarchy edges as lists.
     """
 
     def __init__(self):
@@ -404,9 +402,9 @@ class KbStatistics:
 _PLAIN_CLASS = r" \t!$-&(-\[\]-~"
 _PLAIN_LINE = re.compile(f"[{_PLAIN_CLASS}]*")
 _NOT_PLAIN = re.compile(f"[^\n{_PLAIN_CLASS}]")
-# The line boundaries str.splitlines honours besides "\n".
-_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-                 "\u2028", "\u2029")
+# The line boundaries str.splitlines honours besides "\n", "\r" and "\r\n".
+_OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                 "\u2029")
 # The characters of text the reader cuts into one slice, give or take the
 # rest of the line the cut falls in. Parsing is as fast at 16 KiB as at
 # 64 KiB, and a slice's lines, alive while it is parsed, take a quarter of
@@ -415,18 +413,20 @@ _SLICE_CHARS = 1 << 14
 
 
 def _slices(text: str):
-    """The lines of ``text.splitlines()``, a slice of whole lines at a time.
+    r"""The lines of ``text.splitlines()``, a slice of whole lines at a time.
 
-    Yields, per slice, an iterator of ``(lineno, line, tokens)``, which
-    splits a line only when it is reached, so an error is raised in line
-    order. A slice with no character outside ``_PLAIN_LINE``'s class is
-    split by ``str.split`` alone; any other slice goes line by line through
-    ``_split_line``.
+    Every line boundary that ``str.splitlines`` honours is first rewritten
+    to "\n", "\r\n" before a lone "\r", so any line ending reads alike
+    and the text is then cut at "\n" alone. Yields, per slice, an iterator
+    of ``(lineno, line, tokens)``, which splits a line only when it is
+    reached, so an error is raised in line order. A slice with no character
+    outside ``_PLAIN_LINE``'s class is split by ``str.split`` alone; any
+    other slice goes line by line through ``_split_line``.
     """
-    if any(brk in text for brk in _OTHER_BREAKS):
-        lines = text.splitlines()
-        yield zip(count(1), lines, map(_split_line, lines, count(1)))
-        return
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for brk in _OTHER_BREAKS:
+        text = text.replace(brk, "\n")
     if not text:
         return
     # splitlines has no empty line after a last line end.
@@ -732,7 +732,7 @@ def _seal(kb: KnowledgeBase,
           mirrors: dict[str, list[np.ndarray]] | None = None) -> None:
     """Mark ``kb`` materialized, release its dedupe sets, which no later row
     needs, and set its numpy mirrors: ``mirrors``, or else those of its
-    rows."""
+    rows, built once the sets are gone."""
     kb.materialized = True
     kb._role_pair_sets = kb._num_sets = kb._bool_sets = kb._str_sets = None
     kb._edge_set = kb._redge_set = None
@@ -802,12 +802,11 @@ def _check_sealed(kb: KnowledgeBase) -> None:
             raise KbCodecError(f"subclass hierarchy not closed: class {sub} "
                                f"has a member outside its superclass {sup}")
 
-    def pair_keys(rid: int) -> np.ndarray:
-        return ((kb.role_subs[rid].astype(np.uint64) << np.uint64(32))
-                | kb.role_objs[rid].astype(np.uint64))
+    def pairs(rid: int) -> np.ndarray:
+        return _row_keys(kb.role_subs[rid], kb.role_objs[rid])
 
     for sub, sup in kb.subrole_edges:
-        if not np.isin(pair_keys(sub), pair_keys(sup)).all():
+        if not np.isin(pairs(sub), pairs(sup)).all():
             raise KbCodecError(f"subrole hierarchy not closed: role {sub} "
                                f"has a pair outside its superrole {sup}")
 
@@ -974,19 +973,43 @@ def _check_range(a: np.ndarray, a_limit: int, a_what: str,
     raise KbCodecError(f"{b_what} id {b[i]} out of range (< {b_limit})")
 
 
+def _row_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One number per row ``(a[i], b[i])``, of an id and an id, a flag or a
+    float: equal for two rows just when they are, so (i, -0.0) matches
+    (i, 0.0), as the ``KnowledgeBase.add_*`` methods match rows."""
+    if b.dtype.kind == "f":
+        keys = a.astype(np.complex128)  # sorts and compares as (real, imag)
+        keys.imag = b
+        return keys
+    return a.astype(np.uint64) << np.uint64(32) | b.astype(np.uint64)
+
+
+def _first_copies(rows: np.ndarray) -> np.ndarray:
+    """``rows`` less the later copies of a repeated row, as the ``add_*``
+    methods keep them. One sort of the keys tells whether any row repeats;
+    only a table that has a repeat pays for picking the first copies."""
+    keys = _row_keys(rows["a"], rows["b"])
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return rows
+    _, first = np.unique(keys, return_index=True)  # a stable sort's firsts
+    return rows[np.sort(first)]
+
+
 def _pairs(rows: np.ndarray, a_limit: int, a_what: str, b_limit: int,
            b_what: str) -> np.ndarray:
     _check_range(rows["a"], a_limit, a_what, rows["b"], b_limit, b_what)
-    return rows
+    return _first_copies(rows)
 
 
 class _Tables(NamedTuple):
-    """The table sections as read: big-endian record arrays, in order."""
+    """The table sections as read, in order: big-endian record arrays, and
+    the hierarchy edges as lists of (sub, super) pairs."""
 
     members: list[np.ndarray]
-    subclass_edges: np.ndarray
+    subclass_edges: list[tuple[int, int]]
     roles: list[np.ndarray]
-    subrole_edges: np.ndarray
+    subrole_edges: list[tuple[int, int]]
     nums: list[np.ndarray]
     bools: list[np.ndarray]
     strs: list[np.ndarray]
@@ -997,23 +1020,26 @@ def _read_tables(r: _Reader, n_classes: int, n_roles: int, n_nums: int,
     """The table sections at ``r`` of a KB with these numbers of classes,
     roles, numeric and boolean roles, values of each string role and
     individuals. Raise ``KbCodecError`` on the first fault in stream order: a
-    truncation, an id out of range, a NaN or a boolean other than 0 or 1."""
+    truncation, an id out of range, a NaN or a boolean other than 0 or 1.
+    Once its checks pass, each table but a class's members, which are a set,
+    keeps the first copy of a repeated row (``_first_copies``)."""
     members = []
     for _ in range(n_classes):
         ids = r.records(_ID)
         _check_range(ids, n_ind, "individual")
         members.append(ids)
-    subclass_edges = _pairs(r.records(_PAIR), n_classes, "class", n_classes, "class")
+    subclass_edges = _pairs(r.records(_PAIR), n_classes, "class", n_classes,
+                            "class").tolist()
     roles = [_pairs(r.records(_PAIR), n_ind, "individual", n_ind, "individual")
              for _ in range(n_roles)]
-    subrole_edges = _pairs(r.records(_PAIR), n_roles, "role", n_roles, "role")
+    subrole_edges = _pairs(r.records(_PAIR), n_roles, "role", n_roles, "role").tolist()
     nums = []
     for _ in range(n_nums):
         rows = r.records(_NUM_ROW)
         _check_range(rows["a"], n_ind, "individual")
         if np.isnan(rows["b"]).any():
             raise KbCodecError("NaN is not a valid numeric value")
-        nums.append(rows)
+        nums.append(_first_copies(rows))
     bools = []
     for _ in range(n_bools):
         rows = r.records(_BOOL_ROW)
@@ -1024,19 +1050,55 @@ def _read_tables(r: _Reader, n_classes: int, n_roles: int, n_nums: int,
             _check_range(subs[:first + 1], n_ind, "individual")  # ids come first
             raise KbCodecError(f"bad boolean {flags[first]}")
         _check_range(subs, n_ind, "individual")
-        bools.append(rows)
+        bools.append(_first_copies(rows))
     strs = [_pairs(r.records(_PAIR), n_ind, "individual", count, "string value")
             for count in value_counts]
     return _Tables(members, subclass_edges, roles, subrole_edges, nums, bools,
                    strs)
 
 
-def _unique(rows: list[tuple]) -> tuple[list[tuple], set[tuple]]:
-    """The first occurrence of each row in order, and the set of rows: what
-    adding them one by one through the ``KnowledgeBase.add_*`` methods
-    builds."""
-    seen = set(rows)
-    return (rows if len(seen) == len(rows) else list(dict.fromkeys(rows))), seen
+def _sealed_kb(t: _Tables, n_ind: int) -> KnowledgeBase:
+    """The sealed KB of tables ``t`` over ``n_ind`` individuals: columns and
+    hierarchy edges, ``None`` for its rows (see ``KnowledgeBase``). Raises
+    ``KbCodecError`` unless it is closed as ``materialize`` leaves it."""
+    kb = KnowledgeBase()
+    kb.num_individuals = n_ind
+    kb.class_members = kb.role_assertions = None
+    kb.numeric_assertions = kb.boolean_assertions = kb.string_assertions = None
+    kb.subclass_edges, kb.subrole_edges = t.subclass_edges, t.subrole_edges
+    mirrors = {"member_masks": [np.zeros(n_ind, dtype=bool) for _ in t.members]}
+    for mask, ids in zip(mirrors["member_masks"], t.members):
+        mask[ids] = True
+    for tables, subs, vals, dtype in (
+            (t.roles, "role_subs", "role_objs", np.int64),
+            (t.nums, "num_subs", "num_vals", np.float64),
+            (t.bools, "bool_subs", "bool_vals", bool),
+            (t.strs, "str_subs", "str_vals", np.int64)):
+        mirrors[subs] = [rows["a"].astype(np.int64) for rows in tables]
+        mirrors[vals] = [rows["b"].astype(dtype) for rows in tables]
+    _seal(kb, mirrors)
+    _check_sealed(kb)
+    return kb
+
+
+def _open_kb(t: _Tables, n_ind: int) -> KnowledgeBase:
+    """The open KB of tables ``t`` over ``n_ind`` individuals: the rows and
+    dedupe sets that adding the rows through the ``add_*`` methods builds."""
+    kb = KnowledgeBase()
+    kb.num_individuals = n_ind
+    kb.class_members = [set(ids.tolist()) for ids in t.members]
+    kb.subclass_edges, kb.subrole_edges = t.subclass_edges, t.subrole_edges
+    kb.role_assertions = [rows.tolist() for rows in t.roles]
+    kb.numeric_assertions = [rows.tolist() for rows in t.nums]
+    kb.boolean_assertions = [list(zip(rows["a"].tolist(), (rows["b"] == 1).tolist()))
+                             for rows in t.bools]
+    kb.string_assertions = [rows.tolist() for rows in t.strs]
+    kb._edge_set, kb._redge_set = set(kb.subclass_edges), set(kb.subrole_edges)
+    kb._role_pair_sets = list(map(set, kb.role_assertions))
+    kb._num_sets = list(map(set, kb.numeric_assertions))
+    kb._bool_sets = list(map(set, kb.boolean_assertions))
+    kb._str_sets = list(map(set, kb.string_assertions))
+    return kb
 
 
 def _interner(names: list[str]) -> Interner:
@@ -1054,9 +1116,7 @@ def serialize_kb(kb: KnowledgeBase, st: SymbolTable) -> bytes:
     UTF-8 bytes); then the table sections (see the layout above).
     """
     out = [b"\x01" if kb.materialized else b"\x00"]
-    for interner in (st.class_names, st.role_names, st.num_role_names,
-                     st.bool_role_names, st.str_role_names, st.individual_names,
-                     *st.string_values):
+    for interner in (*(getattr(st, n) for n in _NAMESPACES), *st.string_values):
         out.append(_names_bytes(interner.names))
     out.extend(_tables_bytes(kb))
     payload = b"".join(out)
@@ -1067,9 +1127,12 @@ def deserialize_kb(data: bytes) -> tuple[SymbolTable, KnowledgeBase]:
     """Inverse of serialize_kb, validating magic, version and checksum, the
     names, the ids, numbers and booleans of every record, that nothing
     trails the payload and, for a materialized KB, that it is closed as
-    ``materialize`` leaves it; each failure raises ``KbCodecError``. Repeated
-    rows are kept once, in first-occurrence order, as the
-    ``KnowledgeBase.add_*`` methods keep them.
+    ``materialize`` leaves it; each failure raises ``KbCodecError``.
+
+    A materialized blob decodes as the sealed form does (``_sealed_kb``),
+    to numpy columns and hierarchy edges with ``None`` for its rows; only an
+    open blob decodes to rows. Either way a repeated row is kept once, its
+    first copy, as the ``KnowledgeBase.add_*`` methods keep it.
     """
     if len(data) < 10:
         raise KbCodecError("truncated stream: missing header")
@@ -1083,48 +1146,19 @@ def deserialize_kb(data: bytes) -> tuple[SymbolTable, KnowledgeBase]:
         raise KbCodecError("checksum failure")
 
     r = _Reader(payload)
-    st = SymbolTable()
-    kb = KnowledgeBase()
     materialized = r.u8()
     if materialized not in (0, 1):
         raise KbCodecError(f"bad materialized flag {materialized}")
-    adders = (
-        ("class_names", kb.add_class), ("role_names", kb.add_role),
-        ("num_role_names", kb.add_num_role), ("bool_role_names", kb.add_bool_role),
-        ("str_role_names", kb.add_str_role),
-    )
-    for attr, add in adders:
-        names = r.names()
-        setattr(st, attr, _interner(names))
-        for _ in names:
-            add()
-    st.individual_names = _interner(r.names())
-    kb.num_individuals = len(st.individual_names)
+    st = SymbolTable()
+    for namespace in _NAMESPACES:
+        setattr(st, namespace, _interner(r.names()))
     st.string_values = [_interner(r.names()) for _ in st.str_role_names.names]
-
-    t = _read_tables(r, kb.num_classes, kb.num_roles, kb.num_numeric_roles,
-                     kb.num_boolean_roles, [len(v) for v in st.string_values],
-                     kb.num_individuals)
+    t = _read_tables(r, len(st.class_names), len(st.role_names),
+                     len(st.num_role_names), len(st.bool_role_names),
+                     list(map(len, st.string_values)), st.num_individuals)
     if r.pos != len(payload):
         raise KbCodecError(f"{len(payload) - r.pos} trailing payload bytes")
-    for members, ids in zip(kb.class_members, t.members):
-        members.update(ids.tolist())
-    kb.subclass_edges, kb._edge_set = _unique(t.subclass_edges.tolist())
-    for rid, pairs in enumerate(t.roles):
-        kb.role_assertions[rid], kb._role_pair_sets[rid] = _unique(pairs.tolist())
-    kb.subrole_edges, kb._redge_set = _unique(t.subrole_edges.tolist())
-    for rid, rows in enumerate(t.nums):
-        kb.numeric_assertions[rid], kb._num_sets[rid] = _unique(rows.tolist())
-    for rid, rows in enumerate(t.bools):
-        kb.boolean_assertions[rid], kb._bool_sets[rid] = _unique(
-            list(zip(rows["a"].tolist(), (rows["b"] == 1).tolist())))
-    for rid, rows in enumerate(t.strs):
-        kb.string_assertions[rid], kb._str_sets[rid] = _unique(rows.tolist())
-
-    if materialized:
-        _seal(kb)
-        _check_sealed(kb)
-    return st, kb
+    return st, (_sealed_kb if materialized else _open_kb)(t, st.num_individuals)
 
 
 def serialize_sealed(kb: KnowledgeBase, st: SymbolTable) -> bytes:
@@ -1144,13 +1178,12 @@ def serialize_sealed(kb: KnowledgeBase, st: SymbolTable) -> bytes:
 
 def deserialize_sealed(data: bytes, pos: int = 0) -> tuple[KnowledgeBase, int]:
     """The sealed KB whose form ``serialize_sealed`` wrote at ``data[pos:]``,
-    and the offset just past it. The KB holds numpy columns and hierarchy
-    edges only; its rows are ``None`` (see ``KnowledgeBase``). Raises
-    ``KbCodecError`` on what ``deserialize_kb`` refuses in the tables, on
-    more than ``MAX_SEALED_INDIVIDUALS`` individuals, and on a KB that is not
-    closed as ``materialize`` leaves it. Rows and edges are taken as they
-    come: a sealed KB's are unique, as its tables were filled through the
-    ``add_*`` methods."""
+    and the offset just past it. It is built as a materialized
+    ``deserialize_kb`` blob's KB is (``_sealed_kb``): numpy columns and
+    hierarchy edges, each repeated row kept once. Raises ``KbCodecError`` on
+    what ``deserialize_kb`` refuses in the tables, on more than
+    ``MAX_SEALED_INDIVIDUALS`` individuals, and on a KB that is not closed
+    as ``materialize`` leaves it."""
     r = _Reader(data, pos)
     n_classes, n_roles, n_nums, n_bools, n_strs, n_ind = r.records(_ID, 6).tolist()
     if n_ind > MAX_SEALED_INDIVIDUALS:
@@ -1158,30 +1191,4 @@ def deserialize_sealed(data: bytes, pos: int = 0) -> tuple[KnowledgeBase, int]:
                            f"{MAX_SEALED_INDIVIDUALS}")
     value_counts = r.records(_ID, n_strs).tolist()
     t = _read_tables(r, n_classes, n_roles, n_nums, n_bools, value_counts, n_ind)
-
-    kb = KnowledgeBase()
-    kb.num_individuals = n_ind
-    kb.class_members = kb.role_assertions = None
-    kb.numeric_assertions = kb.boolean_assertions = kb.string_assertions = None
-    kb.subclass_edges = t.subclass_edges.tolist()
-    kb.subrole_edges = t.subrole_edges.tolist()
-    masks = []
-    for ids in t.members:
-        mask = np.zeros(n_ind, dtype=bool)
-        mask[ids] = True
-        masks.append(mask)
-
-    def column(tables, at, dtype):
-        return [rows[at].astype(dtype) for rows in tables]
-
-    _seal(kb, {"member_masks": masks,
-               "role_subs": column(t.roles, "a", np.int64),
-               "role_objs": column(t.roles, "b", np.int64),
-               "num_subs": column(t.nums, "a", np.int64),
-               "num_vals": column(t.nums, "b", np.float64),
-               "bool_subs": column(t.bools, "a", np.int64),
-               "bool_vals": column(t.bools, "b", bool),
-               "str_subs": column(t.strs, "a", np.int64),
-               "str_vals": column(t.strs, "b", np.int64)})
-    _check_sealed(kb)
-    return kb, r.pos
+    return _sealed_kb(t, n_ind), r.pos

@@ -27,7 +27,7 @@ from dlbeam.concept import (And, Atomic, Exists, MinCard, Or, RoleExpr,
                             StrEq, TOP, concept_length, connective, encode,
                             hash_concept)
 from dlbeam.evaluation import (CoverageResult, Evaluator,
-                               evaluate, evaluate_batch, is_weak, score)
+                               evaluate, evaluate_batch, score, weak_threshold)
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (MAX_SEALED_INDIVIDUALS, ExampleSet, KbStatistics,
                        compute_statistics, materialize, parse_examples,
@@ -350,7 +350,7 @@ def local_expand_oracle(fix, tasks, params):
     for (c, h, slot), cov in zip(survivors, covs):
         # A union with an operand that covers no positive is dominated, and
         # returned as a weak node is.
-        if is_weak(cov, fix.examples, params.noise) or (
+        if cov.pos_covered < weak_threshold(fix.examples, params.noise) or (
                 isinstance(c, Or)
                 and any(evaluate(ch, fix.kb, fix.examples).pos_covered == 0
                         for ch in c.children)):

@@ -13,8 +13,8 @@ from dlbeam.concept import (And, Atomic, BoolEq, Exists, Forall, MaxCard,
                             MinCard, NotAtomic, NumGeq, NumLeq, Or, RoleExpr,
                             StrEq, TOP, Top, canonicalize, sort_key)
 from dlbeam.evaluation import (CoverageResult, Evaluator, accuracy,
-                               covered_set, evaluate, evaluate_batch, is_weak,
-                               score, weak_threshold)
+                               covered_set, evaluate, evaluate_batch, score,
+                               weak_threshold)
 from dlbeam.kb import ExampleSet, KbError, materialize, parse_kb
 from generators import (NUM_POOL, dims_of, example_subset_kb, random_concept,
                         random_examples, random_kb, strict_subconcepts)
@@ -687,28 +687,18 @@ def test_score_formula():
 
 # --- weakness ---------------------------------------------------------------
 
-def test_is_weak_threshold():
+def test_weak_threshold():
     ex = ExampleSet.from_ids(10, range(5), range(5, 10))
-    assert not is_weak(CoverageResult(5, 0), ex, 0.0)
-    assert is_weak(CoverageResult(4, 0), ex, 0.0)
-    assert is_weak(CoverageResult(0, 0), ex, 0.0)
+    assert weak_threshold(ex, 0.0) == 5
 
 
-def test_is_weak_with_noise():
+def test_weak_threshold_with_noise():
     ex = ExampleSet.from_ids(20, range(10), range(10, 20))
     # ceil(0.8 * 10) = 8 positives required
-    assert not is_weak(CoverageResult(8, 0), ex, 0.2)
-    assert is_weak(CoverageResult(7, 0), ex, 0.2)
+    assert weak_threshold(ex, 0.2) == 8
     # awkward float products still round up: ceil(0.7 * 10) = 7
-    assert not is_weak(CoverageResult(7, 0), ex, 0.3)
+    assert weak_threshold(ex, 0.3) == 7
     assert math.ceil((1.0 - 0.3) * 10) == 7
-
-
-def test_is_weak_validates_noise():
-    ex = ExampleSet.from_ids(2, [0], [1])
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            is_weak(CoverageResult(1, 0), ex, bad)
 
 
 def test_weak_threshold_validates_noise():

@@ -175,9 +175,25 @@ def test_parse_errors_after_more_than_one_slice_carry_the_shifted_line(
     assert_fails_alike(parse_kb, shifted, commented(shifted))
 
 
-def test_a_crlf_text_longer_than_one_slice_parses_as_its_lf_form():
+# "\r\n" and every other boundary str.splitlines honours besides "\n".
+LINE_BREAKS = ("\r\n", "\r", *kb_module._OTHER_BREAKS)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+def test_a_crlf_text_longer_than_one_slice_parses_as_its_lf_form(brk):
     text = statements_over(2)
-    assert parse_kb(text.replace("\n", "\r\n")) == parse_kb(text)
+    assert parse_kb(text.replace("\n", brk)) == parse_kb(text)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+def test_a_bad_last_line_after_other_line_breaks_has_its_lf_line_number(brk):
+    text = statements_over(2) + "chair A\n"
+    with pytest.raises(KbParseError) as lf:
+        parse_kb(text)
+    with pytest.raises(KbParseError) as other:
+        parse_kb(text.replace("\n", brk))
+    assert lf.value.line == text.count("\n")
+    assert (other.value.line, str(other.value)) == (lf.value.line, str(lf.value))
 
 
 # --- examples ---------------------------------------------------------------

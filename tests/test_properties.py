@@ -56,7 +56,7 @@ from dlbeam.concept import (MAX_CARDINALITY, TOP, And, Atomic, BoolEq,
                             NumLeq, Or, RoleExpr, StrEq, canonicalize,
                             concept_length, connective, decode, encode,
                             hash_concept, parse_concept, render, sort_key)
-from dlbeam.evaluation import CoverageResult, score
+from dlbeam.evaluation import CoverageResult, Evaluator, score
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (_PLAIN_LINE, Interner, KbCodecError, KbError,
                        KbParseError, KnowledgeBase, SymbolTable, _slices,
@@ -589,6 +589,64 @@ def test_kb_codec_keeps_the_first_of_repeated_rows_as_the_adders_do(seed):
             assert getattr(kb2, name) is None
         else:
             assert getattr(kb2, name) == getattr(want, name)
+
+
+def with_repeats(rows: list[tuple], rng: random.Random) -> list[tuple]:
+    """``rows``, then copies of half as many rows drawn from them. A copy of
+    a numeric zero has the other sign, which the add_* methods take for the
+    same row."""
+    copies = [rng.choice(rows) for _ in range(len(rows) // 2)] if rows else []
+    return list(rows) + [(a, -b) if isinstance(b, float) and b == 0 else (a, b)
+                         for a, b in copies]
+
+
+def repeated_columns(kb: KnowledgeBase, rng: random.Random) -> KnowledgeBase:
+    """A materialized KB whose edge lists and numpy columns repeat rows of
+    materialized ``kb``'s, as serialize_sealed never writes them."""
+    raw = KnowledgeBase()
+    raw.materialized = True
+    raw.num_individuals = kb.num_individuals
+    raw.member_masks = kb.member_masks
+    raw.subclass_edges = with_repeats(kb.subclass_edges, rng)
+    raw.subrole_edges = with_repeats(kb.subrole_edges, rng)
+    for subs, vals, dtype in (("role_subs", "role_objs", np.int64),
+                              ("num_subs", "num_vals", np.float64),
+                              ("bool_subs", "bool_vals", bool),
+                              ("str_subs", "str_vals", np.int64)):
+        for a, b in zip(getattr(kb, subs), getattr(kb, vals)):
+            rows = with_repeats(list(zip(a.tolist(), b.tolist())), rng)
+            getattr(raw, subs).append(np.array([r[0] for r in rows], np.int64))
+            getattr(raw, vals).append(np.array([r[1] for r in rows], dtype))
+    return raw
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_a_sealed_form_that_repeats_rows_decodes_to_the_honest_columns(seed):
+    # Each table keeps the first copy of a repeated row, as the blob does.
+    sym, kb, _ = sealed_kb(seed)
+    forged = serialize_sealed(repeated_columns(kb, random.Random(seed)), sym)
+    kb2, end = deserialize_sealed(forged)
+    assert end == len(forged)
+    assert_same_columns(kb2, kb)
+    assert_reads_the_statistics_and_pool_of(kb2, kb)
+
+
+def test_a_kb_transfer_that_repeats_a_pair_counts_one_successor_once():
+    # x and z each have one r-successor, y; the forged role lists (x, y)
+    # twice, which must not put x in (r min 2 Thing).
+    sym, kb = parse_kb("role r\nindividual x\nindividual y\nindividual z\n"
+                       "fact r x y\nfact r z y\n")
+    materialize(kb, sym)
+    examples = parse_examples("+ x\n- z\n", sym)
+    honest = _pack_kb_transfer(kb, sym, examples, PARAMS)
+    pairs = struct.pack(">5I", 2, 0, 1, 2, 1)
+    assert honest.count(pairs) == 1
+    forged = honest.replace(pairs, struct.pack(">7I", 3, 0, 1, 0, 1, 2, 1))
+    at_least_two = MinCard(2, RoleExpr(0), TOP)
+    for payload in (honest, forged):
+        kb2, ex2, _ = _unpack_kb_transfer(payload)
+        assert Evaluator(kb2, ex2).count(at_least_two) == CoverageResult(0, 0)
 
 
 @SETTINGS
