@@ -39,7 +39,6 @@ its rows; only an open blob decodes to rows.
 
 from __future__ import annotations
 
-import math
 import re
 import shlex
 import struct
@@ -455,102 +454,47 @@ def _split_line(line: str, lineno: int) -> list[str]:
         raise KbParseError(f"syntax error: {exc}", lineno) from None
 
 
-def _declare(declared: dict[str, str], individuals: Interner, name: str,
-             kind: str, lineno: int) -> None:
-    """Check that ``name`` is not declared as another kind, and record it.
+def _declare(declared: dict[str, str], individuals: dict[str, int], name: str,
+             kind: str, lineno: int) -> bool:
+    """Check that ``name`` is not declared as another kind, and record it;
+    return whether it is new.
 
     ``declared`` maps every name declared as something other than an
-    individual to its kind; the individuals' own interner records them.
+    individual to its kind, and ``individuals`` each individual to its id.
     """
     prior = "individual" if name in individuals else declared.get(name)
-    if prior is not None and prior != kind:
+    if prior is None:
+        declared[name] = kind
+        return True
+    if prior != kind:
         raise KbParseError(f"{name!r} already declared as {prior}, redeclared as {kind}",
                            lineno)
-    if kind != "individual":
-        declared[name] = kind
+    return False
 
 
-def _lookup(table: Interner, name: str, kind: str, lineno: int) -> int:
-    ident = table.id_of(name)
-    if ident is None:
-        raise KbParseError(f"undeclared {kind} {name!r}", lineno)
-    return ident
-
-
-# Each declaration's kind, as errors name it, its SymbolTable namespace and
-# the KnowledgeBase method that adds its table.
-_DECLARATIONS = {
-    "class": ("class", "class_names", KnowledgeBase.add_class),
-    "role": ("role", "role_names", KnowledgeBase.add_role),
-    "numrole": ("numeric role", "num_role_names", KnowledgeBase.add_num_role),
-    "boolrole": ("boolean role", "bool_role_names", KnowledgeBase.add_bool_role),
-    "strrole": ("string role", "str_role_names", KnowledgeBase.add_str_role),
-    "individual": ("individual", "individual_names", KnowledgeBase.add_individual),
-}
-# The number of arguments each statement takes.
-_ARITY = {**dict.fromkeys(_DECLARATIONS, 1),
+# The number of arguments each statement takes, as its error states it.
+_ARITY = {**dict.fromkeys(("class", "role", "numrole", "boolrole", "strrole",
+                           "individual"), 1),
           **dict.fromkeys(("subclass", "subrole", "instance"), 2),
           **dict.fromkeys(("fact", "numfact", "boolfact", "strfact"), 3)}
 
 
-def _statement(tokens: list[str], lineno: int, st: SymbolTable,
-               kb: KnowledgeBase, declared: dict[str, str]) -> None:
-    """Apply one statement, checking everything; raise on a bad one."""
-    stmt = tokens[0]
-    arity = _ARITY.get(stmt)
-    if arity is not None and len(tokens) != arity + 1:
-        raise KbParseError(f"{stmt!r} expects {arity} argument(s), got {len(tokens) - 1}",
-                           lineno)
-    if stmt in _DECLARATIONS:
-        kind, namespace, add = _DECLARATIONS[stmt]
-        name = tokens[1]
-        _declare(declared, st.individual_names, name, kind, lineno)
-        table = getattr(st, namespace)
+def _bad_statement(tokens: list[str], lineno: int) -> KbParseError:
+    """The error for an unknown statement, or one with a wrong argument count."""
+    arity = _ARITY.get(tokens[0])
+    if arity is None:
+        return KbParseError(f"unknown statement {tokens[0]!r}", lineno)
+    return KbParseError(f"{tokens[0]!r} expects {arity} argument(s), got {len(tokens) - 1}",
+                        lineno)
+
+
+def _undeclared(lineno: int, *lookups) -> KbParseError:
+    """The error for the first of ``lookups``, flat ``(table, name, kind)``
+    triples, whose name its table does not hold."""
+    it = iter(lookups)
+    for table, name, kind in zip(it, it, it):
         if name not in table:
-            table.intern(name)
-            add(kb)
-            if stmt == "strrole":
-                st.string_values.append(Interner())
-    elif stmt == "subclass":
-        sub = _lookup(st.class_names, tokens[1], "class", lineno)
-        sup = _lookup(st.class_names, tokens[2], "class", lineno)
-        kb.add_subclass(sub, sup)
-    elif stmt == "subrole":
-        sub = _lookup(st.role_names, tokens[1], "role", lineno)
-        sup = _lookup(st.role_names, tokens[2], "role", lineno)
-        kb.add_subrole(sub, sup)
-    elif stmt == "instance":
-        cid = _lookup(st.class_names, tokens[1], "class", lineno)
-        iid = _lookup(st.individual_names, tokens[2], "individual", lineno)
-        kb.add_instance(cid, iid)
-    elif stmt == "fact":
-        rid = _lookup(st.role_names, tokens[1], "role", lineno)
-        sub = _lookup(st.individual_names, tokens[2], "individual", lineno)
-        obj = _lookup(st.individual_names, tokens[3], "individual", lineno)
-        kb.add_fact(rid, sub, obj)
-    elif stmt == "numfact":
-        rid = _lookup(st.num_role_names, tokens[1], "numeric role", lineno)
-        sub = _lookup(st.individual_names, tokens[2], "individual", lineno)
-        try:
-            val = float(tokens[3])
-        except ValueError:
-            raise KbParseError(f"bad number {tokens[3]!r}", lineno) from None
-        if val != val:
-            raise KbParseError("NaN is not a valid numeric value", lineno)
-        kb.add_num_fact(rid, sub, val)
-    elif stmt == "boolfact":
-        rid = _lookup(st.bool_role_names, tokens[1], "boolean role", lineno)
-        sub = _lookup(st.individual_names, tokens[2], "individual", lineno)
-        if tokens[3] not in ("true", "false"):
-            raise KbParseError(f"expected true or false, got {tokens[3]!r}", lineno)
-        kb.add_bool_fact(rid, sub, tokens[3] == "true")
-    elif stmt == "strfact":
-        rid = _lookup(st.str_role_names, tokens[1], "string role", lineno)
-        sub = _lookup(st.individual_names, tokens[2], "individual", lineno)
-        vi = st.string_values[rid].intern(tokens[3])
-        kb.add_str_fact(rid, sub, vi)
-    else:
-        raise KbParseError(f"unknown statement {stmt!r}", lineno)
+            return KbParseError(f"undeclared {kind} {name!r}", lineno)
 
 
 def parse_kb(text: str) -> tuple[SymbolTable, KnowledgeBase]:
@@ -558,10 +502,10 @@ def parse_kb(text: str) -> tuple[SymbolTable, KnowledgeBase]:
 
     The text is read a slice of whole lines at a time (``_slices``): a plain
     slice is tokenized by ``str.split`` in C, any other line by line through
-    ``_split_line``. The statements a large KB is made of take a direct path
-    through the interners' dicts; any other line, and any line that path
-    cannot apply (a bad one included), goes through ``_statement`` and its
-    checks.
+    ``_split_line``. One loop applies every statement, with its checks, in
+    one branch per statement, the most frequent first; a bad line raises
+    where it is found, so errors come in line order: a line's argument
+    count first, then its names left to right, then its value.
     """
     st = SymbolTable()
     kb = KnowledgeBase()
@@ -570,6 +514,7 @@ def parse_kb(text: str) -> tuple[SymbolTable, KnowledgeBase]:
     roles = st.role_names._ids
     num_roles = st.num_role_names._ids
     bool_roles = st.bool_role_names._ids
+    str_roles = st.str_role_names._ids
     individuals = st.individual_names._ids
     numbers: dict[str, float] = {}  # one float object per distinct text
     for lineno, _, tokens in chain.from_iterable(_slices(text)):
@@ -580,44 +525,95 @@ def parse_kb(text: str) -> tuple[SymbolTable, KnowledgeBase]:
         if stmt == "instance" and n == 3:
             cid = classes.get(tokens[1])
             iid = individuals.get(tokens[2])
-            if cid is not None and iid is not None:
-                kb.add_instance(cid, iid)
-                continue
+            if cid is None or iid is None:
+                raise _undeclared(lineno, classes, tokens[1], "class",
+                                  individuals, tokens[2], "individual")
+            kb.add_instance(cid, iid)
+        elif stmt == "individual" and n == 2:
+            name = tokens[1]
+            if name in declared:
+                _declare(declared, individuals, name, "individual", lineno)
+            if name not in individuals:
+                st.individual_names.intern(name)
+                kb.add_individual()
         elif stmt == "fact" and n == 4:
             rid = roles.get(tokens[1])
             sub = individuals.get(tokens[2])
             obj = individuals.get(tokens[3])
-            if rid is not None and sub is not None and obj is not None:
-                kb.add_fact(rid, sub, obj)
-                continue
-        elif stmt == "individual" and n == 2:
-            name = tokens[1]
-            if name not in declared:
-                if name not in individuals:
-                    st.individual_names.intern(name)
-                    kb.add_individual()
-                continue
+            if rid is None or sub is None or obj is None:
+                raise _undeclared(lineno, roles, tokens[1], "role",
+                                  individuals, tokens[2], "individual",
+                                  individuals, tokens[3], "individual")
+            kb.add_fact(rid, sub, obj)
         elif stmt == "numfact" and n == 4:
             rid = num_roles.get(tokens[1])
             sub = individuals.get(tokens[2])
-            if rid is not None and sub is not None:
-                val = numbers.get(tokens[3])
-                if val is None:
-                    try:
-                        val = float(tokens[3])
-                    except ValueError:
-                        val = math.nan  # _statement raises the error
-                    numbers[tokens[3]] = val
-                if val == val:
-                    kb.add_num_fact(rid, sub, val)
-                    continue
+            if rid is None or sub is None:
+                raise _undeclared(lineno, num_roles, tokens[1], "numeric role",
+                                  individuals, tokens[2], "individual")
+            val = numbers.get(tokens[3])
+            if val is None:
+                try:
+                    val = float(tokens[3])
+                except ValueError:
+                    raise KbParseError(f"bad number {tokens[3]!r}", lineno) from None
+                if val != val:
+                    raise KbParseError("NaN is not a valid numeric value", lineno)
+                numbers[tokens[3]] = val
+            kb.add_num_fact(rid, sub, val)
         elif stmt == "boolfact" and n == 4:
             rid = bool_roles.get(tokens[1])
             sub = individuals.get(tokens[2])
-            if rid is not None and sub is not None and tokens[3] in ("true", "false"):
-                kb.add_bool_fact(rid, sub, tokens[3] == "true")
-                continue
-        _statement(tokens, lineno, st, kb, declared)
+            if rid is None or sub is None:
+                raise _undeclared(lineno, bool_roles, tokens[1], "boolean role",
+                                  individuals, tokens[2], "individual")
+            if tokens[3] not in ("true", "false"):
+                raise KbParseError(f"expected true or false, got {tokens[3]!r}", lineno)
+            kb.add_bool_fact(rid, sub, tokens[3] == "true")
+        elif stmt == "class" and n == 2:
+            if _declare(declared, individuals, tokens[1], "class", lineno):
+                st.class_names.intern(tokens[1])
+                kb.add_class()
+        elif stmt == "subclass" and n == 3:
+            sub = classes.get(tokens[1])
+            sup = classes.get(tokens[2])
+            if sub is None or sup is None:
+                raise _undeclared(lineno, classes, tokens[1], "class",
+                                  classes, tokens[2], "class")
+            kb.add_subclass(sub, sup)
+        elif stmt == "role" and n == 2:
+            if _declare(declared, individuals, tokens[1], "role", lineno):
+                st.role_names.intern(tokens[1])
+                kb.add_role()
+        elif stmt == "subrole" and n == 3:
+            sub = roles.get(tokens[1])
+            sup = roles.get(tokens[2])
+            if sub is None or sup is None:
+                raise _undeclared(lineno, roles, tokens[1], "role",
+                                  roles, tokens[2], "role")
+            kb.add_subrole(sub, sup)
+        elif stmt == "numrole" and n == 2:
+            if _declare(declared, individuals, tokens[1], "numeric role", lineno):
+                st.num_role_names.intern(tokens[1])
+                kb.add_num_role()
+        elif stmt == "boolrole" and n == 2:
+            if _declare(declared, individuals, tokens[1], "boolean role", lineno):
+                st.bool_role_names.intern(tokens[1])
+                kb.add_bool_role()
+        elif stmt == "strrole" and n == 2:
+            if _declare(declared, individuals, tokens[1], "string role", lineno):
+                st.str_role_names.intern(tokens[1])
+                st.string_values.append(Interner())
+                kb.add_str_role()
+        elif stmt == "strfact" and n == 4:
+            rid = str_roles.get(tokens[1])
+            sub = individuals.get(tokens[2])
+            if rid is None or sub is None:
+                raise _undeclared(lineno, str_roles, tokens[1], "string role",
+                                  individuals, tokens[2], "individual")
+            kb.add_str_fact(rid, sub, st.string_values[rid].intern(tokens[3]))
+        else:
+            raise _bad_statement(tokens, lineno)
     return st, kb
 
 

@@ -56,9 +56,13 @@ def test_parse_golden_text():
 
 
 def test_parse_duplicate_declarations_are_idempotent():
-    st, kb = parse_kb("class A\nclass A\nrole r\nrole r\n")
+    st, kb = parse_kb("class A\nclass A\nrole r\nrole r\n"
+                      "strrole s\nstrrole s\nindividual x\nstrfact s x v\n")
     assert len(st.class_names) == 1
     assert kb.num_roles == 1
+    assert len(st.str_role_names) == 1 and kb.num_string_roles == 1
+    assert len(st.string_values) == 1
+    assert kb.string_assertions == [[(0, 0)]]
 
 
 PARSE_ERRORS = [
@@ -72,6 +76,20 @@ PARSE_ERRORS = [
     ("individual x\nboolrole b\nboolfact b x yes", 3, "expected true or false"),
     ('class "A', 1, "syntax error"),
     ("individual x\nrole r\nfact r x y", 3, "undeclared individual 'y'"),
+    ("class A\nindividual x\ninstance A y", 3, "undeclared individual 'y'"),
+    ("individual x\ninstance B x", 2, "undeclared class 'B'"),
+    ("role r\nsubrole r s", 2, "undeclared role 's'"),
+    ("individual x\nnumfact n x 1", 2, "undeclared numeric role 'n'"),
+    ("individual x\nnumfact n x", 2, "'numfact' expects 3 argument(s), got 2"),
+    ("individual x\nboolrole b\nboolfact b y true", 3, "undeclared individual 'y'"),
+    ("individual x\nstrfact s x v", 2, "undeclared string role 's'"),
+    ("role r\nindividual x\nfact r x", 3, "'fact' expects 3 argument(s), got 2"),
+    ("chair A B", 1, "unknown statement 'chair'"),
+    # Names are checked left to right, and before the value.
+    ("fact r x y", 1, "undeclared role 'r'"),
+    ("role r\nfact r x y", 2, "undeclared individual 'x'"),
+    ("instance A y", 1, "undeclared class 'A'"),
+    ("numrole n\nnumfact n x abc", 2, "undeclared individual 'x'"),
 ]
 
 
@@ -88,6 +106,9 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
     ("individual A\nclass A", "'A' already declared as individual, redeclared as class"),
     ("individual A\nindividual A\nrole A",
      "'A' already declared as individual, redeclared as role"),
+    ("numrole n\nindividual n", "'n' already declared as numeric role, redeclared as individual"),
+    ("strrole s\nindividual s", "'s' already declared as string role, redeclared as individual"),
+    ("individual s\nstrrole s", "'s' already declared as individual, redeclared as string role"),
 ])
 def test_a_name_declared_as_two_kinds_fails_on_its_last_declaration(text, message):
     with pytest.raises(KbParseError) as exc:

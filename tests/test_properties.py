@@ -16,8 +16,10 @@ A KB_TRANSFER, whose sealed KB shares the codec's tables, is checked against
 the master's columns, statistics and restriction pool, and a truncation or
 byte flip must be refused or read as that reader reads it.
 The KB text parser is checked against shlex, which every line with a comment
-goes through, and against ``_statement``'s checks, and on arbitrary text,
-which must parse or raise a ``KbParseError`` naming its line.
+goes through, against ``reference_statement``, a copy of the
+statement-at-a-time checker that applied every line the reader's fast path
+did not take before one loop took over both, and on arbitrary text, which
+must parse or raise a ``KbParseError`` naming its line.
 Frames and EXPAND_RESULT payloads are checked by round trips, truncations
 and byte flips, which must end in ``ProtocolError`` and nothing else, and
 frames against the joined construction that defined their bytes. The
@@ -60,7 +62,7 @@ from dlbeam.evaluation import CoverageResult, Evaluator, score
 from dlbeam.fixtures import fixture_path
 from dlbeam.kb import (_PLAIN_LINE, Interner, KbCodecError, KbError,
                        KbParseError, KnowledgeBase, SymbolTable, _slices,
-                       _split_line, _statement, deserialize_kb,
+                       _split_line, deserialize_kb,
                        deserialize_sealed, materialize, parse_examples,
                        parse_kb, serialize_kb, serialize_sealed)
 
@@ -981,14 +983,112 @@ def forces_shlex(text: str) -> str:
     return "\n".join(line + " #" for line in text.splitlines())
 
 
+def reference_declare(declared: dict[str, str], individuals: Interner, name: str,
+                      kind: str, lineno: int) -> None:
+    """Check that ``name`` is not declared as another kind, and record it.
+
+    ``declared`` maps every name declared as something other than an
+    individual to its kind; the individuals' own interner records them.
+    """
+    prior = "individual" if name in individuals else declared.get(name)
+    if prior is not None and prior != kind:
+        raise KbParseError(f"{name!r} already declared as {prior}, redeclared as {kind}",
+                           lineno)
+    if kind != "individual":
+        declared[name] = kind
+
+
+def reference_lookup(table: Interner, name: str, kind: str, lineno: int) -> int:
+    ident = table.id_of(name)
+    if ident is None:
+        raise KbParseError(f"undeclared {kind} {name!r}", lineno)
+    return ident
+
+
+# Each declaration's kind, as errors name it, its SymbolTable namespace and
+# the KnowledgeBase method that adds its table.
+REFERENCE_DECLARATIONS = {
+    "class": ("class", "class_names", KnowledgeBase.add_class),
+    "role": ("role", "role_names", KnowledgeBase.add_role),
+    "numrole": ("numeric role", "num_role_names", KnowledgeBase.add_num_role),
+    "boolrole": ("boolean role", "bool_role_names", KnowledgeBase.add_bool_role),
+    "strrole": ("string role", "str_role_names", KnowledgeBase.add_str_role),
+    "individual": ("individual", "individual_names", KnowledgeBase.add_individual),
+}
+# The number of arguments each statement takes.
+REFERENCE_ARITY = {**dict.fromkeys(REFERENCE_DECLARATIONS, 1),
+                   **dict.fromkeys(("subclass", "subrole", "instance"), 2),
+                   **dict.fromkeys(("fact", "numfact", "boolfact", "strfact"), 3)}
+
+
+def reference_statement(tokens: list[str], lineno: int, st: SymbolTable,
+                        kb: KnowledgeBase, declared: dict[str, str]) -> None:
+    """Apply one statement, checking everything; raise on a bad one."""
+    stmt = tokens[0]
+    arity = REFERENCE_ARITY.get(stmt)
+    if arity is not None and len(tokens) != arity + 1:
+        raise KbParseError(f"{stmt!r} expects {arity} argument(s), got {len(tokens) - 1}",
+                           lineno)
+    if stmt in REFERENCE_DECLARATIONS:
+        kind, namespace, add = REFERENCE_DECLARATIONS[stmt]
+        name = tokens[1]
+        reference_declare(declared, st.individual_names, name, kind, lineno)
+        table = getattr(st, namespace)
+        if name not in table:
+            table.intern(name)
+            add(kb)
+            if stmt == "strrole":
+                st.string_values.append(Interner())
+    elif stmt == "subclass":
+        sub = reference_lookup(st.class_names, tokens[1], "class", lineno)
+        sup = reference_lookup(st.class_names, tokens[2], "class", lineno)
+        kb.add_subclass(sub, sup)
+    elif stmt == "subrole":
+        sub = reference_lookup(st.role_names, tokens[1], "role", lineno)
+        sup = reference_lookup(st.role_names, tokens[2], "role", lineno)
+        kb.add_subrole(sub, sup)
+    elif stmt == "instance":
+        cid = reference_lookup(st.class_names, tokens[1], "class", lineno)
+        iid = reference_lookup(st.individual_names, tokens[2], "individual", lineno)
+        kb.add_instance(cid, iid)
+    elif stmt == "fact":
+        rid = reference_lookup(st.role_names, tokens[1], "role", lineno)
+        sub = reference_lookup(st.individual_names, tokens[2], "individual", lineno)
+        obj = reference_lookup(st.individual_names, tokens[3], "individual", lineno)
+        kb.add_fact(rid, sub, obj)
+    elif stmt == "numfact":
+        rid = reference_lookup(st.num_role_names, tokens[1], "numeric role", lineno)
+        sub = reference_lookup(st.individual_names, tokens[2], "individual", lineno)
+        try:
+            val = float(tokens[3])
+        except ValueError:
+            raise KbParseError(f"bad number {tokens[3]!r}", lineno) from None
+        if val != val:
+            raise KbParseError("NaN is not a valid numeric value", lineno)
+        kb.add_num_fact(rid, sub, val)
+    elif stmt == "boolfact":
+        rid = reference_lookup(st.bool_role_names, tokens[1], "boolean role", lineno)
+        sub = reference_lookup(st.individual_names, tokens[2], "individual", lineno)
+        if tokens[3] not in ("true", "false"):
+            raise KbParseError(f"expected true or false, got {tokens[3]!r}", lineno)
+        kb.add_bool_fact(rid, sub, tokens[3] == "true")
+    elif stmt == "strfact":
+        rid = reference_lookup(st.str_role_names, tokens[1], "string role", lineno)
+        sub = reference_lookup(st.individual_names, tokens[2], "individual", lineno)
+        vi = st.string_values[rid].intern(tokens[3])
+        kb.add_str_fact(rid, sub, vi)
+    else:
+        raise KbParseError(f"unknown statement {stmt!r}", lineno)
+
+
 def checked_parse(text: str):
-    """``parse_kb`` with every statement through ``_statement``'s checks,
-    none through the direct path of the frequent ones."""
+    """``parse_kb`` through ``reference_statement``: the statement-at-a-time
+    parser, every check in one function, that the text reader replaced."""
     sym, kb, declared = SymbolTable(), KnowledgeBase(), {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = _split_line(line, lineno)
         if tokens:
-            _statement(tokens, lineno, sym, kb, declared)
+            reference_statement(tokens, lineno, sym, kb, declared)
     return sym, kb
 
 
