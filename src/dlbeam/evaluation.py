@@ -21,24 +21,24 @@ An extension is computed over the rows of one of two row spaces
   the all-ones int, an atom reads its mask restricted to the examples, a
   negated atom is ``all ^ mask``, intersections and unions are ``&`` and
   ``|``, and a count is ``(ext & positives).bit_count()``. A search only
-  ever counts the examples, so a candidate is computed here, and each of
-  its top-level operands too. A role restriction here reads only the pairs
-  whose subject is an example, laid out per role and inverse role as
-  ``Chunks``: chunk *j* is an int whose bit *i* is example row *i*'s *j*-th
-  successor, so a filler over those successors is one int per chunk, in
-  example-row order like every other int here. An atom filler is gathered
+  ever counts the examples, so a candidate is computed here, and each of its
+  top-level operands too, anew each time. A role restriction here reads only
+  the pairs whose subject is an example, laid out per role and inverse role
+  as ``Chunks``: chunk *j* is an int whose bit *i* is example row *i*'s
+  *j*-th successor, so a filler over those successors is one int per chunk,
+  in example-row order like every other int here. An atom filler is gathered
   from its mask once per role; a negated atom, an intersection and a union
-  of fillers are ``^``, ``&`` and ``|`` of their operands' chunks; any
-  other filler is computed in the full space and gathered. Then ``some`` is
-  the union of the chunks, ``only`` holds where no chunk has a successor
-  outside the filler, and ``min n``/``max n`` count "at least n" bit-sliced
-  across the chunks. The chunks go no deeper than keeps them at least half
-  full of successors, less one chunk; a row with more successors is
-  counted with one ``np.add.reduceat`` over its own pairs and ORed in, so
-  the layout holds at most twice the pairs plus the rows. Over a role with
-  no such pair every count is 0, so the answer is the same on every row,
-  and the filler is never computed. A concrete-role result is a bool array
-  over the rows, made an int once with ``np.packbits``.
+  of fillers are ``^``, ``&`` and ``|`` of their operands' chunks; any other
+  filler is computed in the full space and gathered. Then ``some`` is the
+  union of the chunks, ``only`` holds where no chunk has a successor outside
+  the filler, and ``min n``/``max n`` count "at least n" bit-sliced across
+  the chunks. The chunks go no deeper than keeps them at least half full of
+  successors, less one chunk; a row with more successors is counted with one
+  ``np.add.reduceat`` over its own pairs and ORed in, so the layout holds at
+  most twice the pairs plus the rows. Over a role with no such pair every
+  count is 0, so the answer is the same on every row, and the filler is
+  never computed. A concrete-role result is a bool array over the rows, made
+  an int once with ``np.packbits``.
 
 A search evaluates many concepts that share operands and fillers: the
 operands of its unions and intersections, the fillers of its role
@@ -55,11 +55,6 @@ check sits at each operand and filler, so nested ones hit it too.
   miss recurses through ``covered_set``, which is handed the full space
   rather than building another. On ``synth-wide`` (28k individuals) it ends
   a search with 104 entries, 0.37 MB.
-- ``RowSpace.table`` of the example space: the sort key of a top-level
-  operand maps to its int over the example rows. Ints are immutable, so a
-  hit is returned as it is. On ``synth-wide`` (4,000 examples) it ends a
-  search with 122 entries, 63 kB. ``dominated_union`` reads a union's
-  operands back from it after the union is evaluated.
 - ``RowSpace.counts`` of the example space: ``(inverse, role_id, sort key
   of the filler)`` maps to the filler's chunk ints over that role's
   successors, a bool array over its heavy rows' pairs and each heavy row's
@@ -67,14 +62,17 @@ check sits at each operand and filler, so nested ones hit it too.
   that role and filler reads the one entry, and so does every filler with
   it as an operand. On ``synth-wide`` it ends a search with 882 entries,
   1.2 MB.
-- What is stored: the full-space memo and the table hold only operands and
-  fillers whose own computation does more than read a stored mask. The
-  concept evaluated is never stored, because each one is evaluated once per
-  search; ``Thing``, atoms and negated atoms are never stored there,
-  because reading their mask is as cheap as reading an entry. The counts
-  memo stores every filler, since even an atom's chunks take a gather.
+- What is stored: the full-space memo holds only operands and fillers whose
+  own computation does more than read a stored mask. The concept evaluated
+  is never stored, because each one is evaluated once per search;
+  ``Thing``, atoms and negated atoms are never stored there, because
+  reading their mask is as cheap as reading an entry. The counts memo
+  stores every filler, since even an atom's chunks take a gather. A
+  top-level operand of the example space is not stored at all: its
+  fillers are, so a restriction costs one counts hit and a few int
+  operations, about what a lookup on its sort key would cost.
 
-An ``Evaluator`` holds the three memos and the example space (``space``)
+An ``Evaluator`` holds the two memos and the example space (``space``)
 of one (kb, examples) pair, and counts concepts there. Each holder of a pair
 builds one and keeps it while it holds the pair, so no cache outlives it:
 ``LocalExpander`` for a local run and for each KB_TRANSFER a worker takes,
@@ -161,9 +159,9 @@ class RowSpace:
     role expression's pairs are at its ``role_id`` in both; ``nums``,
     ``bools`` and ``strs`` are (subjects, values) pairs of per-role lists.
     Only the example space has the rest: ``top``, the all-ones int;
-    ``positives`` and ``negatives`` as ints; the memos ``table`` and
-    ``counts`` (see the module docstring); ``full``, the full space its
-    fillers' nested restrictions are computed in; and
+    ``positives`` and ``negatives`` as ints; the memo ``counts`` (see the
+    module docstring); ``full``, the full space its fillers' nested
+    restrictions are computed in; and
     ``chunks[inverse][role_id]``, the role's ``Chunks``, or None where no
     example is the subject of a pair.
     """
@@ -178,7 +176,6 @@ class RowSpace:
     top: int = 0
     positives: int = 0
     negatives: int = 0
-    table: dict | None = None
     counts: dict | None = None
     full: "RowSpace | None" = None
     chunks: tuple[list, list] | None = None
@@ -281,7 +278,7 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
                     top=(1 << n) - 1,
                     positives=_bits(examples.positives[ids]),
                     negatives=_bits(examples.negatives[ids]),
-                    table={}, counts={}, full=full,
+                    counts={}, full=full,
                     chunks=tuple([_chunks(subs, objs, n)
                                   for subs, objs in zip(*pairs)]
                                  for pairs in roles))
@@ -290,7 +287,7 @@ def _example_space(kb: KnowledgeBase, examples: ExampleSet) -> RowSpace:
 class Evaluator:
     """Evaluation of concepts against ``examples`` over ``kb``: ``memo`` is
     the full-space memo, ``space`` the example space, which holds its own
-    memos ``table`` and ``counts`` (see the module docstring)."""
+    memo ``counts`` (see the module docstring)."""
 
     __slots__ = ("kb", "examples", "memo", "space")
 
@@ -391,19 +388,6 @@ def _concrete(c: Concept, space: RowSpace) -> np.ndarray:
     out = np.zeros(space.size, dtype=bool)
     out[np.compress(sel, subs[c.role_id])] = True
     return out
-
-
-def _row_operand(c: Concept, ev: Evaluator) -> int:
-    """Extension of the top-level operand ``c`` over the example rows,
-    through the example space's table."""
-    if type(c) in _MASK_READS:
-        return _row_extension(c, ev)
-    key = sort_key(c)
-    table = ev.space.table
-    bits = table.get(key)
-    if bits is None:
-        bits = table[key] = _row_extension(c, ev)
-    return bits
 
 
 def _filler(c: Concept, ev: Evaluator, inverse: bool, rid: int, chunks: Chunks
@@ -528,12 +512,12 @@ def _row_extension(c: Concept, ev: Evaluator) -> int:
     if t is And:
         out = space.top
         for ch in c.children:
-            out &= _row_operand(ch, ev)
+            out &= _row_extension(ch, ev)
         return out
     if t is Or:
         out = 0
         for ch in c.children:
-            out |= _row_operand(ch, ev)
+            out |= _row_extension(ch, ev)
         return out
     if t is Exists or t is Forall or t is MinCard or t is MaxCard:
         return _restriction(c, ev)
@@ -582,12 +566,13 @@ def evaluate_batch(cs: list[Concept], kb: KnowledgeBase, examples: ExampleSet,
 
 def dominated_union(c: Concept, ev: Evaluator) -> bool:
     """Whether ``c`` is a union with a top-level operand that covers no
-    positive example of ``ev``'s examples. Each operand is read through the
-    example space's table, where evaluating ``c`` with ``ev`` has left it."""
+    positive example of ``ev``'s examples. Each operand is computed over the
+    example rows, its fillers read from the counts memo where evaluating
+    ``c`` with ``ev`` has left them."""
     if type(c) is not Or:
         return False
     positives = ev.space.positives
-    return any(not _row_operand(ch, ev) & positives for ch in c.children)
+    return any(not _row_extension(ch, ev) & positives for ch in c.children)
 
 
 def accuracy(cov: CoverageResult, examples: ExampleSet) -> float:

@@ -22,11 +22,12 @@ lines are numbered as ``str.splitlines`` numbers them, across slices, and
 each error names its line.
 
 Names must be declared before use; ids are dense and assigned in declaration
-order, so a file always interns to the same ids. Each assertion row is one
-tuple, shared by its table's list and the set that keeps the rows unique.
-After ``materialize`` the class membership and role assertion tables are
-closed under the subclass and subrole hierarchies and mirrored into numpy
-arrays for the evaluation engine.
+order, so a file always interns to the same ids. While a KB is open, each
+table of rows is one insertion-ordered dict from row to None, which keeps
+the first copy of a repeated row in its place. After ``materialize`` the
+class membership and role assertion tables are closed under the subclass
+and subrole hierarchies, each table of rows is the list of its rows, and
+all of them are mirrored into numpy arrays for the evaluation engine.
 
 Two binary forms share one table layout, written by one writer and read by
 one reader, which keeps the first copy of a repeated row as the ``add_*``
@@ -150,9 +151,11 @@ class SymbolTable:
 
 
 _SEALED = "a materialized knowledge base takes no more rows"
-# A KB's assertion rows, and the numpy mirrors of a materialized KB's rows.
-_ROWS = ("class_members", "role_assertions", "numeric_assertions",
-         "boolean_assertions", "string_assertions")
+# A KB's tables of rows per role, all its assertion rows, and the numpy
+# mirrors of a materialized KB's rows.
+_TABLES = ("role_assertions", "numeric_assertions", "boolean_assertions",
+           "string_assertions")
+_ROWS = ("class_members", *_TABLES)
 _MIRRORS = ("member_masks", "role_subs", "role_objs", "num_subs", "num_vals",
             "bool_subs", "bool_vals", "str_subs", "str_vals")
 
@@ -160,36 +163,32 @@ _MIRRORS = ("member_masks", "role_subs", "role_objs", "num_subs", "num_vals",
 class KnowledgeBase:
     """Assertion tables plus, after materialization, their numpy mirrors.
 
-    The structural core (sets and lists below) is what equality and the
+    The structural core (sets and tables below) is what equality and the
     tests see while the KB is open; the numpy arrays make evaluation fast
-    and are rebuilt deterministically from the core. A sealed (materialized)
-    KB reads its counts, its assertion counts and everything a search reads
-    from the arrays, and compares its arrays and hierarchy edges, so a
-    sealed KB may hold only them: a decoded one (``deserialize_sealed``, or
-    ``deserialize_kb`` of a materialized blob) has ``None`` for its rows
-    (``class_members`` and the ``*_assertions`` lists), as every sealed KB
-    has for its dedupe sets, and keeps only its hierarchy edges as lists.
+    and are rebuilt deterministically from the core. While the KB is open
+    each class's members are a set and each other table (the hierarchy
+    edges and every role's rows) an insertion-ordered dict from row to
+    None, so storing a row that is there already keeps its first copy in
+    its place; ``materialize`` turns each such table into the list of its
+    rows, since a KB that takes no more rows needs no dict. A sealed
+    (materialized) KB reads its counts, its assertion counts and everything
+    a search reads from the arrays, and compares its arrays and hierarchy
+    edges, so a sealed KB may hold only them: a decoded one
+    (``deserialize_sealed``, or ``deserialize_kb`` of a materialized blob)
+    has ``None`` for its rows (``class_members`` and the ``*_assertions``
+    tables) and keeps only its hierarchy edges as lists.
     """
 
     def __init__(self):
         self.num_individuals = 0
         self.class_members: list[set[int]] = []
-        self.subclass_edges: list[tuple[int, int]] = []
-        self.role_assertions: list[list[tuple[int, int]]] = []
-        self.subrole_edges: list[tuple[int, int]] = []
-        self.numeric_assertions: list[list[tuple[int, float]]] = []
-        self.boolean_assertions: list[list[tuple[int, bool]]] = []
-        self.string_assertions: list[list[tuple[int, int]]] = []
+        self.subclass_edges: dict[tuple[int, int], None] = {}
+        self.role_assertions: list[dict[tuple[int, int], None]] = []
+        self.subrole_edges: dict[tuple[int, int], None] = {}
+        self.numeric_assertions: list[dict[tuple[int, float], None]] = []
+        self.boolean_assertions: list[dict[tuple[int, bool], None]] = []
+        self.string_assertions: list[dict[tuple[int, int], None]] = []
         self.materialized = False
-        # Dedupe sets, maintained alongside the lists; a row is one tuple,
-        # shared by its list and its set. A materialized KB takes no more
-        # rows, so materialization releases them (``_seal``).
-        self._role_pair_sets: list[set[tuple[int, int]]] = []
-        self._edge_set: set[tuple[int, int]] = set()
-        self._redge_set: set[tuple[int, int]] = set()
-        self._num_sets: list[set[tuple[int, float]]] = []
-        self._bool_sets: list[set[tuple[int, bool]]] = []
-        self._str_sets: list[set[tuple[int, int]]] = []
         # numpy mirrors, populated by materialize().
         self.member_masks: list[np.ndarray] = []
         self.role_subs: list[np.ndarray] = []
@@ -214,26 +213,22 @@ class KnowledgeBase:
     def add_role(self) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        self.role_assertions.append([])
-        self._role_pair_sets.append(set())
+        self.role_assertions.append({})
 
     def add_num_role(self) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        self.numeric_assertions.append([])
-        self._num_sets.append(set())
+        self.numeric_assertions.append({})
 
     def add_bool_role(self) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        self.boolean_assertions.append([])
-        self._bool_sets.append(set())
+        self.boolean_assertions.append({})
 
     def add_str_role(self) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        self.string_assertions.append([])
-        self._str_sets.append(set())
+        self.string_assertions.append({})
 
     def add_individual(self) -> None:
         if self.materialized:
@@ -248,50 +243,32 @@ class KnowledgeBase:
     def add_subclass(self, sub: int, sup: int) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        edge = (sub, sup)
-        if edge not in self._edge_set:
-            self._edge_set.add(edge)
-            self.subclass_edges.append(edge)
+        self.subclass_edges[sub, sup] = None
 
     def add_subrole(self, sub: int, sup: int) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        edge = (sub, sup)
-        if edge not in self._redge_set:
-            self._redge_set.add(edge)
-            self.subrole_edges.append(edge)
+        self.subrole_edges[sub, sup] = None
 
     def add_fact(self, role: int, sub: int, obj: int) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        row, seen = (sub, obj), self._role_pair_sets[role]
-        if row not in seen:
-            seen.add(row)
-            self.role_assertions[role].append(row)
+        self.role_assertions[role][sub, obj] = None
 
     def add_num_fact(self, role: int, sub: int, val: float) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        row, seen = (sub, val), self._num_sets[role]
-        if row not in seen:
-            seen.add(row)
-            self.numeric_assertions[role].append(row)
+        self.numeric_assertions[role][sub, val] = None
 
     def add_bool_fact(self, role: int, sub: int, val: bool) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        row, seen = (sub, val), self._bool_sets[role]
-        if row not in seen:
-            seen.add(row)
-            self.boolean_assertions[role].append(row)
+        self.boolean_assertions[role][sub, val] = None
 
     def add_str_fact(self, role: int, sub: int, val_index: int) -> None:
         if self.materialized:
             raise KbError(_SEALED)
-        row, seen = (sub, val_index), self._str_sets[role]
-        if row not in seen:
-            seen.add(row)
-            self.string_assertions[role].append(row)
+        self.string_assertions[role][sub, val_index] = None
 
     # -- derived counts ------------------------------------------------------
 
@@ -323,8 +300,9 @@ class KnowledgeBase:
                 sum(map(len, m["num_subs"] + m["bool_subs"] + m["str_subs"])))
 
     def __eq__(self, other) -> bool:
-        """Rows while open; once materialized, numpy columns, which are all
-        a sealed KB holds. Both compare the hierarchy edges."""
+        """Rows while open, each table compared as a dict, so the order of
+        its rows does not matter; once materialized, numpy columns, which
+        are all a sealed KB holds. Both compare the hierarchy edges."""
         if not (isinstance(other, KnowledgeBase)
                 and self.materialized == other.materialized
                 and self.num_individuals == other.num_individuals
@@ -717,8 +695,7 @@ def materialize(kb: KnowledgeBase, st: SymbolTable | None = None) -> KnowledgeBa
         if not pairs:
             continue
         for sup in supers[rid]:
-            for pair in pairs:
-                kb.add_fact(sup, *pair)
+            kb.role_assertions[sup] |= pairs
 
     _seal(kb)
     return kb
@@ -726,13 +703,15 @@ def materialize(kb: KnowledgeBase, st: SymbolTable | None = None) -> KnowledgeBa
 
 def _seal(kb: KnowledgeBase,
           mirrors: dict[str, list[np.ndarray]] | None = None) -> None:
-    """Mark ``kb`` materialized, release its dedupe sets, which no later row
-    needs, and set its numpy mirrors: ``mirrors``, or else those of its
-    rows, built once the sets are gone."""
+    """Mark ``kb`` materialized and set its numpy mirrors: ``mirrors``, or
+    else those of its rows, once each of its open tables is turned into the
+    list of its rows, as a KB that takes no more rows needs no dict."""
     kb.materialized = True
-    kb._role_pair_sets = kb._num_sets = kb._bool_sets = kb._str_sets = None
-    kb._edge_set = kb._redge_set = None
     if mirrors is None:
+        kb.subclass_edges = list(kb.subclass_edges)
+        kb.subrole_edges = list(kb.subrole_edges)
+        for name in _TABLES:
+            setattr(kb, name, list(map(list, getattr(kb, name))))
         mirrors = _row_mirrors(kb)
     for name, arrays in mirrors.items():
         setattr(kb, name, arrays)
@@ -891,9 +870,9 @@ def _tables_bytes(kb: KnowledgeBase) -> list[bytes]:
     for mask in m["member_masks"]:
         ids = np.flatnonzero(mask)
         out.append(_u32.pack(len(ids)) + ids.astype(_ID).tobytes())
-    out.append(_rows_bytes(kb.subclass_edges, _PAIR))
+    out.append(_rows_bytes(list(kb.subclass_edges), _PAIR))
     out.extend(map(_columns_bytes, repeat(_PAIR), m["role_subs"], m["role_objs"]))
-    out.append(_rows_bytes(kb.subrole_edges, _PAIR))
+    out.append(_rows_bytes(list(kb.subrole_edges), _PAIR))
     out.extend(map(_columns_bytes, repeat(_NUM_ROW), m["num_subs"], m["num_vals"]))
     out.extend(map(_columns_bytes, repeat(_BOOL_ROW), m["bool_subs"],
                    m["bool_vals"]))
@@ -1078,22 +1057,19 @@ def _sealed_kb(t: _Tables, n_ind: int) -> KnowledgeBase:
 
 
 def _open_kb(t: _Tables, n_ind: int) -> KnowledgeBase:
-    """The open KB of tables ``t`` over ``n_ind`` individuals: the rows and
-    dedupe sets that adding the rows through the ``add_*`` methods builds."""
+    """The open KB of tables ``t`` over ``n_ind`` individuals: the tables
+    that adding the rows through the ``add_*`` methods builds."""
     kb = KnowledgeBase()
     kb.num_individuals = n_ind
     kb.class_members = [set(ids.tolist()) for ids in t.members]
-    kb.subclass_edges, kb.subrole_edges = t.subclass_edges, t.subrole_edges
-    kb.role_assertions = [rows.tolist() for rows in t.roles]
-    kb.numeric_assertions = [rows.tolist() for rows in t.nums]
-    kb.boolean_assertions = [list(zip(rows["a"].tolist(), (rows["b"] == 1).tolist()))
+    kb.subclass_edges = dict.fromkeys(t.subclass_edges)
+    kb.subrole_edges = dict.fromkeys(t.subrole_edges)
+    kb.role_assertions = [dict.fromkeys(rows.tolist()) for rows in t.roles]
+    kb.numeric_assertions = [dict.fromkeys(rows.tolist()) for rows in t.nums]
+    kb.boolean_assertions = [dict.fromkeys(zip(rows["a"].tolist(),
+                                               (rows["b"] == 1).tolist()))
                              for rows in t.bools]
-    kb.string_assertions = [rows.tolist() for rows in t.strs]
-    kb._edge_set, kb._redge_set = set(kb.subclass_edges), set(kb.subrole_edges)
-    kb._role_pair_sets = list(map(set, kb.role_assertions))
-    kb._num_sets = list(map(set, kb.numeric_assertions))
-    kb._bool_sets = list(map(set, kb.boolean_assertions))
-    kb._str_sets = list(map(set, kb.string_assertions))
+    kb.string_assertions = [dict.fromkeys(rows.tolist()) for rows in t.strs]
     return kb
 
 

@@ -3,9 +3,11 @@
 Each rule either descends a class/role hierarchy, tightens a numeric or
 cardinality bound, or adds a conjunct, so iterated refinement is monotone in
 concept length. Results are deduplicated, sorted in canonical order, and
-never include the input concept itself. They are length-bounded and
-canonical by construction: each rule builds within its bound, the input is
-canonical, and every And/Or is built by ``concept.connective``.
+never include the input concept itself; two structurally different
+concepts with one hash raise a ``hash collision`` error rather than one of
+them being dropped. They are length-bounded and canonical by construction:
+each rule builds within its bound, the input is canonical, and every And/Or
+is built by ``concept.connective``.
 
 Disjunction enters the search only at the very top: ``refine_top_levels``
 pairs distinct refinements of Thing into binary unions, and rule application
@@ -200,14 +202,20 @@ def refine(c: Concept, length_bound: int, r: Refiner,
     if isinstance(c, Top) and r.use_disjunction:
         raw.extend(refine_top_levels(length_bound, r, context))
     interned = r.interned
-    seen = {hash_concept(c)}
+    # The first concept of each hash, the input's first: a later one is a
+    # duplicate unless it differs in structure, which is a hash collision.
+    seen = {hash_concept(c): c}
     out: list[Concept] = []
     for d in raw:
         d = interned.setdefault(sort_key(d), d)
         h = hash_concept(d)
-        if h in seen:
-            continue
-        seen.add(h)
+        first = seen.get(h)
+        if first is not None:
+            if first is d or first == d:
+                continue
+            raise RuntimeError(f"hash collision 0x{h:016x} between "
+                               f"structurally different concepts")
+        seen[h] = d
         out.append(d)
     out.sort(key=sort_key)
     r.memo[memo_key] = tuple(out)

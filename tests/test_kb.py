@@ -44,13 +44,13 @@ def test_parse_golden_text():
     assert st.bool_role_names.names == ["vaccinated"]
     assert st.str_role_names.names == ["fur color"]
     assert st.individual_names.names == ["alice", "rex"]
-    assert kb.subclass_edges == [(1, 0)]
-    assert kb.subrole_edges == [(1, 0)]
+    assert list(kb.subclass_edges) == [(1, 0)]
+    assert list(kb.subrole_edges) == [(1, 0)]
     assert kb.class_members == [{0}, {1}]
-    assert kb.role_assertions == [[(0, 1)], []]
-    assert kb.numeric_assertions == [[(1, 3.5)]]
-    assert kb.boolean_assertions == [[(1, True)]]
-    assert kb.string_assertions == [[(1, 0)]]
+    assert list(map(list, kb.role_assertions)) == [[(0, 1)], []]
+    assert list(map(list, kb.numeric_assertions)) == [[(1, 3.5)]]
+    assert list(map(list, kb.boolean_assertions)) == [[(1, True)]]
+    assert list(map(list, kb.string_assertions)) == [[(1, 0)]]
     assert st.string_values[0].names == ["brown"]
     assert not kb.materialized
 
@@ -62,7 +62,7 @@ def test_parse_duplicate_declarations_are_idempotent():
     assert kb.num_roles == 1
     assert len(st.str_role_names) == 1 and kb.num_string_roles == 1
     assert len(st.string_values) == 1
-    assert kb.string_assertions == [[(0, 0)]]
+    assert list(map(list, kb.string_assertions)) == [[(0, 0)]]
 
 
 PARSE_ERRORS = [
@@ -311,6 +311,33 @@ fact s x y
 """
 
 
+def test_a_repeated_row_is_kept_once_as_its_first_copy_in_its_place():
+    st, kb = parse_kb("class A\nclass B\nrole r\nnumrole n\nboolrole b\n"
+                      "individual x\nindividual y\n"
+                      "subclass A B\nsubclass A B\n"
+                      "fact r x y\nfact r y x\nfact r x y\n"
+                      "numfact n x -0.0\nnumfact n y 1\nnumfact n x 0.0\n"
+                      "boolfact b y true\nboolfact b y true\n")
+    want_num = [(0, -0.0), (1, 1.0)]
+
+    def signs(rows):
+        return [(sub, np.signbit(val)) for sub, val in rows]
+
+    assert list(kb.subclass_edges) == [(0, 1)]
+    assert list(map(list, kb.role_assertions)) == [[(0, 1), (1, 0)]]
+    [num_rows] = map(list, kb.numeric_assertions)
+    assert num_rows == want_num and signs(num_rows) == signs(want_num)
+    assert list(map(list, kb.boolean_assertions)) == [[(1, True)]]
+    materialize(kb, st)
+    assert kb.subclass_edges == [(0, 1)]
+    assert kb.role_assertions == [[(0, 1), (1, 0)]]
+    assert signs(kb.numeric_assertions[0]) == signs(want_num)
+    assert kb.role_subs[0].tolist() == [0, 1]
+    assert kb.role_objs[0].tolist() == [1, 0]
+    assert signs(zip(kb.num_subs[0].tolist(), kb.num_vals[0])) == signs(want_num)
+    assert kb.bool_subs[0].tolist() == [1] and kb.bool_vals[0].tolist() == [True]
+
+
 def test_materialize_diamond_closure():
     st, kb = parse_kb(DIAMOND)
     materialize(kb, st)
@@ -368,7 +395,7 @@ def test_materialize_is_idempotent():
     assert (kb.class_members, kb.role_assertions) == snapshot
 
 
-def test_a_materialized_kb_drops_its_dedupe_sets_and_takes_no_more_rows():
+def test_a_materialized_kb_keeps_lists_and_takes_no_more_rows():
     rng = random.Random(204)
     st, kb = random_kb(rng, do_materialize=False)
     materialize(kb)
@@ -379,10 +406,14 @@ def test_a_materialized_kb_drops_its_dedupe_sets_and_takes_no_more_rows():
             ("add_subclass", (1, 0)), ("add_subrole", (0, 0)),
             ("add_fact", (0, 0, 1)), ("add_num_fact", (0, 0, 1.0)),
             ("add_bool_fact", (0, 0, True)), ("add_str_fact", (0, 0, 0))]
+    assert type(kb.subclass_edges) is list and type(kb.subrole_edges) is list
+    for name in ("role_assertions", "numeric_assertions", "boolean_assertions",
+                 "string_assertions"):
+        assert type(getattr(kb, name)) is list
+        assert all(type(rows) is list for rows in getattr(kb, name))
+        assert getattr(decoded, name) is None
+    assert decoded.class_members is None
     for materialized in (kb, decoded):
-        for name in ("_role_pair_sets", "_num_sets", "_bool_sets",
-                     "_str_sets", "_edge_set", "_redge_set"):
-            assert getattr(materialized, name) is None
         before = copy.deepcopy(materialized)
         for name, args in adds:
             with pytest.raises(KbError, match="materialized"):

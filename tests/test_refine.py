@@ -324,6 +324,19 @@ def test_refine_rejects_bound_below_input():
         refine(MinCard(2, RoleExpr(0), TOP), 3, refiner)
 
 
+@pytest.mark.parametrize("twin", ["another refinement", "the input"])
+def test_refine_stops_on_a_hash_collision_rather_than_drop_a_refinement(
+        trains, monkeypatch, twin):
+    got = refine(TOP, 3, refiner_of(trains))
+    victim, other = got[1], (got[0] if twin == "another refinement" else TOP)
+    real = hash_concept
+    monkeypatch.setattr("dlbeam.refine.hash_concept",
+                        lambda c: real(other if c == victim else c))
+    with pytest.raises(RuntimeError, match="hash collision 0x[0-9a-f]{16} "
+                       "between structurally different concepts"):
+        refine(TOP, 3, refiner_of(trains))
+
+
 # --- output contract --------------------------------------------------------
 
 def contains_max_card(c):
